@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .fid import BitVector, Exhausted, Fid, FidParams, LinkId
 from .topology import (DirectedLink, NodeKind, LinkEvent, LinkStatsReport, RuleDirective,
-                       TM_NID, TopologyGraph, UnknownAttachPoint)
+                       TM_NID, TopologyGraph, UnknownAttachPoint, Unreachable)
 from .wire import (DiscoveryOffer, DiscoveryRequest, Message, OfferAccepted,
                    ResourceAccepted, ResourceOffer, ResourceRequest, Update)
 
@@ -317,7 +317,13 @@ class TmEngine:
             log.info("tm: OfferAccepted without pending grant (nid %d) ignored", msg.nid)
             return TmResult()
         grant = self.graph.pending_grant(msg.nid)
-        record = self.graph.commit_grant(msg.nid)
+        try:
+            record = self.graph.commit_grant(msg.nid)
+        except Unreachable as exc:
+            # The grant stays pending; the node's OfferAccepted retry commits
+            # it once a link back to the TM returns.
+            log.warning("tm: cannot commit NID %d yet: %s", msg.nid, exc)
+            return TmResult()
         self._committed[msg.nonce] = msg.nid
         result = TmResult()
         if grant.kind == NodeKind.SDN_SWITCH:

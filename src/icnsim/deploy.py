@@ -17,14 +17,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import wire
 from .bootstrap import (Arm, Broadcast, Directive, NodeBootstrapFsm, NodeConfig, Notify,
-                        Reply, BootstrapState, Send, Timers, TmEngine, apply_update,
-                        responder_on_discovery, NotBootstrapped)
+                        RULE_PRIORITY, Reply, BootstrapState, Send, Timers, TmEngine,
+                        apply_update, responder_on_discovery, NotBootstrapped)
 from .fabric import (Controller, FlowTable, IcnPacket, LOCAL_PORT, LinkDown, LinkUp,
                      MISS, PacketIn, StatsTick, SwitchAttached, decode_packet,
                      encode_packet, switch_forward)
-from .fid import BitVector, FidParams, fid_matches
-from .simnet import (Control, Deliver, MeasurementSpan, NeverCompleted, SimReport,
-                     Simulator, Timer, ms)
+from .fid import BitVector, Fid, FidParams, fid_matches, fid_or
+from .simnet import Control, Deliver, SimReport, Simulator, Timer, ms
 from .topology import TM_NID, DirectedLink, TopologyError, TopologyGraph
 from .topospec import TopologySpec
 from .wire import CodecError, DiscoveryRequest, ResourceRequest, Update
@@ -60,7 +59,6 @@ class SwitchNode:
         self.table = FlowTable()
         self.tx_bytes: Dict[int, int] = {}
         self.drops = 0
-        self.local_delivered = 0
 
     def handle(self, event) -> None:
         kind = event.kind
@@ -86,9 +84,7 @@ class SwitchNode:
         onward = packet if packet.hop_limit is None else replace(
             packet, hop_limit=packet.hop_limit - 1)
         for port in result:
-            if port == LOCAL_PORT:
-                self.local_delivered += 1
-            else:
+            if port != LOCAL_PORT:
                 self._emit(onward, port)
 
     def _emit(self, packet: IcnPacket, port: int) -> None:
@@ -259,10 +255,10 @@ class TmNode:
         if packet.hop_limit is None or packet.hop_limit > 0:
             onward = packet if packet.hop_limit is None else replace(
                 packet, hop_limit=packet.hop_limit - 1)
-            for (src, dst), link in sorted(self.graph.links.items()):
-                if src != TM_NID or not fid_matches(packet.fid, link.lid):
+            for link in self.graph.out_links(TM_NID):
+                if not fid_matches(packet.fid, link.lid):
                     continue
-                port = self.direct_ports.get(dst)
+                port = self.direct_ports.get(link.dst)
                 if port is not None:
                     self.net.emit(self.name, port, onward)
         # TM-bound FIDs carry no iLID for the TM, so arrival means delivery.
@@ -347,7 +343,7 @@ class TmNode:
                 d = action.directive
                 self.net.ctl_to_controller(wire.RuleInstallFrame(
                     d.install, d.nonce, d.switch_nid, d.dst_nid, d.lid, d.lid,
-                    priority=100))
+                    priority=RULE_PRIORITY))
             elif isinstance(action, Notify):
                 self._route_to_node(action.nid, action.message, action.route)
         self._pending_actions = []
@@ -369,12 +365,7 @@ class TmNode:
                 return
         if not path:
             return
-        fid = BitVector.zero(self.net.params.m)
-        for link in path:
-            fid = fid | link.lid
-        ilid = self.graph.nodes[nid].ilid
-        if ilid is not None:
-            fid = fid | ilid
+        fid = self.net.path_fid(path, nid)
         port = self.direct_ports.get(path[0].dst)
         if port is None:
             log.warning("tm: no port binding for direct neighbor %d", path[0].dst)
@@ -414,7 +405,6 @@ class Deployment:
 
         self.switches: Dict[str, SwitchNode] = {}
         self.hosts: Dict[str, HostNode] = {}
-        kinds = spec.node_kinds()
         for node in spec.nodes:
             if node.kind == "switch":
                 self.switches[node.name] = SwitchNode(node.name, self)
@@ -444,9 +434,7 @@ class Deployment:
         self._order = [n.name for n in spec.nodes if n.kind != "tm"]
         self._order_idx = 0
         self.failures: Dict[str, str] = {}
-        self._completed: set = set()
         self._reported_pairs: set = set()
-        self._kinds = kinds
 
         self.sim.register(f"node:{self.tm_name}", self.tm.handle)
         for name, sw in self.switches.items():
@@ -467,10 +455,6 @@ class Deployment:
         return len(self._node(name).ports)
 
     # -- plumbing used by nodes and the controller -------------------------------
-
-    @property
-    def tm_graph(self) -> TopologyGraph:
-        return self.graph
 
     def next_trace(self) -> int:
         self._trace_counter += 1
@@ -523,6 +507,14 @@ class Deployment:
     def link_capacity_mbps(self, switch_name: str, port: int) -> float:
         peer = self.switches[switch_name].ports[port]
         return self._pair_props[frozenset((switch_name, peer))][1]
+
+    def path_fid(self, path: Sequence[DirectedLink], dst_nid: int) -> Fid:
+        """OR of a path's LIDs and the destination's iLID, if it has one."""
+        lids = [link.lid for link in path]
+        ilid = self.graph.nodes[dst_nid].ilid
+        if ilid is not None:
+            lids.append(ilid)
+        return fid_or(lids, width=self.params.m)
 
     def record_consumed(self, trace_id: int, name: str) -> None:
         self.consumed.setdefault(trace_id, []).append(name)
@@ -587,40 +579,43 @@ class Deployment:
     def switch_attach_complete(self, name: str) -> None:
         """Controller callback: proxy handshake finished, rules installed."""
         self.sim.end_span(f"bootstrap:{name}")
-        self._completed.add(name)
-        nid = self.controller.enabled[name]
-        if name in self.tm.ports.values():
-            port = next(p for p, n in self.tm.ports.items() if n == name)
-            self.tm.direct_ports[nid] = port
-        self._record_link_delay(name)
-        self._scan_extra_links()
+        self._finish_ports(name)
         self.sim.schedule_in(0, "orch", Timer("next"))
 
     def node_done(self, name: str) -> None:
         self.sim.end_span(f"bootstrap:{name}")
-        self._completed.add(name)
-        self._record_link_delay(name)
-        self._scan_extra_links()
+        self._finish_ports(name)
         if self.mode != "concurrent":
             self.sim.schedule_in(0, "orch", Timer("next"))
 
-    def _record_link_delay(self, name: str) -> None:
-        # Handshake-allocated graph links learn the physical delay afterwards;
-        # the protocol itself never carries it.
+    def _finish_ports(self, name: str) -> None:
+        """Per port of a node that just got its NID, towards each neighbour with one.
+
+        Handshake-allocated graph links learn the physical delay (the
+        protocol never carries it), the TM binds its port to the node, and a
+        connection no handshake covered is reported to the TM as a ``LinkUp``.
+        """
         nid = self.nid_of(name)
-        if nid is None:
-            return
-        for (src, dst), link in list(self.graph.links.items()):
-            if nid not in (src, dst) or link.delay_ms:
+        for port, other in self._node(name).ports.items():  # port order is spec link order
+            other_nid = self.nid_of(other)
+            if other_nid is None:
                 continue
-            other = dst if src == nid else src
-            other_name = next((n for n in self._kinds if self.nid_of(n) == other), None)
-            if other_name is None:
+            if other == self.tm_name:
+                self.tm.direct_ports[nid] = self._wiring[(name, port)][1]
+            pair = frozenset((name, other))
+            delay_ms = self._pair_props[pair][0] / 1000
+            for key in ((nid, other_nid), (other_nid, nid)):
+                link = self.graph.links.get(key)
+                if link is not None and not link.delay_ms:
+                    self.graph.links[key] = replace(link, delay_ms=delay_ms)
+            if pair in self._reported_pairs or pair in self.down_pairs:
                 continue
-            pair = frozenset((name, other_name))
-            if pair in self._pair_props:
-                self.graph.links[(src, dst)] = replace(
-                    link, delay_ms=self._pair_props[pair][0] / 1000)
+            self._reported_pairs.add(pair)
+            a, b = sorted(pair)
+            key = (nid, other_nid) if a == name else (other_nid, nid)
+            if key in self.graph.links or key in self.graph.down_links:
+                continue
+            self.sim.schedule_in(0, "ctl", Control(LinkUp(a, b)))
 
     def node_failed(self, name: str, reason: str) -> None:
         self.failures[name] = reason
@@ -634,25 +629,6 @@ class Deployment:
             return self.controller.enabled.get(name)
         host = self.hosts[name]
         return host.config.nid if host.fsm.state == BootstrapState.DONE else None
-
-    def _scan_extra_links(self) -> None:
-        """Report freshly usable switch/host links the handshakes didn't cover."""
-        for pair in self._pair_props:
-            if pair in self._reported_pairs or pair in self.down_pairs:
-                continue
-            a, b = sorted(pair)
-            nid_a, nid_b = self.nid_of(a), self.nid_of(b)
-            if nid_a is None or nid_b is None:
-                continue
-            if (nid_a, nid_b) in self.graph.links or (nid_a, nid_b) in self.graph.down_links:
-                self._reported_pairs.add(pair)
-                continue
-            self._reported_pairs.add(pair)
-            self.sim.schedule_in(0, "ctl", Control(LinkUp(a, b)))
-            if self.tm_name in pair:
-                other = b if a == self.tm_name else a
-                port = next(p for p, n in self.tm.ports.items() if n == other)
-                self.tm.direct_ports[self.nid_of(other)] = port
 
     # -- faults and probes ---------------------------------------------------------
 
@@ -680,13 +656,8 @@ class Deployment:
         """Unicast data packet between committed nodes, FID from the TM graph."""
         src_nid, dst_nid = self.nid_of(src), self.nid_of(dst)
         path = self.graph.shortest_path(src_nid, dst_nid)
-        fid = BitVector.zero(self.params.m)
-        for link in path:
-            fid = fid | link.lid
-        ilid = self.graph.nodes[dst_nid].ilid
-        if ilid is not None:
-            fid = fid | ilid
-        packet = IcnPacket(fid, self.hop_limit, b"DATA", trace_id=self.next_trace())
+        packet = IcnPacket(self.path_fid(path, dst_nid), self.hop_limit, b"DATA",
+                           trace_id=self.next_trace())
         node = self._node(src)
         first = path[0].dst if path else dst_nid
         if isinstance(node, HostNode):
@@ -708,13 +679,6 @@ class Deployment:
         for name, host in self.hosts.items():
             states[name] = host.fsm.state.name
         return self.sim.report(states)
-
-    def bootstrap_span(self, name: str) -> MeasurementSpan:
-        label = f"bootstrap:{name}"
-        for span in self.sim.spans:
-            if span.label == label:
-                return span
-        raise NeverCompleted(f"{name} never finished bootstrapping")
 
     def all_done(self) -> bool:
         return (all(n in self.controller.enabled for n in self.switches)

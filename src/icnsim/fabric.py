@@ -262,7 +262,7 @@ class Controller:
         if nid is None:
             log.debug("controller: discovery at not-yet-enabled switch %s", event.switch)
             return
-        tmfid = self.net.tm_graph.nodes[nid].tmfid
+        tmfid = self.net.graph.nodes[nid].tmfid
         offer = DiscoveryOffer(msg.nonce, nid, tmfid)
         reply = IcnPacket(BitVector.zero(self.params.m), self.net.hop_limit,
                           wire.encode(offer, self.params))

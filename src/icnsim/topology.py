@@ -9,7 +9,6 @@ behind it, selects load-aware paths, and repairs paths when links fail.
 from __future__ import annotations
 
 import enum
-import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from random import Random
@@ -18,7 +17,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from .fid import BitVector, Exhausted, Fid, FidParams, LinkId, fid_or, new_lid
 
 TM_NID = 1
-UNASSIGNED_NID = 0
 
 
 class TopologyError(Exception):
@@ -149,9 +147,9 @@ class TopologyGraph:
     Paths towards the TM are kept as an in-tree: hop counts (``_dist``) plus
     each node's next hop (smallest NID among neighbours one hop closer), so a
     node's path is lexicographically smallest among its shortest paths.  An
-    ADD lowers hop counts incrementally and re-walks only the nodes below a
-    changed next hop; a REMOVE drops the tree, and the next read rebuilds it
-    with one BFS.
+    ADD lowers hop counts incrementally; a REMOVE of a tree edge drops the
+    tree, and the next read rebuilds it with one BFS.  Either way only the
+    nodes below a changed next hop are re-walked.
     """
 
     def __init__(self, params: FidParams, rng: Random):
@@ -162,7 +160,6 @@ class TopologyGraph:
         self.down_links: Dict[Tuple[int, int], DirectedLink] = {}
         self.lid_registry: Set[LinkId] = set()
         self.next_nid = 2
-        self.alloc_wall_s = 0.0  # wall-clock spent assigning identifiers
         self._free_nids: List[int] = []
         self._pending: Dict[int, ResourceGrant] = {}
         self._succ: Dict[int, Set[int]] = {}
@@ -204,6 +201,10 @@ class TopologyGraph:
         self._pred[key[1]].discard(key[0])
         return link
 
+    def out_links(self, nid: int) -> List[DirectedLink]:
+        """The node's outgoing links, by destination NID."""
+        return [self.links[(nid, dst)] for dst in sorted(self._succ[nid])]
+
     # -- allocation lifecycle ---------------------------------------------
 
     def allocate_resources(self, kind: NodeKind, attach_nid: int) -> ResourceGrant:
@@ -215,14 +216,12 @@ class TopologyGraph:
         attach = self.nodes.get(attach_nid)
         if attach is None or not attach.committed:
             raise UnknownAttachPoint(f"attach point {attach_nid} unknown or not committed")
-        t0 = time.perf_counter()
         drawn: List[LinkId] = []
         try:
             for _ in range(2 if kind == NodeKind.SDN_SWITCH else 3):
                 drawn.append(new_lid(self.rng, self.lid_registry, self.params))
         except Exhausted:
             self.lid_registry.difference_update(drawn)
-            self.alloc_wall_s += time.perf_counter() - t0
             raise
         down, up = drawn[0], drawn[1]
         ilid = drawn[2] if len(drawn) == 3 else None
@@ -237,17 +236,21 @@ class TopologyGraph:
             self._set_next(nid, attach_nid)
         grant = ResourceGrant(nid, down, up, ilid, attach_nid, kind)
         self._pending[nid] = grant
-        self.alloc_wall_s += time.perf_counter() - t0
         return grant
 
     def commit_grant(self, nid: int) -> NodeRecord:
-        """Make a tentative grant permanent and cache the node's TM path."""
+        """Make a tentative grant permanent and cache the node's TM path.
+
+        Raises :class:`Unreachable`, with the grant still pending, if a
+        REMOVE has cut the attach point off since the allocation.
+        """
         if nid not in self._pending:
             raise NoPendingGrant(f"no pending grant for NID {nid}")
+        path = self._tm_path(nid)
         del self._pending[nid]
         record = self.nodes[nid]
         record.committed = True
-        self._refresh_tm_path(nid)
+        self._set_path(record, path)
         return record
 
     def expire_grant(self, nid: int) -> None:
@@ -256,8 +259,11 @@ class TopologyGraph:
         if grant is None:
             raise NoPendingGrant(f"no pending grant for NID {nid}")
         del self.nodes[nid]
-        self._pop_link((grant.attach_nid, nid))
-        self._pop_link((nid, grant.attach_nid))
+        for key in ((grant.attach_nid, nid), (nid, grant.attach_nid)):
+            if key in self.links:
+                self._pop_link(key)
+            else:  # a REMOVE took it
+                del self.down_links[key]
         del self._succ[nid], self._pred[nid]
         if self._dist is not None and self._dist.pop(nid, None) is not None:
             self._children[self._next.pop(nid)].discard(nid)
@@ -269,24 +275,6 @@ class TopologyGraph:
 
     def pending_grant(self, nid: int) -> Optional[ResourceGrant]:
         return self._pending.get(nid)
-
-    def add_link_pair(self, a: int, b: int, delay_ms: float = 0.0) -> Tuple[DirectedLink, DirectedLink]:
-        """Bring up both directions of a connection between committed nodes.
-
-        Applies one ADD :class:`LinkEvent` per direction (a->b first), so
-        LIDs, revival of a failed pair and path repair are exactly those of
-        reported link events.
-        """
-        for nid in (a, b):
-            rec = self.nodes.get(nid)
-            if rec is None or not rec.committed:
-                raise UnknownAttachPoint(f"endpoint {nid} unknown or not committed")
-        for (src, dst) in ((a, b), (b, a)):
-            if (src, dst) in self.links:
-                raise TopologyError(f"link {src}->{dst} already exists")
-        for (src, dst) in ((a, b), (b, a)):
-            self.handle_link_event(LinkEvent(LinkEventKind.ADD, src, dst, delay_ms))
-        return self.links[(a, b)], self.links[(b, a)]
 
     # -- paths --------------------------------------------------------------
 
@@ -365,16 +353,7 @@ class TopologyGraph:
             cur = step
         return path
 
-    def compute_tmfid(self, nid: int) -> Fid:
-        """OR of the LIDs along the node's shortest path to the TM."""
-        rec = self.nodes.get(nid)
-        if rec is None or not rec.committed:
-            raise UnknownAttachPoint(f"node {nid} unknown or not committed")
-        return fid_or((l.lid for l in self._tm_path(nid)), width=self.params.m)
-
-    def _refresh_tm_path(self, nid: int) -> None:
-        rec = self.nodes[nid]
-        path = self._tm_path(nid)
+    def _set_path(self, rec: NodeRecord, path: List[DirectedLink]) -> None:
         rec.managed_path = path
         rec.tmfid = fid_or((l.lid for l in path), width=self.params.m)
 
@@ -398,20 +377,26 @@ class TopologyGraph:
 
         REMOVE keeps the LID bound to the (src, dst) pair so a later ADD of
         the same pair revives identical flow rules.  Affected nodes are found
-        from stored explicit paths (REMOVE) or the TM in-tree (ADD), never by
-        Bloom membership.
+        from the TM in-tree, never by Bloom membership.
         """
         out = LinkEventOutcome()
         key = (event.src, event.dst)
         if event.kind == LinkEventKind.REMOVE:
             if key not in self.links:
                 raise UnknownLink(f"link {event.src}->{event.dst} unknown")
+            # Only a tree edge carries paths: its loss can lengthen or move
+            # just the paths of the subtree below it.  Any other edge leaves
+            # every hop count and next hop as it was.
+            self._tm_dist()
+            below: Set[int] = set()
+            if self._next.get(event.src) == event.dst:
+                below = self._subtree([event.src])
+                self._dist = None  # rebuilt on the next read
             link = self._pop_link(key)
             self.down_links[key] = link
-            self._dist = None  # paths may lengthen anywhere; rebuilt on next read
             if self.nodes[event.src].kind == NodeKind.SDN_SWITCH:
                 out.rule_directives.append(RuleDirective(False, event.src, event.dst, link.lid))
-            out.repairs = self._repair_paths_containing(link)
+            out.repairs = self._repair(below)
         elif event.kind == LinkEventKind.ADD:
             if key in self.links:
                 raise TopologyError(f"link {event.src}->{event.dst} already up")
@@ -436,18 +421,31 @@ class TopologyGraph:
             self.links[key] = replace(link, delay_ms=event.delay_ms)
         return out
 
-    def _repair_paths_containing(self, failed: DirectedLink) -> List[RepairAction]:
+    def _subtree(self, roots: List[int]) -> Set[int]:
+        """The roots and every node whose in-tree path runs through one."""
+        below: Set[int] = set()
+        stack = list(roots)
+        while stack:
+            nid = stack.pop()
+            if nid not in below:
+                below.add(nid)
+                stack.extend(self._children.get(nid, ()))
+        return below
+
+    def _repair(self, affected: Set[int]) -> List[RepairAction]:
+        """Re-walk the affected committed nodes in NID order; report changed paths."""
         repairs = []
-        for nid in sorted(self.nodes):
+        for nid in sorted(affected):
             rec = self.nodes[nid]
-            if not rec.committed or rec.managed_path is None or nid == TM_NID:
+            if not rec.committed:
                 continue
-            if any(l.key() == failed.key() for l in rec.managed_path):
-                try:
-                    self._refresh_tm_path(nid)
-                except Unreachable:
-                    continue  # node cut off; stale path kept until a link returns
-                repairs.append(RepairAction(nid, rec.tmfid, tuple(rec.managed_path)))
+            try:
+                fresh = self._tm_path(nid)
+            except Unreachable:
+                continue  # node cut off; stale path kept until a link returns
+            if [l.key() for l in fresh] != [l.key() for l in rec.managed_path]:
+                self._set_path(rec, fresh)
+                repairs.append(RepairAction(nid, rec.tmfid, tuple(fresh)))
         return repairs
 
     def _add_and_repair(self, link: DirectedLink) -> List[RepairAction]:
@@ -479,23 +477,7 @@ class TopologyGraph:
                     self._set_next(nid, step)
                     changed.append(nid)
         # Only nodes below a changed next hop have a new path.
-        below: Set[int] = set()
-        while changed:
-            nid = changed.pop()
-            if nid not in below:
-                below.add(nid)
-                changed.extend(self._children.get(nid, ()))
-        repairs = []
-        for nid in sorted(below):
-            rec = self.nodes[nid]
-            if not rec.committed or rec.managed_path is None:
-                continue
-            fresh = self._tm_path(nid)
-            if [l.key() for l in fresh] != [l.key() for l in rec.managed_path]:
-                rec.managed_path = fresh
-                rec.tmfid = fid_or((l.lid for l in fresh), width=self.params.m)
-                repairs.append(RepairAction(nid, rec.tmfid, tuple(fresh)))
-        return repairs
+        return self._repair(self._subtree(changed))
 
     def record_stats(self, report: LinkStatsReport) -> None:
         """Fold reported per-link utilization into link loads for TE."""

@@ -4,7 +4,8 @@ Every frame is ``[version=0x01][type: 1 byte][payload length: 2 bytes BE]``
 followed by the payload.  NIDs and nonces are 8-byte big-endian integers;
 LIDs and FIDs occupy ``m/8`` bytes in MSB-first bit order.  An absent
 LID/FID field is encoded as all-zero (a real identifier always has set
-bits).  The full layout, with golden vectors, is documented in PROTOCOL.md.
+bits).  :func:`golden_messages` holds one golden message per frame type;
+``icnsim dump-protocol`` prints their encodings.
 """
 
 from __future__ import annotations

@@ -160,7 +160,7 @@ def bootstrap_span_us(hops: int, delay_ms: float) -> int:
     net = Deployment(chain_for_hops(hops, delay_ms))
     net.run_bootstrap()
     assert net.all_done()
-    return net.bootstrap_span("h1").duration_us
+    return net.report().span("bootstrap:h1").duration_us
 
 
 def test_criterion_5_hop_independence_and_affine_law():

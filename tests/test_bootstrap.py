@@ -10,7 +10,7 @@ from icnsim.bootstrap import (Arm, Broadcast, Directive, DISCOVERY_TIMER, Notify
                               TmEngine, WrongState, apply_update,
                               responder_on_discovery)
 from icnsim.fid import BitVector, FidParams
-from icnsim.topology import NodeKind, TM_NID, TopologyGraph
+from icnsim.topology import LinkEvent, LinkEventKind, NodeKind, TM_NID, TopologyGraph
 from icnsim.wire import (DiscoveryOffer, DiscoveryRequest, OfferAccepted,
                          ResourceAccepted, ResourceOffer, ResourceRequest, Update,
                          encode)
@@ -239,6 +239,22 @@ class TestTmEngine:
         update = next(a for a in final.actions if isinstance(a, Notify))
         assert update.nid == offer.nid
         assert update.message.tmfid == graph.nodes[offer.nid].tmfid
+
+    def test_offer_accepted_waits_while_attach_point_cut_off(self):
+        engine, graph = self.make_engine()
+        switch = engine.on_message(ResourceRequest(5, NodeKind.SDN_SWITCH, TM_NID))
+        s_nid = next(a.message for a in switch.actions if isinstance(a, Reply)).nid
+        engine.on_message(OfferAccepted(5, s_nid))
+        result = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, s_nid))
+        offer = next(a.message for a in result.actions if isinstance(a, Reply))
+        engine.on_link_event(LinkEvent(LinkEventKind.REMOVE, s_nid, TM_NID))
+        assert engine.on_message(OfferAccepted(11, offer.nid)).actions == []
+        assert graph.pending_grant(offer.nid) is not None
+        engine.on_link_event(LinkEvent(LinkEventKind.ADD, s_nid, TM_NID))
+        retry = engine.on_message(OfferAccepted(11, offer.nid))
+        ack = next(a.message for a in retry.actions if isinstance(a, Reply))
+        assert isinstance(ack, ResourceAccepted) and ack.nid == offer.nid
+        assert graph.nodes[offer.nid].committed
 
     def test_offer_accepted_unknown_ignored(self):
         engine, _ = self.make_engine()

@@ -95,7 +95,7 @@ class TestZeroDelayTiming:
     def test_span_equals_discovery_wait_exactly(self):
         net = Deployment(chain_spec(1, hosts=1, delay_ms=0.0, defaults=ZERO_COST))
         net.run_bootstrap()
-        span = net.bootstrap_span("h1")
+        span = net.report().span("bootstrap:h1")
         assert span.duration_us == net.timers.discovery_wait_us
 
     def test_hop_count_does_not_change_span(self):
@@ -103,7 +103,7 @@ class TestZeroDelayTiming:
         for switches in (1, 4, 9):
             net = Deployment(chain_spec(switches, hosts=1, delay_ms=0.0))
             net.run_bootstrap()
-            durations.add(net.bootstrap_span("h1").duration_us)
+            durations.add(net.report().span("bootstrap:h1").duration_us)
         assert len(durations) == 1
 
 
@@ -130,7 +130,7 @@ class TestLossyRuns:
         assert net.hosts["h1"].fsm.state == BootstrapState.DONE
         # exactly-once commit: a single committed record for the host
         assert net.nid_of("h1") in net.graph.nodes
-        assert net.bootstrap_span("h1").duration_us > net.timers.request_timeout_us
+        assert net.report().span("bootstrap:h1").duration_us > net.timers.request_timeout_us
 
     def test_silent_tm_fails_after_retries(self):
         net = Deployment(chain_spec(1, hosts=1))
@@ -138,7 +138,7 @@ class TestLossyRuns:
         net.run_bootstrap()
         assert net.hosts["h1"].fsm.state == BootstrapState.FAILED
         with pytest.raises(NeverCompleted):
-            net.bootstrap_span("h1")
+            net.report().span("bootstrap:h1")
         assert "h1" in net.failures
 
 
@@ -278,6 +278,40 @@ class TestExtraLinks:
         assert (s2, s3) in net.graph.links and (s3, s2) in net.graph.links
         lid_23 = net.graph.links[(s2, s3)].lid
         assert any(r.value == lid_23 for r in net.switches["s2"].table.rules)
+
+    def test_every_spec_pair_up_once_with_its_delay(self):
+        # A mesh with a second TM link and a multi-homed host; every link
+        # has its own delay.
+        names = ["tm", "s1", "s2", "s3", "s4", "h1", "h2"]
+        links = [("tm", "s1"), ("s1", "s2"), ("s2", "s3"), ("s1", "s3"), ("s3", "s4"),
+                 ("tm", "s4"), ("h1", "s2"), ("h1", "s4"), ("h2", "s3"), ("s2", "s4")]
+        spec = TopologySpec(
+            nodes=[TopoNode(n, "tm" if n == "tm" else "switch" if n[0] == "s" else "host")
+                   for n in names],
+            links=[TopoLink(a, b, 0.1 * (i + 1)) for i, (a, b) in enumerate(links)],
+            seed=47,
+        )
+        net = Deployment(spec)
+        added = []
+        on_link_event = net.tm.engine.on_link_event
+
+        def record(event):
+            added.append((event.kind.name, event.src, event.dst))
+            return on_link_event(event)
+
+        net.tm.engine.on_link_event = record
+        net.run_bootstrap()
+        assert net.all_done()
+        for link in spec.links:
+            a, b = net.nid_of(link.a), net.nid_of(link.b)
+            for key in ((a, b), (b, a)):
+                assert net.graph.links[key].delay_ms == pytest.approx(link.delay_ms)
+        # Each node's handshake covers one pair; the others are reported
+        # once, as one ADD per direction.
+        uncovered = len(spec.links) - (len(spec.nodes) - 1)
+        assert len(added) == 2 * uncovered
+        assert len(set(added)) == len(added)
+        assert all(kind == "ADD" for kind, _, _ in added)
 
 
 def test_report_final_states():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from icnsim.fid import FidParams, fid_or
 from icnsim.topology import LinkEvent, LinkEventKind, NodeKind, TM_NID, TopologyGraph
+from test_topology import link_up
 
 nx = pytest.importorskip("networkx")
 
@@ -104,7 +105,7 @@ def test_add_moves_a_node_whose_hop_count_stays():
     s3 = attach_to(g, s2)
     s4 = attach_to(g, TM_NID)
     s5 = attach_to(g, s4)
-    g.add_link_pair(s5, s3)
+    link_up(g, s5, s3)
     assert s3 < s4
     assert [l.dst for l in g.nodes[s5].managed_path] == [s4, TM_NID]
     outcome = g.handle_link_event(LinkEvent(LinkEventKind.ADD, s3, TM_NID))
@@ -121,7 +122,7 @@ def test_flap_sequence_on_a_ladder():
         for chain in (left, right):
             chain.append(attach_to(g, chain[-1]))
     for a, b in zip(left[1:], right[1:]):
-        g.add_link_pair(a, b)
+        link_up(g, a, b)
         check_paths(g)
     for a, b in zip(left[1:], right[1:]):
         for key in ((a, b), (b, a)):
@@ -133,3 +134,27 @@ def test_flap_sequence_on_a_ladder():
     for a, b in zip(left, left[1:]):
         g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, b, a))
         check_paths(g)
+
+
+def test_remove_repairs_exactly_the_subtree_below_a_tree_edge():
+    # tm <- s2 <- s3 <- {s4, s5}, s4 <- s6, plus tm <- s7 <- s8 with s8 <-> s4.
+    g = TopologyGraph(FidParams(m=256, k=5), Random(5))
+    s2 = attach_to(g, TM_NID)
+    s3 = attach_to(g, s2)
+    s4 = attach_to(g, s3)
+    s5 = attach_to(g, s3)
+    s6 = attach_to(g, s4)
+    s7 = attach_to(g, TM_NID)
+    s8 = attach_to(g, s7)
+    link_up(g, s8, s4)
+    # Off the tree, in either direction: no hop count or next hop changes.
+    assert g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s4, s8)).repairs == []
+    assert g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, s3)).repairs == []
+    check_paths(g)
+    g.handle_link_event(LinkEvent(LinkEventKind.ADD, s4, s8))
+    outcome = g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s3, s2))
+    # s3's subtree is s3, s4, s5 and s6; s4 and s6 reroute via s8, s3 and s5
+    # via s4.  No node outside the subtree moves.
+    assert [r.nid for r in outcome.repairs] == [s3, s4, s5, s6]
+    assert [l.dst for l in g.nodes[s4].managed_path] == [s8, s7, TM_NID]
+    check_paths(g)

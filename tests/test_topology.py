@@ -20,6 +20,12 @@ def attach(graph, kind, attach_nid):
     return grant.nid
 
 
+def link_up(graph, a, b):
+    """Bring up both directions of a connection, one ADD event each, a->b first."""
+    for src, dst in ((a, b), (b, a)):
+        graph.handle_link_event(LinkEvent(LinkEventKind.ADD, src, dst))
+
+
 class TestAllocation:
     def test_icn_node_grant_has_triple(self):
         g = make_graph()
@@ -96,6 +102,30 @@ class TestCommitExpire:
         with pytest.raises(NoPendingGrant):
             make_graph().expire_grant(5)
 
+    def test_commit_waits_while_attach_point_cut_off(self):
+        g = make_graph()
+        s = attach(g, NodeKind.SDN_SWITCH, TM_NID)
+        grant = g.allocate_resources(NodeKind.ICN_NODE, s)
+        g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s, TM_NID))
+        with pytest.raises(Unreachable):
+            g.commit_grant(grant.nid)
+        assert g.pending_grant(grant.nid) == grant
+        assert not g.nodes[grant.nid].committed
+        g.handle_link_event(LinkEvent(LinkEventKind.ADD, s, TM_NID))
+        record = g.commit_grant(grant.nid)
+        assert [l.key() for l in record.managed_path] == [(grant.nid, s), (s, TM_NID)]
+        assert record.tmfid == fid_or([l.lid for l in record.managed_path])
+
+    def test_expire_after_remove_of_tentative_link(self):
+        g = make_graph()
+        s = attach(g, NodeKind.SDN_SWITCH, TM_NID)
+        grant = g.allocate_resources(NodeKind.ICN_NODE, s)
+        g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, grant.nid, s))
+        g.expire_grant(grant.nid)
+        assert g.lid_registry == g.live_lids()
+        assert not g.down_links
+        assert g.allocate_resources(NodeKind.ICN_NODE, s).nid == grant.nid
+
     def test_reallocation_after_expiry_stays_consistent(self):
         g = make_graph()
         first = g.allocate_resources(NodeKind.ICN_NODE, TM_NID)
@@ -138,19 +168,19 @@ class TestPaths:
         b = attach(g, NodeKind.SDN_SWITCH, s1)
         c = attach(g, NodeKind.SDN_SWITCH, s1)
         d = attach(g, NodeKind.SDN_SWITCH, b)
-        g.add_link_pair(d, c)
+        link_up(g, d, c)
         assert b < c
         path = g.shortest_path(d, s1)
         assert [l.key() for l in path] == [(d, b), (b, s1)]
 
-    def test_compute_tmfid_is_or_of_path(self):
+    def test_tmfid_is_or_of_path(self):
         g, s, a, b = self.build_chain()
         path = g.shortest_path(b, TM_NID)
-        assert g.compute_tmfid(b) == fid_or([l.lid for l in path])
+        assert g.nodes[b].tmfid == fid_or([l.lid for l in path])
 
     def test_tm_tmfid_is_zero(self):
         g = make_graph()
-        assert g.compute_tmfid(TM_NID).is_zero()
+        assert g.nodes[TM_NID].tmfid.is_zero()
 
     def test_two_hop_or(self):
         g = make_graph()
@@ -158,7 +188,7 @@ class TestPaths:
         n = attach(g, NodeKind.ICN_NODE, s)
         l1 = g.links[(n, s)].lid
         l2 = g.links[(s, TM_NID)].lid
-        assert g.compute_tmfid(n) == l1 | l2
+        assert g.nodes[n].tmfid == l1 | l2
 
     def test_deterministic_repeated_queries(self):
         g, s, a, b = self.build_chain()
@@ -173,7 +203,7 @@ class TestTeSelect:
         b = attach(g, NodeKind.SDN_SWITCH, a)
         c = attach(g, NodeKind.SDN_SWITCH, a)
         d = attach(g, NodeKind.SDN_SWITCH, b)
-        g.add_link_pair(c, d)
+        link_up(g, c, d)
         report = LinkStatsReport(tuple(
             StatsEntry(g.links[key].lid, 0, round(load * 1e6))
             for key, load in {
@@ -200,7 +230,7 @@ class TestTeSelect:
         d = attach(g, NodeKind.SDN_SWITCH, b)
         c1 = attach(g, NodeKind.SDN_SWITCH, a)
         c2 = attach(g, NodeKind.SDN_SWITCH, c1)
-        g.add_link_pair(c2, d)
+        link_up(g, c2, d)
         path = g.te_select_path(a, d)
         assert len(path) == 2
 
@@ -222,7 +252,7 @@ class TestLinkEvents:
         s2 = attach(g, NodeKind.SDN_SWITCH, TM_NID)
         s3 = attach(g, NodeKind.SDN_SWITCH, TM_NID)
         s1 = attach(g, NodeKind.SDN_SWITCH, s2)
-        g.add_link_pair(s1, s3)
+        link_up(g, s1, s3)
         h = attach(g, NodeKind.ICN_NODE, s1)
         return g, s1, s2, s3, h
 
@@ -306,7 +336,7 @@ class TestInvariants:
             elif len(committed) > 2:
                 a, b = rng.sample(committed, 2)
                 if (a, b) not in g.links:
-                    g.add_link_pair(a, b)
+                    link_up(g, a, b)
         nids = list(g.nodes)
         assert len(nids) == len(set(nids))
         live = [l.lid for l in g.links.values()]
