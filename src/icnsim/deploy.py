@@ -81,8 +81,7 @@ class SwitchNode:
         if packet.hop_limit is not None and packet.hop_limit <= 0:
             self.drops += 1
             return
-        onward = packet if packet.hop_limit is None else replace(
-            packet, hop_limit=packet.hop_limit - 1)
+        onward = packet.spend_hop()
         for port in result:
             if port != LOCAL_PORT:
                 self._emit(onward, port)
@@ -149,8 +148,7 @@ class HostNode:
                 else:
                     # Neighbor not yet bound to a port: flood, Bloom style.
                     forward_ports.extend(p for p in self.ports if p != in_port)
-        onward = packet if packet.hop_limit is None else replace(
-            packet, hop_limit=packet.hop_limit - 1)
+        onward = packet.spend_hop()
         for port in sorted(set(forward_ports)):
             self.net.emit(self.name, port, onward)
 
@@ -253,8 +251,7 @@ class TmNode:
             self._on_link_local(packet, in_port)
             return
         if packet.hop_limit is None or packet.hop_limit > 0:
-            onward = packet if packet.hop_limit is None else replace(
-                packet, hop_limit=packet.hop_limit - 1)
+            onward = packet.spend_hop()
             for link in self.graph.out_links(TM_NID):
                 if not fid_matches(packet.fid, link.lid):
                     continue
@@ -584,6 +581,9 @@ class Deployment:
 
     def node_done(self, name: str) -> None:
         self.sim.end_span(f"bootstrap:{name}")
+        # A host attached directly to the TM is otherwise unknown to the
+        # controller, which must bind switch rules towards it.
+        self.controller.nid_names[self.hosts[name].config.nid] = name
         self._finish_ports(name)
         if self.mode != "concurrent":
             self.sim.schedule_in(0, "orch", Timer("next"))

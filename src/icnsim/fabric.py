@@ -70,6 +70,12 @@ class IcnPacket:
     def encoded_len(self) -> int:
         return self.fid.width // 8 + 1 + len(self.payload)
 
+    def spend_hop(self) -> "IcnPacket":
+        """The packet as sent on by a forwarder: one hop less, if it has a budget."""
+        if self.hop_limit is None:
+            return self
+        return IcnPacket(self.fid, self.hop_limit - 1, self.payload, self.trace_id)
+
 
 class Miss:
     """Returned by switch_forward when no rule matches."""
@@ -271,7 +277,7 @@ class Controller:
     def on_link_change(self, event: Union[LinkDown, LinkUp]) -> None:
         """Relay a physical link transition to the TM, one event per direction."""
         kind = LinkEventKind.REMOVE if isinstance(event, LinkDown) else LinkEventKind.ADD
-        nid_a, nid_b = self._name_nid(event.a), self._name_nid(event.b)
+        nid_a, nid_b = self.net.nid_of(event.a), self.net.nid_of(event.b)
         if nid_a is None or nid_b is None:
             raise UnknownLink(f"link {event.a}<->{event.b} has unmanaged endpoints")
         delay = self.net.link_delay_ms(event.a, event.b)
@@ -338,14 +344,4 @@ class Controller:
             for port, neighbor in self.net.switches[switch_name].ports.items():
                 if neighbor == dst_name:
                     return port
-        return None
-
-    def _name_nid(self, name: str) -> Optional[int]:
-        if name == self.net.tm_name:
-            return TM_NID
-        if name in self.enabled:
-            return self.enabled[name]
-        for nid, known in self.nid_names.items():
-            if known == name:
-                return nid
         return None

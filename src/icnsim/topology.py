@@ -150,6 +150,14 @@ class TopologyGraph:
     ADD lowers hop counts incrementally; a REMOVE of a tree edge drops the
     tree, and the next read rebuilds it with one BFS.  Either way only the
     nodes below a changed next hop are re-walked.
+
+    :meth:`shortest_path` to any other destination reads an in-tree cached
+    per destination (``_trees``): the BFS hop counts towards it, plus next
+    hops picked with the same tie-break as a walk first needs them.  Trees
+    hold NIDs only, so a path returns the link objects current in
+    ``links``.  Every adjacency change (``_put_link``/``_pop_link``) drops
+    all cached trees; the next read of a destination rebuilds its tree with
+    one BFS.
     """
 
     def __init__(self, params: FidParams, rng: Random):
@@ -168,6 +176,8 @@ class TopologyGraph:
         self._dist: Optional[Dict[int, int]] = {TM_NID: 0}
         self._next: Dict[int, int] = {}
         self._children: Dict[int, Set[int]] = {}
+        # In-trees towards other destinations: (hop counts, next hops so far).
+        self._trees: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
         tm = NodeRecord(TM_NID, NodeKind.TM, ilid=new_lid(rng, self.lid_registry, params),
                         committed=True)
         tm.tmfid = BitVector.zero(params.m)
@@ -194,11 +204,13 @@ class TopologyGraph:
         self.links[link.key()] = link
         self._succ[link.src].add(link.dst)
         self._pred[link.dst].add(link.src)
+        self._trees.clear()
 
     def _pop_link(self, key: Tuple[int, int]) -> DirectedLink:
         link = self.links.pop(key)
         self._succ[key[0]].discard(key[1])
         self._pred[key[1]].discard(key[0])
+        self._trees.clear()
         return link
 
     def out_links(self, nid: int) -> List[DirectedLink]:
@@ -299,14 +311,17 @@ class TopologyGraph:
         return min(n for n in self._succ[cur] if dist.get(n, -1) == dist[cur] - 1
                    and (cap is None or self.links[(cur, n)].load <= cap))
 
-    def _path_via(self, src: int, dst: int, dist: Dict[int, int],
+    def _path_via(self, src: int, dst: int, dist: Dict[int, int], nxt: Dict[int, int],
                   cap: Optional[float] = None) -> List[DirectedLink]:
         # Greedy smallest-NID step along the BFS gradient yields the
-        # lexicographically smallest shortest path.
+        # lexicographically smallest shortest path.  ``nxt`` keeps the steps
+        # taken, for later walks over the same hop counts.
         path: List[DirectedLink] = []
         cur = src
         while cur != dst:
-            step = self._step(cur, dist, cap)
+            step = nxt.get(cur)
+            if step is None:
+                step = nxt[cur] = self._step(cur, dist, cap)
             path.append(self.links[(cur, step)])
             cur = step
         return path
@@ -318,10 +333,15 @@ class TopologyGraph:
             raise UnknownAttachPoint(f"unknown endpoint {src if src not in self.nodes else dst}")
         if src == dst:
             return []
-        dist = self._distances_to(dst)
+        if dst == TM_NID:
+            return self._tm_path(src)
+        tree = self._trees.get(dst)
+        if tree is None:
+            tree = self._trees[dst] = (self._distances_to(dst), {})
+        dist, nxt = tree
         if src not in dist:
             raise Unreachable(f"no path {src} -> {dst}")
-        return self._path_via(src, dst, dist)
+        return self._path_via(src, dst, dist, nxt)
 
     def _set_next(self, nid: int, nxt: int) -> None:
         old = self._next.get(nid)
@@ -342,16 +362,11 @@ class TopologyGraph:
         return self._dist
 
     def _tm_path(self, nid: int) -> List[DirectedLink]:
-        """The node's path in the TM in-tree; equals ``shortest_path(nid, TM)``."""
+        """The node's path in the TM in-tree, which ``shortest_path(nid, TM)`` reads."""
         if nid not in self._tm_dist():
             raise Unreachable(f"no path {nid} -> {TM_NID}")
-        path: List[DirectedLink] = []
-        cur = nid
-        while cur != TM_NID:
-            step = self._next[cur]
-            path.append(self.links[(cur, step)])
-            cur = step
-        return path
+        # Every node in the tree has its next hop, so the walk picks none.
+        return self._path_via(nid, TM_NID, self._dist, self._next)
 
     def _set_path(self, rec: NodeRecord, path: List[DirectedLink]) -> None:
         rec.managed_path = path
@@ -367,7 +382,7 @@ class TopologyGraph:
         for cap in sorted({l.load for l in self.links.values()}):
             dist = self._distances_to(dst, cap)
             if src in dist:
-                return self._path_via(src, dst, dist, cap)
+                return self._path_via(src, dst, dist, {}, cap)
         raise Unreachable(f"no path {src} -> {dst}")  # not even at the highest load
 
     # -- link events and resilience ----------------------------------------

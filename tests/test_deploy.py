@@ -215,6 +215,29 @@ class TestIcnNodeChain:
         net.run_until_idle()
         assert net.tm_name in net.consumed.get(trace, [])
 
+    def test_host_on_tm_and_switch_links(self):
+        # h1 attaches to the TM directly; its link to s1 is reported later,
+        # so the controller must know h1 by name to relay it and to bind
+        # s1's rule towards h1.
+        spec = TopologySpec(
+            nodes=[TopoNode("tm", "tm"), TopoNode("s1", "switch"), TopoNode("h1", "host")],
+            links=[TopoLink("tm", "s1", 0.2), TopoLink("h1", "tm", 0.2),
+                   TopoLink("h1", "s1", 0.2)],
+            seed=39)
+        net = Deployment(spec)
+        report = net.run_bootstrap()
+        assert set(report.final_states.values()) <= {"TM", "DONE", "ENABLED"}
+        h1, s1 = net.nid_of("h1"), net.nid_of("s1")
+        assert net.hosts["h1"].fsm.attach_nid == TM_NID
+        net.fail_link("h1", "tm")
+        net.run_until_idle()
+        record = net.graph.nodes[h1]
+        assert [l.key() for l in record.managed_path] == [(h1, s1), (s1, TM_NID)]
+        assert net.hosts["h1"].config.tmfid == record.tmfid
+        trace = net.inject_data("tm", "h1")
+        net.run_until_idle()
+        assert net.consumed.get(trace) == ["h1"]
+
 
 class TestLinkFlap:
     def diamond(self):
@@ -252,6 +275,37 @@ class TestLinkFlap:
         new_tmfid = net.hosts["h1"].config.tmfid
         assert new_tmfid != old_tmfid
         assert new_tmfid == net.graph.nodes[net.nid_of("h1")].tmfid
+
+    def test_data_path_follows_a_flap(self):
+        # A square s1-s2-s4-s3 with h1 on s1 and h2 on s4: h1's data to h2
+        # runs over s2 (the smaller NID) and detours over s3 while s2-s4 is down.
+        spec = TopologySpec(
+            nodes=[TopoNode(n, "tm" if n == "tm" else "switch" if n[0] == "s" else "host")
+                   for n in ("tm", "s1", "s2", "s3", "s4", "h1", "h2")],
+            links=[TopoLink(a, b, 0.5) for a, b in (
+                ("tm", "s1"), ("s1", "s2"), ("s1", "s3"), ("s2", "s4"), ("s3", "s4"),
+                ("h1", "s1"), ("h2", "s4"))],
+            seed=53)
+        net = Deployment(spec)
+        net.run_bootstrap()
+        assert net.all_done()
+
+        def send():
+            trace = net.inject_data("h1", "h2")
+            net.run_until_idle()
+            assert net.consumed.get(trace) == ["h2"]
+            return net.traces[trace]
+
+        before = send()
+        assert ("s2", "s4") in before
+        net.fail_link("s2", "s4")
+        net.run_until_idle()
+        during = send()
+        assert not any({src, dst} == {"s2", "s4"} for src, dst in during)
+        assert ("s3", "s4") in during
+        net.restore_link("s2", "s4")
+        net.run_until_idle()
+        assert send() == before
 
     def test_remove_unmanaged_link_no_repair_traffic(self):
         net = Deployment(self.diamond())

@@ -2,7 +2,10 @@
 
 After every attach, ADD and REMOVE, each committed node that can still reach
 the TM must hold the lexicographically smallest shortest path, recomputed
-here from networkx hop counts, and the TMFID OR-ed from it.
+here from networkx hop counts, and the TMFID OR-ed from it.  A sample of
+``shortest_path`` reads, towards the TM and towards other nodes, must give
+the same path, so a per-destination tree left over from an earlier event
+shows.
 """
 
 from random import Random
@@ -11,16 +14,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icnsim.fid import FidParams, fid_or
-from icnsim.topology import LinkEvent, LinkEventKind, NodeKind, TM_NID, TopologyGraph
+from icnsim.topology import (LinkEvent, LinkEventKind, NodeKind, TM_NID, TopologyGraph,
+                             Unreachable)
 from test_topology import link_up
 
 nx = pytest.importorskip("networkx")
 
 
-def oracle_path(graph, hops, nid):
+def oracle_path(graph, hops, nid, dst=TM_NID):
     """Smallest-NID next hop along networkx's hop counts, from scratch."""
     path, cur = [], nid
-    while cur != TM_NID:
+    while cur != dst:
         step = min(n for n in graph.successors(cur) if hops.get(n) == hops[cur] - 1)
         path.append((cur, step))
         cur = step
@@ -34,7 +38,7 @@ def oracle_hops(g):
     return graph, nx.shortest_path_length(graph, target=TM_NID)
 
 
-def check_paths(g):
+def check_paths(g, rng=None):
     graph, hops = oracle_hops(g)
     for nid, rec in g.nodes.items():
         if not rec.committed or nid not in hops:
@@ -43,6 +47,26 @@ def check_paths(g):
         assert keys == oracle_path(graph, hops, nid), f"node {nid}"
         assert len(keys) == nx.shortest_path_length(graph, nid, TM_NID)
         assert rec.tmfid == fid_or((l.lid for l in rec.managed_path), width=g.params.m)
+    check_shortest_paths(g, graph, rng or Random(0))
+
+
+def check_shortest_paths(g, graph, rng):
+    """``shortest_path`` for sampled committed pairs, some towards the TM."""
+    committed = sorted(n for n, rec in g.nodes.items() if rec.committed)
+    others = [n for n in committed if n != TM_NID]
+    sources = {TM_NID: rng.sample(others, min(2, len(others)))}
+    for b in rng.sample(others, min(3, len(others))):
+        sources[b] = rng.sample(committed, min(3, len(committed)))
+    for b, srcs in sources.items():
+        hops = nx.shortest_path_length(graph, target=b)
+        for a in srcs:
+            if a not in hops:
+                with pytest.raises(Unreachable):
+                    g.shortest_path(a, b)
+                continue
+            path = g.shortest_path(a, b)
+            assert [l.key() for l in path] == oracle_path(graph, hops, a, b), f"{a} -> {b}"
+            assert all(l is g.links[l.key()] for l in path)
 
 
 def attach(g, pick):
@@ -86,15 +110,16 @@ OPS = st.tuples(st.sampled_from(["attach", "add", "remove", "restore"]),
        st.lists(OPS, min_size=10, max_size=60))
 def test_paths_match_oracle_after_every_event(seed, tree, ops):
     g = TopologyGraph(FidParams(m=64, k=3), Random(seed))
+    reads = Random(seed)
     for pick in tree:
         attach(g, pick)
-        check_paths(g)
+        check_paths(g, reads)
     for op, pick in ops:
         if op == "attach":
             attach(g, pick)
         else:
             link_event(g, op, pick)
-        check_paths(g)
+        check_paths(g, reads)
 
 
 def test_add_moves_a_node_whose_hop_count_stays():
