@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from .fid import BitVector, Exhausted, Fid, FidParams, LinkId
-from .topology import (DirectedLink, NodeKind, LinkEvent, LinkStatsReport, RuleDirective,
-                       TM_NID, TopologyGraph, UnknownAttachPoint, Unreachable)
+from .fid import Exhausted, Fid, LinkId
+from .topology import (DirectedLink, NodeKind, LinkEvent, LinkEventKind, LinkStatsReport,
+                       RuleDirective, TopologyGraph, UnknownAttachPoint, Unreachable)
 from .wire import (DiscoveryOffer, DiscoveryRequest, Message, OfferAccepted,
                    ResourceAccepted, ResourceOffer, ResourceRequest, Update)
 
@@ -80,7 +80,7 @@ class Broadcast:
 class Send:
     message: Message
     port: int
-    fid: Optional[Fid] = None  # None: link-local (zero FID)
+    fid: Fid
 
 
 @dataclass(frozen=True)
@@ -155,10 +155,7 @@ class NodeBootstrapFsm:
             self.attach_nid = self._selected[0].responder_nid
             self.state = BootstrapState.DONE
             self._tokens = {t: v + 1 for t, v in self._tokens.items()}  # cancel timers
-            # Notify every neighbor that offered: they reach us via the
-            # downstream LID the TM granted.
-            update = Update(self.config.nid, self.offered.lid, None)
-            return [Send(update, port, None) for _, port in self.collected_offers]
+            return []
         log.debug("%s: %s ignored in state %s", self.name, type(msg).__name__, self.state.name)
         return []
 
@@ -207,15 +204,18 @@ def responder_on_discovery(request: DiscoveryRequest, config: NodeConfig) -> Dis
 
 
 def apply_update(config: NodeConfig, update: Update, self_attach_nid: Optional[int]) -> None:
-    """Fold an Update into a node's configuration.
+    """Fold a TM Update into a node's configuration.
 
-    Addressed to the node itself it carries the node's own outgoing LID and
-    (initial or repaired) TMFID; otherwise it announces a new neighbor.
-    Duplicate updates are idempotent.
+    Addressed to the node itself it carries the LID of the node's first hop
+    towards the TM and its (initial or repaired) TMFID; the LID is recorded
+    as the uplink to the attach point only the first time, since a repair's
+    first hop is a link the TM has already announced.  Otherwise it
+    announces the LID of the node's link towards ``update.nid``.  Duplicate
+    updates are idempotent.
     """
     if update.nid == config.nid:
         if self_attach_nid is not None:
-            config.link_lids[self_attach_nid] = update.lid
+            config.link_lids.setdefault(self_attach_nid, update.lid)
         if update.tmfid is not None:
             config.tmfid = update.tmfid
     else:
@@ -358,6 +358,11 @@ class TmEngine:
         result = TmResult(lids_allocated=len(self.graph.lid_registry) - before)
         for directive in outcome.rule_directives:
             result.actions.append(Directive(directive))
+        if (event.kind == LinkEventKind.ADD
+                and self.graph.nodes[event.src].kind == NodeKind.ICN_NODE):
+            # An ICN node's counterpart of a switch's install directive.
+            lid = self.graph.links[(event.src, event.dst)].lid
+            result.actions.append(Notify(event.src, Update(event.dst, lid)))
         for repair in outcome.repairs:
             if self.graph.nodes[repair.nid].kind == NodeKind.ICN_NODE:
                 lid = repair.new_path[0].lid if repair.new_path else None

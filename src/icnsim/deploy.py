@@ -20,8 +20,8 @@ from .bootstrap import (Arm, Broadcast, Directive, NodeBootstrapFsm, NodeConfig,
                         RULE_PRIORITY, Reply, BootstrapState, Send, Timers, TmEngine,
                         apply_update, responder_on_discovery, NotBootstrapped)
 from .fabric import (Controller, FlowTable, IcnPacket, LOCAL_PORT, LinkDown, LinkUp,
-                     MISS, PacketIn, StatsTick, SwitchAttached, decode_packet,
-                     encode_packet, switch_forward)
+                     MISS, PacketIn, StatsTick, SwitchAttached, encode_packet,
+                     switch_forward)
 from .fid import BitVector, Fid, FidParams, fid_matches, fid_or
 from .simnet import Control, Deliver, SimReport, Simulator, Timer, ms
 from .topology import TM_NID, DirectedLink, TopologyError, TopologyGraph
@@ -34,7 +34,6 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class FabricDelivery:
     packet: IcnPacket
-    src: str
     in_port: int
 
 
@@ -92,7 +91,13 @@ class SwitchNode:
 
 
 class HostNode:
-    """ICN end host: runs the bootstrap FSM, then consumes and forwards."""
+    """ICN end host: runs the bootstrap FSM, then consumes and forwards.
+
+    Its link table (``config.link_lids``, neighbour NID -> LID) is written
+    only by the TM's Updates; ``nid_port`` (neighbour NID -> port) only by
+    the deployment when either end of a link finishes bootstrap.  One rule,
+    :meth:`send`, emits what the host originates and what it forwards.
+    """
 
     def __init__(self, name: str, net: "Deployment", rng: Random, timers: Timers):
         self.name = name
@@ -100,8 +105,6 @@ class HostNode:
         self.ports: Dict[int, str] = {}
         self.fsm = NodeBootstrapFsm(name, rng, timers)
         self.nid_port: Dict[int, int] = {}
-        self.attach_port: Optional[int] = None
-        self.data_received = 0
         self._settled = False
 
     @property
@@ -134,23 +137,25 @@ class HostNode:
                 return
             self._execute(self.fsm.on_message(msg, in_port))
             return
-        consumed = self.config.ilid is not None and fid_matches(packet.fid, self.config.ilid)
-        if consumed:
+        if self.config.ilid is not None and fid_matches(packet.fid, self.config.ilid):
             self._consume(packet, in_port)
-        forward_ports: List[int] = []
         if packet.hop_limit is None or packet.hop_limit > 0:
-            for nid, lid in self.config.link_lids.items():
-                if not fid_matches(packet.fid, lid):
-                    continue
-                port = self.nid_port.get(nid)
-                if port is not None:
-                    forward_ports.append(port)
-                else:
-                    # Neighbor not yet bound to a port: flood, Bloom style.
-                    forward_ports.extend(p for p in self.ports if p != in_port)
-        onward = packet.spend_hop()
-        for port in sorted(set(forward_ports)):
-            self.net.emit(self.name, port, onward)
+            self.send(packet.spend_hop(), in_port)
+
+    def send(self, packet: IcnPacket, in_port: Optional[int] = None) -> None:
+        """Emit on every link whose LID the FID holds (``in_port``: arrival port)."""
+        ports = set()
+        for nid, lid in self.config.link_lids.items():
+            if not fid_matches(packet.fid, lid):
+                continue
+            port = self.nid_port.get(nid)
+            if port is not None:
+                ports.add(port)
+            else:
+                # Neighbor not yet bound to a port: flood, Bloom style.
+                ports.update(p for p in self.ports if p != in_port)
+        for port in sorted(ports):
+            self.net.emit(self.name, port, packet)
 
     def _on_link_local(self, packet: IcnPacket, in_port: int) -> None:
         try:
@@ -163,10 +168,6 @@ class HostNode:
             except NotBootstrapped:
                 return
             self.net.emit(self.name, in_port, self.net.link_local_packet(offer))
-        elif isinstance(msg, Update) and self.fsm.state == BootstrapState.DONE:
-            apply_update(self.config, msg, self.fsm.attach_nid)
-            if msg.nid != self.config.nid:
-                self.nid_port[msg.nid] = in_port
         elif self.fsm.state != BootstrapState.DONE:
             self._execute(self.fsm.on_message(msg, in_port))
 
@@ -174,7 +175,6 @@ class HostNode:
         try:
             msg = wire.decode(packet.payload, self.net.params)
         except CodecError:
-            self.data_received += 1
             self.net.record_consumed(packet.trace_id, self.name)
             return
         if isinstance(msg, Update):
@@ -189,8 +189,7 @@ class HostNode:
                 for port in sorted(self.ports):
                     self.net.emit(self.name, port, frame)
             elif isinstance(action, Send):
-                fid = action.fid if action.fid is not None else BitVector.zero(self.net.params.m)
-                packet = IcnPacket(fid, self.net.hop_limit,
+                packet = IcnPacket(action.fid, self.net.hop_limit,
                                    wire.encode(action.message, self.net.params),
                                    trace_id=self.net.next_trace())
                 self.net.emit(self.name, action.port, packet)
@@ -203,9 +202,6 @@ class HostNode:
             return
         if self.fsm.state == BootstrapState.DONE:
             self._settled = True
-            self.attach_port = self.fsm._selected[1] if self.fsm._selected else None
-            if self.fsm.attach_nid is not None and self.attach_port is not None:
-                self.nid_port[self.fsm.attach_nid] = self.attach_port
             self.net.node_done(self.name)
         elif self.fsm.state == BootstrapState.FAILED:
             self._settled = True
@@ -221,12 +217,11 @@ class TmNode:
         self.graph = graph
         self.engine = TmEngine(graph)
         self.ports: Dict[int, str] = {}
-        self.direct_ports: Dict[int, int] = {}
+        self.nid_port: Dict[int, int] = {}
         self.config = None  # set after construction, needs zero tmfid
         self.service_us = 0
         self.alloc_us = 0
         self.wall_alloc_s = 0.0
-        self.data_received = 0
         self._queue: deque = deque()
         self._busy = False
         self._pending_actions: List = []
@@ -251,21 +246,22 @@ class TmNode:
             self._on_link_local(packet, in_port)
             return
         if packet.hop_limit is None or packet.hop_limit > 0:
-            onward = packet.spend_hop()
-            for link in self.graph.out_links(TM_NID):
-                if not fid_matches(packet.fid, link.lid):
-                    continue
-                port = self.direct_ports.get(link.dst)
-                if port is not None:
-                    self.net.emit(self.name, port, onward)
+            self.send(packet.spend_hop())
         # TM-bound FIDs carry no iLID for the TM, so arrival means delivery.
         try:
             msg = wire.decode(packet.payload, self.net.params)
         except CodecError:
-            self.data_received += 1
             self.net.record_consumed(packet.trace_id, self.name)
             return
         self._enqueue(msg, "fabric", in_port)
+
+    def send(self, packet: IcnPacket) -> None:
+        """Emit on every bound out-link whose LID the FID holds."""
+        for link in self.graph.out_links(TM_NID):
+            if fid_matches(packet.fid, link.lid):
+                port = self.nid_port.get(link.dst)
+                if port is not None:
+                    self.net.emit(self.name, port, packet)
 
     def _on_link_local(self, packet: IcnPacket, in_port: int) -> None:
         try:
@@ -275,9 +271,6 @@ class TmNode:
         if isinstance(msg, DiscoveryRequest):
             offer = responder_on_discovery(msg, self.config)
             self.net.emit(self.name, in_port, self.net.link_local_packet(offer))
-        elif isinstance(msg, Update):
-            apply_update(self.config, msg, None)
-            self.direct_ports[msg.nid] = in_port
         else:
             # Directly attached nodes address the TM with its own (all-zero)
             # TMFID, so handshake messages arrive on the default-FID channel.
@@ -322,7 +315,7 @@ class TmNode:
                 and isinstance(msg, ResourceRequest) and msg.attach_nid == TM_NID):
             nid = self.engine.nid_for_nonce(msg.nonce)
             if nid is not None:
-                self.direct_ports[nid] = in_port
+                self.nid_port[nid] = in_port
         self._pending_actions = result.actions if result else []
         self._pending_origin = (origin, in_port)
         cost = self.service_us + lids * self.alloc_us
@@ -362,15 +355,9 @@ class TmNode:
                 return
         if not path:
             return
-        fid = self.net.path_fid(path, nid)
-        port = self.direct_ports.get(path[0].dst)
-        if port is None:
-            log.warning("tm: no port binding for direct neighbor %d", path[0].dst)
-            return
-        packet = IcnPacket(fid, self.net.hop_limit,
-                           wire.encode(message, self.net.params),
-                           trace_id=self.net.next_trace())
-        self.net.emit(self.name, port, packet)
+        self.send(IcnPacket(self.net.path_fid(path, nid), self.net.hop_limit,
+                            wire.encode(message, self.net.params),
+                            trace_id=self.net.next_trace()))
 
 
 class Deployment:
@@ -475,7 +462,7 @@ class Deployment:
         delay_us, _ = self._pair_props[pair]
         self.traces.setdefault(packet.trace_id, []).append((src, dst))
         self.sim.schedule_in(delay_us, f"node:{dst}",
-                             Deliver(FabricDelivery(packet, src, dst_port), (src, dst)))
+                             Deliver(FabricDelivery(packet, dst_port), (src, dst)))
 
     def packet_in(self, switch: str, in_port: int, packet: IcnPacket) -> None:
         data = encode_packet(packet, self.params)
@@ -592,16 +579,21 @@ class Deployment:
         """Per port of a node that just got its NID, towards each neighbour with one.
 
         Handshake-allocated graph links learn the physical delay (the
-        protocol never carries it), the TM binds its port to the node, and a
-        connection no handshake covered is reported to the TM as a ``LinkUp``.
+        protocol never carries it), each ICN end (TM or host) of the pair
+        binds its port to the other's NID, and a connection no handshake
+        covered is reported to the TM as a ``LinkUp``.
         """
+        node = self._node(name)
         nid = self.nid_of(name)
-        for port, other in self._node(name).ports.items():  # port order is spec link order
+        for port, other in node.ports.items():  # port order is spec link order
             other_nid = self.nid_of(other)
             if other_nid is None:
                 continue
-            if other == self.tm_name:
-                self.tm.direct_ports[nid] = self._wiring[(name, port)][1]
+            if not isinstance(node, SwitchNode):
+                node.nid_port[other_nid] = port
+            peer = self._node(other)
+            if not isinstance(peer, SwitchNode):
+                peer.nid_port[nid] = self._wiring[(name, port)][1]
             pair = frozenset((name, other))
             delay_ms = self._pair_props[pair][0] / 1000
             for key in ((nid, other_nid), (other_nid, nid)):
@@ -647,9 +639,9 @@ class Deployment:
     def inject_probe(self, host_name: str) -> int:
         """Send a packet stamped with the host's own TMFID towards the TM."""
         host = self.hosts[host_name]
-        fid = host.config.tmfid
-        packet = IcnPacket(fid, self.hop_limit, b"PROBE", trace_id=self.next_trace())
-        self.emit(host_name, host.attach_port, packet)
+        packet = IcnPacket(host.config.tmfid, self.hop_limit, b"PROBE",
+                           trace_id=self.next_trace())
+        host.send(packet)
         return packet.trace_id
 
     def inject_data(self, src: str, dst: str) -> int:
@@ -658,13 +650,7 @@ class Deployment:
         path = self.graph.shortest_path(src_nid, dst_nid)
         packet = IcnPacket(self.path_fid(path, dst_nid), self.hop_limit, b"DATA",
                            trace_id=self.next_trace())
-        node = self._node(src)
-        first = path[0].dst if path else dst_nid
-        if isinstance(node, HostNode):
-            port = node.nid_port.get(first, node.attach_port)
-        else:
-            port = self.tm.direct_ports[first]
-        self.emit(src, port, packet)
+        self._node(src).send(packet)
         return packet.trace_id
 
     def run_until_idle(self, limit_us: int = 10 ** 12) -> int:

@@ -17,12 +17,12 @@ directives, and periodically reports link statistics.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import wire
 from .bootstrap import RULE_PRIORITY
-from .fid import BitVector, Fid, FidParams, LinkId
+from .fid import BitVector, Fid, FidParams
 from .topology import (LinkEvent, LinkEventKind, LinkStatsReport, NodeKind,
                        RuleDirective, StatsEntry, TM_NID, UnknownLink)
 from .wire import (CodecError, DiscoveryOffer, DiscoveryRequest, OfferAccepted,
@@ -199,8 +199,8 @@ class Controller:
         self.enabled: Dict[str, int] = {}       # switch name -> NID
         self.nid_names: Dict[int, str] = {TM_NID: net.tm_name}
         self.pending_proxy: Dict[int, _ProxyAttach] = {}
-        self.pending_discovery: Dict[int, Tuple[str, int]] = {}
-        self.rule_bindings: Dict[Tuple[str, int], int] = {}  # (switch, lid value) -> port
+        # (nonce, switch) -> ingress port of a host's discovery broadcast
+        self.pending_discovery: Dict[Tuple[int, str], int] = {}
         self.packet_in_count = 0
         self.audit_drops = 0
         self._stats_base: Dict[Tuple[str, int], int] = {}
@@ -263,7 +263,7 @@ class Controller:
             self.audit_drops += 1
             log.info("controller: %s via PacketIn dropped", type(msg).__name__)
             return
-        self.pending_discovery[msg.nonce] = (event.switch, event.in_port)
+        self.pending_discovery[(msg.nonce, event.switch)] = event.in_port
         nid = self.enabled.get(event.switch)
         if nid is None:
             log.debug("controller: discovery at not-yet-enabled switch %s", event.switch)
@@ -325,20 +325,14 @@ class Controller:
             log.warning("controller: cannot resolve port for rule on %s towards NID %d",
                         switch_name, directive.dst_nid)
             return
-        self.rule_bindings[(switch_name, directive.lid.value)] = port
         table.add(FlowRule(directive.lid, directive.lid, port))
 
     def _resolve_port(self, switch_name: str, directive: RuleDirective) -> Optional[int]:
-        bound = self.rule_bindings.get((switch_name, directive.lid.value))
-        if bound is not None:
-            return bound
-        if directive.nonce and directive.nonce in self.pending_discovery:
-            where, port = self.pending_discovery[directive.nonce]
-            if where == switch_name:
-                # Host attachment: bind the TM-assigned NID to the ingress port.
-                ports = self.net.switches[switch_name].ports
-                self.nid_names[directive.dst_nid] = ports[port]
-                return port
+        port = self.pending_discovery.get((directive.nonce, switch_name))
+        if port is not None:
+            # Host attachment: bind the TM-assigned NID to the ingress port.
+            self.nid_names[directive.dst_nid] = self.net.switches[switch_name].ports[port]
+            return port
         dst_name = self.nid_names.get(directive.dst_nid)
         if dst_name is not None:
             for port, neighbor in self.net.switches[switch_name].ports.items():

@@ -92,10 +92,12 @@ class ResourceAccepted:
 
 @dataclass(frozen=True)
 class Update:
-    """Connection notification: neighbors learn the LID towards node ``nid``.
+    """TM -> ICN node link notification: the LID of the receiver's link towards ``nid``.
 
-    Sent by the TM with a non-zero ``tmfid`` it also carries a new TM path
-    for the receiver (initial configuration and resilience repairs).
+    Only the TM sends it, FID-routed.  Addressed to the receiver itself
+    (``nid`` is its own NID), it carries the LID of the receiver's first hop
+    towards the TM and a ``tmfid``: the receiver's new TM path (initial
+    configuration and resilience repairs).
     """
 
     nid: int

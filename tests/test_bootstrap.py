@@ -121,7 +121,7 @@ class TestRequestPhase:
         assert out == []
         assert fsm.state == BootstrapState.REQUESTING
 
-    def test_final_ack_commits_and_updates_neighbors(self):
+    def test_final_ack_commits_without_sending(self):
         fsm = make_fsm()
         self.drive_to_requesting(fsm)
         fsm.on_message(ResourceOffer(fsm.nonce, 7, lid(4), lid(5)), 0)
@@ -129,10 +129,8 @@ class TestRequestPhase:
         assert fsm.state == BootstrapState.DONE
         assert fsm.config.nid == 7
         assert fsm.config.ilid == lid(5)
-        updates = [a for a in out if isinstance(a, Send) and isinstance(a.message, Update)]
-        assert len(updates) == 1
-        assert updates[0].message.nid == 7
-        assert updates[0].message.lid == lid(4)  # neighbors reach us via the downstream LID
+        # Neighbours learn their links to the node from the TM, not from it.
+        assert out == []
 
     def test_final_ack_with_wrong_nid_ignored(self):
         fsm = make_fsm()
@@ -192,6 +190,15 @@ class TestApplyUpdate:
         apply_update(config, Update(5, lid(1), tmfid=lid(2, 3)), self_attach_nid=2)
         assert config.tmfid == lid(2, 3)
         assert config.link_lids[2] == lid(1)
+
+    def test_second_self_update_keeps_attach_lid(self):
+        # A repair's self-Update carries the new first hop's LID, not the
+        # attach point's.
+        config = NodeConfig(nid=5)
+        apply_update(config, Update(5, lid(1), tmfid=lid(2, 3)), self_attach_nid=2)
+        apply_update(config, Update(5, lid(4), tmfid=lid(4, 6)), self_attach_nid=2)
+        assert config.link_lids == {2: lid(1)}
+        assert config.tmfid == lid(4, 6)
 
     def test_foreign_update_does_not_touch_tmfid(self):
         config = NodeConfig(nid=5, tmfid=lid(9))
@@ -255,6 +262,23 @@ class TestTmEngine:
         ack = next(a.message for a in retry.actions if isinstance(a, Reply))
         assert isinstance(ack, ResourceAccepted) and ack.nid == offer.nid
         assert graph.nodes[offer.nid].committed
+
+    def test_icn_node_link_add_announced_to_node(self):
+        engine, graph = self.make_engine()
+        switch = engine.on_message(ResourceRequest(5, NodeKind.SDN_SWITCH, TM_NID))
+        s_nid = next(a.message for a in switch.actions if isinstance(a, Reply)).nid
+        engine.on_message(OfferAccepted(5, s_nid))
+        host = engine.on_message(ResourceRequest(6, NodeKind.ICN_NODE, TM_NID))
+        h_nid = next(a.message for a in host.actions if isinstance(a, Reply)).nid
+        engine.on_message(OfferAccepted(6, h_nid))
+        for _ in range(2):  # first ADD, then the revival of the same LID
+            added = engine.on_link_event(LinkEvent(LinkEventKind.ADD, h_nid, s_nid))
+            notes = [a for a in added.actions if isinstance(a, Notify)]
+            assert [(n.nid, n.message) for n in notes] == [
+                (h_nid, Update(s_nid, graph.links[(h_nid, s_nid)].lid))]
+            engine.on_link_event(LinkEvent(LinkEventKind.REMOVE, h_nid, s_nid))
+        added = engine.on_link_event(LinkEvent(LinkEventKind.ADD, s_nid, h_nid))
+        assert not any(isinstance(a, Notify) for a in added.actions)
 
     def test_offer_accepted_unknown_ignored(self):
         engine, _ = self.make_engine()

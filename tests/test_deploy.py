@@ -1,5 +1,7 @@
 """End-to-end deployments: handshakes over the fabric, rules, resilience."""
 
+from random import Random
+
 import pytest
 
 from icnsim.bootstrap import BootstrapState
@@ -7,7 +9,7 @@ from icnsim.deploy import Deployment
 from icnsim.fid import fid_or
 from icnsim.simnet import NeverCompleted
 from icnsim.topology import TM_NID
-from icnsim.topospec import Defaults, TopoLink, TopoNode, TopologySpec
+from icnsim.topospec import Defaults, TopoLink, TopoNode, TopologySpec, generate_random
 from icnsim.wire import ResourceOffer, decode
 
 
@@ -89,6 +91,14 @@ class TestChainBootstrap:
         record = net.graph.nodes[nid]
         assert record.tmfid == fid_or([l.lid for l in record.managed_path])
         assert record.managed_path[-1].dst == TM_NID
+
+
+    def test_bootstrap_sends_the_controller_only_discoveries(self):
+        net = Deployment(chain_spec(2, hosts=3, delay_ms=0.2))
+        net.run_bootstrap()
+        assert net.all_done()
+        assert net.controller.packet_in_count == 3  # one discovery per host
+        assert net.controller.audit_drops == 0
 
 
 class TestZeroDelayTiming:
@@ -234,9 +244,66 @@ class TestIcnNodeChain:
         record = net.graph.nodes[h1]
         assert [l.key() for l in record.managed_path] == [(h1, s1), (s1, TM_NID)]
         assert net.hosts["h1"].config.tmfid == record.tmfid
+        # The repair's self-Update must not overwrite the LID towards the TM.
+        assert net.hosts["h1"].config.link_lids == {
+            TM_NID: net.graph.down_links[(h1, TM_NID)].lid, s1: net.graph.links[(h1, s1)].lid}
         trace = net.inject_data("tm", "h1")
         net.run_until_idle()
         assert net.consumed.get(trace) == ["h1"]
+        traces = [net.inject_probe("h1"), net.inject_data("h1", "tm")]
+        net.run_until_idle()
+        assert [net.consumed.get(t) for t in traces] == [["tm"], ["tm"]]
+
+
+class TestMultiHoming:
+    def test_host_on_two_switches_attaches(self):
+        # Both switches see h1's discovery; the rule on the one h1 selects
+        # must still find its port.
+        spec = TopologySpec(
+            nodes=[TopoNode("tm", "tm"), TopoNode("s1", "switch"), TopoNode("s2", "switch"),
+                   TopoNode("h1", "host")],
+            links=[TopoLink("tm", "s1", 0.2), TopoLink("s1", "s2", 0.2),
+                   TopoLink("h1", "s1", 0.2), TopoLink("h1", "s2", 0.3)])
+        for seed in range(20):
+            net = Deployment(spec, seed=seed)
+            net.run_bootstrap()
+            assert net.all_done(), seed
+            trace = net.inject_probe("h1")
+            net.run_until_idle()
+            assert net.consumed.get(trace) == ["tm"], seed
+
+    def test_random_multi_homed_fabrics_converge(self):
+        # Hosts with a second switch link or a TM link: each learns every
+        # link the TM adds, so it forwards what the graph routes through it.
+        lost = stale = 0
+        for seed in range(30):
+            spec = generate_random(10, 14, 8, seed, delay_ms=0.2)
+            rng = Random(seed)
+            for i in range(1, 9):
+                host = f"h{i}"
+                access = next(l.b for l in spec.links if l.a == host)
+                if rng.random() < 0.15:
+                    spec.links.append(TopoLink(host, "tm", 0.3))
+                if rng.random() < 0.3:
+                    other = rng.choice([f"s{j}" for j in range(1, 11) if f"s{j}" != access])
+                    spec.links.append(TopoLink(host, other, 0.3))
+            net = Deployment(spec)
+            net.run_bootstrap()
+            assert net.all_done(), seed
+            hosts = sorted(net.hosts)
+            for a, b in rng.sample([(l.a, l.b) for l in spec.links if l.a != "tm"], 6):
+                net.fail_link(a, b)
+                net.run_until_idle()
+                net.restore_link(a, b)
+                net.run_until_idle()
+            stale += sum(net.hosts[h].config.tmfid != net.graph.nodes[net.nid_of(h)].tmfid
+                         for h in hosts)
+            sends = [(net.inject_probe(h), "tm") for h in hosts]
+            sends += [(net.inject_data(a, b), b)
+                      for a, b in (rng.sample(hosts + ["tm"], 2) for _ in range(8))]
+            net.run_until_idle()
+            lost += sum(dst not in net.consumed.get(t, ()) for t, dst in sends)
+        assert (stale, lost) == (0, 0)
 
 
 class TestLinkFlap:
