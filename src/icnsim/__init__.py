@@ -10,7 +10,7 @@ controller), :mod:`icnsim.simnet` (deterministic event loop),
 """
 
 from .fid import (BitVector, Exhausted, Fid, FidParams, LinkId, WidthMismatch,
-                  fid_matches, fid_or, lid_fpr, new_lid, theoretical_fpr)
+                  fid_matches, fid_or, lid_fpr, new_lid)
 from .topology import (DirectedLink, LinkEvent, LinkEventKind, LinkStatsReport,
                        NodeKind, NodeRecord, ResourceGrant, StatsEntry, TM_NID,
                        TopologyGraph)
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitVector", "Exhausted", "Fid", "FidParams", "LinkId", "WidthMismatch",
-    "fid_matches", "fid_or", "lid_fpr", "new_lid", "theoretical_fpr",
+    "fid_matches", "fid_or", "lid_fpr", "new_lid",
     "DirectedLink", "LinkEvent", "LinkEventKind", "LinkStatsReport", "NodeKind",
     "NodeRecord", "ResourceGrant", "StatsEntry", "TM_NID", "TopologyGraph",
     "BootstrapState", "NodeBootstrapFsm", "NodeConfig", "Timers", "TmEngine",

@@ -16,7 +16,7 @@ from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from .fid import Exhausted, Fid, LinkId
-from .topology import (DirectedLink, NodeKind, LinkEvent, LinkEventKind, LinkStatsReport,
+from .topology import (NodeKind, LinkEvent, LinkEventKind, LinkStatsReport,
                        RuleDirective, TopologyGraph, UnknownAttachPoint, Unreachable)
 from .wire import (DiscoveryOffer, DiscoveryRequest, Message, OfferAccepted,
                    ResourceAccepted, ResourceOffer, ResourceRequest, Update)
@@ -245,13 +245,11 @@ class Directive:
 class Notify:
     """FID-routed message from the TM to a committed or pending node.
 
-    ``route`` is the TM->node link path to stamp into the FID; ``None``
-    routes over the graph's shortest path.
+    The hosting layer routes it over :meth:`TopologyGraph.path_from_tm`.
     """
 
     nid: int
     message: Message
-    route: Optional[Tuple[DirectedLink, ...]] = None
 
 
 @dataclass
@@ -368,20 +366,8 @@ class TmEngine:
                 lid = repair.new_path[0].lid if repair.new_path else None
                 if lid is not None:
                     result.actions.append(Notify(
-                        repair.nid, Update(repair.nid, lid, repair.new_tmfid),
-                        self._route_back(repair.new_path)))
+                        repair.nid, Update(repair.nid, lid, repair.new_tmfid)))
         return result
-
-    def _route_back(self, path: Tuple[DirectedLink, ...]) -> Optional[Tuple[DirectedLink, ...]]:
-        """TM->node route back along a repaired upstream path.
-
-        A physical failure arrives as two per-direction REMOVEs, so after the
-        first one the graph's shortest TM->node path may still cross the dead
-        link; the reverse of the repaired path avoids it by construction.
-        ``None`` (shortest-path routing) if a reverse link is missing.
-        """
-        route = tuple(self.graph.links.get((l.dst, l.src)) for l in reversed(path))
-        return None if any(l is None for l in route) else route
 
     def on_link_stats(self, report: LinkStatsReport) -> TmResult:
         self.graph.record_stats(report)

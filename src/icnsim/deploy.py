@@ -225,7 +225,7 @@ class TmNode:
         self._queue: deque = deque()
         self._busy = False
         self._pending_actions: List = []
-        self._pending_origin: Tuple[str, Optional[int]] = ("ctl", None)
+        self._pending_origin = "ctl"
 
     def handle(self, event) -> None:
         kind = event.kind
@@ -317,12 +317,12 @@ class TmNode:
             if nid is not None:
                 self.nid_port[nid] = in_port
         self._pending_actions = result.actions if result else []
-        self._pending_origin = (origin, in_port)
+        self._pending_origin = origin
         cost = self.service_us + lids * self.alloc_us
         self.net.sim.schedule_in(cost, f"node:{self.name}", Timer("svc"))
 
     def _service_done(self) -> None:
-        origin, _ = self._pending_origin
+        origin = self._pending_origin
         for action in self._pending_actions:
             if isinstance(action, Reply):
                 if origin == "ctl":
@@ -335,24 +335,20 @@ class TmNode:
                     d.install, d.nonce, d.switch_nid, d.dst_nid, d.lid, d.lid,
                     priority=RULE_PRIORITY))
             elif isinstance(action, Notify):
-                self._route_to_node(action.nid, action.message, action.route)
+                self._route_to_node(action.nid, action.message)
         self._pending_actions = []
         self._busy = False
         if self._queue:
             self._start_next()
 
-    def _route_to_node(self, nid: int, message,
-                       path: Optional[Sequence[DirectedLink]] = None) -> None:
-        """Source-route a message over the fabric using the downstream FID.
-
-        ``path`` is the TM->node link path; by default the graph's shortest.
-        """
-        if path is None:
-            try:
-                path = self.graph.shortest_path(TM_NID, nid)
-            except TopologyError as exc:
-                log.warning("tm: cannot route to %d: %s", nid, exc)
-                return
+    def _route_to_node(self, nid: int, message) -> None:
+        """Source-route a message to a node over the downstream FID of
+        :meth:`TopologyGraph.path_from_tm`, the node's in-tree path reversed."""
+        try:
+            path = self.graph.path_from_tm(nid)
+        except TopologyError as exc:
+            log.warning("tm: cannot route to %d: %s", nid, exc)
+            return
         if not path:
             return
         self.send(IcnPacket(self.net.path_fid(path, nid), self.net.hop_limit,
@@ -568,9 +564,12 @@ class Deployment:
 
     def node_done(self, name: str) -> None:
         self.sim.end_span(f"bootstrap:{name}")
+        host = self.hosts[name]
         # A host attached directly to the TM is otherwise unknown to the
         # controller, which must bind switch rules towards it.
-        self.controller.nid_names[self.hosts[name].config.nid] = name
+        self.controller.nid_names[host.config.nid] = name
+        # Its attach rule is bound, so its discovery ports are spent.
+        self.controller.pending_discovery.pop(host.fsm.nonce, None)
         self._finish_ports(name)
         if self.mode != "concurrent":
             self.sim.schedule_in(0, "orch", Timer("next"))

@@ -24,7 +24,7 @@ from . import wire
 from .bootstrap import RULE_PRIORITY
 from .fid import BitVector, Fid, FidParams
 from .topology import (LinkEvent, LinkEventKind, LinkStatsReport, NodeKind,
-                       RuleDirective, StatsEntry, TM_NID, UnknownLink)
+                       RuleDirective, StatsEntry, TM_NID)
 from .wire import (CodecError, DiscoveryOffer, DiscoveryRequest, OfferAccepted,
                    ResourceAccepted, ResourceOffer, ResourceRequest, RuleInstallFrame)
 
@@ -199,8 +199,9 @@ class Controller:
         self.enabled: Dict[str, int] = {}       # switch name -> NID
         self.nid_names: Dict[int, str] = {TM_NID: net.tm_name}
         self.pending_proxy: Dict[int, _ProxyAttach] = {}
-        # (nonce, switch) -> ingress port of a host's discovery broadcast
-        self.pending_discovery: Dict[Tuple[int, str], int] = {}
+        # host nonce -> {switch: ingress port of its discovery broadcast};
+        # dropped once the host is DONE
+        self.pending_discovery: Dict[int, Dict[str, int]] = {}
         self.packet_in_count = 0
         self.audit_drops = 0
         self._stats_base: Dict[Tuple[str, int], int] = {}
@@ -263,7 +264,7 @@ class Controller:
             self.audit_drops += 1
             log.info("controller: %s via PacketIn dropped", type(msg).__name__)
             return
-        self.pending_discovery[(msg.nonce, event.switch)] = event.in_port
+        self.pending_discovery.setdefault(msg.nonce, {})[event.switch] = event.in_port
         nid = self.enabled.get(event.switch)
         if nid is None:
             log.debug("controller: discovery at not-yet-enabled switch %s", event.switch)
@@ -279,7 +280,9 @@ class Controller:
         kind = LinkEventKind.REMOVE if isinstance(event, LinkDown) else LinkEventKind.ADD
         nid_a, nid_b = self.net.nid_of(event.a), self.net.nid_of(event.b)
         if nid_a is None or nid_b is None:
-            raise UnknownLink(f"link {event.a}<->{event.b} has unmanaged endpoints")
+            log.warning("controller: link %s<->%s has an unmanaged endpoint; not relayed",
+                        event.a, event.b)
+            return
         delay = self.net.link_delay_ms(event.a, event.b)
         self.net.ctl_send(LinkEvent(kind, nid_a, nid_b, delay))
         self.net.ctl_send(LinkEvent(kind, nid_b, nid_a, delay))
@@ -328,7 +331,7 @@ class Controller:
         table.add(FlowRule(directive.lid, directive.lid, port))
 
     def _resolve_port(self, switch_name: str, directive: RuleDirective) -> Optional[int]:
-        port = self.pending_discovery.get((directive.nonce, switch_name))
+        port = self.pending_discovery.get(directive.nonce, {}).get(switch_name)
         if port is not None:
             # Host attachment: bind the TM-assigned NID to the ingress port.
             self.nid_names[directive.dst_nid] = self.net.switches[switch_name].ports[port]

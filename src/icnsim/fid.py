@@ -71,9 +71,6 @@ class BitVector:
     def popcount(self) -> int:
         return self.value.bit_count()
 
-    def bit_positions(self) -> list[int]:
-        return [i for i in range(self.width) if self.value >> (self.width - 1 - i) & 1]
-
     def is_zero(self) -> bool:
         return self.value == 0
 
@@ -150,19 +147,6 @@ def fid_matches(fid: Fid, lid: LinkId) -> bool:
     if fid.width != lid.width:
         raise WidthMismatch(f"{fid.width} != {lid.width}")
     return fid.value & lid.value == lid.value
-
-
-def theoretical_fpr(m: int, k: int, n: int) -> float:
-    """Standard Bloom-filter false-positive estimate for a FID of n links.
-
-    Returns (1 - (1 - 1/m)^(k*n))^k, the with-replacement estimate that
-    treats all k*n set bits as independent draws.  LIDs have k *distinct*
-    bits and a path's LIDs are distinct, so this overstates the rate (by
-    23% at m=64, k=3, n=4); :func:`lid_fpr` gives the exact rate.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return (1.0 - math.pow(1.0 - 1.0 / m, k * n)) ** k
 
 
 def lid_fpr(m: int, k: int, n: int) -> Fraction:

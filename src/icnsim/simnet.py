@@ -158,9 +158,6 @@ class Simulator:
         self.spans.append(span)
         return span
 
-    def open_span_labels(self) -> List[str]:
-        return sorted(self._open_spans)
-
     def report(self, final_states: Optional[Dict[str, str]] = None) -> SimReport:
         return SimReport(spans=list(self.spans),
                          final_states=dict(final_states or {}),

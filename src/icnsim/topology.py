@@ -151,13 +151,16 @@ class TopologyGraph:
     tree, and the next read rebuilds it with one BFS.  Either way only the
     nodes below a changed next hop are re-walked.
 
-    :meth:`shortest_path` to any other destination reads an in-tree cached
-    per destination (``_trees``): the BFS hop counts towards it, plus next
-    hops picked with the same tie-break as a walk first needs them.  Trees
-    hold NIDs only, so a path returns the link objects current in
-    ``links``.  Every adjacency change (``_put_link``/``_pop_link``) drops
-    all cached trees; the next read of a destination rebuilds its tree with
-    one BFS.
+    A route from the TM to any node, pending or committed, is the node's
+    in-tree path reversed (:meth:`path_from_tm`), so it needs no BFS.
+
+    :meth:`shortest_path` between other nodes (node-to-node data) reads an
+    in-tree cached per destination (``_trees``): the BFS hop counts towards
+    it, plus next hops picked with the same tie-break as a walk first needs
+    them.  Trees hold NIDs only, so a path returns the link objects current
+    in ``links``.  Every adjacency change (``_put_link``/``_pop_link``)
+    drops all cached trees; the next read of a destination rebuilds its
+    tree with one BFS.
     """
 
     def __init__(self, params: FidParams, rng: Random):
@@ -367,6 +370,20 @@ class TopologyGraph:
             raise Unreachable(f"no path {nid} -> {TM_NID}")
         # Every node in the tree has its next hop, so the walk picks none.
         return self._path_via(nid, TM_NID, self._dist, self._next)
+
+    def path_from_tm(self, nid: int) -> List[DirectedLink]:
+        """TM->node route: the node's in-tree path, reversed link by link.
+
+        A pending node's path runs over its tentative uplink.  A physical
+        link change reaches the TM as two per-direction events; between
+        them a reverse link may be missing, and the route falls back to
+        ``shortest_path(TM, nid)``.
+        """
+        if nid in self._tm_dist():
+            route = [self.links.get((l.dst, l.src)) for l in reversed(self._tm_path(nid))]
+            if None not in route:
+                return route
+        return self.shortest_path(TM_NID, nid)
 
     def _set_path(self, rec: NodeRecord, path: List[DirectedLink]) -> None:
         rec.managed_path = path

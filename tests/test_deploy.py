@@ -8,7 +8,7 @@ from icnsim.bootstrap import BootstrapState
 from icnsim.deploy import Deployment
 from icnsim.fid import fid_or
 from icnsim.simnet import NeverCompleted
-from icnsim.topology import TM_NID
+from icnsim.topology import TM_NID, TopologyGraph
 from icnsim.topospec import Defaults, TopoLink, TopoNode, TopologySpec, generate_random
 from icnsim.wire import ResourceOffer, decode
 
@@ -141,6 +141,22 @@ class TestLossyRuns:
         # exactly-once commit: a single committed record for the host
         assert net.nid_of("h1") in net.graph.nodes
         assert net.report().span("bootstrap:h1").duration_us > net.timers.request_timeout_us
+
+    def test_link_down_at_failed_host_not_relayed(self):
+        # h1 never gets a NID, so the controller cannot report the h1-s1
+        # link to the TM; it drops the event instead of raising out of the
+        # event loop.
+        spec = TopologySpec(
+            nodes=[TopoNode("tm", "tm"), TopoNode("s1", "switch"), TopoNode("h1", "host")],
+            links=[TopoLink("tm", "s1", 0.2), TopoLink("h1", "s1", 0.2)], seed=53)
+        net = Deployment(spec)
+        net.drop_filter = lambda src, dst, packet: dst == "h1"
+        net.run_bootstrap()
+        assert net.hosts["h1"].fsm.state == BootstrapState.FAILED
+        before = net.graph.dump()
+        net.fail_link("h1", "s1")
+        net.run_until_idle()
+        assert net.graph.dump() == before
 
     def test_silent_tm_fails_after_retries(self):
         net = Deployment(chain_spec(1, hosts=1))
@@ -441,3 +457,32 @@ def test_report_final_states():
     assert report.final_states["tm"] == "TM"
     assert report.final_states["s1"] == "ENABLED"
     assert report.final_states["h1"] == "DONE"
+
+
+class TestDenseBootstrap:
+    """A dense fabric: 24 switches, 200 links, 32 hosts."""
+
+    def spec(self):
+        return generate_random(24, 200, 32, 5)
+
+    def test_tm_routes_need_no_bfs(self, monkeypatch):
+        # Replies and Notifies reverse the node's in-tree path; only a
+        # shortest_path between other nodes would run a BFS.
+        calls = []
+        distances_to = TopologyGraph._distances_to
+
+        def counted(graph, *args):
+            calls.append(args)
+            return distances_to(graph, *args)
+
+        monkeypatch.setattr(TopologyGraph, "_distances_to", counted)
+        net = Deployment(self.spec())
+        net.run_bootstrap()
+        assert net.all_done()
+        assert calls == []
+
+    def test_discovery_ports_released(self):
+        net = Deployment(self.spec())
+        net.run_bootstrap()
+        assert net.all_done()
+        assert net.controller.pending_discovery == {}

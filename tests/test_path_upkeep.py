@@ -2,7 +2,8 @@
 
 After every attach, ADD and REMOVE, each committed node that can still reach
 the TM must hold the lexicographically smallest shortest path, recomputed
-here from networkx hop counts, and the TMFID OR-ed from it.  A sample of
+here from networkx hop counts, and the TMFID OR-ed from it; the TM's route
+to it is that path reversed while every reverse link is up.  A sample of
 ``shortest_path`` reads, towards the TM and towards other nodes, must give
 the same path, so a per-destination tree left over from an earlier event
 shows.
@@ -47,6 +48,9 @@ def check_paths(g, rng=None):
         assert keys == oracle_path(graph, hops, nid), f"node {nid}"
         assert len(keys) == nx.shortest_path_length(graph, nid, TM_NID)
         assert rec.tmfid == fid_or((l.lid for l in rec.managed_path), width=g.params.m)
+        back = [(b, a) for a, b in reversed(keys)]
+        if all(key in g.links for key in back):
+            assert [l.key() for l in g.path_from_tm(nid)] == back, f"route to {nid}"
     check_shortest_paths(g, graph, rng or Random(0))
 
 

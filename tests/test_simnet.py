@@ -112,7 +112,6 @@ class TestSpans:
         sim = Simulator()
         sim.begin_span("open")
         assert sim.report().spans == []
-        assert sim.open_span_labels() == ["open"]
 
 
 class TestReport:
