@@ -16,8 +16,8 @@ from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from .fid import Exhausted, Fid, LinkId
-from .topology import (NodeKind, LinkEvent, LinkEventKind, LinkStatsReport,
-                       RuleDirective, TopologyGraph, UnknownAttachPoint, Unreachable)
+from .topology import (NodeKind, LinkEvent, LinkStatsReport, RuleInstallFrame,
+                       TopologyGraph, UnknownAttachPoint, Unreachable)
 from .wire import (DiscoveryOffer, DiscoveryRequest, Message, OfferAccepted,
                    ResourceAccepted, ResourceOffer, ResourceRequest, Update)
 
@@ -96,10 +96,8 @@ Action = object
 class NodeBootstrapFsm:
     """Bootstrap state machine for one ICN node."""
 
-    def __init__(self, name: str, rng: Random, timers: Timers,
-                 kind: NodeKind = NodeKind.ICN_NODE):
+    def __init__(self, name: str, rng: Random, timers: Timers):
         self.name = name
-        self.kind = kind
         self.timers = timers
         self.state = BootstrapState.INIT
         self.config = NodeConfig()
@@ -169,7 +167,7 @@ class NodeBootstrapFsm:
                     key=lambda item: (item[0].tmfid.popcount(), item[0].responder_nid))
                 self._selected = (offer, port)
                 self.state = BootstrapState.REQUESTING
-                request = ResourceRequest(self.nonce, self.kind, offer.responder_nid)
+                request = ResourceRequest(self.nonce, NodeKind.ICN_NODE, offer.responder_nid)
                 return [Send(request, port, offer.tmfid),
                         self._arm(REQUEST_TIMER, self.timers.request_timeout_us)]
             self.retries_left -= 1
@@ -187,7 +185,8 @@ class NodeBootstrapFsm:
             assert self._selected is not None
             offer, port = self._selected
             if self.state == BootstrapState.REQUESTING:
-                resend: Message = ResourceRequest(self.nonce, self.kind, offer.responder_nid)
+                resend: Message = ResourceRequest(self.nonce, NodeKind.ICN_NODE,
+                                                  offer.responder_nid)
             else:
                 assert self.offered is not None
                 resend = OfferAccepted(self.nonce, self.offered.nid)
@@ -224,21 +223,11 @@ def apply_update(config: NodeConfig, update: Update, self_attach_nid: Optional[i
 
 # -- TM engine ---------------------------------------------------------------
 
-RULE_PRIORITY = 100
-
-
 @dataclass(frozen=True)
 class Reply:
     """Send back to whoever originated the message being handled."""
 
     message: Message
-
-
-@dataclass(frozen=True)
-class Directive:
-    """Flow-rule change for the controller, delivered over the ICN-SDN channel."""
-
-    directive: RuleDirective
 
 
 @dataclass(frozen=True)
@@ -299,8 +288,8 @@ class TmEngine:
             if attach_kind == NodeKind.SDN_SWITCH:
                 # Downstream rule must be in place before the offer transits
                 # the attachment switch.
-                result.actions.append(Directive(RuleDirective(
-                    True, msg.attach_nid, grant.nid, grant.lid, nonce=msg.nonce)))
+                result.actions.append(RuleInstallFrame.for_link(
+                    True, msg.attach_nid, grant.nid, grant.lid, nonce=msg.nonce))
             elif attach_kind == NodeKind.ICN_NODE:
                 # Pure ICN attach point learns how to reach the new node so
                 # it can forward the offer onwards.
@@ -327,10 +316,10 @@ class TmEngine:
         if grant.kind == NodeKind.SDN_SWITCH:
             # Both bitmask rules of the new attachment, per direction.
             if self.graph.nodes[grant.attach_nid].kind == NodeKind.SDN_SWITCH:
-                result.actions.append(Directive(RuleDirective(
-                    True, grant.attach_nid, grant.nid, grant.lid, nonce=msg.nonce)))
-            result.actions.append(Directive(RuleDirective(
-                True, grant.nid, grant.attach_nid, grant.uplink_lid, nonce=msg.nonce)))
+                result.actions.append(RuleInstallFrame.for_link(
+                    True, grant.attach_nid, grant.nid, grant.lid, nonce=msg.nonce))
+            result.actions.append(RuleInstallFrame.for_link(
+                True, grant.nid, grant.attach_nid, grant.uplink_lid, nonce=msg.nonce))
         result.actions.append(Reply(ResourceAccepted(msg.nonce, msg.nid)))
         if grant.kind != NodeKind.SDN_SWITCH:
             # The node's own outgoing LID and authoritative TMFID.
@@ -353,12 +342,10 @@ class TmEngine:
     def on_link_event(self, event: LinkEvent) -> TmResult:
         before = len(self.graph.lid_registry)
         outcome = self.graph.handle_link_event(event)
-        result = TmResult(lids_allocated=len(self.graph.lid_registry) - before)
-        for directive in outcome.rule_directives:
-            result.actions.append(Directive(directive))
-        if (event.kind == LinkEventKind.ADD
-                and self.graph.nodes[event.src].kind == NodeKind.ICN_NODE):
-            # An ICN node's counterpart of a switch's install directive.
+        result = TmResult(len(self.graph.lid_registry) - before, list(outcome.rule_directives))
+        if result.lids_allocated and self.graph.nodes[event.src].kind == NodeKind.ICN_NODE:
+            # An ICN node's counterpart of a switch's install rule.  A revived
+            # link keeps its LID, which the node's link table still holds.
             lid = self.graph.links[(event.src, event.dst)].lid
             result.actions.append(Notify(event.src, Update(event.dst, lid)))
         for repair in outcome.repairs:

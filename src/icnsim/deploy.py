@@ -16,15 +16,14 @@ from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import wire
-from .bootstrap import (Arm, Broadcast, Directive, NodeBootstrapFsm, NodeConfig, Notify,
-                        RULE_PRIORITY, Reply, BootstrapState, Send, Timers, TmEngine,
-                        apply_update, responder_on_discovery, NotBootstrapped)
-from .fabric import (Controller, FlowTable, IcnPacket, LOCAL_PORT, LinkDown, LinkUp,
-                     MISS, PacketIn, StatsTick, SwitchAttached, encode_packet,
-                     switch_forward)
+from .bootstrap import (Arm, Broadcast, NodeBootstrapFsm, NodeConfig, Notify, Reply,
+                        BootstrapState, Send, Timers, TmEngine, apply_update,
+                        responder_on_discovery, NotBootstrapped)
+from .fabric import (Controller, FlowTable, IcnPacket, LinkDown, LinkUp, MISS, PacketIn,
+                     SwitchAttached, encode_packet, switch_forward)
 from .fid import BitVector, Fid, FidParams, fid_matches, fid_or
 from .simnet import Control, Deliver, SimReport, Simulator, Timer, ms
-from .topology import TM_NID, DirectedLink, TopologyError, TopologyGraph
+from .topology import TM_NID, DirectedLink, RuleInstallFrame, TopologyError, TopologyGraph
 from .topospec import TopologySpec
 from .wire import CodecError, DiscoveryRequest, ResourceRequest, Update
 
@@ -56,7 +55,6 @@ class SwitchNode:
         self.net = net
         self.ports: Dict[int, str] = {}
         self.table = FlowTable()
-        self.tx_bytes: Dict[int, int] = {}
         self.drops = 0
 
     def handle(self, event) -> None:
@@ -64,7 +62,7 @@ class SwitchNode:
         if isinstance(kind, Deliver) and isinstance(kind.payload, FabricDelivery):
             self._forward(kind.payload.packet, kind.payload.in_port)
         elif isinstance(kind, Control) and isinstance(kind.event, PacketOutCmd):
-            self._emit(kind.event.packet, kind.event.port)
+            self.net.emit(self.name, kind.event.port, kind.event.packet)
         else:  # pragma: no cover
             log.warning("%s: unhandled event %r", self.name, kind)
 
@@ -82,12 +80,7 @@ class SwitchNode:
             return
         onward = packet.spend_hop()
         for port in result:
-            if port != LOCAL_PORT:
-                self._emit(onward, port)
-
-    def _emit(self, packet: IcnPacket, port: int) -> None:
-        self.tx_bytes[port] = self.tx_bytes.get(port, 0) + packet.encoded_len()
-        self.net.emit(self.name, port, packet)
+            self.net.emit(self.name, port, onward)
 
 
 class HostNode:
@@ -172,14 +165,10 @@ class HostNode:
             self._execute(self.fsm.on_message(msg, in_port))
 
     def _consume(self, packet: IcnPacket, in_port: int) -> None:
-        try:
-            msg = wire.decode(packet.payload, self.net.params)
-        except CodecError:
-            self.net.record_consumed(packet.trace_id, self.name)
-            return
+        msg = self.net.consume(self.name, packet)
         if isinstance(msg, Update):
             apply_update(self.config, msg, self.fsm.attach_nid)
-        else:
+        elif msg is not None:
             self._execute(self.fsm.on_message(msg, in_port))
 
     def _execute(self, actions) -> None:
@@ -248,12 +237,9 @@ class TmNode:
         if packet.hop_limit is None or packet.hop_limit > 0:
             self.send(packet.spend_hop())
         # TM-bound FIDs carry no iLID for the TM, so arrival means delivery.
-        try:
-            msg = wire.decode(packet.payload, self.net.params)
-        except CodecError:
-            self.net.record_consumed(packet.trace_id, self.name)
-            return
-        self._enqueue(msg, "fabric", in_port)
+        msg = self.net.consume(self.name, packet)
+        if msg is not None:
+            self._enqueue(msg, "fabric", in_port)
 
     def send(self, packet: IcnPacket) -> None:
         """Emit on every bound out-link whose LID the FID holds."""
@@ -329,11 +315,8 @@ class TmNode:
                     self.net.ctl_to_controller(action.message)
                 else:
                     self._route_to_node(action.message.nid, action.message)
-            elif isinstance(action, Directive):
-                d = action.directive
-                self.net.ctl_to_controller(wire.RuleInstallFrame(
-                    d.install, d.nonce, d.switch_nid, d.dst_nid, d.lid, d.lid,
-                    priority=RULE_PRIORITY))
+            elif isinstance(action, RuleInstallFrame):
+                self.net.ctl_to_controller(action)
             elif isinstance(action, Notify):
                 self._route_to_node(action.nid, action.message)
         self._pending_actions = []
@@ -370,7 +353,6 @@ class Deployment:
         self.timers = Timers(ms(d.discovery_wait_ms), ms(d.request_timeout_ms), d.max_retries)
         self.hop_limit = d.hop_limit
         self.ctl_delay_us = ms(d.control_delay_ms)
-        self.default_capacity = d.capacity_mbps
         self.sim = Simulator()
         self.controller_rng = Random(f"{self.seed}:controller")
         self.tm_name = spec.tm_name()
@@ -394,7 +376,7 @@ class Deployment:
 
         # Cable everything: port indices follow spec link order per node.
         self._wiring: Dict[Tuple[str, int], Tuple[str, int]] = {}
-        self._pair_props: Dict[frozenset, Tuple[int, float]] = {}
+        self._pair_delay_us: Dict[frozenset, int] = {}
         for link in spec.links:
             pa = self._next_port(link.a)
             pb = self._next_port(link.b)
@@ -402,8 +384,7 @@ class Deployment:
             self._node(link.b).ports[pb] = link.a
             self._wiring[(link.a, pa)] = (link.b, pb)
             self._wiring[(link.b, pb)] = (link.a, pa)
-            cap = link.capacity_mbps if link.capacity_mbps is not None else self.default_capacity
-            self._pair_props[frozenset((link.a, link.b))] = (ms(link.delay_ms), cap)
+            self._pair_delay_us[frozenset((link.a, link.b))] = ms(link.delay_ms)
 
         self.controller = Controller(self)
         self.down_pairs: set = set()
@@ -455,10 +436,9 @@ class Deployment:
             return
         if self.drop_filter is not None and self.drop_filter(src, dst, packet):
             return
-        delay_us, _ = self._pair_props[pair]
         self.traces.setdefault(packet.trace_id, []).append((src, dst))
-        self.sim.schedule_in(delay_us, f"node:{dst}",
-                             Deliver(FabricDelivery(packet, dst_port), (src, dst)))
+        self.sim.schedule_in(self._pair_delay_us[pair], f"node:{dst}",
+                             Deliver(FabricDelivery(packet, dst_port)))
 
     def packet_in(self, switch: str, in_port: int, packet: IcnPacket) -> None:
         data = encode_packet(packet, self.params)
@@ -474,19 +454,15 @@ class Deployment:
         """Controller -> TM over the ICN-SDN interface."""
         data = wire.encode(message, self.params)
         self.sim.schedule_in(self.ctl_delay_us, f"node:{self.tm_name}",
-                             Deliver(CtlDelivery(data), "ctl"))
+                             Deliver(CtlDelivery(data)))
 
     def ctl_to_controller(self, message) -> None:
         """TM -> controller over the ICN-SDN interface."""
         data = wire.encode(message, self.params)
-        self.sim.schedule_in(self.ctl_delay_us, "ctl", Deliver(CtlDelivery(data), "ctl"))
+        self.sim.schedule_in(self.ctl_delay_us, "ctl", Deliver(CtlDelivery(data)))
 
     def link_delay_ms(self, a: str, b: str) -> float:
-        return self._pair_props[frozenset((a, b))][0] / 1000
-
-    def link_capacity_mbps(self, switch_name: str, port: int) -> float:
-        peer = self.switches[switch_name].ports[port]
-        return self._pair_props[frozenset((switch_name, peer))][1]
+        return self._pair_delay_us[frozenset((a, b))] / 1000
 
     def path_fid(self, path: Sequence[DirectedLink], dst_nid: int) -> Fid:
         """OR of a path's LIDs and the destination's iLID, if it has one."""
@@ -496,8 +472,20 @@ class Deployment:
             lids.append(ilid)
         return fid_or(lids, width=self.params.m)
 
-    def record_consumed(self, trace_id: int, name: str) -> None:
-        self.consumed.setdefault(trace_id, []).append(name)
+    def consume(self, name: str, packet: IcnPacket) -> Optional[wire.Message]:
+        """A packet delivered to node ``name``: its control frame, or None.
+
+        A payload that does not start with the frame version byte is data,
+        recorded as consumed.  A frame that fails to decode is dropped.
+        """
+        if not packet.payload or packet.payload[0] != wire.VERSION:
+            self.consumed.setdefault(packet.trace_id, []).append(name)
+            return None
+        try:
+            return wire.decode(packet.payload, self.params)
+        except CodecError as exc:
+            log.warning("%s: bad control frame dropped: %s", name, exc)
+            return None
 
     def _controller_handle(self, event) -> None:
         kind = event.kind
@@ -535,11 +523,8 @@ class Deployment:
                     self.failures[name] = "no ICN-enabled attach point"
                     continue
                 self.sim.begin_span(f"bootstrap:{name}")
-                attach_port = next(p for p, n in self._node(attach).ports.items() if n == name)
-                new_port = next(p for p, n in self.switches[name].ports.items() if n == attach)
                 self._reported_pairs.add(frozenset((name, attach)))
-                self.sim.schedule_in(0, "ctl", Control(
-                    SwitchAttached(name, attach, attach_port, new_port)))
+                self.sim.schedule_in(0, "ctl", Control(SwitchAttached(name, attach)))
                 return
             host = self.hosts[name]
             self.sim.begin_span(f"bootstrap:{name}")
@@ -594,7 +579,7 @@ class Deployment:
             if not isinstance(peer, SwitchNode):
                 peer.nid_port[nid] = self._wiring[(name, port)][1]
             pair = frozenset((name, other))
-            delay_ms = self._pair_props[pair][0] / 1000
+            delay_ms = self.link_delay_ms(name, other)
             for key in ((nid, other_nid), (other_nid, nid)):
                 link = self.graph.links.get(key)
                 if link is not None and not link.delay_ms:
@@ -630,10 +615,6 @@ class Deployment:
     def restore_link(self, a: str, b: str) -> None:
         self.down_pairs.discard(frozenset((a, b)))
         self.sim.schedule_in(0, "ctl", Control(LinkUp(a, b)))
-
-    def tick_stats(self, period_us: int, times: int = 1) -> None:
-        for i in range(1, times + 1):
-            self.sim.schedule_in(period_us * i, "ctl", Control(StatsTick(period_us)))
 
     def inject_probe(self, host_name: str) -> int:
         """Send a packet stamped with the host's own TMFID towards the TM."""

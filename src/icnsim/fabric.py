@@ -10,8 +10,8 @@ false-positive copies die in the fabric).
 
 The controller hosts the ICN application: it proxies switch bootstraps
 towards the TM over the ICN-SDN channel, answers host discovery via
-PacketIn/PacketOut, relays link events, applies the TM's flow-rule
-directives, and periodically reports link statistics.
+PacketIn/PacketOut, relays link events, and applies the TM's flow-rule
+frames.
 """
 
 from __future__ import annotations
@@ -21,16 +21,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import wire
-from .bootstrap import RULE_PRIORITY
 from .fid import BitVector, Fid, FidParams
-from .topology import (LinkEvent, LinkEventKind, LinkStatsReport, NodeKind,
-                       RuleDirective, StatsEntry, TM_NID)
+from .topology import (LinkEvent, LinkEventKind, NodeKind, RULE_PRIORITY, RuleInstallFrame,
+                       TM_NID)
 from .wire import (CodecError, DiscoveryOffer, DiscoveryRequest, OfferAccepted,
-                   ResourceAccepted, ResourceOffer, ResourceRequest, RuleInstallFrame)
+                   ResourceAccepted, ResourceOffer, ResourceRequest)
 
 log = logging.getLogger(__name__)
-
-LOCAL_PORT = -1
 
 
 class FabricError(Exception):
@@ -66,9 +63,6 @@ class IcnPacket:
     hop_limit: Optional[int]
     payload: bytes
     trace_id: int = 0
-
-    def encoded_len(self) -> int:
-        return self.fid.width // 8 + 1 + len(self.payload)
 
     def spend_hop(self) -> "IcnPacket":
         """The packet as sent on by a forwarder: one hop less, if it has a budget."""
@@ -144,8 +138,6 @@ def decode_packet(data: bytes, params: FidParams) -> IcnPacket:
 class SwitchAttached:
     new_switch: str
     attach_switch: str  # switch name, or the TM's name for the seed switch
-    attach_port: int    # port on attach side towards the new switch
-    new_port: int       # port on the new switch towards the attach side
 
 
 @dataclass(frozen=True)
@@ -167,21 +159,7 @@ class LinkUp:
     b: str
 
 
-@dataclass(frozen=True)
-class StatsTick:
-    period_us: int
-
-
-ControlEvent = Union[SwitchAttached, PacketIn, LinkDown, LinkUp, StatsTick]
-
-
-@dataclass
-class _ProxyAttach:
-    new_switch: str
-    attach_switch: str
-    attach_port: int
-    new_port: int
-    nid: int = 0
+ControlEvent = Union[SwitchAttached, PacketIn, LinkDown, LinkUp]
 
 
 class Controller:
@@ -198,13 +176,12 @@ class Controller:
         self.params: FidParams = net.params
         self.enabled: Dict[str, int] = {}       # switch name -> NID
         self.nid_names: Dict[int, str] = {TM_NID: net.tm_name}
-        self.pending_proxy: Dict[int, _ProxyAttach] = {}
+        self.pending_proxy: Dict[int, str] = {}  # nonce -> name of the proxied switch
         # host nonce -> {switch: ingress port of its discovery broadcast};
         # dropped once the host is DONE
         self.pending_discovery: Dict[int, Dict[str, int]] = {}
         self.packet_in_count = 0
         self.audit_drops = 0
-        self._stats_base: Dict[Tuple[str, int], int] = {}
 
     # -- control events ------------------------------------------------------
 
@@ -215,8 +192,6 @@ class Controller:
             self.on_packet_in(event)
         elif isinstance(event, (LinkDown, LinkUp)):
             self.on_link_change(event)
-        elif isinstance(event, StatsTick):
-            self.on_stats_tick(event)
         else:  # pragma: no cover
             log.warning("controller: unknown control event %r", event)
 
@@ -229,23 +204,20 @@ class Controller:
         nonce = 0
         while nonce == 0 or nonce in self.pending_proxy:
             nonce = self.net.controller_rng.getrandbits(64)
-        self.pending_proxy[nonce] = _ProxyAttach(event.new_switch, event.attach_switch,
-                                                 event.attach_port, event.new_port)
+        self.pending_proxy[nonce] = event.new_switch
         self.net.ctl_send(ResourceRequest(nonce, NodeKind.SDN_SWITCH, attach_nid))
 
     def on_ctl_message(self, msg: wire.Message) -> None:
         """Frame arriving from the TM over the ICN-SDN channel."""
         if isinstance(msg, ResourceOffer) and msg.nonce in self.pending_proxy:
-            proxy = self.pending_proxy[msg.nonce]
-            proxy.nid = msg.nid
-            self.nid_names[msg.nid] = proxy.new_switch
+            self.nid_names[msg.nid] = self.pending_proxy[msg.nonce]
             self.net.ctl_send(OfferAccepted(msg.nonce, msg.nid))
         elif isinstance(msg, ResourceAccepted) and msg.nonce in self.pending_proxy:
-            proxy = self.pending_proxy.pop(msg.nonce)
-            self.enabled[proxy.new_switch] = proxy.nid
-            self.net.switch_attach_complete(proxy.new_switch)
+            name = self.pending_proxy.pop(msg.nonce)
+            self.enabled[name] = msg.nid
+            self.net.switch_attach_complete(name)
         elif isinstance(msg, RuleInstallFrame):
-            self.apply_directive_frame(msg)
+            self.apply_rule(msg)
         else:
             self.audit_drops += 1
             log.info("controller: ctl frame %s dropped", type(msg).__name__)
@@ -287,56 +259,33 @@ class Controller:
         self.net.ctl_send(LinkEvent(kind, nid_a, nid_b, delay))
         self.net.ctl_send(LinkEvent(kind, nid_b, nid_a, delay))
 
-    def on_stats_tick(self, event: StatsTick) -> None:
-        """Report per-LID egress utilization for every managed switch."""
-        entries: List[StatsEntry] = []
-        period_s = event.period_us / 1e6
-        for name in sorted(self.enabled):
-            switch = self.net.switches[name]
-            for rule in switch.table.rules:
-                if rule.out_port == LOCAL_PORT:
-                    continue
-                counter = switch.tx_bytes.get(rule.out_port, 0)
-                key = (name, rule.out_port)
-                delta = counter - self._stats_base.get(key, 0)
-                self._stats_base[key] = counter
-                capacity_bps = self.net.link_capacity_mbps(name, rule.out_port) * 1e6
-                util = min(1.0, (delta * 8) / (capacity_bps * period_s)) if period_s > 0 else 0.0
-                entries.append(StatsEntry(rule.mask, delta, round(util * 1_000_000)))
-        entries.sort(key=lambda e: e.lid.value)
-        self.net.ctl_send(LinkStatsReport(tuple(entries)))
-
     # -- rule management -------------------------------------------------------
 
-    def apply_directive_frame(self, frame: RuleInstallFrame) -> None:
-        directive = RuleDirective(frame.install, frame.switch_nid, frame.dst_nid,
-                                  frame.mask, frame.nonce)
-        self.apply_directive(directive)
-
-    def apply_directive(self, directive: RuleDirective) -> None:
-        switch_name = self.nid_names.get(directive.switch_nid)
+    def apply_rule(self, frame: RuleInstallFrame) -> None:
+        """Install or remove the frame's rule as sent; the TM's own side has no table."""
+        switch_name = self.nid_names.get(frame.switch_nid)
         if switch_name is None or switch_name == self.net.tm_name:
             if switch_name is None:
-                log.warning("controller: directive for unknown switch NID %d", directive.switch_nid)
+                log.warning("controller: rule for unknown switch NID %d", frame.switch_nid)
             return
         table = self.net.switches[switch_name].table
-        if not directive.install:
-            table.remove(directive.lid, directive.lid)
+        if not frame.install:
+            table.remove(frame.mask, frame.value)
             return
-        port = self._resolve_port(switch_name, directive)
+        port = self._resolve_port(switch_name, frame)
         if port is None:
             log.warning("controller: cannot resolve port for rule on %s towards NID %d",
-                        switch_name, directive.dst_nid)
+                        switch_name, frame.dst_nid)
             return
-        table.add(FlowRule(directive.lid, directive.lid, port))
+        table.add(FlowRule(frame.mask, frame.value, port, frame.priority))
 
-    def _resolve_port(self, switch_name: str, directive: RuleDirective) -> Optional[int]:
-        port = self.pending_discovery.get(directive.nonce, {}).get(switch_name)
+    def _resolve_port(self, switch_name: str, frame: RuleInstallFrame) -> Optional[int]:
+        port = self.pending_discovery.get(frame.nonce, {}).get(switch_name)
         if port is not None:
             # Host attachment: bind the TM-assigned NID to the ingress port.
-            self.nid_names[directive.dst_nid] = self.net.switches[switch_name].ports[port]
+            self.nid_names[frame.dst_nid] = self.net.switches[switch_name].ports[port]
             return port
-        dst_name = self.nid_names.get(directive.dst_nid)
+        dst_name = self.nid_names.get(frame.dst_nid)
         if dst_name is not None:
             for port, neighbor in self.net.switches[switch_name].ports.items():
                 if neighbor == dst_name:

@@ -40,7 +40,6 @@ def ms(value: float) -> int:
 @dataclass(frozen=True)
 class Deliver:
     payload: Any
-    link: Any
 
 
 @dataclass(frozen=True)
@@ -149,8 +148,8 @@ class Simulator:
 
     # -- measurement -------------------------------------------------------
 
-    def begin_span(self, label: str, at: Optional[int] = None) -> None:
-        self._open_spans[label] = self.now if at is None else at
+    def begin_span(self, label: str) -> None:
+        self._open_spans[label] = self.now
 
     def end_span(self, label: str) -> MeasurementSpan:
         start = self._open_spans.pop(label)

@@ -108,21 +108,39 @@ class RepairAction:
     new_path: Tuple[DirectedLink, ...]
 
 
+RULE_PRIORITY = 100
+
+
 @dataclass(frozen=True)
-class RuleDirective:
-    """Flow-rule change the controller must apply to a switch."""
+class RuleInstallFrame:
+    """Flow-rule change on one switch, from the TM to the controller.
+
+    It installs or removes the bitmask rule ``fid & mask == value`` that
+    forwards towards ``dst_nid``; a rule is removed by its (mask, value).
+    ``nonce`` ties a host-attachment rule to the discovery exchange the
+    controller observed, so it can resolve the switch port; 0 when unused.
+    The same object is the wire frame (type 0x12).
+    """
 
     install: bool
+    nonce: int
     switch_nid: int
     dst_nid: int
-    lid: LinkId
-    nonce: int = 0
+    mask: BitVector
+    value: BitVector
+    priority: int
+
+    @classmethod
+    def for_link(cls, install: bool, switch_nid: int, dst_nid: int, lid: LinkId,
+                 nonce: int = 0) -> "RuleInstallFrame":
+        """The rule forwarding a FID that holds ``lid`` onto the link to ``dst_nid``."""
+        return cls(install, nonce, switch_nid, dst_nid, lid, lid, RULE_PRIORITY)
 
 
 @dataclass(frozen=True)
 class StatsEntry:
     lid: LinkId
-    tx_bytes: int
+    byte_count: int
     utilization_ppm: int
 
 
@@ -134,7 +152,7 @@ class LinkStatsReport:
 @dataclass
 class LinkEventOutcome:
     repairs: List[RepairAction] = field(default_factory=list)
-    rule_directives: List[RuleDirective] = field(default_factory=list)
+    rule_directives: List[RuleInstallFrame] = field(default_factory=list)
 
 
 class TopologyGraph:
@@ -427,7 +445,8 @@ class TopologyGraph:
             link = self._pop_link(key)
             self.down_links[key] = link
             if self.nodes[event.src].kind == NodeKind.SDN_SWITCH:
-                out.rule_directives.append(RuleDirective(False, event.src, event.dst, link.lid))
+                out.rule_directives.append(
+                    RuleInstallFrame.for_link(False, event.src, event.dst, link.lid))
             out.repairs = self._repair(below)
         elif event.kind == LinkEventKind.ADD:
             if key in self.links:
@@ -444,7 +463,8 @@ class TopologyGraph:
                                     new_lid(self.rng, self.lid_registry, self.params),
                                     delay_ms=event.delay_ms)
             if self.nodes[event.src].kind == NodeKind.SDN_SWITCH:
-                out.rule_directives.append(RuleDirective(True, event.src, event.dst, link.lid))
+                out.rule_directives.append(
+                    RuleInstallFrame.for_link(True, event.src, event.dst, link.lid))
             out.repairs = self._add_and_repair(link)
         elif event.kind == LinkEventKind.UPDATE:
             link = self.links.get(key)

@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from random import Random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import jsonschema
 
@@ -32,7 +32,6 @@ class Defaults:
     tm_alloc_per_lid_ms: float = 0.1
     control_delay_ms: float = 0.0
     hop_limit: int = 64
-    capacity_mbps: float = 1000.0
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,6 @@ class TopoLink:
     a: str
     b: str
     delay_ms: float = 1.0
-    capacity_mbps: Optional[float] = None
 
 
 @dataclass
@@ -98,11 +96,7 @@ class TopologySpec:
         doc = {
             "params": {"m": self.m, "k": self.k, "defaults": asdict(self.defaults)},
             "nodes": [{"name": n.name, "kind": n.kind} for n in self.nodes],
-            "links": [
-                {"a": l.a, "b": l.b, "delay_ms": l.delay_ms,
-                 **({"capacity_mbps": l.capacity_mbps} if l.capacity_mbps is not None else {})}
-                for l in self.links
-            ],
+            "links": [{"a": l.a, "b": l.b, "delay_ms": l.delay_ms} for l in self.links],
             "seed": self.seed,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -131,8 +125,7 @@ def parse_spec(text: str) -> TopologySpec:
         k=params.get("k", 5),
         defaults=defaults,
         nodes=[TopoNode(n["name"], n["kind"]) for n in doc["nodes"]],
-        links=[TopoLink(l["a"], l["b"], l.get("delay_ms", 1.0), l.get("capacity_mbps"))
-               for l in doc["links"]],
+        links=[TopoLink(l["a"], l["b"], l.get("delay_ms", 1.0)) for l in doc["links"]],
         seed=doc.get("seed", 0),
     )
     spec.validate()

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .fid import BitVector, Fid, FidParams, LinkId
-from .topology import LinkEvent, LinkEventKind, LinkStatsReport, NodeKind, StatsEntry
+from .topology import (LinkEvent, LinkEventKind, LinkStatsReport, NodeKind, RuleInstallFrame,
+                       StatsEntry)
 
 VERSION = 0x01
 
@@ -105,23 +106,6 @@ class Update:
     tmfid: Optional[Fid] = None
 
 
-@dataclass(frozen=True)
-class RuleInstallFrame:
-    """Controller directive: install or remove one bitmask flow rule.
-
-    ``nonce`` ties host-attachment rules back to the discovery exchange the
-    controller observed, so it can resolve the switch port; 0 when unused.
-    """
-
-    install: bool
-    nonce: int
-    switch_nid: int
-    dst_nid: int
-    mask: BitVector
-    value: BitVector
-    priority: int
-
-
 Message = Union[DiscoveryRequest, DiscoveryOffer, ResourceRequest, ResourceOffer,
                 OfferAccepted, ResourceAccepted, Update,
                 LinkEvent, LinkStatsReport, RuleInstallFrame]
@@ -168,7 +152,7 @@ def encode(msg: Message, params: FidParams) -> bytes:
         mtype = TYPE_LINK_STATS
         payload = _U16.pack(len(msg.entries))
         for entry in msg.entries:
-            payload += (_vec_bytes(entry.lid, params) + _U64.pack(entry.tx_bytes)
+            payload += (_vec_bytes(entry.lid, params) + _U64.pack(entry.byte_count)
                         + _U32.pack(entry.utilization_ppm))
     elif isinstance(msg, RuleInstallFrame):
         mtype = TYPE_RULE_INSTALL
@@ -290,7 +274,7 @@ def golden_messages(params: FidParams) -> Tuple[Tuple[str, Message], ...]:
         ("ResourceAccepted", ResourceAccepted(nonce=2, nid=5)),
         ("Update", Update(nid=5, lid=lid_a, tmfid=None)),
         ("LinkEvent", LinkEvent(LinkEventKind.REMOVE, src=3, dst=4, delay_ms=0.0)),
-        ("LinkStatsReport", LinkStatsReport((StatsEntry(lid_a, tx_bytes=1000, utilization_ppm=500000),))),
+        ("LinkStatsReport", LinkStatsReport((StatsEntry(lid_a, byte_count=1000, utilization_ppm=500000),))),
         ("RuleInstall", RuleInstallFrame(install=True, nonce=2, switch_nid=3, dst_nid=5,
                                          mask=lid_a, value=lid_a, priority=100)),
     )

@@ -4,13 +4,14 @@ from random import Random
 
 import pytest
 
-from icnsim.bootstrap import (Arm, Broadcast, Directive, DISCOVERY_TIMER, Notify,
+from icnsim.bootstrap import (Arm, Broadcast, DISCOVERY_TIMER, Notify,
                               NodeBootstrapFsm, NodeConfig, NotBootstrapped,
                               REQUEST_TIMER, Reply, BootstrapState, Send, Timers,
                               TmEngine, WrongState, apply_update,
                               responder_on_discovery)
 from icnsim.fid import BitVector, FidParams
-from icnsim.topology import LinkEvent, LinkEventKind, NodeKind, TM_NID, TopologyGraph
+from icnsim.topology import (LinkEvent, LinkEventKind, NodeKind, RuleInstallFrame, TM_NID,
+                             TopologyGraph)
 from icnsim.wire import (DiscoveryOffer, DiscoveryRequest, OfferAccepted,
                          ResourceAccepted, ResourceOffer, ResourceRequest, Update,
                          encode)
@@ -271,12 +272,15 @@ class TestTmEngine:
         host = engine.on_message(ResourceRequest(6, NodeKind.ICN_NODE, TM_NID))
         h_nid = next(a.message for a in host.actions if isinstance(a, Reply)).nid
         engine.on_message(OfferAccepted(6, h_nid))
-        for _ in range(2):  # first ADD, then the revival of the same LID
-            added = engine.on_link_event(LinkEvent(LinkEventKind.ADD, h_nid, s_nid))
-            notes = [a for a in added.actions if isinstance(a, Notify)]
-            assert [(n.nid, n.message) for n in notes] == [
-                (h_nid, Update(s_nid, graph.links[(h_nid, s_nid)].lid))]
-            engine.on_link_event(LinkEvent(LinkEventKind.REMOVE, h_nid, s_nid))
+        added = engine.on_link_event(LinkEvent(LinkEventKind.ADD, h_nid, s_nid))
+        notes = [a for a in added.actions if isinstance(a, Notify)]
+        assert [(n.nid, n.message) for n in notes] == [
+            (h_nid, Update(s_nid, graph.links[(h_nid, s_nid)].lid))]
+        # A revival keeps the LID the node already holds: nothing to announce.
+        engine.on_link_event(LinkEvent(LinkEventKind.REMOVE, h_nid, s_nid))
+        revived = engine.on_link_event(LinkEvent(LinkEventKind.ADD, h_nid, s_nid))
+        assert revived.lids_allocated == 0
+        assert not any(isinstance(a, Notify) for a in revived.actions)
         added = engine.on_link_event(LinkEvent(LinkEventKind.ADD, s_nid, h_nid))
         assert not any(isinstance(a, Notify) for a in added.actions)
 
@@ -300,9 +304,9 @@ class TestTmEngine:
         engine.on_message(OfferAccepted(5, s_nid))
         result = engine.on_message(ResourceRequest(6, NodeKind.ICN_NODE, s_nid))
         kinds = [type(a).__name__ for a in result.actions]
-        assert kinds.index("Directive") < kinds.index("Reply")
-        directive = next(a.directive for a in result.actions if isinstance(a, Directive))
-        assert directive.switch_nid == s_nid and directive.install
+        assert kinds.index("RuleInstallFrame") < kinds.index("Reply")
+        rule = next(a for a in result.actions if isinstance(a, RuleInstallFrame))
+        assert rule.switch_nid == s_nid and rule.install
 
     def test_switch_commit_emits_both_rules(self):
         engine, _ = self.make_engine()
@@ -312,8 +316,8 @@ class TestTmEngine:
         r2 = engine.on_message(ResourceRequest(6, NodeKind.SDN_SWITCH, s1))
         s2 = next(a.message for a in r2.actions if isinstance(a, Reply)).nid
         final = engine.on_message(OfferAccepted(6, s2))
-        directives = [a.directive for a in final.actions if isinstance(a, Directive)]
-        assert {(d.switch_nid, d.dst_nid) for d in directives} == {(s1, s2), (s2, s1)}
+        rules = [a for a in final.actions if isinstance(a, RuleInstallFrame)]
+        assert {(r.switch_nid, r.dst_nid) for r in rules} == {(s1, s2), (s2, s1)}
 
     def test_expire_releases_grant(self):
         engine, graph = self.make_engine()

@@ -4,8 +4,10 @@ from random import Random
 
 import pytest
 
+from icnsim import wire
 from icnsim.bootstrap import BootstrapState
 from icnsim.deploy import Deployment
+from icnsim.fabric import IcnPacket
 from icnsim.fid import fid_or
 from icnsim.simnet import NeverCompleted
 from icnsim.topology import TM_NID, TopologyGraph
@@ -486,3 +488,63 @@ class TestDenseBootstrap:
         net.run_bootstrap()
         assert net.all_done()
         assert net.controller.pending_discovery == {}
+
+
+class TestHostLinkFlap:
+    def test_revived_host_link_not_announced(self, caplog):
+        # On restore of h1's only link the TM cannot reach h1 until both
+        # directions are back; the revived link keeps its LID, so there is
+        # nothing to announce.
+        spec = TopologySpec(
+            nodes=[TopoNode("tm", "tm"), TopoNode("s1", "switch"), TopoNode("h1", "host")],
+            links=[TopoLink("tm", "s1", 0.2), TopoLink("h1", "s1", 0.2)], seed=59)
+        net = Deployment(spec)
+        net.run_bootstrap()
+        host = net.hosts["h1"]
+        lids = dict(host.config.link_lids)
+        with caplog.at_level("WARNING"):
+            net.fail_link("h1", "s1")
+            net.run_until_idle()
+            net.restore_link("h1", "s1")
+            net.run_until_idle()
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
+        assert host.config.link_lids == lids
+        trace = net.inject_probe("h1")
+        net.run_until_idle()
+        assert net.consumed.get(trace) == ["tm"]
+
+
+class TestDataPayloads:
+    def test_data_is_told_from_control_without_decoding(self, monkeypatch):
+        net = Deployment(generate_random(24, 200, 32, 5))
+        net.run_bootstrap()
+        assert net.all_done()
+        raised = []
+        decode_frame = wire.decode
+
+        def counted(*args):
+            try:
+                return decode_frame(*args)
+            except wire.CodecError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(wire, "decode", counted)
+        rng = Random(5)
+        hosts = sorted(net.hosts)
+        traces = [(net.inject_data(*pair), pair[1])
+                  for pair in (rng.sample(hosts, 2) for _ in range(1000))]
+        net.run_until_idle()
+        assert all(dst in net.consumed.get(t, ()) for t, dst in traces)
+        assert raised == []
+
+    def test_undecodable_frame_not_consumed(self):
+        net = Deployment(chain_spec(1, hosts=1))
+        net.run_bootstrap()
+        host = net.hosts["h1"]
+        payload = bytes([wire.VERSION]) + b"junk"
+        packet = IcnPacket(host.config.tmfid, net.hop_limit, payload, trace_id=net.next_trace())
+        host.send(packet)
+        net.run_until_idle()
+        assert ("s1", "tm") in net.traces[packet.trace_id]  # it reached the TM
+        assert packet.trace_id not in net.consumed

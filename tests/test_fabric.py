@@ -2,15 +2,14 @@
 
 import pytest
 
-from icnsim.fabric import (AttachNotEnabled, FlowRule, FlowTable, IcnPacket, LOCAL_PORT,
-                           MISS, PacketIn, StatsTick, SwitchAttached, decode_packet,
-                           encode_packet, switch_forward)
+from icnsim.fabric import (AttachNotEnabled, FlowRule, FlowTable, IcnPacket, MISS, PacketIn,
+                           SwitchAttached, decode_packet, encode_packet, switch_forward)
 from icnsim.fid import BitVector, FidParams, fid_or
 from icnsim.simnet import LimitExceeded
 from icnsim.deploy import Deployment
 from icnsim.topospec import TopoLink, TopoNode, TopologySpec
 from icnsim.wire import DiscoveryRequest, ResourceRequest, encode
-from icnsim.topology import NodeKind
+from icnsim.topology import NodeKind, RuleInstallFrame, TM_NID
 
 P8 = FidParams(m=8, k=2)
 P256 = FidParams(m=256, k=5)
@@ -40,12 +39,6 @@ class TestFlowTable:
         table.add(FlowRule(L1, L1, out_port=1))
         table.add(FlowRule(L2, L2, out_port=2))
         assert switch_forward(table, IcnPacket(L1, 64, b"")) == [1]
-
-    def test_local_port_rule(self):
-        table = FlowTable()
-        ilid = bv8(0b00000011)
-        table.add(FlowRule(ilid, ilid, out_port=LOCAL_PORT))
-        assert switch_forward(table, IcnPacket(bv8(0b00001111), 64, b"")) == [LOCAL_PORT]
 
     def test_value_must_be_within_mask(self):
         with pytest.raises(ValueError):
@@ -101,7 +94,7 @@ class TestController:
                          [TopoLink("s1", "s2", 0.0), TopoLink("s2", "s3", 0.0)])
         net = Deployment(spec)
         with pytest.raises(AttachNotEnabled):
-            net.controller.on_switch_attached(SwitchAttached("s3", "s2", 0, 0))
+            net.controller.on_switch_attached(SwitchAttached("s3", "s2"))
 
     def test_garbage_packet_in_dropped(self):
         net = Deployment(mini_spec())
@@ -138,60 +131,24 @@ class TestController:
         assert offer.responder_nid == s1_nid
         assert offer.tmfid == net.graph.nodes[s1_nid].tmfid
 
+    def test_rule_frame_installed_as_sent(self):
+        # The frame's value and priority reach the switch table unchanged.
+        net = Deployment(mini_spec())
+        net.run_bootstrap()
+        s1 = net.controller.enabled["s1"]
+        lid = BitVector.from_bits(256, [1, 2, 3, 4, 5])
+        net.controller.on_ctl_message(RuleInstallFrame(True, 0, s1, TM_NID, lid, lid, 7))
+        rule = FlowRule(lid, lid, out_port=0, priority=7)  # port 0 faces the TM
+        assert rule in net.switches["s1"].table.snapshot()
+        net.controller.on_ctl_message(RuleInstallFrame(False, 0, s1, TM_NID, lid, lid, 7))
+        assert rule not in net.switches["s1"].table.snapshot()
+
     def test_packet_in_counter(self):
         net = Deployment(mini_spec())
         net.run_bootstrap()
         before = net.controller.packet_in_count
         net.controller.on_packet_in(PacketIn("s1", 0, b"junk"))
         assert net.controller.packet_in_count == before + 1
-
-
-class TestStats:
-    def test_idle_network_reports_zero(self):
-        net = Deployment(mini_spec())
-        net.run_bootstrap()
-        net.tick_stats(period_us=1000)
-        net.run_until_idle()
-        assert all(link.load == 0 for link in net.graph.links.values())
-
-    def test_utilization_matches_byte_count(self):
-        spec = mini_spec([TopoNode("h1", "host"), TopoNode("h2", "host")],
-                         [TopoLink("h1", "s1", 0.0), TopoLink("h2", "s1", 0.0)])
-        net = Deployment(spec)
-        net.run_bootstrap()
-        net.tick_stats(period_us=1000)  # zero the baseline after bootstrap
-        net.run_until_idle()
-        for _ in range(10):
-            net.inject_data("h1", "h2")
-        net.run_until_idle()
-        net.tick_stats(period_us=1000)
-        net.run_until_idle()
-        h2_nid = net.nid_of("h2")
-        link = net.graph.links[(net.controller.enabled["s1"], h2_nid)]
-        # 10 packets x (32-byte FID + hop byte + b"DATA") = 370 bytes in 1 ms
-        expected_ppm = round(370 * 8 / (1000e6 * 0.001) * 1e6)
-        assert round(link.load * 1e6) == expected_ppm
-
-    def test_stats_reach_tm_and_steer_te(self):
-        # two equal routes; loading one flips te_select_path to the other
-        spec = mini_spec(
-            [TopoNode("s2", "switch"), TopoNode("s3", "switch"), TopoNode("s4", "switch"),
-             TopoNode("h1", "host"), TopoNode("h2", "host")],
-            [TopoLink("s1", "s2", 0.0), TopoLink("s1", "s3", 0.0),
-             TopoLink("s2", "s4", 0.0), TopoLink("s3", "s4", 0.0),
-             TopoLink("h1", "s1", 0.0), TopoLink("h2", "s4", 0.0)])
-        net = Deployment(spec)
-        net.run_bootstrap()
-        s1, s2, s4 = (net.controller.enabled[x] for x in ("s1", "s2", "s4"))
-        assert [l.src for l in net.graph.te_select_path(s1, s4)] == [s1, s2]
-        net.tick_stats(period_us=1000)
-        net.run_until_idle()
-        for _ in range(20):
-            net.inject_data("h1", "h2")  # rides the s2 route
-        net.run_until_idle()
-        net.tick_stats(period_us=1000)
-        net.run_until_idle()
-        assert [l.src for l in net.graph.te_select_path(s1, s4)] != [s1, s2]
 
 
 class TestBloomLoop:

@@ -84,7 +84,7 @@ class TestRunUntilIdle:
         sim = Simulator()
         got = []
         sim.register("t", lambda e: got.append(e.kind))
-        sim.schedule(0, "t", Deliver(payload=b"x", link=("a", "b")))
+        sim.schedule(0, "t", Deliver(payload=b"x"))
         sim.schedule(0, "t", Control(event="evt"))
         sim.run_until_idle()
         assert isinstance(got[0], Deliver) and isinstance(got[1], Control)

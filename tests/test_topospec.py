@@ -64,6 +64,15 @@ class TestParsing:
         with pytest.raises(SpecError, match=r"params\.m"):
             parse_spec(json.dumps(doc))
 
+    @pytest.mark.parametrize("where", ["defaults", "link"])
+    def test_capacity_rejected(self, where):
+        # Link capacities are not part of the format.
+        doc = minimal_doc()
+        target = doc["params"]["defaults"] if where == "defaults" else doc["links"][0]
+        target["capacity_mbps"] = 1000.0
+        with pytest.raises(SpecError, match="capacity_mbps"):
+            parse_spec(json.dumps(doc))
+
     def test_defaults_applied(self):
         spec = parse_spec(json.dumps(minimal_doc()))
         assert spec.defaults == Defaults()
