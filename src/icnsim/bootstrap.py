@@ -342,7 +342,7 @@ class TmEngine:
     def on_link_event(self, event: LinkEvent) -> TmResult:
         before = len(self.graph.lid_registry)
         outcome = self.graph.handle_link_event(event)
-        result = TmResult(len(self.graph.lid_registry) - before, list(outcome.rule_directives))
+        result = TmResult(len(self.graph.lid_registry) - before, list(outcome.rules))
         if result.lids_allocated and self.graph.nodes[event.src].kind == NodeKind.ICN_NODE:
             # An ICN node's counterpart of a switch's install rule.  A revived
             # link keeps its LID, which the node's link table still holds.

@@ -22,7 +22,7 @@ from .bootstrap import (Arm, Broadcast, NodeBootstrapFsm, NodeConfig, Notify, Re
 from .fabric import (Controller, FlowTable, IcnPacket, LinkDown, LinkUp, MISS, PacketIn,
                      SwitchAttached, encode_packet, switch_forward)
 from .fid import BitVector, Fid, FidParams, fid_matches, fid_or
-from .simnet import Control, Deliver, SimReport, Simulator, Timer, ms
+from .simnet import SimReport, Simulator, Timer, ms
 from .topology import TM_NID, DirectedLink, RuleInstallFrame, TopologyError, TopologyGraph
 from .topospec import TopologySpec
 from .wire import CodecError, DiscoveryRequest, ResourceRequest, Update
@@ -47,6 +47,14 @@ class PacketOutCmd:
     packet: IcnPacket
 
 
+@dataclass(frozen=True)
+class ServiceDone:
+    """The TM has served one message: the actions to send, and where it came from."""
+
+    actions: List
+    origin: str
+
+
 class SwitchNode:
     """Forwarding-only SDN switch with an arbitrary-bitmask flow table."""
 
@@ -58,13 +66,10 @@ class SwitchNode:
         self.drops = 0
 
     def handle(self, event) -> None:
-        kind = event.kind
-        if isinstance(kind, Deliver) and isinstance(kind.payload, FabricDelivery):
-            self._forward(kind.payload.packet, kind.payload.in_port)
-        elif isinstance(kind, Control) and isinstance(kind.event, PacketOutCmd):
-            self.net.emit(self.name, kind.event.port, kind.event.packet)
-        else:  # pragma: no cover
-            log.warning("%s: unhandled event %r", self.name, kind)
+        if isinstance(event, FabricDelivery):
+            self._forward(event.packet, event.in_port)
+        else:  # PacketOutCmd
+            self.net.emit(self.name, event.port, event.packet)
 
     def _forward(self, packet: IcnPacket, in_port: int) -> None:
         result = switch_forward(self.table, packet)
@@ -108,13 +113,10 @@ class HostNode:
         self._execute(self.fsm.start())
 
     def handle(self, event) -> None:
-        kind = event.kind
-        if isinstance(kind, Deliver) and isinstance(kind.payload, FabricDelivery):
-            self._on_packet(kind.payload.packet, kind.payload.in_port)
-        elif isinstance(kind, Timer):
-            self._execute(self.fsm.on_timeout(kind.timer_id, kind.token))
-        else:  # pragma: no cover
-            log.warning("%s: unhandled event %r", self.name, kind)
+        if isinstance(event, FabricDelivery):
+            self._on_packet(event.packet, event.in_port)
+        else:  # Timer
+            self._execute(self.fsm.on_timeout(event.timer_id, event.token))
         self._check_settled()
 
     def _on_packet(self, packet: IcnPacket, in_port: int) -> None:
@@ -124,11 +126,9 @@ class HostNode:
         if self.fsm.state != BootstrapState.DONE:
             # Pre-configuration the node owns no identifiers; everything that
             # arrives is treated as addressed to it.
-            try:
-                msg = wire.decode(packet.payload, self.net.params)
-            except CodecError:
-                return
-            self._execute(self.fsm.on_message(msg, in_port))
+            msg = self.net.decode(self.name, packet.payload)
+            if msg is not None:
+                self._execute(self.fsm.on_message(msg, in_port))
             return
         if self.config.ilid is not None and fid_matches(packet.fid, self.config.ilid):
             self._consume(packet, in_port)
@@ -151,9 +151,8 @@ class HostNode:
             self.net.emit(self.name, port, packet)
 
     def _on_link_local(self, packet: IcnPacket, in_port: int) -> None:
-        try:
-            msg = wire.decode(packet.payload, self.net.params)
-        except CodecError:
+        msg = self.net.decode(self.name, packet.payload)
+        if msg is None:
             return
         if isinstance(msg, DiscoveryRequest) and self.fsm.state == BootstrapState.DONE:
             try:
@@ -213,20 +212,16 @@ class TmNode:
         self.wall_alloc_s = 0.0
         self._queue: deque = deque()
         self._busy = False
-        self._pending_actions: List = []
-        self._pending_origin = "ctl"
 
     def handle(self, event) -> None:
-        kind = event.kind
-        if isinstance(kind, Deliver):
-            if isinstance(kind.payload, FabricDelivery):
-                self._on_packet(kind.payload.packet, kind.payload.in_port)
-            elif isinstance(kind.payload, CtlDelivery):
-                self._on_ctl(kind.payload.data)
-        elif isinstance(kind, Timer) and kind.timer_id == "svc":
-            self._service_done()
-        else:  # pragma: no cover
-            log.warning("tm: unhandled event %r", kind)
+        if isinstance(event, FabricDelivery):
+            self._on_packet(event.packet, event.in_port)
+        elif isinstance(event, CtlDelivery):
+            msg = self.net.decode(self.name, event.data)
+            if msg is not None:
+                self._enqueue(msg, "ctl", None)
+        else:  # ServiceDone
+            self._service_done(event)
 
     # -- packet plane ---------------------------------------------------------
 
@@ -250,9 +245,8 @@ class TmNode:
                     self.net.emit(self.name, port, packet)
 
     def _on_link_local(self, packet: IcnPacket, in_port: int) -> None:
-        try:
-            msg = wire.decode(packet.payload, self.net.params)
-        except CodecError:
+        msg = self.net.decode(self.name, packet.payload)
+        if msg is None:
             return
         if isinstance(msg, DiscoveryRequest):
             offer = responder_on_discovery(msg, self.config)
@@ -261,14 +255,6 @@ class TmNode:
             # Directly attached nodes address the TM with its own (all-zero)
             # TMFID, so handshake messages arrive on the default-FID channel.
             self._enqueue(msg, "fabric", in_port)
-
-    def _on_ctl(self, data: bytes) -> None:
-        try:
-            msg = wire.decode(data, self.net.params)
-        except CodecError as exc:
-            log.warning("tm: bad control frame: %s", exc)
-            return
-        self._enqueue(msg, "ctl", None)
 
     # -- serial processing ------------------------------------------------------
 
@@ -302,14 +288,13 @@ class TmNode:
             nid = self.engine.nid_for_nonce(msg.nonce)
             if nid is not None:
                 self.nid_port[nid] = in_port
-        self._pending_actions = result.actions if result else []
-        self._pending_origin = origin
         cost = self.service_us + lids * self.alloc_us
-        self.net.sim.schedule_in(cost, f"node:{self.name}", Timer("svc"))
+        self.net.sim.schedule_in(cost, f"node:{self.name}",
+                                 ServiceDone(result.actions if result else [], origin))
 
-    def _service_done(self) -> None:
-        origin = self._pending_origin
-        for action in self._pending_actions:
+    def _service_done(self, done: ServiceDone) -> None:
+        origin = done.origin
+        for action in done.actions:
             if isinstance(action, Reply):
                 if origin == "ctl":
                     self.net.ctl_to_controller(action.message)
@@ -319,7 +304,6 @@ class TmNode:
                 self.net.ctl_to_controller(action)
             elif isinstance(action, Notify):
                 self._route_to_node(action.nid, action.message)
-        self._pending_actions = []
         self._busy = False
         if self._queue:
             self._start_next()
@@ -342,12 +326,10 @@ class TmNode:
 class Deployment:
     """A fully wired simulated deployment driven by a topology spec."""
 
-    def __init__(self, spec: TopologySpec, seed: Optional[int] = None,
-                 mode: str = "sequential"):
+    def __init__(self, spec: TopologySpec, seed: Optional[int] = None):
         spec.validate()
         self.spec = spec
         self.seed = spec.seed if seed is None else seed
-        self.mode = mode
         self.params = FidParams(m=spec.m, k=spec.k)
         d = spec.defaults
         self.timers = Timers(ms(d.discovery_wait_ms), ms(d.request_timeout_ms), d.max_retries)
@@ -395,7 +377,6 @@ class Deployment:
         self._order = [n.name for n in spec.nodes if n.kind != "tm"]
         self._order_idx = 0
         self.failures: Dict[str, str] = {}
-        self._reported_pairs: set = set()
 
         self.sim.register(f"node:{self.tm_name}", self.tm.handle)
         for name, sw in self.switches.items():
@@ -438,28 +419,24 @@ class Deployment:
             return
         self.traces.setdefault(packet.trace_id, []).append((src, dst))
         self.sim.schedule_in(self._pair_delay_us[pair], f"node:{dst}",
-                             Deliver(FabricDelivery(packet, dst_port)))
+                             FabricDelivery(packet, dst_port))
 
     def packet_in(self, switch: str, in_port: int, packet: IcnPacket) -> None:
         data = encode_packet(packet, self.params)
-        self.sim.schedule_in(self.ctl_delay_us, "ctl",
-                             Control(PacketIn(switch, in_port, data)))
+        self.sim.schedule_in(self.ctl_delay_us, "ctl", PacketIn(switch, in_port, data))
 
     def packet_out(self, switch: str, port: int, packet: IcnPacket) -> None:
-        packet = replace(packet, trace_id=self.next_trace())
-        self.sim.schedule_in(self.ctl_delay_us, f"node:{switch}",
-                             Control(PacketOutCmd(port, packet)))
+        self.sim.schedule_in(self.ctl_delay_us, f"node:{switch}", PacketOutCmd(port, packet))
 
     def ctl_send(self, message) -> None:
         """Controller -> TM over the ICN-SDN interface."""
         data = wire.encode(message, self.params)
-        self.sim.schedule_in(self.ctl_delay_us, f"node:{self.tm_name}",
-                             Deliver(CtlDelivery(data)))
+        self.sim.schedule_in(self.ctl_delay_us, f"node:{self.tm_name}", CtlDelivery(data))
 
     def ctl_to_controller(self, message) -> None:
         """TM -> controller over the ICN-SDN interface."""
         data = wire.encode(message, self.params)
-        self.sim.schedule_in(self.ctl_delay_us, "ctl", Deliver(CtlDelivery(data)))
+        self.sim.schedule_in(self.ctl_delay_us, "ctl", CtlDelivery(data))
 
     def link_delay_ms(self, a: str, b: str) -> float:
         return self._pair_delay_us[frozenset((a, b))] / 1000
@@ -481,23 +458,23 @@ class Deployment:
         if not packet.payload or packet.payload[0] != wire.VERSION:
             self.consumed.setdefault(packet.trace_id, []).append(name)
             return None
+        return self.decode(name, packet.payload)
+
+    def decode(self, name: str, data: bytes) -> Optional[wire.Message]:
+        """The control frame that node ``name`` received, or None, logged, if it is malformed."""
         try:
-            return wire.decode(packet.payload, self.params)
+            return wire.decode(data, self.params)
         except CodecError as exc:
-            log.warning("%s: bad control frame dropped: %s", name, exc)
+            log.info("%s: undecodable control frame dropped: %s", name, exc)
             return None
 
     def _controller_handle(self, event) -> None:
-        kind = event.kind
-        if isinstance(kind, Control):
-            self.controller.on_control_event(kind.event)
-        elif isinstance(kind, Deliver) and isinstance(kind.payload, CtlDelivery):
-            try:
-                msg = wire.decode(kind.payload.data, self.params)
-            except CodecError as exc:
-                log.warning("controller: bad ctl frame: %s", exc)
-                return
-            self.controller.on_ctl_message(msg)
+        if isinstance(event, CtlDelivery):
+            msg = self.decode("controller", event.data)
+            if msg is not None:
+                self.controller.on_ctl_message(msg)
+        else:  # PacketIn, SwitchAttached, LinkUp or LinkDown
+            self.controller.on_control_event(event)
 
     # -- orchestration ------------------------------------------------------------
 
@@ -509,9 +486,8 @@ class Deployment:
         self.sim.run_until_idle(limit_us)
         return self.report()
 
-    def _orch_handle(self, event) -> None:
-        if isinstance(event.kind, Timer) and event.kind.timer_id == "next":
-            self._start_next_node()
+    def _orch_handle(self, event: Timer) -> None:
+        self._start_next_node()
 
     def _start_next_node(self) -> None:
         while self._order_idx < len(self._order):
@@ -523,15 +499,10 @@ class Deployment:
                     self.failures[name] = "no ICN-enabled attach point"
                     continue
                 self.sim.begin_span(f"bootstrap:{name}")
-                self._reported_pairs.add(frozenset((name, attach)))
-                self.sim.schedule_in(0, "ctl", Control(SwitchAttached(name, attach)))
+                self.sim.schedule_in(0, "ctl", SwitchAttached(name, attach))
                 return
-            host = self.hosts[name]
             self.sim.begin_span(f"bootstrap:{name}")
-            if self.mode == "concurrent":
-                host.start()
-                continue
-            host.start()
+            self.hosts[name].start()
             return
 
     def _find_attach_point(self, switch_name: str) -> Optional[str]:
@@ -556,8 +527,7 @@ class Deployment:
         # Its attach rule is bound, so its discovery ports are spent.
         self.controller.pending_discovery.pop(host.fsm.nonce, None)
         self._finish_ports(name)
-        if self.mode != "concurrent":
-            self.sim.schedule_in(0, "orch", Timer("next"))
+        self.sim.schedule_in(0, "orch", Timer("next"))
 
     def _finish_ports(self, name: str) -> None:
         """Per port of a node that just got its NID, towards each neighbour with one.
@@ -578,25 +548,22 @@ class Deployment:
             peer = self._node(other)
             if not isinstance(peer, SwitchNode):
                 peer.nid_port[nid] = self._wiring[(name, port)][1]
-            pair = frozenset((name, other))
             delay_ms = self.link_delay_ms(name, other)
             for key in ((nid, other_nid), (other_nid, nid)):
                 link = self.graph.links.get(key)
                 if link is not None and not link.delay_ms:
                     self.graph.links[key] = replace(link, delay_ms=delay_ms)
-            if pair in self._reported_pairs or pair in self.down_pairs:
+            if frozenset((name, other)) in self.down_pairs:
                 continue
-            self._reported_pairs.add(pair)
-            a, b = sorted(pair)
+            a, b = sorted((name, other))
             key = (nid, other_nid) if a == name else (other_nid, nid)
             if key in self.graph.links or key in self.graph.down_links:
                 continue
-            self.sim.schedule_in(0, "ctl", Control(LinkUp(a, b)))
+            self.sim.schedule_in(0, "ctl", LinkUp(a, b))
 
     def node_failed(self, name: str, reason: str) -> None:
         self.failures[name] = reason
-        if self.mode != "concurrent":
-            self.sim.schedule_in(0, "orch", Timer("next"))
+        self.sim.schedule_in(0, "orch", Timer("next"))
 
     def nid_of(self, name: str) -> Optional[int]:
         if name == self.tm_name:
@@ -610,11 +577,11 @@ class Deployment:
 
     def fail_link(self, a: str, b: str) -> None:
         self.down_pairs.add(frozenset((a, b)))
-        self.sim.schedule_in(0, "ctl", Control(LinkDown(a, b)))
+        self.sim.schedule_in(0, "ctl", LinkDown(a, b))
 
     def restore_link(self, a: str, b: str) -> None:
         self.down_pairs.discard(frozenset((a, b)))
-        self.sim.schedule_in(0, "ctl", Control(LinkUp(a, b)))
+        self.sim.schedule_in(0, "ctl", LinkUp(a, b))
 
     def inject_probe(self, host_name: str) -> int:
         """Send a packet stamped with the host's own TMFID towards the TM."""

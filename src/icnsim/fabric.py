@@ -243,9 +243,7 @@ class Controller:
             return
         tmfid = self.net.graph.nodes[nid].tmfid
         offer = DiscoveryOffer(msg.nonce, nid, tmfid)
-        reply = IcnPacket(BitVector.zero(self.params.m), self.net.hop_limit,
-                          wire.encode(offer, self.params))
-        self.net.packet_out(event.switch, event.in_port, reply)
+        self.net.packet_out(event.switch, event.in_port, self.net.link_local_packet(offer))
 
     def on_link_change(self, event: Union[LinkDown, LinkUp]) -> None:
         """Relay a physical link transition to the TM, one event per direction."""

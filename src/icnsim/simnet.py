@@ -4,6 +4,9 @@ Virtual time is a 64-bit count of microseconds.  Events execute in
 ``(at, seq)`` order where ``seq`` is assigned at scheduling time, so runs
 are fully reproducible: the same topology and seed yield the same event
 trace, timestamps and measurement spans.
+
+An event is the object that was scheduled: a handler receives it as is and
+dispatches on its type.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional
 
 US_PER_MS = 1000
 
@@ -38,30 +41,9 @@ def ms(value: float) -> int:
 
 
 @dataclass(frozen=True)
-class Deliver:
-    payload: Any
-
-
-@dataclass(frozen=True)
 class Timer:
     timer_id: str
     token: int = 0
-
-
-@dataclass(frozen=True)
-class Control:
-    event: Any
-
-
-EventKind = Union[Deliver, Timer, Control]
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    at: int
-    seq: int
-    target: str
-    kind: EventKind
 
 
 @dataclass(frozen=True)
@@ -110,26 +92,24 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0
-        self._heap: List[tuple[int, int, SimEvent]] = []
+        self._heap: List[tuple[int, int, str, Any]] = []
         self._seq = itertools.count()
-        self._handlers: Dict[str, Callable[[SimEvent], None]] = {}
+        self._handlers: Dict[str, Callable[[Any], None]] = {}
         self._open_spans: Dict[str, int] = {}
         self.spans: List[MeasurementSpan] = []
 
-    def register(self, target: str, handler: Callable[[SimEvent], None]) -> None:
+    def register(self, target: str, handler: Callable[[Any], None]) -> None:
         if target in self._handlers:
             raise ValueError(f"target {target!r} already registered")
         self._handlers[target] = handler
 
-    def schedule(self, at: int, target: str, kind: EventKind) -> SimEvent:
+    def schedule(self, at: int, target: str, event: Any) -> None:
         if at < self.now:
             raise PastTime(f"cannot schedule at {at} before now {self.now}")
-        event = SimEvent(at, next(self._seq), target, kind)
-        heapq.heappush(self._heap, (event.at, event.seq, event))
-        return event
+        heapq.heappush(self._heap, (at, next(self._seq), target, event))
 
-    def schedule_in(self, delay: int, target: str, kind: EventKind) -> SimEvent:
-        return self.schedule(self.now + delay, target, kind)
+    def schedule_in(self, delay: int, target: str, event: Any) -> None:
+        self.schedule(self.now + delay, target, event)
 
     def run_until_idle(self, limit: int = 10 ** 12) -> int:
         """Process events in order; returns the time of the last event.
@@ -138,12 +118,12 @@ class Simulator:
         ``limit``, which signals a livelock such as a Bloom forwarding loop.
         """
         while self._heap:
-            at, _, event = self._heap[0]
+            at = self._heap[0][0]
             if at > limit:
                 raise LimitExceeded(f"event pending at {at} beyond limit {limit}")
-            heapq.heappop(self._heap)
+            _, _, target, event = heapq.heappop(self._heap)
             self.now = at
-            self._handlers[event.target](event)
+            self._handlers[target](event)
         return self.now
 
     # -- measurement -------------------------------------------------------

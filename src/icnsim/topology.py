@@ -152,7 +152,7 @@ class LinkStatsReport:
 @dataclass
 class LinkEventOutcome:
     repairs: List[RepairAction] = field(default_factory=list)
-    rule_directives: List[RuleInstallFrame] = field(default_factory=list)
+    rules: List[RuleInstallFrame] = field(default_factory=list)
 
 
 class TopologyGraph:
@@ -445,7 +445,7 @@ class TopologyGraph:
             link = self._pop_link(key)
             self.down_links[key] = link
             if self.nodes[event.src].kind == NodeKind.SDN_SWITCH:
-                out.rule_directives.append(
+                out.rules.append(
                     RuleInstallFrame.for_link(False, event.src, event.dst, link.lid))
             out.repairs = self._repair(below)
         elif event.kind == LinkEventKind.ADD:
@@ -463,7 +463,7 @@ class TopologyGraph:
                                     new_lid(self.rng, self.lid_registry, self.params),
                                     delay_ms=event.delay_ms)
             if self.nodes[event.src].kind == NodeKind.SDN_SWITCH:
-                out.rule_directives.append(
+                out.rules.append(
                     RuleInstallFrame.for_link(True, event.src, event.dst, link.lid))
             out.repairs = self._add_and_repair(link)
         elif event.kind == LinkEventKind.UPDATE:

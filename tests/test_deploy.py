@@ -6,7 +6,7 @@ import pytest
 
 from icnsim import wire
 from icnsim.bootstrap import BootstrapState
-from icnsim.deploy import Deployment
+from icnsim.deploy import CtlDelivery, Deployment
 from icnsim.fabric import IcnPacket
 from icnsim.fid import fid_or
 from icnsim.simnet import NeverCompleted
@@ -168,34 +168,6 @@ class TestLossyRuns:
         with pytest.raises(NeverCompleted):
             net.report().span("bootstrap:h1")
         assert "h1" in net.failures
-
-
-class TestConcurrentBootstraps:
-    def multi_host_spec(self, hosts):
-        nodes = [TopoNode("tm", "tm"), TopoNode("s1", "switch")]
-        links = [TopoLink("tm", "s1", 0.5)]
-        for i in range(1, hosts + 1):
-            nodes.append(TopoNode(f"h{i}", "host"))
-            links.append(TopoLink(f"h{i}", "s1", 0.5))
-        return TopologySpec(nodes=nodes, links=links, seed=23)
-
-    def test_two_hosts_concurrently_done(self):
-        net = Deployment(self.multi_host_spec(2), mode="concurrent")
-        net.run_bootstrap()
-        assert net.all_done()
-        spans = {s.label for s in net.sim.spans}
-        assert {"bootstrap:h1", "bootstrap:h2"} <= spans
-
-    def test_interleaved_handshakes_keep_identifiers_unique(self):
-        net = Deployment(self.multi_host_spec(5), mode="concurrent")
-        net.run_bootstrap()
-        assert net.all_done()
-        nids = [h.config.nid for h in net.hosts.values()]
-        assert len(set(nids)) == len(nids)
-        ilids = [h.config.ilid for h in net.hosts.values()]
-        assert len(set(ilids)) == len(ilids)
-        live = net.graph.live_lids()
-        assert len(live) == len({l.value for l in live})
 
 
 class TestIcnNodeChain:
@@ -548,3 +520,15 @@ class TestDataPayloads:
         net.run_until_idle()
         assert ("s1", "tm") in net.traces[packet.trace_id]  # it reached the TM
         assert packet.trace_id not in net.consumed
+
+    def test_undecodable_frame_logged_by_receiver(self, caplog):
+        net = Deployment(chain_spec(1, hosts=1))
+        net.run_bootstrap()
+        junk = bytes([wire.VERSION]) + b"junk"
+        net.sim.schedule_in(0, "ctl", CtlDelivery(junk))
+        net.sim.schedule_in(0, "node:tm", CtlDelivery(junk))
+        with caplog.at_level("INFO", logger="icnsim.deploy"):
+            net.run_until_idle()
+        lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+        assert [line.split(":")[0] for line in lines] == ["controller", "tm"]
+        assert all("undecodable control frame dropped" in line for line in lines)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from icnsim.simnet import (Control, Deliver, LimitExceeded, MeasurementSpan,
-                           NeverCompleted, PastTime, SimReport, Simulator, Timer, ms)
+from icnsim.simnet import (LimitExceeded, MeasurementSpan, NeverCompleted, PastTime,
+                           SimReport, Simulator, Timer, ms)
 
 
 def test_ms_conversion_exact():
@@ -16,7 +16,7 @@ class TestScheduling:
     def test_now_executes_before_later(self):
         sim = Simulator()
         order = []
-        sim.register("t", lambda e: order.append(e.kind.timer_id))
+        sim.register("t", lambda e: order.append(e.timer_id))
         sim.schedule(5, "t", Timer("later"))
         sim.schedule(0, "t", Timer("now"))
         sim.run_until_idle()
@@ -25,7 +25,7 @@ class TestScheduling:
     def test_fifo_among_equal_timestamps(self):
         sim = Simulator()
         order = []
-        sim.register("t", lambda e: order.append(e.kind.timer_id))
+        sim.register("t", lambda e: order.append(e.timer_id))
         for name in ("a", "b", "c"):
             sim.schedule(7, "t", Timer(name))
         sim.run_until_idle()
@@ -80,14 +80,15 @@ class TestRunUntilIdle:
         with pytest.raises(LimitExceeded):
             sim.run_until_idle(limit=1_000)
 
-    def test_deliver_and_control_kinds_dispatch(self):
+    def test_handler_receives_the_scheduled_object(self):
         sim = Simulator()
         got = []
-        sim.register("t", lambda e: got.append(e.kind))
-        sim.schedule(0, "t", Deliver(payload=b"x"))
-        sim.schedule(0, "t", Control(event="evt"))
+        sim.register("t", got.append)
+        timer, payload = Timer("x", token=3), object()
+        sim.schedule(0, "t", timer)
+        sim.schedule_in(0, "t", payload)
         sim.run_until_idle()
-        assert isinstance(got[0], Deliver) and isinstance(got[1], Control)
+        assert got[0] is timer and got[1] is payload
 
 
 class TestSpans:
@@ -133,7 +134,7 @@ class TestReport:
     def test_identical_runs_identical_reports(self):
         def run():
             sim = Simulator()
-            sim.register("t", lambda e: sim.end_span(e.kind.timer_id))
+            sim.register("t", lambda e: sim.end_span(e.timer_id))
             for i, label in enumerate(("x", "y")):
                 sim.begin_span(label)
                 sim.schedule(10 * (i + 1), "t", Timer(label))

@@ -286,10 +286,10 @@ class TestLinkEvents:
         with pytest.raises(UnknownLink):
             g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, 5, 6))
 
-    def test_rule_directives_for_switch_side(self):
+    def test_rules_for_switch_side(self):
         g, s1, s2, s3, h = self.resilience_fixture()
         outcome = g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, TM_NID))
-        assert any(d.switch_nid == s2 and not d.install for d in outcome.rule_directives)
+        assert any(r.switch_nid == s2 and not r.install for r in outcome.rules)
 
     def test_update_event_changes_delay(self):
         g, s1, s2, s3, h = self.resilience_fixture()
