@@ -67,8 +67,7 @@ class BenchResult:
         return "\n".join(lines) + "\n"
 
 
-def run_sweep(links_lo: int, links_hi: int, step: int, repeats: int, seed: int,
-              hosts: int = 0) -> BenchResult:
+def run_sweep(links_lo: int, links_hi: int, step: int, repeats: int, seed: int) -> BenchResult:
     if links_lo < 1 or step <= 0 or repeats < 1:
         raise ValueError("need links_lo >= 1, step > 0, repeats >= 1")
     rows = [BenchRow(links, repeats) for links in range(links_lo, links_hi + 1, step)]
@@ -78,7 +77,7 @@ def run_sweep(links_lo: int, links_hi: int, step: int, repeats: int, seed: int,
         for row in rows:
             links = row.links
             sub_seed = Random(f"{seed}:bench:{links}:{rep}").getrandbits(63)
-            spec = generate_random(switches_for_links(links), links, hosts, sub_seed)
+            spec = generate_random(switches_for_links(links), links, 0, sub_seed)
             net = Deployment(spec)
             report = net.run_bootstrap()
             if not net.all_done():

@@ -224,17 +224,11 @@ def apply_update(config: NodeConfig, update: Update, self_attach_nid: Optional[i
 # -- TM engine ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Reply:
-    """Send back to whoever originated the message being handled."""
-
-    message: Message
-
-
-@dataclass(frozen=True)
 class Notify:
-    """FID-routed message from the TM to a committed or pending node.
+    """Message from the TM to a committed or pending node, replies included.
 
-    The hosting layer routes it over :meth:`TopologyGraph.path_from_tm`.
+    The hosting layer hands a switch's message to the controller and routes
+    an ICN node's over :meth:`TopologyGraph.path_from_tm`.
     """
 
     nid: int
@@ -257,7 +251,6 @@ class TmEngine:
     def __init__(self, graph: TopologyGraph):
         self.graph = graph
         self._offers: Dict[int, ResourceOffer] = {}
-        self._nonce_nid: Dict[int, int] = {}
         self._committed: Dict[int, int] = {}
 
     def on_message(self, msg: Message) -> TmResult:
@@ -269,8 +262,9 @@ class TmEngine:
         return TmResult()
 
     def _on_request(self, msg: ResourceRequest) -> TmResult:
-        if msg.nonce in self._offers:
-            return TmResult(0, [Reply(self._offers[msg.nonce])])  # idempotent replay
+        offer = self._offers.get(msg.nonce)
+        if offer is not None:
+            return TmResult(0, [Notify(offer.nid, offer)])  # idempotent replay
         try:
             grant = self.graph.allocate_resources(msg.requester_kind, msg.attach_nid)
         except Exhausted:
@@ -281,7 +275,6 @@ class TmEngine:
             return TmResult()
         offer = ResourceOffer(msg.nonce, grant.nid, grant.lid, grant.ilid)
         self._offers[msg.nonce] = offer
-        self._nonce_nid[msg.nonce] = grant.nid
         result = TmResult(2 if grant.ilid is None else 3)
         attach_kind = self.graph.nodes[msg.attach_nid].kind
         if grant.kind != NodeKind.SDN_SWITCH:
@@ -294,13 +287,14 @@ class TmEngine:
                 # Pure ICN attach point learns how to reach the new node so
                 # it can forward the offer onwards.
                 result.actions.append(Notify(msg.attach_nid, Update(grant.nid, grant.lid, None)))
-        result.actions.append(Reply(offer))
+        result.actions.append(Notify(grant.nid, offer))
         return result
 
     def _on_offer_accepted(self, msg: OfferAccepted) -> TmResult:
         if msg.nonce in self._committed:
-            return TmResult(0, [Reply(ResourceAccepted(msg.nonce, self._committed[msg.nonce]))])
-        if self._nonce_nid.get(msg.nonce) != msg.nid or self.graph.pending_grant(msg.nid) is None:
+            nid = self._committed[msg.nonce]
+            return TmResult(0, [Notify(nid, ResourceAccepted(msg.nonce, nid))])
+        if self.nid_for_nonce(msg.nonce) != msg.nid or self.graph.pending_grant(msg.nid) is None:
             log.info("tm: OfferAccepted without pending grant (nid %d) ignored", msg.nid)
             return TmResult()
         grant = self.graph.pending_grant(msg.nid)
@@ -320,7 +314,7 @@ class TmEngine:
                     True, grant.attach_nid, grant.nid, grant.lid, nonce=msg.nonce))
             result.actions.append(RuleInstallFrame.for_link(
                 True, grant.nid, grant.attach_nid, grant.uplink_lid, nonce=msg.nonce))
-        result.actions.append(Reply(ResourceAccepted(msg.nonce, msg.nid)))
+        result.actions.append(Notify(msg.nid, ResourceAccepted(msg.nonce, msg.nid)))
         if grant.kind != NodeKind.SDN_SWITCH:
             # The node's own outgoing LID and authoritative TMFID.
             result.actions.append(Notify(
@@ -328,16 +322,16 @@ class TmEngine:
         return result
 
     def nid_for_nonce(self, nonce: int) -> Optional[int]:
-        return self._nonce_nid.get(nonce)
+        offer = self._offers.get(nonce)
+        return None if offer is None else offer.nid
 
     def expire(self, nonce: int) -> None:
         """Abandoned handshake: drop the cached offer and free the grant."""
         if nonce in self._committed:
             return
-        nid = self._nonce_nid.pop(nonce, None)
-        self._offers.pop(nonce, None)
-        if nid is not None:
-            self.graph.expire_grant(nid)
+        offer = self._offers.pop(nonce, None)
+        if offer is not None:
+            self.graph.expire_grant(offer.nid)
 
     def on_link_event(self, event: LinkEvent) -> TmResult:
         before = len(self.graph.lid_registry)

@@ -16,14 +16,15 @@ from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import wire
-from .bootstrap import (Arm, Broadcast, NodeBootstrapFsm, NodeConfig, Notify, Reply,
+from .bootstrap import (Arm, Broadcast, NodeBootstrapFsm, NodeConfig,
                         BootstrapState, Send, Timers, TmEngine, apply_update,
                         responder_on_discovery, NotBootstrapped)
 from .fabric import (Controller, FlowTable, IcnPacket, LinkDown, LinkUp, MISS, PacketIn,
                      SwitchAttached, encode_packet, switch_forward)
 from .fid import BitVector, Fid, FidParams, fid_matches, fid_or
 from .simnet import SimReport, Simulator, Timer, ms
-from .topology import TM_NID, DirectedLink, RuleInstallFrame, TopologyError, TopologyGraph
+from .topology import (TM_NID, DirectedLink, NodeKind, RuleInstallFrame, TopologyError,
+                       TopologyGraph)
 from .topospec import TopologySpec
 from .wire import CodecError, DiscoveryRequest, ResourceRequest, Update
 
@@ -49,10 +50,9 @@ class PacketOutCmd:
 
 @dataclass(frozen=True)
 class ServiceDone:
-    """The TM has served one message: the actions to send, and where it came from."""
+    """The TM has served one message: the actions to send."""
 
     actions: List
-    origin: str
 
 
 class SwitchNode:
@@ -219,7 +219,7 @@ class TmNode:
         elif isinstance(event, CtlDelivery):
             msg = self.net.decode(self.name, event.data)
             if msg is not None:
-                self._enqueue(msg, "ctl", None)
+                self._enqueue(msg, None)
         else:  # ServiceDone
             self._service_done(event)
 
@@ -234,7 +234,7 @@ class TmNode:
         # TM-bound FIDs carry no iLID for the TM, so arrival means delivery.
         msg = self.net.consume(self.name, packet)
         if msg is not None:
-            self._enqueue(msg, "fabric", in_port)
+            self._enqueue(msg, in_port)
 
     def send(self, packet: IcnPacket) -> None:
         """Emit on every bound out-link whose LID the FID holds."""
@@ -254,17 +254,18 @@ class TmNode:
         else:
             # Directly attached nodes address the TM with its own (all-zero)
             # TMFID, so handshake messages arrive on the default-FID channel.
-            self._enqueue(msg, "fabric", in_port)
+            self._enqueue(msg, in_port)
 
     # -- serial processing ------------------------------------------------------
 
-    def _enqueue(self, msg, origin: str, in_port: Optional[int]) -> None:
-        self._queue.append((msg, origin, in_port))
+    def _enqueue(self, msg, in_port: Optional[int]) -> None:
+        """Queue a message; ``in_port`` is its fabric arrival port, None from the controller."""
+        self._queue.append((msg, in_port))
         if not self._busy:
             self._start_next()
 
     def _start_next(self) -> None:
-        msg, origin, in_port = self._queue.popleft()
+        msg, in_port = self._queue.popleft()
         self._busy = True
         t0 = time.perf_counter()
         if isinstance(msg, wire.LinkEvent):
@@ -283,26 +284,21 @@ class TmNode:
             result = self.engine.on_message(msg)
         self.wall_alloc_s += time.perf_counter() - t0
         lids = result.lids_allocated if result else 0
-        if (origin == "fabric" and in_port is not None
-                and isinstance(msg, ResourceRequest) and msg.attach_nid == TM_NID):
+        if in_port is not None and isinstance(msg, ResourceRequest) and msg.attach_nid == TM_NID:
             nid = self.engine.nid_for_nonce(msg.nonce)
             if nid is not None:
                 self.nid_port[nid] = in_port
         cost = self.service_us + lids * self.alloc_us
         self.net.sim.schedule_in(cost, f"node:{self.name}",
-                                 ServiceDone(result.actions if result else [], origin))
+                                 ServiceDone(result.actions if result else []))
 
     def _service_done(self, done: ServiceDone) -> None:
-        origin = done.origin
         for action in done.actions:
-            if isinstance(action, Reply):
-                if origin == "ctl":
-                    self.net.ctl_to_controller(action.message)
-                else:
-                    self._route_to_node(action.message.nid, action.message)
-            elif isinstance(action, RuleInstallFrame):
+            if isinstance(action, RuleInstallFrame):
                 self.net.ctl_to_controller(action)
-            elif isinstance(action, Notify):
+            elif self.graph.nodes[action.nid].kind == NodeKind.SDN_SWITCH:  # a Notify
+                self.net.ctl_to_controller(action.message)
+            else:
                 self._route_to_node(action.nid, action.message)
         self._busy = False
         if self._queue:
@@ -478,12 +474,10 @@ class Deployment:
 
     # -- orchestration ------------------------------------------------------------
 
-    def run_bootstrap(self, limit_us: int = 0) -> SimReport:
+    def run_bootstrap(self) -> SimReport:
         """Bootstrap every node in spec order; returns the finished report."""
-        if limit_us <= 0:
-            limit_us = 10_000_000 + 5_000_000 * len(self._order)
         self.sim.schedule_in(0, "orch", Timer("next"))
-        self.sim.run_until_idle(limit_us)
+        self.sim.run_until_idle(10_000_000 + 5_000_000 * len(self._order))
         return self.report()
 
     def _orch_handle(self, event: Timer) -> None:

@@ -99,31 +99,31 @@ class FidParams:
 
     m: int = 256
     k: int = 5
-    max_gen_retries: int = 64
 
     def __post_init__(self) -> None:
         if self.m % 8 != 0:
             raise ValueError("m must be a multiple of 8")
         if not 0 < self.k < self.m:
             raise ValueError("k must satisfy 0 < k < m")
-        if self.max_gen_retries < 1:
-            raise ValueError("max_gen_retries must be positive")
+
+
+MAX_GEN_RETRIES = 64
 
 
 def new_lid(rng: Random, registry: Set[LinkId], params: FidParams) -> LinkId:
     """Draw a fresh LID with exactly ``k`` set bits, unique within ``registry``.
 
     The candidate is added to the registry before returning.  Raises
-    :class:`Exhausted` after ``max_gen_retries`` colliding draws, which the
+    :class:`Exhausted` after ``MAX_GEN_RETRIES`` colliding draws, which the
     topology manager treats as resource exhaustion.
     """
-    for _ in range(params.max_gen_retries):
+    for _ in range(MAX_GEN_RETRIES):
         positions = rng.sample(range(params.m), params.k)
         candidate = BitVector.from_bits(params.m, positions)
         if candidate not in registry:
             registry.add(candidate)
             return candidate
-    raise Exhausted(f"no unused LID found in {params.max_gen_retries} draws")
+    raise Exhausted(f"no unused LID found in {MAX_GEN_RETRIES} draws")
 
 
 def fid_or(lids: Iterable[LinkId], width: Optional[int] = None) -> Fid:

@@ -16,6 +16,8 @@ from typing import Dict, List
 
 import jsonschema
 
+from . import wire
+
 VALID_KINDS = ("tm", "switch", "host")
 
 
@@ -85,12 +87,16 @@ class TopologySpec:
             if pair in seen_pairs:
                 raise SpecError(f"links[{i}]: duplicate connection {link.a!r}<->{link.b!r}")
             seen_pairs.add(pair)
-            if link.delay_ms < 0:
-                raise SpecError(f"links[{i}].delay_ms: must be >= 0")
+            if not 0 <= link.delay_ms <= wire.MAX_DELAY_MS:
+                raise SpecError(f"links[{i}].delay_ms: must be >= 0 and <= {wire.MAX_DELAY_MS}, "
+                                "a u32 count of microseconds in a LinkEvent")
         if self.m % 8 != 0 or self.m <= 0:
             raise SpecError("params.m: must be a positive multiple of 8")
         if not 0 < self.k < self.m:
             raise SpecError("params.k: must satisfy 0 < k < m")
+        if (payload := wire.largest_payload(self.m)) > wire.MAX_PAYLOAD:
+            raise SpecError(f"params.m: {self.m} makes a {payload}-byte frame payload, "
+                            f"over the u16 length limit {wire.MAX_PAYLOAD}")
 
     def to_json(self) -> str:
         doc = {

@@ -1,35 +1,33 @@
 """Binary codec for the bootstrap protocol and control-channel frames.
 
 Every frame is ``[version=0x01][type: 1 byte][payload length: 2 bytes BE]``
-followed by the payload.  NIDs and nonces are 8-byte big-endian integers;
-LIDs and FIDs occupy ``m/8`` bytes in MSB-first bit order.  An absent
-LID/FID field is encoded as all-zero (a real identifier always has set
-bits).  :func:`golden_messages` holds one golden message per frame type;
-``icnsim dump-protocol`` prints their encodings.
+followed by the payload.  :data:`LAYOUTS` is the format's single statement:
+for each message class, its type byte and the kinds of its payload fields in
+dataclass field order.  :func:`encode` and :func:`decode` both read it, and
+nothing else in the package states a type byte or a field order.
+
+Integers are big-endian.  LIDs and FIDs occupy ``m/8`` bytes in MSB-first
+bit order; an absent one is all zeros (a real identifier always has set
+bits).  A ``LinkStatsReport`` payload is a u16 record count followed by that
+many ``StatsEntry`` records.  :func:`golden_messages` holds one golden
+message per frame type; ``icnsim dump-protocol`` prints their encodings.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import operator
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .fid import BitVector, Fid, FidParams, LinkId
 from .topology import (LinkEvent, LinkEventKind, LinkStatsReport, NodeKind, RuleInstallFrame,
                        StatsEntry)
 
 VERSION = 0x01
-
-TYPE_DISCOVERY_REQUEST = 0x01
-TYPE_DISCOVERY_OFFER = 0x02
-TYPE_RESOURCE_REQUEST = 0x03
-TYPE_RESOURCE_OFFER = 0x04
-TYPE_OFFER_ACCEPTED = 0x05
-TYPE_RESOURCE_ACCEPTED = 0x06
-TYPE_UPDATE = 0x07
-TYPE_LINK_EVENT = 0x10
-TYPE_LINK_STATS = 0x11
-TYPE_RULE_INSTALL = 0x12
 
 
 class CodecError(Exception):
@@ -110,152 +108,149 @@ Message = Union[DiscoveryRequest, DiscoveryOffer, ResourceRequest, ResourceOffer
                 OfferAccepted, ResourceAccepted, Update,
                 LinkEvent, LinkStatsReport, RuleInstallFrame]
 
-_U64 = struct.Struct(">Q")
-_U32 = struct.Struct(">I")
+_HEADER = struct.Struct(">BBH")
 _U16 = struct.Struct(">H")
+MAX_PAYLOAD = 0xFFFF  # the header's u16 length
+MAX_DELAY_MS = 0xFFFF_FFFF / 1000  # a LinkEvent delay is a u32 count of microseconds
+
+# A field kind: its struct code ("{n}" is the identifier width in bytes) and, for
+# a non-integer, its conversions: value and m -> packed value, unpacked value -> value.
+_Kind = namedtuple("_Kind", "code to_wire from_wire", defaults=(None, None))
 
 
-def _vec_bytes(vec: Optional[BitVector], params: FidParams) -> bytes:
+def _id_bytes(vec: Optional[BitVector], m: int) -> bytes:
     if vec is None:
-        return bytes(params.m // 8)
-    if vec.width != params.m:
-        raise ValueError(f"identifier width {vec.width} != deployment m {params.m}")
+        return bytes(m // 8)
+    if vec.width != m:
+        raise ValueError(f"identifier width {vec.width} != deployment m {m}")
     return vec.to_bytes()
+
+
+def _opt_id(raw: bytes) -> Optional[BitVector]:
+    vec = BitVector.from_bytes(raw)
+    return None if vec.is_zero() else vec
+
+
+def _rule_op(byte: int) -> bool:
+    if byte > 1:
+        raise ValueError(f"unknown rule op 0x{byte:02x}")
+    return byte == 0
+
+
+U64 = _Kind("Q")
+U32 = _Kind("I")
+ID = _Kind("{n}s", _id_bytes, BitVector.from_bytes)
+OPT_ID = _Kind("{n}s", _id_bytes, _opt_id)
+NODE_KIND = _Kind("B", lambda kind, m: kind.value, NodeKind)
+LINK_KIND = _Kind("B", lambda kind, m: kind.value, LinkEventKind)
+RULE_OP = _Kind("B", lambda install, m: 0 if install else 1, _rule_op)
+DELAY_US = _Kind("I", lambda delay_ms, m: round(delay_ms * 1000), lambda us: us / 1000)
+
+LAYOUTS: Dict[type, Tuple[int, Tuple[_Kind, ...]]] = {
+    DiscoveryRequest: (0x01, (U64,)),
+    DiscoveryOffer: (0x02, (U64, U64, ID)),
+    ResourceRequest: (0x03, (U64, NODE_KIND, U64)),
+    ResourceOffer: (0x04, (U64, U64, ID, OPT_ID)),
+    OfferAccepted: (0x05, (U64, U64)),
+    ResourceAccepted: (0x06, (U64, U64)),
+    Update: (0x07, (U64, ID, OPT_ID)),
+    LinkEvent: (0x10, (LINK_KIND, U64, U64, DELAY_US)),
+    LinkStatsReport: (0x11, (ID, U64, U32)),  # of each StatsEntry record
+    RuleInstallFrame: (0x12, (RULE_OP, U64, U64, U64, ID, ID, U32)),
+}
+_RECORDS = {LinkStatsReport: StatsEntry}  # payload: a u16 count, then the records
+
+
+class _Layout:
+    """One entry of :data:`LAYOUTS` compiled for identifier width ``m``."""
+
+    def __init__(self, frame_cls: type, type_byte: int, kinds: Tuple[_Kind, ...], m: int):
+        self.type_byte = type_byte
+        self.records = frame_cls in _RECORDS
+        self.cls = _RECORDS.get(frame_cls, frame_cls)
+        names = [f.name for f in dataclasses.fields(self.cls)]
+        assert len(names) == len(kinds), f"{len(kinds)} kinds for the fields of {self.cls.__name__}"
+        getter = operator.attrgetter(*names)
+        self.get = getter if len(names) > 1 else lambda obj: (getter(obj),)
+        self.fields = struct.Struct((">" + "".join(k.code for k in kinds)).format(n=m // 8))
+        self.to_wire = [(i, k.to_wire) for i, k in enumerate(kinds) if k.to_wire]
+        self.from_wire = [(i, k.from_wire) for i, k in enumerate(kinds) if k.from_wire]
+
+    def pack(self, obj, m: int) -> bytes:
+        values = self.get(obj)
+        if self.to_wire:
+            values = list(values)
+            for i, convert in self.to_wire:
+                values[i] = convert(values[i], m)
+        return self.fields.pack(*values)
+
+    def build(self, values):
+        if self.from_wire:
+            values = list(values)
+            try:
+                for i, convert in self.from_wire:
+                    values[i] = convert(values[i])
+            except ValueError as exc:  # a kind or op byte with no meaning
+                raise LengthMismatch(str(exc)) from None
+        return self.cls(*values)
+
+
+@functools.lru_cache(maxsize=8)
+def _layouts(m: int) -> Dict[object, _Layout]:
+    """Every layout at width ``m``, keyed by message class and by type byte."""
+    table: Dict[object, _Layout] = {}
+    for cls, (type_byte, kinds) in LAYOUTS.items():
+        table[cls] = table[type_byte] = _Layout(cls, type_byte, kinds, m)
+    return table
+
+
+def largest_payload(m: int) -> int:
+    """Payload bytes of the longest frame at width ``m``, a record list holding one record."""
+    return max(layout.fields.size + 2 * layout.records for layout in _layouts(m).values())
 
 
 def encode(msg: Message, params: FidParams) -> bytes:
     """Serialize a message to its wire frame."""
-    if isinstance(msg, DiscoveryRequest):
-        mtype, payload = TYPE_DISCOVERY_REQUEST, _U64.pack(msg.nonce)
-    elif isinstance(msg, DiscoveryOffer):
-        mtype = TYPE_DISCOVERY_OFFER
-        payload = _U64.pack(msg.nonce) + _U64.pack(msg.responder_nid) + _vec_bytes(msg.tmfid, params)
-    elif isinstance(msg, ResourceRequest):
-        mtype = TYPE_RESOURCE_REQUEST
-        payload = _U64.pack(msg.nonce) + bytes([msg.requester_kind.value]) + _U64.pack(msg.attach_nid)
-    elif isinstance(msg, ResourceOffer):
-        mtype = TYPE_RESOURCE_OFFER
-        payload = (_U64.pack(msg.nonce) + _U64.pack(msg.nid)
-                   + _vec_bytes(msg.lid, params) + _vec_bytes(msg.ilid, params))
-    elif isinstance(msg, OfferAccepted):
-        mtype, payload = TYPE_OFFER_ACCEPTED, _U64.pack(msg.nonce) + _U64.pack(msg.nid)
-    elif isinstance(msg, ResourceAccepted):
-        mtype, payload = TYPE_RESOURCE_ACCEPTED, _U64.pack(msg.nonce) + _U64.pack(msg.nid)
-    elif isinstance(msg, Update):
-        mtype = TYPE_UPDATE
-        payload = _U64.pack(msg.nid) + _vec_bytes(msg.lid, params) + _vec_bytes(msg.tmfid, params)
-    elif isinstance(msg, LinkEvent):
-        mtype = TYPE_LINK_EVENT
-        payload = (bytes([msg.kind.value]) + _U64.pack(msg.src) + _U64.pack(msg.dst)
-                   + _U32.pack(round(msg.delay_ms * 1000)))
-    elif isinstance(msg, LinkStatsReport):
-        mtype = TYPE_LINK_STATS
-        payload = _U16.pack(len(msg.entries))
-        for entry in msg.entries:
-            payload += (_vec_bytes(entry.lid, params) + _U64.pack(entry.byte_count)
-                        + _U32.pack(entry.utilization_ppm))
-    elif isinstance(msg, RuleInstallFrame):
-        mtype = TYPE_RULE_INSTALL
-        payload = (bytes([0 if msg.install else 1]) + _U64.pack(msg.nonce)
-                   + _U64.pack(msg.switch_nid) + _U64.pack(msg.dst_nid)
-                   + _vec_bytes(msg.mask, params) + _vec_bytes(msg.value, params)
-                   + _U32.pack(msg.priority))
-    else:
+    m = params.m
+    layout = _layouts(m).get(type(msg))
+    if layout is None:
         raise TypeError(f"not a wire message: {msg!r}")
-    return bytes([VERSION, mtype]) + _U16.pack(len(payload)) + payload
+    if layout.records:
+        payload = _U16.pack(len(msg.entries)) + b"".join(layout.pack(e, m) for e in msg.entries)
+    else:
+        payload = layout.pack(msg, m)
+    return _HEADER.pack(VERSION, layout.type_byte, len(payload)) + payload
 
 
-class _Cursor:
-    def __init__(self, payload: bytes):
-        self.buf = payload
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise LengthMismatch("payload shorter than its fields")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def vec(self, params: FidParams) -> BitVector:
-        return BitVector.from_bytes(self.take(params.m // 8))
-
-    def opt_vec(self, params: FidParams) -> Optional[BitVector]:
-        vec = self.vec(params)
-        return None if vec.is_zero() else vec
-
-    def done(self) -> None:
-        if self.pos != len(self.buf):
-            raise LengthMismatch(f"{len(self.buf) - self.pos} unexpected trailing payload bytes")
+def _expect(declared: int, needed: int) -> None:
+    if declared < needed:
+        raise LengthMismatch("payload shorter than its fields")
+    if declared > needed:
+        raise LengthMismatch(f"{declared - needed} unexpected trailing payload bytes")
 
 
 def decode(data: bytes, params: FidParams) -> Message:
     """Parse a wire frame; exact inverse of :func:`encode` on valid input."""
     if len(data) < 4:
         raise TruncatedPayload(f"frame of {len(data)} bytes is shorter than the header")
-    if data[0] != VERSION:
-        raise BadVersion(f"version byte 0x{data[0]:02x}")
-    mtype = data[1]
-    declared = _U16.unpack(data[2:4])[0]
+    version, mtype, declared = _HEADER.unpack_from(data)
+    if version != VERSION:
+        raise BadVersion(f"version byte 0x{version:02x}")
     if len(data) - 4 < declared:
         raise TruncatedPayload(f"payload has {len(data) - 4} of {declared} declared bytes")
     if len(data) - 4 > declared:
         raise LengthMismatch(f"{len(data) - 4 - declared} bytes beyond declared payload")
-    cur = _Cursor(data[4:])
-    if mtype == TYPE_DISCOVERY_REQUEST:
-        msg: Message = DiscoveryRequest(cur.u64())
-    elif mtype == TYPE_DISCOVERY_OFFER:
-        msg = DiscoveryOffer(cur.u64(), cur.u64(), cur.vec(params))
-    elif mtype == TYPE_RESOURCE_REQUEST:
-        nonce = cur.u64()
-        kind_byte = cur.u8()
-        try:
-            kind = NodeKind(kind_byte)
-        except ValueError:
-            raise LengthMismatch(f"unknown requester kind 0x{kind_byte:02x}") from None
-        msg = ResourceRequest(nonce, kind, cur.u64())
-    elif mtype == TYPE_RESOURCE_OFFER:
-        msg = ResourceOffer(cur.u64(), cur.u64(), cur.vec(params), cur.opt_vec(params))
-    elif mtype == TYPE_OFFER_ACCEPTED:
-        msg = OfferAccepted(cur.u64(), cur.u64())
-    elif mtype == TYPE_RESOURCE_ACCEPTED:
-        msg = ResourceAccepted(cur.u64(), cur.u64())
-    elif mtype == TYPE_UPDATE:
-        msg = Update(cur.u64(), cur.vec(params), cur.opt_vec(params))
-    elif mtype == TYPE_LINK_EVENT:
-        kind_byte = cur.u8()
-        try:
-            kind = LinkEventKind(kind_byte)
-        except ValueError:
-            raise LengthMismatch(f"unknown link event kind 0x{kind_byte:02x}") from None
-        msg = LinkEvent(kind, cur.u64(), cur.u64(), cur.u32() / 1000)
-    elif mtype == TYPE_LINK_STATS:
-        count = cur.u16()
-        entries = tuple(StatsEntry(cur.vec(params), cur.u64(), cur.u32())
-                        for _ in range(count))
-        msg = LinkStatsReport(entries)
-    elif mtype == TYPE_RULE_INSTALL:
-        op = cur.u8()
-        if op not in (0, 1):
-            raise LengthMismatch(f"unknown rule op 0x{op:02x}")
-        msg = RuleInstallFrame(op == 0, cur.u64(), cur.u64(), cur.u64(),
-                               cur.vec(params), cur.vec(params), cur.u32())
-    else:
+    layout = _layouts(params.m).get(mtype)
+    if layout is None:
         raise UnknownType(f"type byte 0x{mtype:02x}")
-    cur.done()
-    return msg
+    if layout.records:
+        if declared < 2:
+            raise LengthMismatch("payload shorter than its record count")
+        count = _U16.unpack_from(data, 4)[0]
+        _expect(declared, 2 + count * layout.fields.size)
+        return LinkStatsReport(tuple(map(layout.build, layout.fields.iter_unpack(data[6:]))))
+    _expect(declared, layout.fields.size)
+    return layout.build(layout.fields.unpack_from(data, 4))
 
 
 def golden_messages(params: FidParams) -> Tuple[Tuple[str, Message], ...]:

@@ -6,7 +6,7 @@ import pytest
 
 from icnsim.bootstrap import (Arm, Broadcast, DISCOVERY_TIMER, Notify,
                               NodeBootstrapFsm, NodeConfig, NotBootstrapped,
-                              REQUEST_TIMER, Reply, BootstrapState, Send, Timers,
+                              REQUEST_TIMER, BootstrapState, Send, Timers,
                               TmEngine, WrongState, apply_update,
                               responder_on_discovery)
 from icnsim.fid import BitVector, FidParams
@@ -215,7 +215,7 @@ class TestTmEngine:
     def test_fresh_request_offers_triple(self):
         engine, _ = self.make_engine()
         result = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
-        offer = next(a.message for a in result.actions if isinstance(a, Reply))
+        offer = next(a.message for a in result.actions if isinstance(a, Notify))
         assert isinstance(offer, ResourceOffer)
         assert offer.nonce == 11 and offer.lid is not None and offer.ilid is not None
         assert result.lids_allocated == 3
@@ -224,53 +224,54 @@ class TestTmEngine:
         engine, _ = self.make_engine()
         result = engine.on_message(ResourceRequest(11, NodeKind.SDN_SWITCH, TM_NID))
         assert result.lids_allocated == 2
-        offer = next(a.message for a in result.actions if isinstance(a, Reply))
+        offer = next(a.message for a in result.actions if isinstance(a, Notify))
         assert offer.ilid is None
 
     def test_duplicate_request_byte_identical_offer(self):
         engine, _ = self.make_engine()
         first = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
         second = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
-        offer1 = next(a.message for a in first.actions if isinstance(a, Reply))
-        offer2 = next(a.message for a in second.actions if isinstance(a, Reply))
+        offer1 = next(a.message for a in first.actions if isinstance(a, Notify))
+        offer2 = next(a.message for a in second.actions if isinstance(a, Notify))
         assert encode(offer1, P) == encode(offer2, P)
         assert second.lids_allocated == 0
 
     def test_offer_accepted_commits_and_acks(self):
         engine, graph = self.make_engine()
         result = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
-        offer = next(a.message for a in result.actions if isinstance(a, Reply))
+        offer = next(a.message for a in result.actions if isinstance(a, Notify))
         final = engine.on_message(OfferAccepted(11, offer.nid))
-        ack = next(a.message for a in final.actions if isinstance(a, Reply))
+        ack = next(a.message for a in final.actions if isinstance(a, Notify))
         assert isinstance(ack, ResourceAccepted) and ack.nid == offer.nid
         assert graph.nodes[offer.nid].committed
-        update = next(a for a in final.actions if isinstance(a, Notify))
+        update = next(a for a in final.actions
+                      if isinstance(a, Notify) and isinstance(a.message, Update))
         assert update.nid == offer.nid
         assert update.message.tmfid == graph.nodes[offer.nid].tmfid
 
     def test_offer_accepted_waits_while_attach_point_cut_off(self):
         engine, graph = self.make_engine()
         switch = engine.on_message(ResourceRequest(5, NodeKind.SDN_SWITCH, TM_NID))
-        s_nid = next(a.message for a in switch.actions if isinstance(a, Reply)).nid
+        s_nid = next(a.message for a in switch.actions if isinstance(a, Notify)).nid
         engine.on_message(OfferAccepted(5, s_nid))
         result = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, s_nid))
-        offer = next(a.message for a in result.actions if isinstance(a, Reply))
+        offer = next(a.message for a in result.actions if isinstance(a, Notify))
         engine.on_link_event(LinkEvent(LinkEventKind.REMOVE, s_nid, TM_NID))
         assert engine.on_message(OfferAccepted(11, offer.nid)).actions == []
         assert graph.pending_grant(offer.nid) is not None
         engine.on_link_event(LinkEvent(LinkEventKind.ADD, s_nid, TM_NID))
         retry = engine.on_message(OfferAccepted(11, offer.nid))
-        ack = next(a.message for a in retry.actions if isinstance(a, Reply))
+        ack = next(a.message for a in retry.actions if isinstance(a, Notify))
         assert isinstance(ack, ResourceAccepted) and ack.nid == offer.nid
         assert graph.nodes[offer.nid].committed
 
     def test_icn_node_link_add_announced_to_node(self):
         engine, graph = self.make_engine()
         switch = engine.on_message(ResourceRequest(5, NodeKind.SDN_SWITCH, TM_NID))
-        s_nid = next(a.message for a in switch.actions if isinstance(a, Reply)).nid
+        s_nid = next(a.message for a in switch.actions if isinstance(a, Notify)).nid
         engine.on_message(OfferAccepted(5, s_nid))
         host = engine.on_message(ResourceRequest(6, NodeKind.ICN_NODE, TM_NID))
-        h_nid = next(a.message for a in host.actions if isinstance(a, Reply)).nid
+        h_nid = next(a.message for a in host.actions if isinstance(a, Notify)).nid
         engine.on_message(OfferAccepted(6, h_nid))
         added = engine.on_link_event(LinkEvent(LinkEventKind.ADD, h_nid, s_nid))
         notes = [a for a in added.actions if isinstance(a, Notify)]
@@ -291,30 +292,30 @@ class TestTmEngine:
     def test_duplicate_offer_accepted_repeats_ack(self):
         engine, _ = self.make_engine()
         result = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
-        offer = next(a.message for a in result.actions if isinstance(a, Reply))
+        offer = next(a.message for a in result.actions if isinstance(a, Notify))
         engine.on_message(OfferAccepted(11, offer.nid))
         dup = engine.on_message(OfferAccepted(11, offer.nid))
-        ack = next(a.message for a in dup.actions if isinstance(a, Reply))
+        ack = next(a.message for a in dup.actions if isinstance(a, Notify))
         assert isinstance(ack, ResourceAccepted)
 
     def test_host_rule_directive_precedes_offer(self):
         engine, graph = self.make_engine()
         switch = engine.on_message(ResourceRequest(5, NodeKind.SDN_SWITCH, TM_NID))
-        s_nid = next(a.message for a in switch.actions if isinstance(a, Reply)).nid
+        s_nid = next(a.message for a in switch.actions if isinstance(a, Notify)).nid
         engine.on_message(OfferAccepted(5, s_nid))
         result = engine.on_message(ResourceRequest(6, NodeKind.ICN_NODE, s_nid))
         kinds = [type(a).__name__ for a in result.actions]
-        assert kinds.index("RuleInstallFrame") < kinds.index("Reply")
+        assert kinds.index("RuleInstallFrame") < kinds.index("Notify")
         rule = next(a for a in result.actions if isinstance(a, RuleInstallFrame))
         assert rule.switch_nid == s_nid and rule.install
 
     def test_switch_commit_emits_both_rules(self):
         engine, _ = self.make_engine()
         r1 = engine.on_message(ResourceRequest(5, NodeKind.SDN_SWITCH, TM_NID))
-        s1 = next(a.message for a in r1.actions if isinstance(a, Reply)).nid
+        s1 = next(a.message for a in r1.actions if isinstance(a, Notify)).nid
         engine.on_message(OfferAccepted(5, s1))
         r2 = engine.on_message(ResourceRequest(6, NodeKind.SDN_SWITCH, s1))
-        s2 = next(a.message for a in r2.actions if isinstance(a, Reply)).nid
+        s2 = next(a.message for a in r2.actions if isinstance(a, Notify)).nid
         final = engine.on_message(OfferAccepted(6, s2))
         rules = [a for a in final.actions if isinstance(a, RuleInstallFrame)]
         assert {(r.switch_nid, r.dst_nid) for r in rules} == {(s1, s2), (s2, s1)}

@@ -11,7 +11,8 @@ from icnsim.fabric import IcnPacket
 from icnsim.fid import fid_or
 from icnsim.simnet import NeverCompleted
 from icnsim.topology import TM_NID, TopologyGraph
-from icnsim.topospec import Defaults, TopoLink, TopoNode, TopologySpec, generate_random
+from icnsim.topospec import (Defaults, SpecError, TopoLink, TopoNode, TopologySpec,
+                             generate_random)
 from icnsim.wire import ResourceOffer, decode
 
 
@@ -431,6 +432,16 @@ def test_report_final_states():
     assert report.final_states["tm"] == "TM"
     assert report.final_states["s1"] == "ENABLED"
     assert report.final_states["h1"] == "DONE"
+
+
+def test_delay_beyond_the_link_event_field_rejected():
+    # A LinkEvent carries the delay as a u32 count of microseconds.
+    spec = chain_spec(1, hosts=1, delay_ms=5e6)
+    with pytest.raises(SpecError, match=r"links\[0\]\.delay_ms"):
+        Deployment(spec)
+    spec.links[0] = TopoLink("tm", "s1", wire.MAX_DELAY_MS)
+    spec.links[1] = TopoLink("h1", "s1", wire.MAX_DELAY_MS)
+    Deployment(spec)
 
 
 class TestDenseBootstrap:

@@ -64,6 +64,15 @@ class TestParsing:
         with pytest.raises(SpecError, match=r"params\.m"):
             parse_spec(json.dumps(doc))
 
+    def test_m_bounded_by_the_frame_length_field(self):
+        # The longest frame, a RuleInstall, has a 29 + m/4 byte payload and a u16 length.
+        doc = minimal_doc()
+        doc["params"]["m"] = 262024
+        assert parse_spec(json.dumps(doc)).m == 262024
+        doc["params"]["m"] = 262144
+        with pytest.raises(SpecError, match=r"params\.m: 262144 makes a 65565-byte"):
+            parse_spec(json.dumps(doc))
+
     @pytest.mark.parametrize("where", ["defaults", "link"])
     def test_capacity_rejected(self, where):
         # Link capacities are not part of the format.

@@ -108,19 +108,36 @@ class TestSemantics:
         assert decode(encode(frame, P256), P256) == frame
 
 
-@settings(derandomize=True, max_examples=150)
-@given(nonce=st.integers(0, 2 ** 64 - 1), nid=st.integers(0, 2 ** 64 - 1),
-       kind=st.sampled_from(list(NodeKind)))
-def test_round_trip_property(nonce, nid, kind):
-    params = FidParams(m=64, k=3)
-    messages = [
-        DiscoveryRequest(nonce),
-        ResourceRequest(nonce, kind, nid),
-        OfferAccepted(nonce, nid),
-        ResourceAccepted(nonce, nid),
-    ]
-    for msg in messages:
-        assert decode(encode(msg, params), params) == msg
+U64 = st.integers(0, 2 ** 64 - 1)
+U32 = st.integers(0, 2 ** 32 - 1)
+
+
+def any_message(m):
+    """Every frame type at width m; an optional identifier is absent or has set bits."""
+    ident = st.integers(0, 2 ** m - 1).map(lambda v: BitVector(m, v))
+    opt_ident = st.none() | st.integers(1, 2 ** m - 1).map(lambda v: BitVector(m, v))
+    entries = st.lists(st.builds(StatsEntry, ident, U64, U32), max_size=4).map(tuple)
+    return st.one_of(
+        st.builds(DiscoveryRequest, U64),
+        st.builds(DiscoveryOffer, U64, U64, ident),
+        st.builds(ResourceRequest, U64, st.sampled_from(list(NodeKind)), U64),
+        st.builds(ResourceOffer, U64, U64, ident, opt_ident),
+        st.builds(OfferAccepted, U64, U64),
+        st.builds(ResourceAccepted, U64, U64),
+        st.builds(Update, U64, ident, opt_ident),
+        st.builds(LinkEvent, st.sampled_from(list(LinkEventKind)), U64, U64,
+                  U32.map(lambda us: us / 1000)),
+        st.builds(LinkStatsReport, entries),
+        st.builds(RuleInstallFrame, st.booleans(), U64, U64, U64, ident, ident, U32),
+    )
+
+
+@settings(derandomize=True, max_examples=400)
+@given(st.sampled_from([8, 64, 256]).flatmap(lambda m: st.tuples(st.just(m), any_message(m))))
+def test_round_trip_property(width_and_msg):
+    m, msg = width_and_msg
+    params = FidParams(m=m, k=2)
+    assert decode(encode(msg, params), params) == msg
 
 
 def test_small_width_vectors():
