@@ -13,7 +13,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import wire
 from .bootstrap import (Arm, Broadcast, NodeBootstrapFsm, NodeConfig,
@@ -21,7 +21,7 @@ from .bootstrap import (Arm, Broadcast, NodeBootstrapFsm, NodeConfig,
                         responder_on_discovery, NotBootstrapped)
 from .fabric import (Controller, FlowTable, IcnPacket, LinkDown, LinkUp, MISS, PacketIn,
                      SwitchAttached, encode_packet, switch_forward)
-from .fid import BitVector, Fid, FidParams, fid_matches, fid_or
+from .fid import BitVector, Fid, FidError, FidParams, fid_matches, fid_or
 from .simnet import SimReport, Simulator, Timer, ms
 from .topology import (TM_NID, DirectedLink, NodeKind, RuleInstallFrame, TopologyError,
                        TopologyGraph)
@@ -31,10 +31,23 @@ from .wire import CodecError, DiscoveryRequest, ResourceRequest, Update
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class FabricDelivery:
+class EndpointError(ValueError):
+    """A traffic injector was given a node that cannot send or consume traffic."""
+
+
+class FabricDelivery(NamedTuple):
     packet: IcnPacket
     in_port: int
+
+
+class PortLink(NamedTuple):
+    """Where a wired port leads, with all that a hop over it needs."""
+
+    dst: str
+    dst_port: int
+    pair: FrozenSet[str]   # both ends, the key of ``down_pairs``
+    delay_us: int
+    target: str            # the simulator target of ``dst``
 
 
 @dataclass(frozen=True)
@@ -271,13 +284,13 @@ class TmNode:
         if isinstance(msg, wire.LinkEvent):
             try:
                 result = self.engine.on_link_event(msg)
-            except Exception as exc:
+            except (TopologyError, FidError) as exc:  # FidError: no LID left for an ADD
                 log.warning("tm: link event failed: %s", exc)
                 result = None
         elif isinstance(msg, wire.LinkStatsReport):
             try:
                 result = self.engine.on_link_stats(msg)
-            except Exception as exc:
+            except TopologyError as exc:
                 log.warning("tm: stats report rejected: %s", exc)
                 result = None
         else:
@@ -353,16 +366,17 @@ class Deployment:
                 self.hosts[node.name] = HostNode(node.name, self, rng, self.timers)
 
         # Cable everything: port indices follow spec link order per node.
-        self._wiring: Dict[Tuple[str, int], Tuple[str, int]] = {}
+        self._links: Dict[Tuple[str, int], PortLink] = {}
         self._pair_delay_us: Dict[frozenset, int] = {}
         for link in spec.links:
             pa = self._next_port(link.a)
             pb = self._next_port(link.b)
             self._node(link.a).ports[pa] = link.b
             self._node(link.b).ports[pb] = link.a
-            self._wiring[(link.a, pa)] = (link.b, pb)
-            self._wiring[(link.b, pb)] = (link.a, pa)
-            self._pair_delay_us[frozenset((link.a, link.b))] = ms(link.delay_ms)
+            pair = frozenset((link.a, link.b))
+            delay_us = self._pair_delay_us[pair] = ms(link.delay_ms)
+            self._links[(link.a, pa)] = PortLink(link.b, pb, pair, delay_us, f"node:{link.b}")
+            self._links[(link.b, pb)] = PortLink(link.a, pa, pair, delay_us, f"node:{link.a}")
 
         self.controller = Controller(self)
         self.down_pairs: set = set()
@@ -403,19 +417,17 @@ class Deployment:
                          wire.encode(message, self.params), trace_id=self.next_trace())
 
     def emit(self, src: str, port: int, packet: IcnPacket) -> None:
-        dest = self._wiring.get((src, port))
-        if dest is None:
+        link = self._links.get((src, port))
+        if link is None:
             log.warning("%s: emission on unwired port %d", src, port)
             return
-        dst, dst_port = dest
-        pair = frozenset((src, dst))
+        dst, dst_port, pair, delay_us, target = link
         if pair in self.down_pairs:
             return
         if self.drop_filter is not None and self.drop_filter(src, dst, packet):
             return
         self.traces.setdefault(packet.trace_id, []).append((src, dst))
-        self.sim.schedule_in(self._pair_delay_us[pair], f"node:{dst}",
-                             FabricDelivery(packet, dst_port))
+        self.sim.schedule_in(delay_us, target, FabricDelivery(packet, dst_port))
 
     def packet_in(self, switch: str, in_port: int, packet: IcnPacket) -> None:
         data = encode_packet(packet, self.params)
@@ -541,7 +553,7 @@ class Deployment:
                 node.nid_port[other_nid] = port
             peer = self._node(other)
             if not isinstance(peer, SwitchNode):
-                peer.nid_port[nid] = self._wiring[(name, port)][1]
+                peer.nid_port[nid] = self._links[(name, port)].dst_port
             delay_ms = self.link_delay_ms(name, other)
             for key in ((nid, other_nid), (other_nid, nid)):
                 link = self.graph.links.get(key)
@@ -557,6 +569,8 @@ class Deployment:
 
     def node_failed(self, name: str, reason: str) -> None:
         self.failures[name] = reason
+        # A FAILED host never attaches, so its discovery ports are spent too.
+        self.controller.pending_discovery.pop(self.hosts[name].fsm.nonce, None)
         self.sim.schedule_in(0, "orch", Timer("next"))
 
     def nid_of(self, name: str) -> Optional[int]:
@@ -577,21 +591,38 @@ class Deployment:
         self.down_pairs.discard(frozenset((a, b)))
         self.sim.schedule_in(0, "ctl", LinkUp(a, b))
 
+    def _endpoint(self, name: str):
+        """The TM or a DONE host: the nodes that originate and consume traffic."""
+        if name == self.tm_name:
+            return self.tm
+        host = self.hosts.get(name)
+        if host is None:
+            what = "a switch" if name in self.switches else "not a node"
+            raise EndpointError(f"{name!r} is {what}; traffic runs between the TM and DONE hosts")
+        if host.fsm.state != BootstrapState.DONE:
+            raise EndpointError(f"host {name!r} is {host.fsm.state.name}, not DONE")
+        return host
+
     def inject_probe(self, host_name: str) -> int:
-        """Send a packet stamped with the host's own TMFID towards the TM."""
-        host = self.hosts[host_name]
+        """Send a packet stamped with a DONE host's own TMFID towards the TM."""
+        host = self._endpoint(host_name)
+        if host is self.tm:
+            raise EndpointError(f"{host_name!r} is the TM; a probe goes from a host to it")
         packet = IcnPacket(host.config.tmfid, self.hop_limit, b"PROBE",
                            trace_id=self.next_trace())
         host.send(packet)
         return packet.trace_id
 
     def inject_data(self, src: str, dst: str) -> int:
-        """Unicast data packet between committed nodes, FID from the TM graph."""
-        src_nid, dst_nid = self.nid_of(src), self.nid_of(dst)
-        path = self.graph.shortest_path(src_nid, dst_nid)
+        """Unicast data packet between two endpoints, FID from the TM graph."""
+        source, dest = self._endpoint(src), self._endpoint(dst)
+        if source is dest:
+            raise EndpointError(f"{src!r} is both source and destination")
+        dst_nid = dest.config.nid
+        path = self.graph.shortest_path(source.config.nid, dst_nid)
         packet = IcnPacket(self.path_fid(path, dst_nid), self.hop_limit, b"DATA",
                            trace_id=self.next_trace())
-        self._node(src).send(packet)
+        source.send(packet)
         return packet.trace_id
 
     def run_until_idle(self, limit_us: int = 10 ** 12) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import wire
 from .fid import BitVector, Fid, FidParams
@@ -51,13 +51,12 @@ class FlowRule:
         if self.value.value & self.mask.value != self.value.value:
             raise ValueError("rule value must be covered by its mask")
 
-    def matches(self, fid: Fid) -> bool:
-        return fid.value & self.mask.value == self.value.value
 
+class IcnPacket(NamedTuple):
+    """Data-plane frame: source-route FID, hop budget, opaque payload.
 
-@dataclass(frozen=True)
-class IcnPacket:
-    """Data-plane frame: source-route FID, hop budget, opaque payload."""
+    A named tuple, so immutable and cheap to build: every hop builds one.
+    """
 
     fid: Fid
     hop_limit: Optional[int]
@@ -82,10 +81,16 @@ MISS = Miss()
 
 
 class FlowTable:
-    """Priority-ordered rule list with multi-match semantics."""
+    """Priority-ordered rule list with multi-match semantics.
+
+    ``rules`` is the canonical table, in a canonical order.  ``_match``
+    mirrors it as ``(mask, value, out_port)`` integers, rebuilt on every
+    change, so a lookup compares plain ints rule by rule.
+    """
 
     def __init__(self) -> None:
         self.rules: List[FlowRule] = []
+        self._match: List[Tuple[int, int, int]] = []
 
     def add(self, rule: FlowRule) -> None:
         if rule in self.rules:
@@ -93,17 +98,26 @@ class FlowTable:
         self.rules.append(rule)
         # Canonical order keeps tables comparable across install sequences.
         self.rules.sort(key=lambda r: (-r.priority, r.mask.value, r.value.value, r.out_port))
+        self._reindex()
 
     def remove(self, mask: BitVector, value: BitVector) -> bool:
         before = len(self.rules)
         self.rules = [r for r in self.rules if not (r.mask == mask and r.value == value)]
-        return len(self.rules) != before
+        if len(self.rules) == before:
+            return False
+        self._reindex()
+        return True
+
+    def _reindex(self) -> None:
+        self._match = [(r.mask.value, r.value.value, r.out_port) for r in self.rules]
 
     def match_ports(self, fid: Fid) -> List[int]:
+        """Out-ports of the rules with ``fid & mask == value``, once each, in rule order."""
+        bits = fid.value
         ports: List[int] = []
-        for rule in self.rules:
-            if rule.matches(fid) and rule.out_port not in ports:
-                ports.append(rule.out_port)
+        for mask, value, port in self._match:
+            if bits & mask == value and port not in ports:
+                ports.append(port)
         return ports
 
     def snapshot(self) -> Tuple[FlowRule, ...]:

@@ -127,19 +127,22 @@ def new_lid(rng: Random, registry: Set[LinkId], params: FidParams) -> LinkId:
 
 
 def fid_or(lids: Iterable[LinkId], width: Optional[int] = None) -> Fid:
-    """OR a sequence of LIDs into a path FID.
+    """OR a sequence of LIDs into a path FID, built as one vector.
 
-    An empty sequence yields the all-zero vector, in which case ``width``
-    must be given.
+    Every LID must have the same width, ``width`` if it is given.  An empty
+    sequence yields the all-zero vector, in which case ``width`` must be
+    given.
     """
-    acc: Optional[BitVector] = None
+    acc = 0
     for lid in lids:
-        acc = lid if acc is None else acc | lid
-    if acc is None:
         if width is None:
-            raise ValueError("width required for empty OR")
-        return BitVector.zero(width)
-    return acc
+            width = lid.width
+        elif lid.width != width:
+            raise WidthMismatch(f"{width} != {lid.width}")
+        acc |= lid.value
+    if width is None:
+        raise ValueError("width required for empty OR")
+    return BitVector(width, acc)
 
 
 def fid_matches(fid: Fid, lid: LinkId) -> bool:

@@ -6,11 +6,11 @@ import pytest
 
 from icnsim import wire
 from icnsim.bootstrap import BootstrapState
-from icnsim.deploy import CtlDelivery, Deployment
+from icnsim.deploy import CtlDelivery, Deployment, EndpointError
 from icnsim.fabric import IcnPacket
 from icnsim.fid import fid_or
 from icnsim.simnet import NeverCompleted
-from icnsim.topology import TM_NID, TopologyGraph
+from icnsim.topology import TM_NID, LinkEvent, LinkEventKind, TopologyGraph
 from icnsim.topospec import (Defaults, SpecError, TopoLink, TopoNode, TopologySpec,
                              generate_random)
 from icnsim.wire import ResourceOffer, decode
@@ -33,6 +33,17 @@ def chain_spec(switches, hosts=1, delay_ms=0.0, defaults=None, seed=11, m=256, k
 
 
 ZERO_COST = Defaults(tm_service_ms=0.0, tm_alloc_per_lid_ms=0.0)
+
+
+def failed_host_net():
+    """tm - s1 - h1, bootstrapped with every frame to h1 dropped: h1 ends FAILED."""
+    spec = TopologySpec(
+        nodes=[TopoNode("tm", "tm"), TopoNode("s1", "switch"), TopoNode("h1", "host")],
+        links=[TopoLink("tm", "s1", 0.2), TopoLink("h1", "s1", 0.2)], seed=53)
+    net = Deployment(spec)
+    net.drop_filter = lambda src, dst, packet: dst == "h1"
+    net.run_bootstrap()
+    return net
 
 
 class TestChainBootstrap:
@@ -149,13 +160,10 @@ class TestLossyRuns:
         # h1 never gets a NID, so the controller cannot report the h1-s1
         # link to the TM; it drops the event instead of raising out of the
         # event loop.
-        spec = TopologySpec(
-            nodes=[TopoNode("tm", "tm"), TopoNode("s1", "switch"), TopoNode("h1", "host")],
-            links=[TopoLink("tm", "s1", 0.2), TopoLink("h1", "s1", 0.2)], seed=53)
-        net = Deployment(spec)
-        net.drop_filter = lambda src, dst, packet: dst == "h1"
-        net.run_bootstrap()
+        net = failed_host_net()
         assert net.hosts["h1"].fsm.state == BootstrapState.FAILED
+        # The FAILED host's discovery entry is dropped, as a DONE host's is.
+        assert net.controller.pending_discovery == {}
         before = net.graph.dump()
         net.fail_link("h1", "s1")
         net.run_until_idle()
@@ -543,3 +551,94 @@ class TestDataPayloads:
         lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
         assert [line.split(":")[0] for line in lines] == ["controller", "tm"]
         assert all("undecodable control frame dropped" in line for line in lines)
+
+
+class TestTrafficEndpoints:
+    """Traffic runs between the TM and DONE hosts; any other node is a named error."""
+
+    @pytest.fixture
+    def net(self):
+        net = Deployment(chain_spec(1, hosts=2))
+        net.run_bootstrap()
+        return net
+
+    def test_switch_is_not_an_endpoint(self, net):
+        with pytest.raises(EndpointError, match="'s1' is a switch"):
+            net.inject_data("s1", "h1")
+        with pytest.raises(EndpointError, match="'s1' is a switch"):
+            net.inject_probe("s1")
+
+    def test_unknown_name_is_not_an_endpoint(self, net):
+        with pytest.raises(EndpointError, match="'h9' is not a node"):
+            net.inject_data("h1", "h9")
+
+    def test_host_not_done_is_not_an_endpoint(self):
+        net = Deployment(chain_spec(1, hosts=1))
+        with pytest.raises(EndpointError, match="host 'h1' is INIT, not DONE"):
+            net.inject_data("tm", "h1")
+
+    def test_same_source_and_destination(self, net):
+        with pytest.raises(EndpointError, match="'h1' is both source and destination"):
+            net.inject_data("h1", "h1")
+
+    def test_probe_from_failed_host(self):
+        net = failed_host_net()
+        with pytest.raises(EndpointError, match="host 'h1' is FAILED, not DONE"):
+            net.inject_probe("h1")
+
+    def test_probe_from_the_tm(self, net):
+        with pytest.raises(EndpointError, match="'tm' is the TM"):
+            net.inject_probe("tm")
+
+    def test_rejected_injection_sends_nothing(self, net):
+        traces = dict(net.traces)
+        with pytest.raises(EndpointError):
+            net.inject_data("h2", "h2")
+        net.run_until_idle()
+        assert net.traces == traces
+
+    def test_valid_endpoints_still_deliver(self, net):
+        sends = [(net.inject_data("h1", "h2"), "h2"), (net.inject_data("tm", "h1"), "h1"),
+                 (net.inject_probe("h2"), "tm")]
+        net.run_until_idle()
+        assert all(dst in net.consumed[trace] for trace, dst in sends)
+
+
+class TestTmErrors:
+    """The TM logs the protocol's named errors and lets anything else propagate."""
+
+    def test_remove_of_unknown_link_logged_and_run_goes_on(self, caplog):
+        net = Deployment(chain_spec(1, hosts=1))
+        net.run_bootstrap()
+        h1, s1 = net.nid_of("h1"), net.nid_of("s1")
+        # The TM and h1 share no link.
+        net.ctl_send(LinkEvent(LinkEventKind.REMOVE, TM_NID, h1, 0.0))
+        with caplog.at_level("WARNING", logger="icnsim.deploy"):
+            net.run_until_idle()
+        assert ["link event failed" in r.getMessage() for r in caplog.records] == [True]
+        net.fail_link("h1", "s1")
+        net.run_until_idle()
+        assert (h1, s1) not in net.graph.links
+
+    def test_programming_error_propagates(self, monkeypatch):
+        net = Deployment(chain_spec(1, hosts=1))
+        net.run_bootstrap()
+
+        def broken(event):
+            raise RuntimeError("engine bug")
+
+        monkeypatch.setattr(net.tm.engine, "on_link_event", broken)
+        net.fail_link("h1", "s1")
+        with pytest.raises(RuntimeError, match="engine bug"):
+            net.run_until_idle()
+
+
+def test_emit_on_unwired_port_logs_and_drops(caplog):
+    net = Deployment(chain_spec(1, hosts=1))
+    net.run_bootstrap()
+    packet = IcnPacket(net.hosts["h1"].config.tmfid, net.hop_limit, b"DATA",
+                       trace_id=net.next_trace())
+    with caplog.at_level("WARNING", logger="icnsim.deploy"):
+        net.emit("s1", 7, packet)
+    assert [r.getMessage() for r in caplog.records] == ["s1: emission on unwired port 7"]
+    assert packet.trace_id not in net.traces

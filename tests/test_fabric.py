@@ -1,6 +1,7 @@
 """Flow tables, bitmask forwarding, and controller behaviors."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icnsim.fabric import (AttachNotEnabled, FlowRule, FlowTable, IcnPacket, MISS, PacketIn,
                            SwitchAttached, decode_packet, encode_packet, switch_forward)
@@ -65,6 +66,51 @@ class TestFlowTable:
         assert table.remove(L1, L1)
         assert not table.remove(L1, L1)
         assert len(table) == 0
+        assert switch_forward(table, IcnPacket(L1, 64, b"")) is MISS
+
+    @pytest.mark.parametrize("width", [8, 64, 256])
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_match_agrees_with_the_rules_after_any_changes(self, width, data):
+        # Each step removes a present rule (op 0) or adds one, then looks up
+        # a random FID and one that covers up to two rules.  Oracle: every
+        # rule of the canonical list whose masked FID equals its value, by
+        # port, first match first.
+        vec = st.integers(min_value=0, max_value=2 ** width - 1)
+        steps = data.draw(st.lists(st.tuples(st.integers(min_value=0, max_value=2), vec, vec,
+                                             st.integers(min_value=0, max_value=5),
+                                             st.integers(min_value=99, max_value=101)),
+                                   max_size=40))
+        table = FlowTable()
+        for op, a, b, port, priority in steps:
+            if op == 0 and table.rules:
+                rule = table.rules[a % len(table.rules)]
+                table.remove(rule.mask, rule.value)
+            else:
+                table.add(FlowRule(BitVector(width, a), BitVector(width, a & b), port, priority))
+            covering = 0
+            for pick in (a, b)[:len(table.rules)]:
+                covering |= table.rules[pick % len(table.rules)].value.value
+            for bits in (b, covering, covering | (a ^ b)):
+                fid = BitVector(width, bits)
+                expected = []
+                for r in table.rules:
+                    if fid.value & r.mask.value == r.value.value and r.out_port not in expected:
+                        expected.append(r.out_port)
+                assert table.match_ports(fid) == expected
+
+
+class TestIcnPacket:
+    def test_fields_cannot_be_assigned(self):
+        packet = IcnPacket(L1, 64, b"x")
+        with pytest.raises(AttributeError):
+            packet.hop_limit = 3
+
+    def test_spend_hop(self):
+        packet = IcnPacket(L1, 64, b"x", trace_id=7)
+        assert packet.spend_hop() == IcnPacket(L1, 63, b"x", trace_id=7)
+        unlimited = IcnPacket(L1, None, b"x")
+        assert unlimited.spend_hop() is unlimited
 
 
 class TestPacketCodec:

@@ -108,6 +108,12 @@ class TestFidOps:
         lid = bv(8, 0b00100001)
         assert fid_or([lid]) == lid
 
+    def test_or_of_mixed_widths_rejected(self):
+        with pytest.raises(WidthMismatch):
+            fid_or([bv(8, 1), bv(16, 2)])
+        with pytest.raises(WidthMismatch):
+            fid_or([bv(16, 2)], width=8)
+
     def test_matches_by_hand(self):
         assert fid_matches(bv(8, 0b00001111), bv(8, 0b00000011))
         assert not fid_matches(bv(8, 0b00001111), bv(8, 0b00110000))
