@@ -5,17 +5,21 @@ bootstraps them end to end, and records the simulated formation time (last
 bootstrap event) plus the wall-clock time the TM spent in resource
 management.  Means are reported with stddev and a 99% confidence interval,
 and a least-squares line is fitted to mean formation time versus links.
+
+The interval's half-width is t * stddev / sqrt(n), where t is the Student-t
+0.995 quantile for n - 1 degrees of freedom.  For integer degrees of freedom
+the probability P(|T| <= t) has a closed form in theta = atan(t / sqrt(nu))
+(Abramowitz & Stegun 26.7.3-26.7.4), which is increasing in theta, so t is
+found by bisection on theta until the interval stops shrinking.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from random import Random
 from typing import List, Tuple
-
-import numpy as np
-from scipy import stats
 
 from .deploy import Deployment
 from .topospec import generate_random
@@ -30,6 +34,34 @@ def switches_for_links(links: int) -> int:
     return max(mesh_min, 2 * links // 3 + 1)
 
 
+def _t_central(theta: float, nu: int) -> float:
+    """P(|T| <= sqrt(nu) * tan(theta)) for Student's t with integer ``nu``."""
+    cos = math.cos(theta)
+    odd = nu % 2
+    # The series in cos(theta): powers 1, 3, .., nu-2 (odd nu), or
+    # 0, 2, .., nu-2 (even nu); each term is the last times cos^2 (p+1)/(p+2).
+    term, total = (cos if odd else 1.0), 0.0
+    for power in range(odd, nu - 1, 2):
+        total += term
+        term *= cos * cos * (power + 1) / (power + 2)
+    series = math.sin(theta) * total
+    return 2 / math.pi * (theta + series) if odd else series
+
+
+def t_quantile(q: float, nu: int) -> float:
+    """The Student-t ``q`` quantile, 0.5 < q < 1, for integer ``nu`` >= 1."""
+    central = 2 * q - 1
+    lo, hi = 0.0, math.pi / 2
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return math.sqrt(nu) * math.tan(mid)
+        if _t_central(mid, nu) < central:
+            lo = mid
+        else:
+            hi = mid
+
+
 @dataclass
 class BenchRow:
     links: int
@@ -38,13 +70,12 @@ class BenchRow:
     wall_ms: List[float] = field(default_factory=list)
 
     def stats(self, values: List[float]) -> Tuple[float, float, float]:
-        arr = np.asarray(values, dtype=float)
-        mean = float(arr.mean())
-        if arr.size < 2:
+        mean = statistics.fmean(values)
+        n = len(values)
+        if n < 2:
             return mean, 0.0, 0.0
-        std = float(arr.std(ddof=1))
-        ci99 = float(stats.t.ppf(0.995, arr.size - 1) * std / np.sqrt(arr.size))
-        return mean, std, ci99
+        std = statistics.stdev(values)
+        return mean, std, t_quantile(0.995, n - 1) * std / math.sqrt(n)
 
 
 @dataclass
@@ -84,14 +115,13 @@ def run_sweep(links_lo: int, links_hi: int, step: int, repeats: int, seed: int) 
                 raise RuntimeError(f"bench run links={links} rep={rep} did not converge")
             row.sim_ms.append(report.end_us / 1000)
             row.wall_ms.append(net.tm.wall_alloc_s * 1000)
-    xs = np.array([row.links for row in rows], dtype=float)
-    ys = np.array([row.stats(row.sim_ms)[0] for row in rows], dtype=float)
-    if len(rows) >= 2:
-        slope, intercept = np.polyfit(xs, ys, 1)
-        predicted = slope * xs + intercept
-        ss_res = float(((ys - predicted) ** 2).sum())
-        ss_tot = float(((ys - ys.mean()) ** 2).sum())
-        r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    else:
-        slope, intercept, r2 = 0.0, float(ys[0]) if len(ys) else 0.0, 1.0
-    return BenchResult(rows, float(slope), float(intercept), r2)
+    xs = [float(row.links) for row in rows]
+    ys = [row.stats(row.sim_ms)[0] for row in rows]
+    if len(rows) < 2:
+        return BenchResult(rows, 0.0, ys[0] if ys else 0.0, 1.0)
+    slope, intercept = statistics.linear_regression(xs, ys)
+    mean_y = statistics.fmean(ys)
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = math.fsum((y - mean_y) ** 2 for y in ys)
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return BenchResult(rows, slope, intercept, r2)

@@ -35,6 +35,10 @@ class EndpointError(ValueError):
     """A traffic injector was given a node that cannot send or consume traffic."""
 
 
+class CableError(ValueError):
+    """A link fault was asked for on a pair of nodes that no cable joins."""
+
+
 class FabricDelivery(NamedTuple):
     packet: IcnPacket
     in_port: int
@@ -98,7 +102,8 @@ class SwitchNode:
             return
         onward = packet.spend_hop()
         for port in result:
-            self.net.emit(self.name, port, onward)
+            if port != in_port:  # split horizon: never back over the arrival link
+                self.net.emit(self.name, port, onward)
 
 
 class HostNode:
@@ -149,7 +154,7 @@ class HostNode:
             self.send(packet.spend_hop(), in_port)
 
     def send(self, packet: IcnPacket, in_port: Optional[int] = None) -> None:
-        """Emit on every link whose LID the FID holds (``in_port``: arrival port)."""
+        """Emit on every link whose LID the FID holds, except the arrival port ``in_port``."""
         ports = set()
         for nid, lid in self.config.link_lids.items():
             if not fid_matches(packet.fid, lid):
@@ -159,7 +164,8 @@ class HostNode:
                 ports.add(port)
             else:
                 # Neighbor not yet bound to a port: flood, Bloom style.
-                ports.update(p for p in self.ports if p != in_port)
+                ports.update(self.ports)
+        ports.discard(in_port)
         for port in sorted(ports):
             self.net.emit(self.name, port, packet)
 
@@ -243,18 +249,18 @@ class TmNode:
             self._on_link_local(packet, in_port)
             return
         if packet.hop_limit is None or packet.hop_limit > 0:
-            self.send(packet.spend_hop())
+            self.send(packet.spend_hop(), in_port)
         # TM-bound FIDs carry no iLID for the TM, so arrival means delivery.
         msg = self.net.consume(self.name, packet)
         if msg is not None:
             self._enqueue(msg, in_port)
 
-    def send(self, packet: IcnPacket) -> None:
-        """Emit on every bound out-link whose LID the FID holds."""
+    def send(self, packet: IcnPacket, in_port: Optional[int] = None) -> None:
+        """Emit on every bound out-link whose LID the FID holds, except arrival port ``in_port``."""
         for link in self.graph.out_links(TM_NID):
             if fid_matches(packet.fid, link.lid):
                 port = self.nid_port.get(link.dst)
-                if port is not None:
+                if port is not None and port != in_port:
                     self.net.emit(self.name, port, packet)
 
     def _on_link_local(self, packet: IcnPacket, in_port: int) -> None:
@@ -583,12 +589,23 @@ class Deployment:
 
     # -- faults and probes ---------------------------------------------------------
 
+    def _cable(self, a: str, b: str) -> FrozenSet[str]:
+        """The pair key of the cable between ``a`` and ``b``; CableError if there is none."""
+        unknown = [name for name in (a, b) if name != self.tm_name
+                   and name not in self.switches and name not in self.hosts]
+        if unknown:
+            raise CableError(f"link {a!r}-{b!r}: unknown node {unknown[0]!r}")
+        pair = frozenset((a, b))
+        if pair not in self._pair_delay_us:
+            raise CableError(f"link {a!r}-{b!r}: no cable joins the two nodes")
+        return pair
+
     def fail_link(self, a: str, b: str) -> None:
-        self.down_pairs.add(frozenset((a, b)))
+        self.down_pairs.add(self._cable(a, b))
         self.sim.schedule_in(0, "ctl", LinkDown(a, b))
 
     def restore_link(self, a: str, b: str) -> None:
-        self.down_pairs.discard(frozenset((a, b)))
+        self.down_pairs.discard(self._cable(a, b))
         self.sim.schedule_in(0, "ctl", LinkUp(a, b))
 
     def _endpoint(self, name: str):

@@ -9,7 +9,6 @@ import statistics
 import time
 from random import Random
 
-import numpy as np
 import pytest
 
 from golden_vectors import GOLDEN_HEX
@@ -174,10 +173,9 @@ def test_criterion_5_hop_independence_and_affine_law():
     zero = {h: bootstrap_span_us(h, 0.0) for h in hops}
     equal = len(set(zero.values())) == 1
     delayed = {h: bootstrap_span_us(h, 1.0) for h in hops}
-    xs = np.array(hops, dtype=float)
-    ys = np.array([delayed[h] for h in hops], dtype=float)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    residual = float(np.max(np.abs(ys - (slope * xs + intercept))))
+    ys = [delayed[h] for h in hops]
+    slope, intercept = statistics.linear_regression(hops, ys)
+    residual = max(abs(y - (slope * x + intercept)) for x, y in zip(hops, ys))
     d_us = 1000.0
     expected_slope = 4 * d_us
     slope_ok = abs(slope - expected_slope) <= 0.01 * expected_slope

@@ -1,9 +1,13 @@
 """CLI verbs: exit codes, output stability, spec round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import icnsim
 from icnsim.cli import main
 from icnsim.topospec import generate_random
 
@@ -140,3 +144,31 @@ class TestDumpProtocol:
         first = capsys.readouterr().out
         main(["dump-protocol"])
         assert capsys.readouterr().out == first
+
+
+class TestStandardLibraryOnly:
+    """Every verb runs with numpy and scipy unimportable: jsonschema is the only dependency."""
+
+    def python(self, code, cwd):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(icnsim.__file__)))
+        return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_import_loads_neither_numpy_nor_scipy(self, tmp_path):
+        done = self.python("import sys, icnsim.cli; "
+                           "print(sorted({'numpy', 'scipy'} & set(sys.modules)))", tmp_path)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["dump-protocol"],
+        ["gen", "--switches", "4", "--links", "4", "--hosts", "2", "--seed", "1",
+         "--out", "g.json"],
+        ["run", "--topology", "g.json"],
+        ["bench", "--links", "4..8", "--step", "2", "--repeats", "2"],
+    ])
+    def test_verb_runs_with_numpy_and_scipy_unimportable(self, tmp_path, argv):
+        if argv[0] == "run":
+            write_spec(tmp_path, "g.json", switches=4, links=4, hosts=2, seed=1)
+        done = self.python("import sys; sys.modules['numpy'] = sys.modules['scipy'] = None; "
+                           f"from icnsim.cli import main; sys.exit(main({argv!r}))", tmp_path)
+        assert done.returncode == 0, done.stderr

@@ -6,7 +6,7 @@ import pytest
 
 from icnsim import wire
 from icnsim.bootstrap import BootstrapState
-from icnsim.deploy import CtlDelivery, Deployment, EndpointError
+from icnsim.deploy import CableError, CtlDelivery, Deployment, EndpointError
 from icnsim.fabric import IcnPacket
 from icnsim.fid import fid_or
 from icnsim.simnet import NeverCompleted
@@ -642,3 +642,42 @@ def test_emit_on_unwired_port_logs_and_drops(caplog):
         net.emit("s1", 7, packet)
     assert [r.getMessage() for r in caplog.records] == ["s1: emission on unwired port 7"]
     assert packet.trace_id not in net.traces
+
+
+class TestLinkFaultNames:
+    """``fail_link``/``restore_link`` name a cabled pair, or raise at the call."""
+
+    @pytest.fixture
+    def net(self):
+        net = Deployment(chain_spec(2, hosts=1))
+        net.run_bootstrap()
+        return net
+
+    @pytest.mark.parametrize("change", ["fail_link", "restore_link"])
+    @pytest.mark.parametrize("a, b, why", [
+        ("zz", "s1", "unknown node 'zz'"),
+        ("s1", "zz", "unknown node 'zz'"),
+        ("tm", "s2", "no cable joins the two nodes"),
+        ("s1", "s1", "no cable joins the two nodes"),
+    ])
+    def test_bad_pair_raises_and_changes_nothing(self, net, monkeypatch, change, a, b, why):
+        scheduled = []
+        monkeypatch.setattr(net.sim, "schedule_in", lambda *args: scheduled.append(args))
+        with pytest.raises(CableError, match=f"link '{a}'-'{b}': {why}"):
+            getattr(net, change)(a, b)
+        assert net.down_pairs == set()
+        assert scheduled == []
+
+    def test_valid_flap_still_works(self, net):
+        s1, s2 = net.nid_of("s1"), net.nid_of("s2")
+        net.fail_link("s2", "s1")
+        net.run_until_idle()
+        assert net.down_pairs == {frozenset(("s1", "s2"))}
+        assert (s1, s2) not in net.graph.links
+        net.restore_link("s1", "s2")
+        net.run_until_idle()
+        assert net.down_pairs == set()
+        assert (s1, s2) in net.graph.links
+        trace = net.inject_data("tm", "h1")
+        net.run_until_idle()
+        assert net.consumed[trace] == ["h1"]
