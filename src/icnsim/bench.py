@@ -99,8 +99,13 @@ class BenchResult:
 
 
 def run_sweep(links_lo: int, links_hi: int, step: int, repeats: int, seed: int) -> BenchResult:
-    if links_lo < 1 or step <= 0 or repeats < 1:
-        raise ValueError("need links_lo >= 1, step > 0, repeats >= 1")
+    """Sweep ``links_lo..links_hi``; a ValueError starts with the argument at fault."""
+    if not 1 <= links_lo <= links_hi:
+        raise ValueError(f"links: need 1 <= LO <= HI, got {links_lo}..{links_hi}")
+    if step <= 0:
+        raise ValueError(f"step: need > 0, got {step}")
+    if repeats < 1:
+        raise ValueError(f"repeats: need >= 1, got {repeats}")
     rows = [BenchRow(links, repeats) for links in range(links_lo, links_hi + 1, step)]
     # Repeats outermost: every link count samples the same stretch of
     # machine time, so drift between speed states does not enter the ratios.

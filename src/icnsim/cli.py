@@ -1,7 +1,8 @@
 """Command-line front end: run | gen | bench | dump-protocol.
 
-Exit codes: 0 success, 1 invalid spec or arguments, 2 simulation failure.
-Set ICNSIM_LOG to error|info|debug|trace for diagnostics on stderr.
+Exit codes: 0 success, 1 invalid spec or arguments (usage errors too),
+2 simulation failure.  Set ICNSIM_LOG to error|info|debug for diagnostics
+on stderr.
 """
 
 from __future__ import annotations
@@ -16,14 +17,10 @@ from .bench import run_sweep
 from .deploy import Deployment
 from .fid import FidParams
 from .simnet import LimitExceeded
-from .topospec import SpecError, generate_random, load_spec
+from .topospec import SpecError, check_params, generate_random, load_spec
 from .wire import encode, golden_messages
 
-TRACE = 5
-logging.addLevelName(TRACE, "TRACE")
-
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
-               "debug": logging.DEBUG, "trace": TRACE}
+_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
 def _setup_logging() -> None:
@@ -32,32 +29,38 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _fail(code: int, message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _write(path: Optional[str], text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         spec = load_spec(args.topology)
     except FileNotFoundError:
-        print(f"error: topology file {args.topology!r} not found", file=sys.stderr)
-        return 1
+        return _fail(1, f"topology file {args.topology!r} not found")
     except SpecError as exc:
-        print(f"error: invalid spec: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"invalid spec: {exc}")
     net = Deployment(spec, seed=args.seed)
     try:
         report = net.run_bootstrap()
     except LimitExceeded as exc:
-        print(f"error: simulation did not converge: {exc}", file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
-    else:
-        sys.stdout.write(report.to_csv())
+        return _fail(2, f"simulation did not converge: {exc}")
+    _write(args.out, report.to_csv())
     if args.dump_topology:
         sys.stdout.write(net.graph.dump())
     if not net.all_done():
         detail = "; ".join(f"{name}: {why}" for name, why in sorted(net.failures.items()))
-        print(f"error: bootstrap incomplete ({detail or 'pending nodes'})", file=sys.stderr)
-        return 2
+        return _fail(2, f"bootstrap incomplete ({detail or 'pending nodes'})")
     return 0
 
 
@@ -65,58 +68,53 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         spec = generate_random(args.switches, args.links, args.hosts, args.seed)
     except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    text = spec.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return _fail(1, exc)
+    _write(args.out, spec.to_json())
     return 0
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." not in text:
-        raise ValueError("expected LO..HI")
-    lo, hi = text.split("..", 1)
-    return int(lo), int(hi)
+    lo, _, hi = text.partition("..")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"links: expected LO..HI, got {text!r}") from None
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     try:
-        lo, hi = _parse_range(args.links)
-    except ValueError as exc:
-        print(f"error: --links: {exc}", file=sys.stderr)
-        return 1
-    try:
-        result = run_sweep(lo, hi, args.step, args.repeats, args.seed)
-    except (SpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        result = run_sweep(*_parse_range(args.links), args.step, args.repeats, args.seed)
+    except SpecError as exc:
+        return _fail(1, exc)
+    except ValueError as exc:  # the message starts with the argument at fault
+        return _fail(1, f"--{exc}")
     except (LimitExceeded, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(result.to_csv())
-    else:
-        sys.stdout.write(result.to_csv())
-    print("fit: slope=%.3f ms/link intercept=%.3f ms r2=%.6f"
-          % (result.slope_ms_per_link, result.intercept_ms, result.r_squared))
+        return _fail(2, exc)
+    _write(args.out, result.to_csv())
     return 0
 
 
 def _cmd_dump_protocol(args: argparse.Namespace) -> int:
+    try:
+        check_params(args.m, args.k, prefix="--")
+    except SpecError as exc:
+        return _fail(1, exc)
     params = FidParams(m=args.m, k=args.k)
     for name, msg in golden_messages(params):
         sys.stdout.write(f"{name}: {encode(msg, params).hex()}\n")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, the code of every invalid argument."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="icnsim",
-                                     description="ICN-over-SDN bootstrap simulator")
+    parser = _Parser(prog="icnsim", description="ICN-over-SDN bootstrap simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="bootstrap a topology spec and write span CSV")

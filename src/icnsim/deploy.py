@@ -13,7 +13,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from random import Random
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from . import wire
 from .bootstrap import (Arm, Broadcast, NodeBootstrapFsm, NodeConfig,
@@ -21,10 +21,9 @@ from .bootstrap import (Arm, Broadcast, NodeBootstrapFsm, NodeConfig,
                         responder_on_discovery, NotBootstrapped)
 from .fabric import (Controller, FlowTable, IcnPacket, LinkDown, LinkUp, MISS, PacketIn,
                      SwitchAttached, encode_packet, switch_forward)
-from .fid import BitVector, Fid, FidError, FidParams, fid_matches, fid_or
+from .fid import BitVector, FidError, FidParams, fid_matches
 from .simnet import SimReport, Simulator, Timer, ms
-from .topology import (TM_NID, DirectedLink, NodeKind, RuleInstallFrame, TopologyError,
-                       TopologyGraph)
+from .topology import TM_NID, NodeKind, RuleInstallFrame, TopologyError, TopologyGraph
 from .topospec import TopologySpec
 from .wire import CodecError, DiscoveryRequest, ResourceRequest, Update
 
@@ -78,7 +77,7 @@ class SwitchNode:
     def __init__(self, name: str, net: "Deployment"):
         self.name = name
         self.net = net
-        self.ports: Dict[int, str] = {}
+        self.ports: Dict[int, PortLink] = {}
         self.table = FlowTable()
         self.drops = 0
 
@@ -86,7 +85,7 @@ class SwitchNode:
         if isinstance(event, FabricDelivery):
             self._forward(event.packet, event.in_port)
         else:  # PacketOutCmd
-            self.net.emit(self.name, event.port, event.packet)
+            self.net.emit(self, event.port, event.packet)
 
     def _forward(self, packet: IcnPacket, in_port: int) -> None:
         result = switch_forward(self.table, packet)
@@ -97,28 +96,29 @@ class SwitchNode:
             else:
                 self.drops += 1
             return
-        if packet.hop_limit is not None and packet.hop_limit <= 0:
+        if packet.hop_limit <= 0:
             self.drops += 1
             return
         onward = packet.spend_hop()
         for port in result:
             if port != in_port:  # split horizon: never back over the arrival link
-                self.net.emit(self.name, port, onward)
+                self.net.emit(self, port, onward)
 
 
 class HostNode:
     """ICN end host: runs the bootstrap FSM, then consumes and forwards.
 
-    Its link table (``config.link_lids``, neighbour NID -> LID) is written
-    only by the TM's Updates; ``nid_port`` (neighbour NID -> port) only by
-    the deployment when either end of a link finishes bootstrap.  One rule,
+    ``ports`` holds its cables.  Its link table (``config.link_lids``,
+    neighbour NID -> LID) is written only by the TM's Updates; ``nid_port``
+    (neighbour NID -> port) only by :meth:`Deployment._finish_ports`, from
+    those cables, when either end of a link finishes bootstrap.  One rule,
     :meth:`send`, emits what the host originates and what it forwards.
     """
 
     def __init__(self, name: str, net: "Deployment", rng: Random, timers: Timers):
         self.name = name
         self.net = net
-        self.ports: Dict[int, str] = {}
+        self.ports: Dict[int, PortLink] = {}
         self.fsm = NodeBootstrapFsm(name, rng, timers)
         self.nid_port: Dict[int, int] = {}
         self._settled = False
@@ -150,7 +150,7 @@ class HostNode:
             return
         if self.config.ilid is not None and fid_matches(packet.fid, self.config.ilid):
             self._consume(packet, in_port)
-        if packet.hop_limit is None or packet.hop_limit > 0:
+        if packet.hop_limit > 0:
             self.send(packet.spend_hop(), in_port)
 
     def send(self, packet: IcnPacket, in_port: Optional[int] = None) -> None:
@@ -167,7 +167,7 @@ class HostNode:
                 ports.update(self.ports)
         ports.discard(in_port)
         for port in sorted(ports):
-            self.net.emit(self.name, port, packet)
+            self.net.emit(self, port, packet)
 
     def _on_link_local(self, packet: IcnPacket, in_port: int) -> None:
         msg = self.net.decode(self.name, packet.payload)
@@ -178,7 +178,7 @@ class HostNode:
                 offer = responder_on_discovery(msg, self.config)
             except NotBootstrapped:
                 return
-            self.net.emit(self.name, in_port, self.net.link_local_packet(offer))
+            self.net.emit(self, in_port, self.net.link_local_packet(offer))
         elif self.fsm.state != BootstrapState.DONE:
             self._execute(self.fsm.on_message(msg, in_port))
 
@@ -194,12 +194,12 @@ class HostNode:
             if isinstance(action, Broadcast):
                 frame = self.net.link_local_packet(action.message)
                 for port in sorted(self.ports):
-                    self.net.emit(self.name, port, frame)
+                    self.net.emit(self, port, frame)
             elif isinstance(action, Send):
                 packet = IcnPacket(action.fid, self.net.hop_limit,
                                    wire.encode(action.message, self.net.params),
                                    trace_id=self.net.next_trace())
-                self.net.emit(self.name, action.port, packet)
+                self.net.emit(self, action.port, packet)
             elif isinstance(action, Arm):
                 self.net.sim.schedule_in(action.delay_us, f"node:{self.name}",
                                          Timer(action.timer_id, action.token))
@@ -223,9 +223,10 @@ class TmNode:
         self.net = net
         self.graph = graph
         self.engine = TmEngine(graph)
-        self.ports: Dict[int, str] = {}
+        self.ports: Dict[int, PortLink] = {}
         self.nid_port: Dict[int, int] = {}
-        self.config = None  # set after construction, needs zero tmfid
+        self.config = NodeConfig(nid=TM_NID, ilid=graph.nodes[TM_NID].ilid,
+                                 tmfid=BitVector.zero(graph.params.m))
         self.service_us = 0
         self.alloc_us = 0
         self.wall_alloc_s = 0.0
@@ -248,7 +249,7 @@ class TmNode:
         if packet.fid.is_zero():
             self._on_link_local(packet, in_port)
             return
-        if packet.hop_limit is None or packet.hop_limit > 0:
+        if packet.hop_limit > 0:
             self.send(packet.spend_hop(), in_port)
         # TM-bound FIDs carry no iLID for the TM, so arrival means delivery.
         msg = self.net.consume(self.name, packet)
@@ -261,7 +262,7 @@ class TmNode:
             if fid_matches(packet.fid, link.lid):
                 port = self.nid_port.get(link.dst)
                 if port is not None and port != in_port:
-                    self.net.emit(self.name, port, packet)
+                    self.net.emit(self, port, packet)
 
     def _on_link_local(self, packet: IcnPacket, in_port: int) -> None:
         msg = self.net.decode(self.name, packet.payload)
@@ -269,7 +270,7 @@ class TmNode:
             return
         if isinstance(msg, DiscoveryRequest):
             offer = responder_on_discovery(msg, self.config)
-            self.net.emit(self.name, in_port, self.net.link_local_packet(offer))
+            self.net.emit(self, in_port, self.net.link_local_packet(offer))
         else:
             # Directly attached nodes address the TM with its own (all-zero)
             # TMFID, so handshake messages arrive on the default-FID channel.
@@ -333,7 +334,7 @@ class TmNode:
             return
         if not path:
             return
-        self.send(IcnPacket(self.net.path_fid(path, nid), self.net.hop_limit,
+        self.send(IcnPacket(self.graph.path_fid(path, nid), self.net.hop_limit,
                             wire.encode(message, self.net.params),
                             trace_id=self.net.next_trace()))
 
@@ -359,8 +360,6 @@ class Deployment:
         self.tm = TmNode(self.tm_name, self, self.graph)
         self.tm.service_us = ms(d.tm_service_ms)
         self.tm.alloc_us = ms(d.tm_alloc_per_lid_ms)
-        self.tm.config = NodeConfig(nid=TM_NID, ilid=self.graph.nodes[TM_NID].ilid,
-                                    tmfid=BitVector.zero(self.params.m))
 
         self.switches: Dict[str, SwitchNode] = {}
         self.hosts: Dict[str, HostNode] = {}
@@ -372,17 +371,13 @@ class Deployment:
                 self.hosts[node.name] = HostNode(node.name, self, rng, self.timers)
 
         # Cable everything: port indices follow spec link order per node.
-        self._links: Dict[Tuple[str, int], PortLink] = {}
-        self._pair_delay_us: Dict[frozenset, int] = {}
         for link in spec.links:
-            pa = self._next_port(link.a)
-            pb = self._next_port(link.b)
-            self._node(link.a).ports[pa] = link.b
-            self._node(link.b).ports[pb] = link.a
+            a, b = self._node(link.a), self._node(link.b)
+            pa, pb = len(a.ports), len(b.ports)
             pair = frozenset((link.a, link.b))
-            delay_us = self._pair_delay_us[pair] = ms(link.delay_ms)
-            self._links[(link.a, pa)] = PortLink(link.b, pb, pair, delay_us, f"node:{link.b}")
-            self._links[(link.b, pb)] = PortLink(link.a, pa, pair, delay_us, f"node:{link.a}")
+            delay_us = ms(link.delay_ms)
+            a.ports[pa] = PortLink(link.b, pb, pair, delay_us, f"node:{link.b}")
+            b.ports[pb] = PortLink(link.a, pa, pair, delay_us, f"node:{link.a}")
 
         self.controller = Controller(self)
         self.down_pairs: set = set()
@@ -409,9 +404,6 @@ class Deployment:
             return self.tm
         return self.switches.get(name) or self.hosts[name]
 
-    def _next_port(self, name: str) -> int:
-        return len(self._node(name).ports)
-
     # -- plumbing used by nodes and the controller -------------------------------
 
     def next_trace(self) -> int:
@@ -422,14 +414,16 @@ class Deployment:
         return IcnPacket(BitVector.zero(self.params.m), self.hop_limit,
                          wire.encode(message, self.params), trace_id=self.next_trace())
 
-    def emit(self, src: str, port: int, packet: IcnPacket) -> None:
-        link = self._links.get((src, port))
+    def emit(self, node, port: int, packet: IcnPacket) -> None:
+        """Send ``packet`` from ``node`` over the cable on its ``port``."""
+        link = node.ports.get(port)
         if link is None:
-            log.warning("%s: emission on unwired port %d", src, port)
+            log.warning("%s: emission on unwired port %d", node.name, port)
             return
         dst, dst_port, pair, delay_us, target = link
         if pair in self.down_pairs:
             return
+        src = node.name
         if self.drop_filter is not None and self.drop_filter(src, dst, packet):
             return
         self.traces.setdefault(packet.trace_id, []).append((src, dst))
@@ -453,15 +447,7 @@ class Deployment:
         self.sim.schedule_in(self.ctl_delay_us, "ctl", CtlDelivery(data))
 
     def link_delay_ms(self, a: str, b: str) -> float:
-        return self._pair_delay_us[frozenset((a, b))] / 1000
-
-    def path_fid(self, path: Sequence[DirectedLink], dst_nid: int) -> Fid:
-        """OR of a path's LIDs and the destination's iLID, if it has one."""
-        lids = [link.lid for link in path]
-        ilid = self.graph.nodes[dst_nid].ilid
-        if ilid is not None:
-            lids.append(ilid)
-        return fid_or(lids, width=self.params.m)
+        return self._cable(a, b).delay_us / 1000
 
     def consume(self, name: str, packet: IcnPacket) -> Optional[wire.Message]:
         """A packet delivered to node ``name``: its control frame, or None.
@@ -518,11 +504,8 @@ class Deployment:
             return
 
     def _find_attach_point(self, switch_name: str) -> Optional[str]:
-        for port in sorted(self.switches[switch_name].ports):
-            neighbor = self.switches[switch_name].ports[port]
-            if neighbor == self.tm_name or neighbor in self.controller.enabled:
-                return neighbor
-        return None
+        return next((link.dst for link in self.switches[switch_name].ports.values()
+                     if link.dst == self.tm_name or link.dst in self.controller.enabled), None)
 
     def switch_attach_complete(self, name: str) -> None:
         """Controller callback: proxy handshake finished, rules installed."""
@@ -532,12 +515,9 @@ class Deployment:
 
     def node_done(self, name: str) -> None:
         self.sim.end_span(f"bootstrap:{name}")
-        host = self.hosts[name]
-        # A host attached directly to the TM is otherwise unknown to the
-        # controller, which must bind switch rules towards it.
-        self.controller.nid_names[host.config.nid] = name
-        # Its attach rule is bound, so its discovery ports are spent.
-        self.controller.pending_discovery.pop(host.fsm.nonce, None)
+        # A host that attached through the TM or another host got no attach
+        # rule, so its discovery entry is dropped here.
+        self.controller.pending_discovery.pop(self.hosts[name].fsm.nonce, None)
         self._finish_ports(name)
         self.sim.schedule_in(0, "orch", Timer("next"))
 
@@ -551,7 +531,8 @@ class Deployment:
         """
         node = self._node(name)
         nid = self.nid_of(name)
-        for port, other in node.ports.items():  # port order is spec link order
+        for port, cable in node.ports.items():  # port order is spec link order
+            other = cable.dst
             other_nid = self.nid_of(other)
             if other_nid is None:
                 continue
@@ -559,13 +540,13 @@ class Deployment:
                 node.nid_port[other_nid] = port
             peer = self._node(other)
             if not isinstance(peer, SwitchNode):
-                peer.nid_port[nid] = self._links[(name, port)].dst_port
-            delay_ms = self.link_delay_ms(name, other)
+                peer.nid_port[nid] = cable.dst_port
+            delay_ms = cable.delay_us / 1000
             for key in ((nid, other_nid), (other_nid, nid)):
                 link = self.graph.links.get(key)
                 if link is not None and not link.delay_ms:
                     self.graph.links[key] = replace(link, delay_ms=delay_ms)
-            if frozenset((name, other)) in self.down_pairs:
+            if cable.pair in self.down_pairs:
                 continue
             a, b = sorted((name, other))
             key = (nid, other_nid) if a == name else (other_nid, nid)
@@ -589,23 +570,23 @@ class Deployment:
 
     # -- faults and probes ---------------------------------------------------------
 
-    def _cable(self, a: str, b: str) -> FrozenSet[str]:
-        """The pair key of the cable between ``a`` and ``b``; CableError if there is none."""
+    def _cable(self, a: str, b: str) -> PortLink:
+        """``a``'s end of the cable to ``b``; CableError if there is none."""
         unknown = [name for name in (a, b) if name != self.tm_name
                    and name not in self.switches and name not in self.hosts]
         if unknown:
             raise CableError(f"link {a!r}-{b!r}: unknown node {unknown[0]!r}")
-        pair = frozenset((a, b))
-        if pair not in self._pair_delay_us:
-            raise CableError(f"link {a!r}-{b!r}: no cable joins the two nodes")
-        return pair
+        for link in self._node(a).ports.values():
+            if link.dst == b:
+                return link
+        raise CableError(f"link {a!r}-{b!r}: no cable joins the two nodes")
 
     def fail_link(self, a: str, b: str) -> None:
-        self.down_pairs.add(self._cable(a, b))
+        self.down_pairs.add(self._cable(a, b).pair)
         self.sim.schedule_in(0, "ctl", LinkDown(a, b))
 
     def restore_link(self, a: str, b: str) -> None:
-        self.down_pairs.discard(self._cable(a, b))
+        self.down_pairs.discard(self._cable(a, b).pair)
         self.sim.schedule_in(0, "ctl", LinkUp(a, b))
 
     def _endpoint(self, name: str):
@@ -637,7 +618,7 @@ class Deployment:
             raise EndpointError(f"{src!r} is both source and destination")
         dst_nid = dest.config.nid
         path = self.graph.shortest_path(source.config.nid, dst_nid)
-        packet = IcnPacket(self.path_fid(path, dst_nid), self.hop_limit, b"DATA",
+        packet = IcnPacket(self.graph.path_fid(path, dst_nid), self.hop_limit, b"DATA",
                            trace_id=self.next_trace())
         source.send(packet)
         return packet.trace_id

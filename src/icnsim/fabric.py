@@ -59,14 +59,12 @@ class IcnPacket(NamedTuple):
     """
 
     fid: Fid
-    hop_limit: Optional[int]
+    hop_limit: int
     payload: bytes
     trace_id: int = 0
 
     def spend_hop(self) -> "IcnPacket":
-        """The packet as sent on by a forwarder: one hop less, if it has a budget."""
-        if self.hop_limit is None:
-            return self
+        """The packet as sent on by a forwarder: one hop less."""
         return IcnPacket(self.fid, self.hop_limit - 1, self.payload, self.trace_id)
 
 
@@ -134,8 +132,7 @@ def switch_forward(table: FlowTable, packet: IcnPacket) -> Union[List[int], Miss
 
 
 def encode_packet(packet: IcnPacket, params: FidParams) -> bytes:
-    hop = 255 if packet.hop_limit is None else min(packet.hop_limit, 255)
-    return packet.fid.to_bytes() + bytes([hop]) + packet.payload
+    return packet.fid.to_bytes() + bytes([min(packet.hop_limit, 255)]) + packet.payload
 
 
 def decode_packet(data: bytes, params: FidParams) -> IcnPacket:
@@ -189,11 +186,13 @@ class Controller:
         self.net = net
         self.params: FidParams = net.params
         self.enabled: Dict[str, int] = {}       # switch name -> NID
+        # NID -> node name, learnt from the controller's own events
         self.nid_names: Dict[int, str] = {TM_NID: net.tm_name}
         self.pending_proxy: Dict[int, str] = {}  # nonce -> name of the proxied switch
-        # host nonce -> {switch: ingress port of its discovery broadcast};
-        # dropped once the host is DONE
-        self.pending_discovery: Dict[int, Dict[str, int]] = {}
+        # host nonce -> the host's name, the neighbour behind its discovery
+        # PacketIn's ingress port; popped by the host's attach rule, or when
+        # the host ends DONE or FAILED without one
+        self.pending_discovery: Dict[int, str] = {}
         self.packet_in_count = 0
         self.audit_drops = 0
 
@@ -250,7 +249,7 @@ class Controller:
             self.audit_drops += 1
             log.info("controller: %s via PacketIn dropped", type(msg).__name__)
             return
-        self.pending_discovery.setdefault(msg.nonce, {})[event.switch] = event.in_port
+        self.pending_discovery[msg.nonce] = self.net.switches[event.switch].ports[event.in_port].dst
         nid = self.enabled.get(event.switch)
         if nid is None:
             log.debug("controller: discovery at not-yet-enabled switch %s", event.switch)
@@ -267,6 +266,7 @@ class Controller:
             log.warning("controller: link %s<->%s has an unmanaged endpoint; not relayed",
                         event.a, event.b)
             return
+        self.nid_names[nid_a], self.nid_names[nid_b] = event.a, event.b
         delay = self.net.link_delay_ms(event.a, event.b)
         self.net.ctl_send(LinkEvent(kind, nid_a, nid_b, delay))
         self.net.ctl_send(LinkEvent(kind, nid_b, nid_a, delay))
@@ -275,6 +275,9 @@ class Controller:
 
     def apply_rule(self, frame: RuleInstallFrame) -> None:
         """Install or remove the frame's rule as sent; the TM's own side has no table."""
+        host = self.pending_discovery.pop(frame.nonce, None)
+        if host is not None:  # a host's attach rule: its NID now has a name
+            self.nid_names[frame.dst_nid] = host
         switch_name = self.nid_names.get(frame.switch_nid)
         if switch_name is None or switch_name == self.net.tm_name:
             if switch_name is None:
@@ -292,14 +295,9 @@ class Controller:
         table.add(FlowRule(frame.mask, frame.value, port, frame.priority))
 
     def _resolve_port(self, switch_name: str, frame: RuleInstallFrame) -> Optional[int]:
-        port = self.pending_discovery.get(frame.nonce, {}).get(switch_name)
-        if port is not None:
-            # Host attachment: bind the TM-assigned NID to the ingress port.
-            self.nid_names[frame.dst_nid] = self.net.switches[switch_name].ports[port]
-            return port
+        """The switch's port whose cable leads to the rule's destination, by name."""
         dst_name = self.nid_names.get(frame.dst_nid)
-        if dst_name is not None:
-            for port, neighbor in self.net.switches[switch_name].ports.items():
-                if neighbor == dst_name:
-                    return port
+        for port, link in self.net.switches[switch_name].ports.items():
+            if link.dst == dst_name:
+                return port
         return None

@@ -407,6 +407,14 @@ class TopologyGraph:
         rec.managed_path = path
         rec.tmfid = fid_or((l.lid for l in path), width=self.params.m)
 
+    def path_fid(self, path: List[DirectedLink], dst_nid: int) -> Fid:
+        """A route's FID: the OR of its LIDs and the destination's iLID, if it has one."""
+        lids = [l.lid for l in path]
+        ilid = self.nodes[dst_nid].ilid
+        if ilid is not None:
+            lids.append(ilid)
+        return fid_or(lids, width=self.params.m)
+
     def te_select_path(self, src: int, dst: int) -> List[DirectedLink]:
         """Bottleneck-optimal path: minimize max link load, then hops, then
         the lexicographic NID sequence."""

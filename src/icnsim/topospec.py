@@ -25,6 +25,20 @@ class SpecError(Exception):
     """Invalid topology spec; the message names the offending field."""
 
 
+def check_params(m: int, k: int, prefix: str = "params.") -> None:
+    """SpecError unless FIDs of width ``m`` with ``k`` bits per LID fit every frame.
+
+    The message names the field at fault, after ``prefix``.
+    """
+    if m % 8 != 0 or m <= 0:
+        raise SpecError(f"{prefix}m: must be a positive multiple of 8")
+    if not 0 < k < m:
+        raise SpecError(f"{prefix}k: must satisfy 0 < k < m")
+    if (payload := wire.largest_payload(m)) > wire.MAX_PAYLOAD:
+        raise SpecError(f"{prefix}m: {m} makes a {payload}-byte frame payload, "
+                        f"over the u16 length limit {wire.MAX_PAYLOAD}")
+
+
 @dataclass(frozen=True)
 class Defaults:
     discovery_wait_ms: float = 100.0
@@ -90,13 +104,7 @@ class TopologySpec:
             if not 0 <= link.delay_ms <= wire.MAX_DELAY_MS:
                 raise SpecError(f"links[{i}].delay_ms: must be >= 0 and <= {wire.MAX_DELAY_MS}, "
                                 "a u32 count of microseconds in a LinkEvent")
-        if self.m % 8 != 0 or self.m <= 0:
-            raise SpecError("params.m: must be a positive multiple of 8")
-        if not 0 < self.k < self.m:
-            raise SpecError("params.k: must satisfy 0 < k < m")
-        if (payload := wire.largest_payload(self.m)) > wire.MAX_PAYLOAD:
-            raise SpecError(f"params.m: {self.m} makes a {payload}-byte frame payload, "
-                            f"over the u16 length limit {wire.MAX_PAYLOAD}")
+        check_params(self.m, self.k)
 
     def to_json(self) -> str:
         doc = {

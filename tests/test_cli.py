@@ -8,6 +8,8 @@ import sys
 import pytest
 
 import icnsim
+from icnsim import cli
+from icnsim.bench import run_sweep
 from icnsim.cli import main
 from icnsim.topospec import generate_random
 
@@ -125,8 +127,40 @@ class TestBench:
     def test_bad_range_exit_one(self, capsys):
         assert main(["bench", "--links", "10", "--seed", "1"]) == 1
 
+    def test_stdout_is_the_csv_alone(self, capsys, monkeypatch):
+        # Wall-clock columns differ run to run, so the CLI prints a result made once.
+        result = run_sweep(4, 8, 2, 2, 5)
+        monkeypatch.setattr(cli, "run_sweep", lambda *args: result)
+        assert main(["bench", "--links", "4..8", "--step", "2", "--repeats", "2",
+                     "--seed", "5"]) == 0
+        assert capsys.readouterr().out == result.to_csv()
+
     def test_bad_step_exit_one(self):
         assert main(["bench", "--links", "4..8", "--step", "0", "--seed", "1"]) == 1
+
+
+class TestUsageErrors:
+    """A usage error exits 1, like any invalid argument; 2 is kept for a failed simulation."""
+
+    @pytest.mark.parametrize("argv, code", [(["run"], 1), (["bogus"], 1), (["run", "--help"], 0)])
+    def test_exit_code(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == code
+
+
+class TestMalformedOptions:
+    @pytest.mark.parametrize("argv, named", [
+        (["dump-protocol", "--m", "12"], "--m:"),
+        (["dump-protocol", "--m", "8", "--k", "8"], "--k:"),
+        (["dump-protocol", "--m", "262144"], "--m:"),
+        (["bench", "--links", "5..4"], "--links:"),
+    ])
+    def test_rejected_with_the_option_named(self, argv, named, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named}")
 
 
 class TestDumpProtocol:

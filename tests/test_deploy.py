@@ -226,8 +226,9 @@ class TestIcnNodeChain:
 
     def test_host_on_tm_and_switch_links(self):
         # h1 attaches to the TM directly; its link to s1 is reported later,
-        # so the controller must know h1 by name to relay it and to bind
-        # s1's rule towards h1.
+        # so the controller learns h1's name from that link event alone, and
+        # needs it to bind s1's rule towards h1.  h1's discovery reached s1
+        # as a PacketIn, but no attach rule takes its entry: h1 finishing must.
         spec = TopologySpec(
             nodes=[TopoNode("tm", "tm"), TopoNode("s1", "switch"), TopoNode("h1", "host")],
             links=[TopoLink("tm", "s1", 0.2), TopoLink("h1", "tm", 0.2),
@@ -238,6 +239,7 @@ class TestIcnNodeChain:
         assert set(report.final_states.values()) <= {"TM", "DONE", "ENABLED"}
         h1, s1 = net.nid_of("h1"), net.nid_of("s1")
         assert net.hosts["h1"].fsm.attach_nid == TM_NID
+        assert net.controller.pending_discovery == {}
         net.fail_link("h1", "tm")
         net.run_until_idle()
         record = net.graph.nodes[h1]
@@ -249,6 +251,7 @@ class TestIcnNodeChain:
         trace = net.inject_data("tm", "h1")
         net.run_until_idle()
         assert net.consumed.get(trace) == ["h1"]
+        assert net.traces[trace] == [("tm", "s1"), ("s1", "h1")]
         traces = [net.inject_probe("h1"), net.inject_data("h1", "tm")]
         net.run_until_idle()
         assert [net.consumed.get(t) for t in traces] == [["tm"], ["tm"]]
@@ -257,7 +260,7 @@ class TestIcnNodeChain:
 class TestMultiHoming:
     def test_host_on_two_switches_attaches(self):
         # Both switches see h1's discovery; the rule on the one h1 selects
-        # must still find its port.
+        # must still find its port, and h1's discovery entry is drained.
         spec = TopologySpec(
             nodes=[TopoNode("tm", "tm"), TopoNode("s1", "switch"), TopoNode("s2", "switch"),
                    TopoNode("h1", "host")],
@@ -267,6 +270,7 @@ class TestMultiHoming:
             net = Deployment(spec, seed=seed)
             net.run_bootstrap()
             assert net.all_done(), seed
+            assert net.controller.pending_discovery == {}, seed
             trace = net.inject_probe("h1")
             net.run_until_idle()
             assert net.consumed.get(trace) == ["tm"], seed
@@ -639,7 +643,7 @@ def test_emit_on_unwired_port_logs_and_drops(caplog):
     packet = IcnPacket(net.hosts["h1"].config.tmfid, net.hop_limit, b"DATA",
                        trace_id=net.next_trace())
     with caplog.at_level("WARNING", logger="icnsim.deploy"):
-        net.emit("s1", 7, packet)
+        net.emit(net.switches["s1"], 7, packet)
     assert [r.getMessage() for r in caplog.records] == ["s1: emission on unwired port 7"]
     assert packet.trace_id not in net.traces
 
