@@ -1,8 +1,8 @@
 """Command-line front end: run | gen | bench | dump-protocol.
 
-Exit codes: 0 success, 1 invalid spec or arguments (usage errors too),
-2 simulation failure.  Set ICNSIM_LOG to error|info|debug for diagnostics
-on stderr.
+Exit codes: 0 success, 1 invalid spec or arguments (usage errors too, and a
+path that cannot be read or opened for writing), 2 simulation failure.  Set
+ICNSIM_LOG to error|info|debug for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import logging
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, TextIO
 
 from .bench import run_sweep
 from .deploy import Deployment
@@ -34,20 +34,15 @@ def _fail(code: int, message) -> int:
     return code
 
 
-def _write(path: Optional[str], text: str) -> None:
-    """Write ``text`` to the file at ``path``, or to stdout without one."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _path_error(option: str, path: str, exc: OSError) -> int:
+    return _fail(1, f"{option} {path!r}: {exc.strerror or exc}")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
     try:
         spec = load_spec(args.topology)
-    except FileNotFoundError:
-        return _fail(1, f"topology file {args.topology!r} not found")
+    except OSError as exc:
+        return _path_error("--topology", args.topology, exc)
     except SpecError as exc:
         return _fail(1, f"invalid spec: {exc}")
     net = Deployment(spec, seed=args.seed)
@@ -55,7 +50,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         report = net.run_bootstrap()
     except LimitExceeded as exc:
         return _fail(2, f"simulation did not converge: {exc}")
-    _write(args.out, report.to_csv())
+    out.write(report.to_csv())
     if args.dump_topology:
         sys.stdout.write(net.graph.dump())
     if not net.all_done():
@@ -64,12 +59,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
     try:
         spec = generate_random(args.switches, args.links, args.hosts, args.seed)
     except SpecError as exc:
         return _fail(1, exc)
-    _write(args.out, spec.to_json())
+    out.write(spec.to_json())
     return 0
 
 
@@ -81,7 +76,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"links: expected LO..HI, got {text!r}") from None
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
     try:
         result = run_sweep(*_parse_range(args.links), args.step, args.repeats, args.seed)
     except SpecError as exc:
@@ -90,18 +85,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return _fail(1, f"--{exc}")
     except (LimitExceeded, RuntimeError) as exc:
         return _fail(2, exc)
-    _write(args.out, result.to_csv())
+    out.write(result.to_csv())
     return 0
 
 
-def _cmd_dump_protocol(args: argparse.Namespace) -> int:
+def _cmd_dump_protocol(args: argparse.Namespace, out: TextIO) -> int:
     try:
         check_params(args.m, args.k, prefix="--")
     except SpecError as exc:
         return _fail(1, exc)
     params = FidParams(m=args.m, k=args.k)
     for name, msg in golden_messages(params):
-        sys.stdout.write(f"{name}: {encode(msg, params).hex()}\n")
+        out.write(f"{name}: {encode(msg, params).hex()}\n")
     return 0
 
 
@@ -153,7 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    path = getattr(args, "out", None)
+    if not path:
+        return args.func(args, sys.stdout)
+    try:
+        out = open(path, "w", encoding="utf-8")  # before any work, so a bad path fails first
+    except OSError as exc:
+        return _path_error("--out", path, exc)
+    with out:
+        return args.func(args, out)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field, replace
+from heapq import heapify, heappop, heappush
 from random import Random
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -165,9 +166,12 @@ class TopologyGraph:
     Paths towards the TM are kept as an in-tree: hop counts (``_dist``) plus
     each node's next hop (smallest NID among neighbours one hop closer), so a
     node's path is lexicographically smallest among its shortest paths.  An
-    ADD lowers hop counts incrementally; a REMOVE of a tree edge drops the
-    tree, and the next read rebuilds it with one BFS.  Either way only the
-    nodes below a changed next hop are re-walked.
+    ADD lowers hop counts incrementally.  A REMOVE of a tree edge re-grows
+    only the subtree the edge held (:meth:`_regrow`): every other node keeps
+    its hop count and next hop, since its path avoids the edge and a
+    removal shortens no path.  Either way only the nodes below a changed
+    next hop are re-walked, and the tree always equals what a fresh BFS
+    would give.
 
     A route from the TM to any node, pending or committed, is the node's
     in-tree path reversed (:meth:`path_from_tm`), so it needs no BFS.
@@ -193,8 +197,8 @@ class TopologyGraph:
         self._pending: Dict[int, ResourceGrant] = {}
         self._succ: Dict[int, Set[int]] = {}
         self._pred: Dict[int, Set[int]] = {}
-        # TM in-tree; _dist is None while it needs a rebuild.
-        self._dist: Optional[Dict[int, int]] = {TM_NID: 0}
+        # TM in-tree: hop counts, next hops and their inverse.
+        self._dist: Dict[int, int] = {TM_NID: 0}
         self._next: Dict[int, int] = {}
         self._children: Dict[int, Set[int]] = {}
         # In-trees towards other destinations: (hop counts, next hops so far).
@@ -264,7 +268,7 @@ class TopologyGraph:
         self._put_link(DirectedLink(attach_nid, nid, down))
         self._put_link(DirectedLink(nid, attach_nid, up))
         # The new node is a leaf: it shortens no other node's path.
-        if self._dist is not None and attach_nid in self._dist:
+        if attach_nid in self._dist:
             self._dist[nid] = self._dist[attach_nid] + 1
             self._set_next(nid, attach_nid)
         grant = ResourceGrant(nid, down, up, ilid, attach_nid, kind)
@@ -298,7 +302,7 @@ class TopologyGraph:
             else:  # a REMOVE took it
                 del self.down_links[key]
         del self._succ[nid], self._pred[nid]
-        if self._dist is not None and self._dist.pop(nid, None) is not None:
+        if self._dist.pop(nid, None) is not None:
             self._children[self._next.pop(nid)].discard(nid)
         self._release_lid(grant.lid)
         self._release_lid(grant.uplink_lid)
@@ -371,20 +375,9 @@ class TopologyGraph:
         self._next[nid] = nxt
         self._children.setdefault(nxt, set()).add(nid)
 
-    def _tm_dist(self) -> Dict[int, int]:
-        """Hop counts to the TM, rebuilding the in-tree if a REMOVE dropped it."""
-        if self._dist is None:
-            self._dist = self._distances_to(TM_NID)
-            self._next = {}
-            self._children = {}
-            for nid in self._dist:
-                if nid != TM_NID:
-                    self._set_next(nid, self._step(nid, self._dist))
-        return self._dist
-
     def _tm_path(self, nid: int) -> List[DirectedLink]:
         """The node's path in the TM in-tree, which ``shortest_path(nid, TM)`` reads."""
-        if nid not in self._tm_dist():
+        if nid not in self._dist:
             raise Unreachable(f"no path {nid} -> {TM_NID}")
         # Every node in the tree has its next hop, so the walk picks none.
         return self._path_via(nid, TM_NID, self._dist, self._next)
@@ -397,7 +390,7 @@ class TopologyGraph:
         them a reverse link may be missing, and the route falls back to
         ``shortest_path(TM, nid)``.
         """
-        if nid in self._tm_dist():
+        if nid in self._dist:
             route = [self.links.get((l.dst, l.src)) for l in reversed(self._tm_path(nid))]
             if None not in route:
                 return route
@@ -443,15 +436,15 @@ class TopologyGraph:
             if key not in self.links:
                 raise UnknownLink(f"link {event.src}->{event.dst} unknown")
             # Only a tree edge carries paths: its loss can lengthen or move
-            # just the paths of the subtree below it.  Any other edge leaves
-            # every hop count and next hop as it was.
-            self._tm_dist()
+            # just the paths of the subtree below it, which is re-grown from
+            # the rest of the tree.  Any other edge leaves every hop count
+            # and next hop as it was.
             below: Set[int] = set()
-            if self._next.get(event.src) == event.dst:
-                below = self._subtree([event.src])
-                self._dist = None  # rebuilt on the next read
             link = self._pop_link(key)
             self.down_links[key] = link
+            if self._next.get(event.src) == event.dst:
+                below = self._subtree([event.src])
+                self._regrow(below)
             if self.nodes[event.src].kind == NodeKind.SDN_SWITCH:
                 out.rules.append(
                     RuleInstallFrame.for_link(False, event.src, event.dst, link.lid))
@@ -492,6 +485,36 @@ class TopologyGraph:
                 stack.extend(self._children.get(nid, ()))
         return below
 
+    def _regrow(self, below: Set[int]) -> None:
+        """Re-grow the in-tree over ``below``, a subtree whose root lost its tree edge.
+
+        Members are re-seeded from their successors outside ``below``, whose
+        hop counts stand, and hop counts grow inwards over ``_pred`` in
+        increasing order.  A member no seed reaches is cut off and leaves
+        the tree.
+        """
+        dist, nxt, children = self._dist, self._next, self._children
+        for nid in below:  # a member's own child set empties as its children leave
+            del dist[nid]
+            children[nxt.pop(nid)].discard(nid)
+        heap = []
+        for nid in below:
+            seed = min((dist[s] for s in self._succ[nid] if s in dist), default=None)
+            if seed is not None:
+                heap.append((seed + 1, nid))
+        heapify(heap)
+        while heap:
+            hops, nid = heappop(heap)
+            if nid not in dist:
+                dist[nid] = hops
+                for pred in self._pred[nid]:
+                    if pred in below and pred not in dist:
+                        heappush(heap, (hops + 1, pred))
+        # Next hops are picked once every hop count is final.
+        for nid in below:
+            if nid in dist:
+                self._set_next(nid, self._step(nid, dist))
+
     def _repair(self, affected: Set[int]) -> List[RepairAction]:
         """Re-walk the affected committed nodes in NID order; report changed paths."""
         repairs = []
@@ -513,7 +536,7 @@ class TopologyGraph:
         # path changed; restores pre-failure TMFIDs after a flap.  Hop counts
         # can only fall: lower them breadth-first from the link's source,
         # then re-pick the next hop wherever a neighbour got closer.
-        dist = self._tm_dist()  # the in-tree of the graph without the link
+        dist = self._dist  # the in-tree of the graph without the link
         self._put_link(link)
         src, dst = link.src, link.dst
         lowered: List[int] = []

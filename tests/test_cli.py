@@ -139,6 +139,28 @@ class TestBench:
         assert main(["bench", "--links", "4..8", "--step", "0", "--seed", "1"]) == 1
 
 
+class TestPathErrors:
+    """A path that cannot be read or written exits 1 with the option and path named."""
+
+    def test_run_topology_is_a_directory(self, tmp_path, capsys):
+        assert main(["run", "--topology", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --topology {str(tmp_path)!r}:")
+
+    @pytest.mark.parametrize("argv, work", [
+        (["run", "--topology", "g.json"], "Deployment"),
+        (["gen", "--switches", "4", "--links", "4", "--seed", "1"], "generate_random"),
+        (["bench", "--links", "4..8", "--step", "2", "--repeats", "2"], "run_sweep"),
+    ])
+    def test_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, argv,
+                                                  work):
+        write_spec(tmp_path, "g.json", switches=4, links=4, hosts=2, seed=1)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, work, lambda *args, **kwargs: pytest.fail(f"{work} ran"))
+        out = str(tmp_path / "missing" / "out")
+        assert main(argv + ["--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --out {out!r}:")
+
+
 class TestUsageErrors:
     """A usage error exits 1, like any invalid argument; 2 is kept for a failed simulation."""
 

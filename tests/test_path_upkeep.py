@@ -6,7 +6,9 @@ here from networkx hop counts, and the TMFID OR-ed from it; the TM's route
 to it is that path reversed while every reverse link is up.  A sample of
 ``shortest_path`` reads, towards the TM and towards other nodes, must give
 the same path, so a per-destination tree left over from an earlier event
-shows.
+shows.  The TM in-tree itself (hop counts, next hops and their inverse)
+must equal the oracle's for every node, pending ones included: it persists
+across REMOVEs, which re-grow only the subtree a removed tree edge held.
 """
 
 from random import Random
@@ -39,8 +41,20 @@ def oracle_hops(g):
     return graph, nx.shortest_path_length(graph, target=TM_NID)
 
 
+def check_in_tree(g, graph, hops):
+    """The TM in-tree is what a fresh BFS gives; a cut-off node is in none of it."""
+    assert g._dist == hops
+    assert g._next == {nid: oracle_path(graph, hops, nid)[0][1] for nid in hops if nid != TM_NID}
+    inverse = {}
+    for nid, step in g._next.items():
+        inverse.setdefault(step, set()).add(nid)
+    # A node whose last child moved away may keep an empty set.
+    assert {nid: kids for nid, kids in g._children.items() if kids} == inverse
+
+
 def check_paths(g, rng=None):
     graph, hops = oracle_hops(g)
+    check_in_tree(g, graph, hops)
     for nid, rec in g.nodes.items():
         if not rec.committed or nid not in hops:
             continue  # a cut-off node keeps its stale path until a link returns

@@ -304,6 +304,52 @@ class TestLinkEvents:
                 assert all(l.key() != (s2, TM_NID) for l in rec.managed_path)
 
 
+    def test_remove_regrows_a_subtree_deeper_through_a_non_tree_edge(self):
+        # tm <- b1 <- b2 <- b3 and tm <- a1 <- a2 <- a3, with a2 <-> b3 off the
+        # tree (b3 steps to b2, the smaller NID).  Once a1 -> tm fails, a1's
+        # subtree hangs below b3, two hops deeper.
+        g = make_graph(seed=11)
+        b1 = attach(g, NodeKind.SDN_SWITCH, TM_NID)
+        b2 = attach(g, NodeKind.SDN_SWITCH, b1)
+        b3 = attach(g, NodeKind.SDN_SWITCH, b2)
+        a1 = attach(g, NodeKind.SDN_SWITCH, TM_NID)
+        a2 = attach(g, NodeKind.SDN_SWITCH, a1)
+        a3 = attach(g, NodeKind.ICN_NODE, a2)
+        link_up(g, a2, b3)
+        assert g._next[b3] == b2
+        outcome = g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, a1, TM_NID))
+        via_b = [b3, b2, b1, TM_NID]
+        expected = {a2: via_b, a1: [a2] + via_b, a3: [a2] + via_b}
+        assert [r.nid for r in outcome.repairs] == sorted(expected)
+        for repair in outcome.repairs:
+            hops = expected[repair.nid]
+            assert [l.dst for l in repair.new_path] == hops
+            assert repair.new_tmfid == g.nodes[repair.nid].tmfid == fid_or(
+                [l.lid for l in repair.new_path])
+            assert g._dist[repair.nid] == len(hops)
+        assert g._next[a1] == a2 and g._children[a2] == {a1, a3}
+        assert {n: g._dist[n] for n in (b1, b2, b3)} == {b1: 1, b2: 2, b3: 3}
+
+    def test_flap_that_cuts_a_subtree_off_restores_the_graph_and_tree(self):
+        # tm <- s2 <- s3 <- {s4, h5}: the loss of s2 -> tm cuts all four off.
+        g = make_graph(seed=12)
+        s2 = attach(g, NodeKind.SDN_SWITCH, TM_NID)
+        s3 = attach(g, NodeKind.SDN_SWITCH, s2)
+        s4 = attach(g, NodeKind.SDN_SWITCH, s3)
+        h5 = attach(g, NodeKind.ICN_NODE, s3)
+        before = (g.dump(), dict(g._dist), dict(g._next))
+        kids = {n: set(c) for n, c in g._children.items() if c}
+        outcome = g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, TM_NID))
+        assert outcome.repairs == []  # cut off: stale paths kept until the link returns
+        for nid in (s2, s3, s4, h5):
+            assert nid not in g._dist and nid not in g._next and not g._children.get(nid)
+        assert g._dist == {TM_NID: 0} and not g._children.get(TM_NID)
+        outcome = g.handle_link_event(LinkEvent(LinkEventKind.ADD, s2, TM_NID))
+        assert outcome.repairs == []  # every path is the one held before the flap
+        assert (g.dump(), g._dist, g._next) == before
+        assert {n: c for n, c in g._children.items() if c} == kids
+
+
 class TestStats:
     def test_empty_report_noop(self):
         g = make_graph()
