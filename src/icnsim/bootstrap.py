@@ -344,10 +344,8 @@ class TmEngine:
             result.actions.append(Notify(event.src, Update(event.dst, lid)))
         for repair in outcome.repairs:
             if self.graph.nodes[repair.nid].kind == NodeKind.ICN_NODE:
-                lid = repair.new_path[0].lid if repair.new_path else None
-                if lid is not None:
-                    result.actions.append(Notify(
-                        repair.nid, Update(repair.nid, lid, repair.new_tmfid)))
+                result.actions.append(Notify(
+                    repair.nid, Update(repair.nid, repair.uplink, repair.new_tmfid)))
         return result
 
     def on_link_stats(self, report: LinkStatsReport) -> TmResult:

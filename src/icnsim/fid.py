@@ -79,11 +79,6 @@ class BitVector:
             raise WidthMismatch(f"{self.width} != {other.width}")
         return BitVector(self.width, self.value | other.value)
 
-    def __and__(self, other: "BitVector") -> "BitVector":
-        if self.width != other.width:
-            raise WidthMismatch(f"{self.width} != {other.width}")
-        return BitVector(self.width, self.value & other.value)
-
     def __str__(self) -> str:
         return self.to_bytes().hex()
 

@@ -2,8 +2,8 @@
 
 The TM is the single writer of the deployment's directed graph.  It hands
 out node identifiers (NIDs), per-link LIDs and node-internal iLIDs, caches
-each node's FID towards the TM (TMFID) together with the explicit link path
-behind it, selects load-aware paths, and repairs paths when links fail.
+each node's FID towards the TM (TMFID), composed from its next hop's along
+the TM in-tree, selects load-aware paths, and repairs paths when links fail.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class NodeRecord:
     kind: NodeKind
     ilid: Optional[LinkId] = None
     tmfid: Optional[Fid] = None
-    managed_path: Optional[List[DirectedLink]] = None
     committed: bool = False
 
 
@@ -102,11 +101,11 @@ class LinkEvent:
 
 @dataclass(frozen=True)
 class RepairAction:
-    """Recomputed TM path for one node after a topology change."""
+    """A node's changed TMFID after a topology change; ``uplink`` is its first hop's LID."""
 
     nid: int
     new_tmfid: Fid
-    new_path: Tuple[DirectedLink, ...]
+    uplink: LinkId
 
 
 RULE_PRIORITY = 100
@@ -169,9 +168,10 @@ class TopologyGraph:
     ADD lowers hop counts incrementally.  A REMOVE of a tree edge re-grows
     only the subtree the edge held (:meth:`_regrow`): every other node keeps
     its hop count and next hop, since its path avoids the edge and a
-    removal shortens no path.  Either way only the nodes below a changed
-    next hop are re-walked, and the tree always equals what a fresh BFS
-    would give.
+    removal shortens no path.  The tree always equals what a fresh BFS
+    would give, and it is the only record of TM paths: a node's TMFID is its
+    next hop's OR the LID of the link there, so only the TMFIDs below a
+    changed next hop are recomposed, and only changed ones are reported.
 
     A route from the TM to any node, pending or committed, is the node's
     in-tree path reversed (:meth:`path_from_tm`), so it needs no BFS.
@@ -206,7 +206,6 @@ class TopologyGraph:
         tm = NodeRecord(TM_NID, NodeKind.TM, ilid=new_lid(rng, self.lid_registry, params),
                         committed=True)
         tm.tmfid = BitVector.zero(params.m)
-        tm.managed_path = []
         self.nodes[TM_NID] = tm
         self._succ[TM_NID], self._pred[TM_NID] = set(), set()
 
@@ -276,18 +275,19 @@ class TopologyGraph:
         return grant
 
     def commit_grant(self, nid: int) -> NodeRecord:
-        """Make a tentative grant permanent and cache the node's TM path.
+        """Make a tentative grant permanent and cache the node's TMFID.
 
         Raises :class:`Unreachable`, with the grant still pending, if a
         REMOVE has cut the attach point off since the allocation.
         """
         if nid not in self._pending:
             raise NoPendingGrant(f"no pending grant for NID {nid}")
-        path = self._tm_path(nid)
+        if nid not in self._dist:
+            raise Unreachable(f"no path {nid} -> {TM_NID}")
         del self._pending[nid]
         record = self.nodes[nid]
         record.committed = True
-        self._set_path(record, path)
+        record.tmfid = self._compose(nid)
         return record
 
     def expire_grant(self, nid: int) -> None:
@@ -396,9 +396,10 @@ class TopologyGraph:
                 return route
         return self.shortest_path(TM_NID, nid)
 
-    def _set_path(self, rec: NodeRecord, path: List[DirectedLink]) -> None:
-        rec.managed_path = path
-        rec.tmfid = fid_or((l.lid for l in path), width=self.params.m)
+    def _compose(self, nid: int) -> Fid:
+        """The TMFID of an in-tree node: its next hop's TMFID OR its uplink's LID."""
+        nxt = self._next[nid]
+        return fid_or((self.nodes[nxt].tmfid, self.links[(nid, nxt)].lid), width=self.params.m)
 
     def path_fid(self, path: List[DirectedLink], dst_nid: int) -> Fid:
         """A route's FID: the OR of its LIDs and the destination's iLID, if it has one."""
@@ -516,20 +517,17 @@ class TopologyGraph:
                 self._set_next(nid, self._step(nid, dist))
 
     def _repair(self, affected: Set[int]) -> List[RepairAction]:
-        """Re-walk the affected committed nodes in NID order; report changed paths."""
+        """Recompose the affected committed nodes' TMFIDs by hop count, so a next
+        hop's is current before its children read it; report changed ones in NID
+        order.  A cut-off node keeps its stale TMFID until a link returns."""
         repairs = []
-        for nid in sorted(affected):
-            rec = self.nodes[nid]
-            if not rec.committed:
-                continue
-            try:
-                fresh = self._tm_path(nid)
-            except Unreachable:
-                continue  # node cut off; stale path kept until a link returns
-            if [l.key() for l in fresh] != [l.key() for l in rec.managed_path]:
-                self._set_path(rec, fresh)
-                repairs.append(RepairAction(nid, rec.tmfid, tuple(fresh)))
-        return repairs
+        for nid in sorted((n for n in affected if n in self._dist and self.nodes[n].committed),
+                          key=self._dist.__getitem__):
+            tmfid = self._compose(nid)
+            if tmfid != self.nodes[nid].tmfid:
+                self.nodes[nid].tmfid = tmfid
+                repairs.append(RepairAction(nid, tmfid, self.links[(nid, self._next[nid])].lid))
+        return sorted(repairs, key=lambda r: r.nid)
 
     def _add_and_repair(self, link: DirectedLink) -> List[RepairAction]:
         # Bring the link up, then move nodes whose deterministic shortest

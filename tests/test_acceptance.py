@@ -77,7 +77,7 @@ def test_criterion_2_forwarding_soundness():
             assert net.tm_name in net.consumed.get(trace, []), \
                 f"run {i}: probe from {host_name} never reached the TM"
             managed = [(name_of[l.src], name_of[l.dst])
-                       for l in net.graph.nodes[host.config.nid].managed_path]
+                       for l in net.graph.shortest_path(host.config.nid, TM_NID)]
             traversed = net.traces[trace]
             assert all(pair in traversed for pair in managed), \
                 f"run {i}: {host_name} probe skipped part of its managed path"
@@ -218,7 +218,7 @@ def test_criterion_7_resilience_diamond():
     net.run_bootstrap()
     assert net.all_done()
     h_nid = net.nid_of("h1")
-    active = net.graph.nodes[h_nid].managed_path
+    active = net.graph.shortest_path(h_nid, TM_NID)
     failed_pair = next((l.src, l.dst) for l in active
                        if net.graph.nodes[l.src].kind.name == "SDN_SWITCH"
                        and net.graph.nodes[l.dst].kind.name == "SDN_SWITCH")
@@ -228,7 +228,7 @@ def test_criterion_7_resilience_diamond():
 
     net.fail_link(a, b)
     net.run_until_idle()
-    new_path = net.graph.nodes[h_nid].managed_path
+    new_path = net.graph.shortest_path(h_nid, TM_NID)
     shares = any({l.src, l.dst} == set(failed_pair) for l in new_path)
     trace = net.inject_probe("h1")
     net.run_until_idle()

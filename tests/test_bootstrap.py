@@ -285,6 +285,32 @@ class TestTmEngine:
         added = engine.on_link_event(LinkEvent(LinkEventKind.ADD, s_nid, h_nid))
         assert not any(isinstance(a, Notify) for a in added.actions)
 
+    def test_repair_updates_icn_node_with_new_first_hop(self):
+        # tm <- sa <- h and tm <- sb, with h <-> sb off the tree (sa < sb).
+        # Once sa -> tm fails, h steps to sb and sa hangs below h.
+        engine, graph = self.make_engine()
+
+        def join(nonce, kind, attach_nid):
+            result = engine.on_message(ResourceRequest(nonce, kind, attach_nid))
+            nid = next(a.message for a in result.actions if isinstance(a, Notify)).nid
+            engine.on_message(OfferAccepted(nonce, nid))
+            return nid
+
+        sa = join(5, NodeKind.SDN_SWITCH, TM_NID)
+        sb = join(6, NodeKind.SDN_SWITCH, TM_NID)
+        h = join(7, NodeKind.ICN_NODE, sa)
+        for src, dst in ((h, sb), (sb, h)):
+            engine.on_link_event(LinkEvent(LinkEventKind.ADD, src, dst))
+        assert sa < sb and graph._next[h] == sa
+        sa_tmfid = graph.nodes[sa].tmfid
+        removed = engine.on_link_event(LinkEvent(LinkEventKind.REMOVE, sa, TM_NID))
+        assert graph.nodes[sa].tmfid != sa_tmfid  # repaired, but a switch: no Notify
+        notes = [a for a in removed.actions if isinstance(a, Notify)]
+        uplink = graph.links[(h, sb)].lid
+        assert [(n.nid, n.message) for n in notes] == [
+            (h, Update(h, uplink, graph.nodes[h].tmfid))]
+        assert graph.nodes[h].tmfid == uplink | graph.links[(sb, TM_NID)].lid
+
     def test_offer_accepted_unknown_ignored(self):
         engine, _ = self.make_engine()
         assert engine.on_message(OfferAccepted(1, 42)).actions == []

@@ -102,9 +102,9 @@ class TestChainBootstrap:
         net = Deployment(chain_spec(4, hosts=1))
         net.run_bootstrap()
         nid = net.nid_of("h1")
-        record = net.graph.nodes[nid]
-        assert record.tmfid == fid_or([l.lid for l in record.managed_path])
-        assert record.managed_path[-1].dst == TM_NID
+        path = net.graph.shortest_path(nid, TM_NID)
+        assert net.graph.nodes[nid].tmfid == fid_or([l.lid for l in path])
+        assert path[-1].dst == TM_NID
 
 
     def test_bootstrap_sends_the_controller_only_discoveries(self):
@@ -243,7 +243,7 @@ class TestIcnNodeChain:
         net.fail_link("h1", "tm")
         net.run_until_idle()
         record = net.graph.nodes[h1]
-        assert [l.key() for l in record.managed_path] == [(h1, s1), (s1, TM_NID)]
+        assert [l.key() for l in net.graph.shortest_path(h1, TM_NID)] == [(h1, s1), (s1, TM_NID)]
         assert net.hosts["h1"].config.tmfid == record.tmfid
         # The repair's self-Update must not overwrite the LID towards the TM.
         assert net.hosts["h1"].config.link_lids == {

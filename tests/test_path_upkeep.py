@@ -57,11 +57,11 @@ def check_paths(g, rng=None):
     check_in_tree(g, graph, hops)
     for nid, rec in g.nodes.items():
         if not rec.committed or nid not in hops:
-            continue  # a cut-off node keeps its stale path until a link returns
-        keys = [l.key() for l in rec.managed_path]
-        assert keys == oracle_path(graph, hops, nid), f"node {nid}"
+            continue  # a cut-off node keeps its stale TMFID until a link returns
+        keys = oracle_path(graph, hops, nid)
+        assert [l.key() for l in g.shortest_path(nid, TM_NID)] == keys, f"node {nid}"
         assert len(keys) == nx.shortest_path_length(graph, nid, TM_NID)
-        assert rec.tmfid == fid_or((l.lid for l in rec.managed_path), width=g.params.m)
+        assert rec.tmfid == fid_or((g.links[key].lid for key in keys), width=g.params.m)
         back = [(b, a) for a, b in reversed(keys)]
         if all(key in g.links for key in back):
             assert [l.key() for l in g.path_from_tm(nid)] == back, f"route to {nid}"
@@ -150,10 +150,10 @@ def test_add_moves_a_node_whose_hop_count_stays():
     s5 = attach_to(g, s4)
     link_up(g, s5, s3)
     assert s3 < s4
-    assert [l.dst for l in g.nodes[s5].managed_path] == [s4, TM_NID]
+    assert [l.dst for l in g.shortest_path(s5, TM_NID)] == [s4, TM_NID]
     outcome = g.handle_link_event(LinkEvent(LinkEventKind.ADD, s3, TM_NID))
     assert [r.nid for r in outcome.repairs] == [s3, s5]
-    assert [l.dst for l in g.nodes[s5].managed_path] == [s3, TM_NID]
+    assert [l.dst for l in g.shortest_path(s5, TM_NID)] == [s3, TM_NID]
     check_paths(g)
 
 
@@ -199,5 +199,5 @@ def test_remove_repairs_exactly_the_subtree_below_a_tree_edge():
     # s3's subtree is s3, s4, s5 and s6; s4 and s6 reroute via s8, s3 and s5
     # via s4.  No node outside the subtree moves.
     assert [r.nid for r in outcome.repairs] == [s3, s4, s5, s6]
-    assert [l.dst for l in g.nodes[s4].managed_path] == [s8, s7, TM_NID]
+    assert [l.dst for l in g.shortest_path(s4, TM_NID)] == [s8, s7, TM_NID]
     check_paths(g)

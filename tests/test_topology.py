@@ -76,7 +76,7 @@ class TestCommitExpire:
         grant = g.allocate_resources(NodeKind.ICN_NODE, TM_NID)
         record = g.commit_grant(grant.nid)
         assert record.tmfid == grant.uplink_lid  # single-link OR identity
-        assert record.managed_path[0].key() == (grant.nid, TM_NID)
+        assert [l.key() for l in g.shortest_path(grant.nid, TM_NID)] == [(grant.nid, TM_NID)]
 
     def test_commit_twice_raises(self):
         g = make_graph()
@@ -113,8 +113,9 @@ class TestCommitExpire:
         assert not g.nodes[grant.nid].committed
         g.handle_link_event(LinkEvent(LinkEventKind.ADD, s, TM_NID))
         record = g.commit_grant(grant.nid)
-        assert [l.key() for l in record.managed_path] == [(grant.nid, s), (s, TM_NID)]
-        assert record.tmfid == fid_or([l.lid for l in record.managed_path])
+        path = g.shortest_path(grant.nid, TM_NID)
+        assert [l.key() for l in path] == [(grant.nid, s), (s, TM_NID)]
+        assert record.tmfid == fid_or([l.lid for l in path])
 
     def test_expire_after_remove_of_tentative_link(self):
         g = make_graph()
@@ -267,7 +268,7 @@ class TestLinkEvents:
         outcome = g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, TM_NID))
         repaired = {r.nid for r in outcome.repairs}
         assert h in repaired and s1 in repaired and s2 in repaired
-        new_path = g.nodes[h].managed_path
+        new_path = g.shortest_path(h, TM_NID)
         assert all(l.key() != failed.key() for l in new_path)
         assert new_path[-1].dst == TM_NID
         assert g.nodes[h].tmfid == fid_or([l.lid for l in new_path])
@@ -299,9 +300,8 @@ class TestLinkEvents:
     def test_no_managed_path_contains_removed_link(self):
         g, s1, s2, s3, h = self.resilience_fixture()
         g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, TM_NID))
-        for nid, rec in g.nodes.items():
-            if rec.managed_path:
-                assert all(l.key() != (s2, TM_NID) for l in rec.managed_path)
+        for nid in g.nodes:
+            assert all(l.key() != (s2, TM_NID) for l in g.shortest_path(nid, TM_NID))
 
 
     def test_remove_regrows_a_subtree_deeper_through_a_non_tree_edge(self):
@@ -323,9 +323,11 @@ class TestLinkEvents:
         assert [r.nid for r in outcome.repairs] == sorted(expected)
         for repair in outcome.repairs:
             hops = expected[repair.nid]
-            assert [l.dst for l in repair.new_path] == hops
+            path = g.shortest_path(repair.nid, TM_NID)
+            assert [l.dst for l in path] == hops
+            assert repair.uplink == path[0].lid
             assert repair.new_tmfid == g.nodes[repair.nid].tmfid == fid_or(
-                [l.lid for l in repair.new_path])
+                [l.lid for l in path])
             assert g._dist[repair.nid] == len(hops)
         assert g._next[a1] == a2 and g._children[a2] == {a1, a3}
         assert {n: g._dist[n] for n in (b1, b2, b3)} == {b1: 1, b2: 2, b3: 3}
@@ -395,10 +397,10 @@ class TestInvariants:
         s = attach(g, NodeKind.SDN_SWITCH, TM_NID)
         nodes = [attach(g, NodeKind.ICN_NODE, s) for _ in range(5)]
         for nid in nodes:
-            rec = g.nodes[nid]
-            assert rec.tmfid == fid_or([l.lid for l in rec.managed_path])
-            assert rec.managed_path[0].src == nid
-            assert rec.managed_path[-1].dst == TM_NID
+            path = g.shortest_path(nid, TM_NID)
+            assert g.nodes[nid].tmfid == fid_or([l.lid for l in path])
+            assert path[0].src == nid
+            assert path[-1].dst == TM_NID
 
 
 def test_dump_contains_nodes_and_hex_lids():
