@@ -8,9 +8,11 @@ ICNSIM_LOG to error|info|debug for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
+from contextlib import ExitStack
 from typing import List, Optional, TextIO
 
 from .bench import run_sweep
@@ -19,6 +21,9 @@ from .fid import FidParams
 from .simnet import LimitExceeded
 from .topospec import SpecError, check_params, generate_random, load_spec
 from .wire import encode, golden_messages
+
+# The most hops ``run --trace`` records; later hops are only counted.
+TRACE_HOPS = 100_000
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -38,6 +43,13 @@ def _path_error(option: str, path: str, exc: OSError) -> int:
     return _fail(1, f"{option} {path!r}: {exc.strerror or exc}")
 
 
+def _write_trace(net: Deployment, out: TextIO) -> None:
+    """JSONL: one line per trace id, in id order, with its hops, then the dropped-hop count."""
+    for trace in sorted(net.traces):
+        out.write(json.dumps({"trace": trace, "hops": net.traces[trace]}) + "\n")
+    out.write(json.dumps({"dropped": net.trace_dropped}) + "\n")
+
+
 def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
     try:
         spec = load_spec(args.topology)
@@ -45,11 +57,14 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
         return _path_error("--topology", args.topology, exc)
     except SpecError as exc:
         return _fail(1, f"invalid spec: {exc}")
-    net = Deployment(spec, seed=args.seed)
+    net = Deployment(spec, seed=args.seed, trace_hops=TRACE_HOPS if args.trace else 0)
     try:
         report = net.run_bootstrap()
     except LimitExceeded as exc:
         return _fail(2, f"simulation did not converge: {exc}")
+    finally:  # a run that did not converge is the one whose trace is wanted
+        if args.trace:
+            _write_trace(net, args.trace)
     out.write(report.to_csv())
     if args.dump_topology:
         sys.stdout.write(net.graph.dump())
@@ -119,6 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="CSV output path (default stdout)")
     run.add_argument("--dump-topology", action="store_true",
                      help="print the TM graph after the run")
+    run.add_argument("--trace", default=None, metavar="PATH",
+                     help=f"write each packet's hops as JSONL, at most {TRACE_HOPS} hops")
     run.set_defaults(func=_cmd_run)
 
     gen = sub.add_parser("gen", help="generate a random connected topology spec")
@@ -148,15 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    path = getattr(args, "out", None)
-    if not path:
-        return args.func(args, sys.stdout)
-    try:
-        out = open(path, "w", encoding="utf-8")  # before any work, so a bad path fails first
-    except OSError as exc:
-        return _path_error("--out", path, exc)
-    with out:
-        return args.func(args, out)
+    with ExitStack() as files:
+        # Output files open before any work, so a bad path fails first; the
+        # option then holds the open file.
+        for option in ("out", "trace"):
+            path = getattr(args, option, None)
+            if path:
+                try:
+                    setattr(args, option, files.enter_context(open(path, "w", encoding="utf-8")))
+                except OSError as exc:
+                    return _path_error(f"--{option}", path, exc)
+        return args.func(args, getattr(args, "out", None) or sys.stdout)
 
 
 if __name__ == "__main__":

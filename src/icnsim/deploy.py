@@ -340,9 +340,17 @@ class TmNode:
 
 
 class Deployment:
-    """A fully wired simulated deployment driven by a topology spec."""
+    """A fully wired simulated deployment driven by a topology spec.
 
-    def __init__(self, spec: TopologySpec, seed: Optional[int] = None):
+    ``trace_hops`` opts in to the hop trace: ``traces`` maps a packet's
+    trace id to the ``(src, dst)`` hops it took, for at most ``trace_hops``
+    hops in all.  ``trace_dropped`` counts the hops past that cap.  The
+    default, 0, records nothing.
+    """
+
+    def __init__(self, spec: TopologySpec, seed: Optional[int] = None, trace_hops: int = 0):
+        if trace_hops < 0:
+            raise ValueError(f"trace_hops: must be >= 0, got {trace_hops}")
         spec.validate()
         self.spec = spec
         self.seed = spec.seed if seed is None else seed
@@ -383,6 +391,9 @@ class Deployment:
         self.down_pairs: set = set()
         self.drop_filter = None
         self.traces: Dict[int, List[Tuple[str, str]]] = {}
+        self.trace_hops = trace_hops
+        self.trace_dropped = 0
+        self._trace_room = trace_hops
         self.consumed: Dict[int, List[str]] = {}
         self._trace_counter = 0
         self._order = [n.name for n in spec.nodes if n.kind != "tm"]
@@ -426,8 +437,16 @@ class Deployment:
         src = node.name
         if self.drop_filter is not None and self.drop_filter(src, dst, packet):
             return
-        self.traces.setdefault(packet.trace_id, []).append((src, dst))
+        if self.trace_hops:
+            self._trace_hop(packet.trace_id, src, dst)
         self.sim.schedule_in(delay_us, target, FabricDelivery(packet, dst_port))
+
+    def _trace_hop(self, trace_id: int, src: str, dst: str) -> None:
+        if self._trace_room:
+            self._trace_room -= 1
+            self.traces.setdefault(trace_id, []).append((src, dst))
+        else:
+            self.trace_dropped += 1
 
     def packet_in(self, switch: str, in_port: int, packet: IcnPacket) -> None:
         data = encode_packet(packet, self.params)

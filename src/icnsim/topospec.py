@@ -9,12 +9,12 @@ top of it are enforced here and always name the offending field.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from random import Random
-from typing import Dict, List
-
-import jsonschema
+from typing import Dict, List, Tuple
 
 from . import wire
 
@@ -123,6 +123,8 @@ def _schema() -> dict:
 
 def parse_spec(text: str) -> TopologySpec:
     """Parse and fully validate a topology spec document."""
+    import jsonschema  # here alone: a run that parses no JSON spec never loads it
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -151,6 +153,43 @@ def load_spec(path: str) -> TopologySpec:
         return parse_spec(fh.read())
 
 
+class ExtraPairs(Sequence):
+    """The switch pairs ``(a, b)``, ``a < b``, that no tree edge joins, in sorted order.
+
+    ``children[a]`` lists ascending the switches whose tree parent is ``a``
+    (every parent is below its child).  A pair is computed from its index
+    on demand, so the pool takes memory linear in the switch count, not
+    quadratic: row ``a`` is found by bisecting the row starts, and within
+    it the ``r``-th free ``b`` skips, by bisection, the children at or
+    below it.
+    """
+
+    def __init__(self, switches: int, children: Dict[int, List[int]]):
+        self._starts: List[int] = []  # index of each row's first pair, rows a = 1..switches
+        self._skips: List[List[int]] = []  # per row, c_j - j for its j-th child c_j
+        size = 0
+        for a in range(1, switches + 1):
+            kids = children.get(a, [])
+            self._starts.append(size)
+            self._skips.append([c - j for j, c in enumerate(kids)])
+            size += switches - a - len(kids)
+        self._size = size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index: int) -> Tuple[int, int]:
+        if index < 0:
+            index += self._size
+        if not 0 <= index < self._size:
+            raise IndexError("pair index out of range")
+        row = bisect_right(self._starts, index) - 1
+        a, r = row + 1, index - self._starts[row]
+        # Free b's in (a, c_j) number c_j - a - 1 - j, so the children below
+        # the r-th free b are those with c_j - j <= a + 1 + r.
+        return a, a + 1 + r + bisect_right(self._skips[row], a + 1 + r)
+
+
 def generate_random(switches: int, links: int, hosts: int, seed: int,
                     delay_ms: float = 1.0) -> TopologySpec:
     """Connected random topology: spanning tree plus uniform extra edges.
@@ -174,16 +213,12 @@ def generate_random(switches: int, links: int, hosts: int, seed: int,
     nodes += [TopoNode(f"s{i}", "switch") for i in range(1, switches + 1)]
     nodes += [TopoNode(f"h{i}", "host") for i in range(1, hosts + 1)]
     topo_links = [TopoLink("tm", "s1", delay_ms)]
-    edges = set()
+    children: Dict[int, List[int]] = {}
     for i in range(2, switches + 1):  # parents precede children in spec order
         parent = rng.randrange(1, i)
-        edges.add((parent, i))
+        children.setdefault(parent, []).append(i)
         topo_links.append(TopoLink(f"s{parent}", f"s{i}", delay_ms))
-    extra_pool = sorted(
-        (a, b) for a in range(1, switches + 1) for b in range(a + 1, switches + 1)
-        if (a, b) not in edges
-    )
-    for (a, b) in rng.sample(extra_pool, links - (switches - 1)):
+    for (a, b) in rng.sample(ExtraPairs(switches, children), links - (switches - 1)):
         topo_links.append(TopoLink(f"s{a}", f"s{b}", delay_ms))
     for i in range(1, hosts + 1):
         topo_links.append(TopoLink(f"h{i}", f"s{rng.randrange(1, switches + 1)}", delay_ms))

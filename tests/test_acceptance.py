@@ -65,7 +65,7 @@ def test_criterion_2_forwarding_soundness():
     extras_total = 0
     for i in range(100):
         spec = random_topology(rng, max_switches=12, max_hosts=8, max_extra=6)
-        net = Deployment(spec)
+        net = Deployment(spec, trace_hops=100_000)
         net.run_bootstrap()
         assert net.all_done(), f"run {i}: incomplete bootstrap"
         name_of = {net.nid_of(n): n for n in list(net.switches) + list(net.hosts)}
@@ -79,6 +79,7 @@ def test_criterion_2_forwarding_soundness():
             managed = [(name_of[l.src], name_of[l.dst])
                        for l in net.graph.shortest_path(host.config.nid, TM_NID)]
             traversed = net.traces[trace]
+            assert net.trace_dropped == 0, f"run {i}: hop trace cut short"
             assert all(pair in traversed for pair in managed), \
                 f"run {i}: {host_name} probe skipped part of its managed path"
             for (a, b) in traversed:

@@ -78,6 +78,47 @@ class TestRun:
         assert "# nodes" in printed and "# links" in printed
 
 
+class TestTrace:
+    """``run --trace PATH``: each packet's hops as JSONL, then the count of hops past the cap."""
+
+    def test_jsonl_in_trace_order_ending_with_dropped(self, tmp_path):
+        topo = write_spec(tmp_path, switches=4, links=5, hosts=2, seed=3)
+        path = tmp_path / "t.jsonl"
+        assert main(["run", "--topology", str(topo), "--out", str(tmp_path / "r.csv"),
+                     "--trace", str(path)]) == 0
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert lines[-1] == {"dropped": 0}
+        ids = [line["trace"] for line in lines[:-1]]
+        assert ids == sorted(ids) and len(ids) > 1
+        assert all(set(line) == {"trace", "hops"} and line["hops"] for line in lines[:-1])
+        assert all(len(hop) == 2 for line in lines[:-1] for hop in line["hops"])
+
+    def test_byte_identical_reruns(self, tmp_path):
+        topo = write_spec(tmp_path, switches=5, links=7, hosts=3, seed=9)
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        for path in (first, second):
+            assert main(["run", "--topology", str(topo), "--out", str(tmp_path / "r.csv"),
+                         "--trace", str(path)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_cap_counts_the_hops_past_it(self, tmp_path, monkeypatch):
+        topo = write_spec(tmp_path, switches=4, links=5, hosts=2, seed=3)
+        path = tmp_path / "t.jsonl"
+        monkeypatch.setattr(cli, "TRACE_HOPS", 10)
+        assert main(["run", "--topology", str(topo), "--out", str(tmp_path / "r.csv"),
+                     "--trace", str(path)]) == 0
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert sum(len(line["hops"]) for line in lines[:-1]) == 10
+        assert lines[-1]["dropped"] > 0
+
+    def test_unwritable_trace_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        topo = write_spec(tmp_path, switches=4, links=4, hosts=2, seed=1)
+        monkeypatch.setattr(cli, "Deployment", lambda *args, **kwargs: pytest.fail("ran"))
+        path = str(tmp_path / "missing" / "t.jsonl")
+        assert main(["run", "--topology", str(topo), "--trace", path]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --trace {path!r}:")
+
+
 class TestGen:
     def test_tree(self, tmp_path):
         out = tmp_path / "tree.json"
@@ -214,6 +255,22 @@ class TestStandardLibraryOnly:
         done = self.python("import sys, icnsim.cli; "
                            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))", tmp_path)
         assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+    def test_import_leaves_jsonschema_unloaded(self, tmp_path):
+        # Only parse_spec validates against the schema, so only it loads jsonschema.
+        done = self.python("import sys, icnsim, icnsim.cli; print('jsonschema' in sys.modules)",
+                           tmp_path)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+    def test_run_still_names_a_schema_violation(self, tmp_path):
+        spec = generate_random(3, 3, 1, 1)
+        doc = json.loads(spec.to_json())
+        doc["params"]["m"] = "wide"
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        done = self.python("import sys; from icnsim.cli import main; "
+                           "sys.exit(main(['run', '--topology', 'bad.json']))", tmp_path)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: invalid spec: params.m: 'wide' is not of type")
 
     @pytest.mark.parametrize("argv", [
         ["dump-protocol"],

@@ -33,6 +33,7 @@ def chain_spec(switches, hosts=1, delay_ms=0.0, defaults=None, seed=11, m=256, k
 
 
 ZERO_COST = Defaults(tm_service_ms=0.0, tm_alloc_per_lid_ms=0.0)
+TRACE_HOPS = 100_000  # above the hop count of every traced test here
 
 
 def failed_host_net():
@@ -234,7 +235,7 @@ class TestIcnNodeChain:
             links=[TopoLink("tm", "s1", 0.2), TopoLink("h1", "tm", 0.2),
                    TopoLink("h1", "s1", 0.2)],
             seed=39)
-        net = Deployment(spec)
+        net = Deployment(spec, trace_hops=TRACE_HOPS)
         report = net.run_bootstrap()
         assert set(report.final_states.values()) <= {"TM", "DONE", "ENABLED"}
         h1, s1 = net.nid_of("h1"), net.nid_of("s1")
@@ -356,7 +357,7 @@ class TestLinkFlap:
                 ("tm", "s1"), ("s1", "s2"), ("s1", "s3"), ("s2", "s4"), ("s3", "s4"),
                 ("h1", "s1"), ("h2", "s4"))],
             seed=53)
-        net = Deployment(spec)
+        net = Deployment(spec, trace_hops=TRACE_HOPS)
         net.run_bootstrap()
         assert net.all_done()
 
@@ -534,7 +535,7 @@ class TestDataPayloads:
         assert raised == []
 
     def test_undecodable_frame_not_consumed(self):
-        net = Deployment(chain_spec(1, hosts=1))
+        net = Deployment(chain_spec(1, hosts=1), trace_hops=TRACE_HOPS)
         net.run_bootstrap()
         host = net.hosts["h1"]
         payload = bytes([wire.VERSION]) + b"junk"
@@ -562,7 +563,7 @@ class TestTrafficEndpoints:
 
     @pytest.fixture
     def net(self):
-        net = Deployment(chain_spec(1, hosts=2))
+        net = Deployment(chain_spec(1, hosts=2), trace_hops=TRACE_HOPS)
         net.run_bootstrap()
         return net
 
@@ -595,7 +596,8 @@ class TestTrafficEndpoints:
             net.inject_probe("tm")
 
     def test_rejected_injection_sends_nothing(self, net):
-        traces = dict(net.traces)
+        traces = {trace: list(hops) for trace, hops in net.traces.items()}
+        assert traces  # the bootstrap's hops
         with pytest.raises(EndpointError):
             net.inject_data("h2", "h2")
         net.run_until_idle()
@@ -638,8 +640,9 @@ class TestTmErrors:
 
 
 def test_emit_on_unwired_port_logs_and_drops(caplog):
-    net = Deployment(chain_spec(1, hosts=1))
+    net = Deployment(chain_spec(1, hosts=1), trace_hops=TRACE_HOPS)
     net.run_bootstrap()
+    assert net.traces  # the bootstrap's hops
     packet = IcnPacket(net.hosts["h1"].config.tmfid, net.hop_limit, b"DATA",
                        trace_id=net.next_trace())
     with caplog.at_level("WARNING", logger="icnsim.deploy"):
@@ -685,3 +688,39 @@ class TestLinkFaultNames:
         trace = net.inject_data("tm", "h1")
         net.run_until_idle()
         assert net.consumed[trace] == ["h1"]
+
+
+class TestHopTrace:
+    """The hop trace is opt-in and bounded: ``trace_hops`` hops at most, the rest counted."""
+
+    @staticmethod
+    def run(trace_hops=0):
+        net = Deployment(chain_spec(2, hosts=2), trace_hops=trace_hops)
+        net.run_bootstrap()
+        net.inject_data("h1", "h2")
+        net.inject_probe("h2")
+        net.run_until_idle()
+        return net
+
+    def test_off_by_default(self):
+        net = self.run()
+        assert net.traces == {}
+        assert net.trace_dropped == 0
+        # The data packet and the probe are still delivered.
+        assert sorted(name for names in net.consumed.values() for name in names) == ["h2", "tm"]
+
+    def test_cap_holds_and_counts_the_rest(self):
+        net = self.run(TRACE_HOPS)
+        assert net.trace_dropped == 0
+        full = net.traces
+        hops = sum(map(len, full.values()))
+        assert hops > 20
+        net = self.run(20)
+        assert sum(map(len, net.traces.values())) == 20
+        assert net.trace_dropped == hops - 20
+        # The first 20 hops are kept: each kept trace is a prefix of the full one.
+        assert all(full[trace][:len(kept)] == kept for trace, kept in net.traces.items())
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="trace_hops"):
+            Deployment(chain_spec(1, hosts=1), trace_hops=-1)

@@ -6,7 +6,8 @@ order, identifier allocation, flow rules or packet paths fails them.  Each
 fabric is bootstrapped, carries 200 seeded data packets, fails and restores
 its first three switch-switch links, and sends one probe per host.  The
 digest covers the report, the TM graph, every switch table, and which node
-consumed and which links carried each packet.
+consumed and which links carried each packet, from a hop trace capped
+above the run's hop count.
 """
 
 import hashlib
@@ -26,7 +27,7 @@ GOLDEN = {
 
 def run_digest(switches: int, links: int, hosts: int, seed: int) -> str:
     spec = generate_random(switches, links, hosts, seed, delay_ms=0.2)
-    net = Deployment(spec)
+    net = Deployment(spec, trace_hops=1_000_000)
     net.run_bootstrap()
     traffic = Random(f"golden:{seed}")
     names = sorted(net.hosts)
@@ -44,6 +45,7 @@ def run_digest(switches: int, links: int, hosts: int, seed: int) -> str:
     for name in names:
         net.inject_probe(name)
     net.run_until_idle()
+    assert net.trace_dropped == 0
 
     h = hashlib.sha256()
     h.update(net.report().to_text().encode())

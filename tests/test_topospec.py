@@ -1,11 +1,13 @@
 """Spec files: schema validation, error naming, random generation."""
 
+import hashlib
 import json
+from random import Random
 
 import pytest
 
-from icnsim.topospec import (Defaults, SpecError, TopoLink, TopoNode, TopologySpec,
-                             generate_random, parse_spec)
+from icnsim.topospec import (Defaults, ExtraPairs, SpecError, TopoLink, TopoNode,
+                             TopologySpec, generate_random, parse_spec)
 
 
 def minimal_doc():
@@ -129,6 +131,50 @@ class TestGeneration:
         spec = generate_random(5, 7, 2, seed=3)
         tm_links = [l for l in spec.links if "tm" in (l.a, l.b)]
         assert len(tm_links) == 1
+
+
+class TestExtraPairs:
+    """The lazy pool of non-tree switch pairs equals the sorted list it replaces."""
+
+    @staticmethod
+    def random_tree(switches, seed):
+        rng = Random(seed)
+        children = {}
+        for i in range(2, switches + 1):
+            children.setdefault(rng.randrange(1, i), []).append(i)
+        return children
+
+    @pytest.mark.parametrize("switches", [1, 2, 3, 5, 8, 13, 30, 64])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_the_sorted_pair_list(self, switches, seed):
+        children = self.random_tree(switches, seed)
+        tree = {(a, b) for a, kids in children.items() for b in kids}
+        listed = sorted((a, b) for a in range(1, switches + 1)
+                        for b in range(a + 1, switches + 1) if (a, b) not in tree)
+        pool = ExtraPairs(switches, children)
+        assert len(pool) == len(listed)
+        assert list(pool) == listed  # iteration stops at the IndexError past the end
+        assert [pool[i] for i in range(-len(listed), 0)] == listed
+        for index in (len(listed), -len(listed) - 1):
+            with pytest.raises(IndexError):
+                pool[index]
+
+    def test_star_and_chain_trees(self):
+        # Every child under switch 1, and each switch the parent of the next.
+        star = {1: list(range(2, 7))}
+        chain = {a: [a + 1] for a in range(1, 6)}
+        assert list(ExtraPairs(6, star)) == [(a, b) for a in range(2, 7) for b in range(a + 1, 7)]
+        assert list(ExtraPairs(6, chain)) == [(a, b) for a in range(1, 7)
+                                              for b in range(a + 2, 7)]
+
+    @pytest.mark.parametrize("shape, digest", [
+        ((80, 160, 32, 1), "e05253cde791e48c857968ae2462443d62ad3288ae407bc2f6de6df6dc5b1229"),
+        ((1281, 1920, 640, 1),
+         "d8e371276f743ea0bfe410a0f7c89426be5feb5038a01dbe7031b4d97093ed23"),
+    ])
+    def test_generated_spec_unchanged(self, shape, digest):
+        # Digests of the specs that the sorted pair list gave.
+        assert hashlib.sha256(generate_random(*shape).to_json().encode()).hexdigest() == digest
 
 
 def test_validate_reports_missing_field_via_schema():
