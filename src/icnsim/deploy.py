@@ -635,10 +635,8 @@ class Deployment:
         source, dest = self._endpoint(src), self._endpoint(dst)
         if source is dest:
             raise EndpointError(f"{src!r} is both source and destination")
-        dst_nid = dest.config.nid
-        path = self.graph.shortest_path(source.config.nid, dst_nid)
-        packet = IcnPacket(self.graph.path_fid(path, dst_nid), self.hop_limit, b"DATA",
-                           trace_id=self.next_trace())
+        packet = IcnPacket(self.graph.data_fid(source.config.nid, dest.config.nid),
+                           self.hop_limit, b"DATA", trace_id=self.next_trace())
         source.send(packet)
         return packet.trace_id
 

@@ -1,19 +1,30 @@
 """Deterministic discrete-event simulator.
 
 Virtual time is a 64-bit count of microseconds.  Events execute in
-``(at, seq)`` order where ``seq`` is assigned at scheduling time, so runs
-are fully reproducible: the same topology and seed yield the same event
-trace, timestamps and measurement spans.
+``(at, seq)`` order, where ``seq`` is the order of scheduling, so runs are
+fully reproducible: the same topology and seed yield the same event trace,
+timestamps and measurement spans.
+
+The queue is a calendar (Brown, CACM 1988): a heap of the distinct pending
+times, and for each time a FIFO list of its events in scheduling order.
+Times leave the heap in increasing order and each list is run front to
+back, which is exactly ``(at, seq)`` order with no ``seq`` kept.  An event
+scheduled at the current time while that time's list is running joins the
+end of the list, so it runs in the same pass, after every event scheduled
+before it.  Many events often share a time (a pass of data packets injected
+at one instant moves in lockstep), and each of them costs one append and
+one step of a list, not a heap push and pop through tuple comparisons.
 
 An event is the object that was scheduled: a handler receives it as is and
-dispatches on its type.
+dispatches on its type.  The handler is resolved when the event is
+scheduled, so an unknown target fails there.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import length_hint
 from typing import Any, Callable, Dict, List, Optional
 
 US_PER_MS = 1000
@@ -29,6 +40,10 @@ class PastTime(SimError):
 
 class LimitExceeded(SimError):
     """Event queue still busy at the run limit; likely a forwarding loop."""
+
+
+class UnknownTarget(SimError):
+    """Attempt to schedule an event for a target no handler is registered for."""
 
 
 class NeverCompleted(SimError):
@@ -92,8 +107,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0
-        self._heap: List[tuple[int, int, str, Any]] = []
-        self._seq = itertools.count()
+        self._times: List[int] = []  # heap of the distinct times in _calendar
+        self._calendar: Dict[int, List[tuple[Callable[[Any], None], Any]]] = {}
         self._handlers: Dict[str, Callable[[Any], None]] = {}
         self._open_spans: Dict[str, int] = {}
         self.spans: List[MeasurementSpan] = []
@@ -106,7 +121,16 @@ class Simulator:
     def schedule(self, at: int, target: str, event: Any) -> None:
         if at < self.now:
             raise PastTime(f"cannot schedule at {at} before now {self.now}")
-        heapq.heappush(self._heap, (at, next(self._seq), target, event))
+        try:
+            handler = self._handlers[target]
+        except KeyError:
+            raise UnknownTarget(f"no handler registered for target {target!r}") from None
+        bucket = self._calendar.get(at)
+        if bucket is None:
+            self._calendar[at] = [(handler, event)]
+            heappush(self._times, at)
+        else:
+            bucket.append((handler, event))
 
     def schedule_in(self, delay: int, target: str, event: Any) -> None:
         self.schedule(self.now + delay, target, event)
@@ -115,15 +139,30 @@ class Simulator:
         """Process events in order; returns the time of the last event.
 
         Raises :class:`LimitExceeded` when an event remains scheduled beyond
-        ``limit``, which signals a livelock such as a Bloom forwarding loop.
+        ``limit``, which signals a livelock such as a Bloom forwarding loop;
+        the queue is left as it was.  When a handler raises, its event is
+        spent and the rest stay pending, so a later call resumes with the
+        next one.
         """
-        while self._heap:
-            at = self._heap[0][0]
+        times, calendar = self._times, self._calendar
+        while times:
+            at = times[0]
             if at > limit:
                 raise LimitExceeded(f"event pending at {at} beyond limit {limit}")
-            _, _, target, event = heapq.heappop(self._heap)
             self.now = at
-            self._handlers[target](event)
+            bucket = calendar[at]
+            # Iterated in place: the iterator also yields events appended
+            # at this time by the handlers it runs.
+            events = iter(bucket)
+            try:
+                for handler, event in events:
+                    handler(event)
+            except BaseException:
+                # Every event handed out so far, the raising one included, is spent.
+                del bucket[:len(bucket) - length_hint(events)]
+                raise
+            heappop(times)
+            del calendar[at]
         return self.now
 
     # -- measurement -------------------------------------------------------

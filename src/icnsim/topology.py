@@ -176,13 +176,22 @@ class TopologyGraph:
     A route from the TM to any node, pending or committed, is the node's
     in-tree path reversed (:meth:`path_from_tm`), so it needs no BFS.
 
-    :meth:`shortest_path` between other nodes (node-to-node data) reads an
-    in-tree cached per destination (``_trees``): the BFS hop counts towards
-    it, plus next hops picked with the same tie-break as a walk first needs
-    them.  Trees hold NIDs only, so a path returns the link objects current
-    in ``links``.  Every adjacency change (``_put_link``/``_pop_link``)
-    drops all cached trees; the next read of a destination rebuilds its
-    tree with one BFS.
+    :meth:`shortest_path` reads an in-tree per destination (``_trees``):
+    the TM in-tree for the TM, and for any other node the hop counts and
+    next hops of one BFS towards it, with the same tie-break.  Trees hold
+    NIDs only, so a path returns the link objects current in ``links``.
+
+    Data FIDs are composed, not walked: :meth:`data_fid` gives the
+    destination's iLID (zero without one) to the destination itself, and
+    to every other member its next hop's data FID OR the LID of the link
+    there (:meth:`_compose`, the rule TMFIDs follow too).  Each tree
+    memoises the data FIDs composed so far, so a read walks only down to
+    the first member already known.  Every adjacency change
+    (``_put_link``/``_pop_link``) makes all trees stale, FIDs included; the
+    next read of a destination replaces its tree, with one BFS (none for
+    the TM).  A stale tree is freed there, not at the change, so a link
+    event does not pay to free the FIDs a pass of data composed; at most
+    one tree per node is kept, and a node's tree goes with the node.
     """
 
     def __init__(self, params: FidParams, rng: Random):
@@ -201,8 +210,10 @@ class TopologyGraph:
         self._dist: Dict[int, int] = {TM_NID: 0}
         self._next: Dict[int, int] = {}
         self._children: Dict[int, Set[int]] = {}
-        # In-trees towards other destinations: (hop counts, next hops so far).
-        self._trees: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
+        # In-trees by destination: (epoch, hop counts, next hops, data FIDs so
+        # far); a tree from before the last adjacency change is stale.
+        self._epoch = 0
+        self._trees: Dict[int, Tuple[int, Dict[int, int], Dict[int, int], Dict[int, Fid]]] = {}
         tm = NodeRecord(TM_NID, NodeKind.TM, ilid=new_lid(rng, self.lid_registry, params),
                         committed=True)
         tm.tmfid = BitVector.zero(params.m)
@@ -228,13 +239,13 @@ class TopologyGraph:
         self.links[link.key()] = link
         self._succ[link.src].add(link.dst)
         self._pred[link.dst].add(link.src)
-        self._trees.clear()
+        self._epoch += 1
 
     def _pop_link(self, key: Tuple[int, int]) -> DirectedLink:
         link = self.links.pop(key)
         self._succ[key[0]].discard(key[1])
         self._pred[key[1]].discard(key[0])
-        self._trees.clear()
+        self._epoch += 1
         return link
 
     def out_links(self, nid: int) -> List[DirectedLink]:
@@ -287,7 +298,7 @@ class TopologyGraph:
         del self._pending[nid]
         record = self.nodes[nid]
         record.committed = True
-        record.tmfid = self._compose(nid)
+        record.tmfid = self._tmfid(nid)
         return record
 
     def expire_grant(self, nid: int) -> None:
@@ -302,6 +313,7 @@ class TopologyGraph:
             else:  # a REMOVE took it
                 del self.down_links[key]
         del self._succ[nid], self._pred[nid]
+        self._trees.pop(nid, None)
         if self._dist.pop(nid, None) is not None:
             self._children[self._next.pop(nid)].discard(nid)
         self._release_lid(grant.lid)
@@ -315,58 +327,92 @@ class TopologyGraph:
 
     # -- paths --------------------------------------------------------------
 
-    def _distances_to(self, dst: int, cap: Optional[float] = None) -> Dict[int, int]:
-        # BFS over reversed edges gives hop counts towards dst; with a cap,
-        # only links loaded at most ``cap`` are used.
+    def _distances_to(self, dst: int, cap: Optional[float] = None
+                      ) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """Hop counts towards ``dst`` and each node's next hop, by one BFS.
+
+        The BFS runs over reversed edges; with a cap, only links loaded at
+        most ``cap`` are used.  Each level is expanded in NID order, so the
+        node that first reaches a neighbour is the smallest NID one hop
+        closer to ``dst``: the tie-break of :meth:`_step`.
+        """
         dist = {dst: 0}
+        nxt: Dict[int, int] = {}
         frontier = [dst]
+        hops = 0
         while frontier:
-            nxt: List[int] = []
+            hops += 1
+            level: List[int] = []
             for node in frontier:
-                for pred in self._pred[node]:
-                    if pred not in dist and (cap is None
-                                             or self.links[(pred, node)].load <= cap):
-                        dist[pred] = dist[node] + 1
-                        nxt.append(pred)
-            frontier = nxt
-        return dist
+                preds = self._pred[node]
+                if cap is not None:
+                    preds = [p for p in preds if self.links[(p, node)].load <= cap]
+                for pred in preds:
+                    if pred not in dist:
+                        dist[pred] = hops
+                        nxt[pred] = node
+                        level.append(pred)
+            level.sort()
+            frontier = level
+        return dist, nxt
 
-    def _step(self, cur: int, dist: Dict[int, int], cap: Optional[float] = None) -> int:
+    def _step(self, cur: int, dist: Dict[int, int]) -> int:
         # Smallest-NID neighbour one hop closer along the BFS gradient.
-        return min(n for n in self._succ[cur] if dist.get(n, -1) == dist[cur] - 1
-                   and (cap is None or self.links[(cur, n)].load <= cap))
+        return min(n for n in self._succ[cur] if dist.get(n, -1) == dist[cur] - 1)
 
-    def _path_via(self, src: int, dst: int, dist: Dict[int, int], nxt: Dict[int, int],
-                  cap: Optional[float] = None) -> List[DirectedLink]:
-        # Greedy smallest-NID step along the BFS gradient yields the
-        # lexicographically smallest shortest path.  ``nxt`` keeps the steps
-        # taken, for later walks over the same hop counts.
+    def _path_via(self, src: int, dst: int, nxt: Dict[int, int]) -> List[DirectedLink]:
+        # Following the smallest-NID next hops yields the lexicographically
+        # smallest shortest path.
         path: List[DirectedLink] = []
         cur = src
         while cur != dst:
-            step = nxt.get(cur)
-            if step is None:
-                step = nxt[cur] = self._step(cur, dist, cap)
+            step = nxt[cur]
             path.append(self.links[(cur, step)])
             cur = step
         return path
 
+    def _tree(self, src: int, dst: int
+              ) -> Tuple[int, Dict[int, int], Dict[int, int], Dict[int, Fid]]:
+        """``dst``'s current in-tree, built on first read; raises if ``src`` is not in it."""
+        if src not in self.nodes or dst not in self.nodes:
+            raise UnknownAttachPoint(f"unknown endpoint {src if src not in self.nodes else dst}")
+        tree = self._trees.get(dst)
+        if tree is None or tree[0] != self._epoch:
+            ilid = self.nodes[dst].ilid
+            fids = {dst: BitVector.zero(self.params.m) if ilid is None else ilid}
+            if dst == TM_NID:
+                tree = (self._epoch, self._dist, self._next, fids)
+            else:
+                tree = (self._epoch, *self._distances_to(dst), fids)
+            self._trees[dst] = tree
+        if src not in tree[1]:
+            raise Unreachable(f"no path {src} -> {dst}")
+        return tree
+
     def shortest_path(self, src: int, dst: int) -> List[DirectedLink]:
         """Minimum-hop path; ties resolved towards the lexicographically
         smallest sequence of intermediate NIDs, so the result is unique."""
-        if src not in self.nodes or dst not in self.nodes:
-            raise UnknownAttachPoint(f"unknown endpoint {src if src not in self.nodes else dst}")
-        if src == dst:
-            return []
-        if dst == TM_NID:
-            return self._tm_path(src)
-        tree = self._trees.get(dst)
-        if tree is None:
-            tree = self._trees[dst] = (self._distances_to(dst), {})
-        dist, nxt = tree
-        if src not in dist:
-            raise Unreachable(f"no path {src} -> {dst}")
-        return self._path_via(src, dst, dist, nxt)
+        return self._path_via(src, dst, self._tree(src, dst)[2])
+
+    def data_fid(self, src: int, dst: int) -> Fid:
+        """The FID of a data packet from ``src`` to ``dst``.
+
+        It equals ``path_fid(shortest_path(src, dst), dst)`` and raises as
+        ``shortest_path`` does, but it is composed down ``dst``'s in-tree
+        and kept there, so a repeated read is one lookup.
+        """
+        _, _, nxt, fids = self._tree(src, dst)
+        fid = fids.get(src)
+        if fid is None:
+            walked = []
+            cur = src
+            while cur not in fids:
+                walked.append(cur)
+                cur = nxt[cur]
+            fid = fids[cur]
+            for nid in reversed(walked):
+                fid = fids[nid] = self._compose(nid, nxt[nid], fid)
+        return fid
 
     def _set_next(self, nid: int, nxt: int) -> None:
         old = self._next.get(nid)
@@ -374,13 +420,6 @@ class TopologyGraph:
             self._children[old].discard(nid)
         self._next[nid] = nxt
         self._children.setdefault(nxt, set()).add(nid)
-
-    def _tm_path(self, nid: int) -> List[DirectedLink]:
-        """The node's path in the TM in-tree, which ``shortest_path(nid, TM)`` reads."""
-        if nid not in self._dist:
-            raise Unreachable(f"no path {nid} -> {TM_NID}")
-        # Every node in the tree has its next hop, so the walk picks none.
-        return self._path_via(nid, TM_NID, self._dist, self._next)
 
     def path_from_tm(self, nid: int) -> List[DirectedLink]:
         """TM->node route: the node's in-tree path, reversed link by link.
@@ -391,15 +430,24 @@ class TopologyGraph:
         ``shortest_path(TM, nid)``.
         """
         if nid in self._dist:
-            route = [self.links.get((l.dst, l.src)) for l in reversed(self._tm_path(nid))]
+            up = self._path_via(nid, TM_NID, self._next)
+            route = [self.links.get((l.dst, l.src)) for l in reversed(up)]
             if None not in route:
                 return route
         return self.shortest_path(TM_NID, nid)
 
-    def _compose(self, nid: int) -> Fid:
-        """The TMFID of an in-tree node: its next hop's TMFID OR its uplink's LID."""
+    def _compose(self, nid: int, nxt: int, fid: Fid) -> Fid:
+        """A FID down an in-tree: ``fid``, the next hop ``nxt``'s, OR the LID of ``nid -> nxt``.
+
+        A TMFID is composed from the next hop's TMFID in the TM in-tree, a
+        data FID from the next hop's data FID in the destination's tree.
+        """
+        return fid_or((fid, self.links[(nid, nxt)].lid), width=self.params.m)
+
+    def _tmfid(self, nid: int) -> Fid:
+        """The TMFID of an in-tree node, composed from its next hop's."""
         nxt = self._next[nid]
-        return fid_or((self.nodes[nxt].tmfid, self.links[(nid, nxt)].lid), width=self.params.m)
+        return self._compose(nid, nxt, self.nodes[nxt].tmfid)
 
     def path_fid(self, path: List[DirectedLink], dst_nid: int) -> Fid:
         """A route's FID: the OR of its LIDs and the destination's iLID, if it has one."""
@@ -417,9 +465,9 @@ class TopologyGraph:
         if src == dst:
             return []
         for cap in sorted({l.load for l in self.links.values()}):
-            dist = self._distances_to(dst, cap)
+            dist, nxt = self._distances_to(dst, cap)
             if src in dist:
-                return self._path_via(src, dst, dist, {}, cap)
+                return self._path_via(src, dst, nxt)
         raise Unreachable(f"no path {src} -> {dst}")  # not even at the highest load
 
     # -- link events and resilience ----------------------------------------
@@ -523,7 +571,7 @@ class TopologyGraph:
         repairs = []
         for nid in sorted((n for n in affected if n in self._dist and self.nodes[n].committed),
                           key=self._dist.__getitem__):
-            tmfid = self._compose(nid)
+            tmfid = self._tmfid(nid)
             if tmfid != self.nodes[nid].tmfid:
                 self.nodes[nid].tmfid = tmfid
                 repairs.append(RepairAction(nid, tmfid, self.links[(nid, self._next[nid])].lid))

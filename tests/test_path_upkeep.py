@@ -5,10 +5,12 @@ the TM must hold the lexicographically smallest shortest path, recomputed
 here from networkx hop counts, and the TMFID OR-ed from it; the TM's route
 to it is that path reversed while every reverse link is up.  A sample of
 ``shortest_path`` reads, towards the TM and towards other nodes, must give
-the same path, so a per-destination tree left over from an earlier event
-shows.  The TM in-tree itself (hop counts, next hops and their inverse)
-must equal the oracle's for every node, pending ones included: it persists
-across REMOVEs, which re-grow only the subtree a removed tree edge held.
+the same path, and ``data_fid`` the OR of that path's LIDs plus the
+destination's iLID, so a per-destination tree or a composed FID left over
+from an earlier event shows.  The TM in-tree itself (hop counts, next hops
+and their inverse) must equal the oracle's for every node, pending ones
+included: it persists across REMOVEs, which re-grow only the subtree a
+removed tree edge held.
 """
 
 from random import Random
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from icnsim.fid import FidParams, fid_or
 from icnsim.topology import (LinkEvent, LinkEventKind, NodeKind, TM_NID, TopologyGraph,
-                             Unreachable)
+                             UnknownAttachPoint, Unreachable)
 from test_topology import link_up
 
 nx = pytest.importorskip("networkx")
@@ -69,7 +71,7 @@ def check_paths(g, rng=None):
 
 
 def check_shortest_paths(g, graph, rng):
-    """``shortest_path`` for sampled committed pairs, some towards the TM."""
+    """``shortest_path`` and ``data_fid`` for sampled committed pairs, some towards the TM."""
     committed = sorted(n for n, rec in g.nodes.items() if rec.committed)
     others = [n for n in committed if n != TM_NID]
     sources = {TM_NID: rng.sample(others, min(2, len(others)))}
@@ -79,12 +81,23 @@ def check_shortest_paths(g, graph, rng):
         hops = nx.shortest_path_length(graph, target=b)
         for a in srcs:
             if a not in hops:
-                with pytest.raises(Unreachable):
-                    g.shortest_path(a, b)
+                for read in (g.shortest_path, g.data_fid):
+                    with pytest.raises(Unreachable):
+                        read(a, b)
                 continue
             path = g.shortest_path(a, b)
-            assert [l.key() for l in path] == oracle_path(graph, hops, a, b), f"{a} -> {b}"
+            keys = oracle_path(graph, hops, a, b)
+            assert [l.key() for l in path] == keys, f"{a} -> {b}"
             assert all(l is g.links[l.key()] for l in path)
+            lids = [g.links[key].lid for key in keys]
+            if g.nodes[b].ilid is not None:
+                lids.append(g.nodes[b].ilid)
+            assert g.data_fid(a, b) == fid_or(lids, width=g.params.m), f"data {a} -> {b}"
+    unknown = max(g.nodes) + 1
+    for a, b in ((unknown, TM_NID), (TM_NID, unknown), (unknown, unknown)):
+        for read in (g.shortest_path, g.data_fid):
+            with pytest.raises(UnknownAttachPoint):
+                read(a, b)
 
 
 def attach(g, pick):

@@ -1,9 +1,13 @@
 """Event loop semantics: ordering, limits, spans, reports."""
 
+import heapq
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icnsim.simnet import (LimitExceeded, MeasurementSpan, NeverCompleted, PastTime,
-                           SimReport, Simulator, Timer, ms)
+                           SimReport, Simulator, Timer, UnknownTarget, ms)
 
 
 def test_ms_conversion_exact():
@@ -61,6 +65,31 @@ class TestScheduling:
         sim.schedule(0, "t", Timer("start"))
         assert sim.run_until_idle() == 8
         assert hits == [0, 4, 8]
+
+    def test_unknown_target_rejected_when_scheduled(self):
+        sim = Simulator()
+        sim.register("t", lambda e: None)
+        with pytest.raises(UnknownTarget, match="'nope'"):
+            sim.schedule(3, "nope", Timer("x"))
+        with pytest.raises(UnknownTarget):
+            sim.schedule_in(0, "nope", Timer("x"))
+        assert sim.run_until_idle() == 0  # nothing was queued
+
+    def test_zero_delay_event_joins_the_running_time(self):
+        sim = Simulator()
+        order = []
+
+        def handler(event):
+            order.append(event)
+            if event == "a":
+                sim.schedule_in(0, "t", "a0")
+
+        sim.register("t", handler)
+        for name in ("a", "b"):
+            sim.schedule(5, "t", name)
+        sim.schedule(6, "t", "c")
+        sim.run_until_idle()
+        assert order == ["a", "b", "a0", "c"]
 
 
 class TestRunUntilIdle:
@@ -150,3 +179,88 @@ def test_duplicate_target_registration_rejected():
     sim.register("t", lambda e: None)
     with pytest.raises(ValueError):
         sim.register("t", lambda e: None)
+
+
+# -- order oracle ------------------------------------------------------------------
+#
+# An event is an integer id, numbered in scheduling order.  When event ``e``
+# runs it schedules the children ``plan[e % len(plan)]`` (delays, some of
+# them 0) until ``cap`` events exist.  The reference runs the same plan from
+# a plain ``(at, seq)`` heap; the simulator must run the same ids at the
+# same times, in the same order.
+
+
+def reference_run(starts, plan, cap, barren=None):
+    """(time, id) in ``(at, seq)`` order; event ``barren`` schedules no children."""
+    heap, seq, log = [], itertools.count(), []
+    for at in starts:
+        heapq.heappush(heap, (at, next(seq)))
+    while heap:
+        at, event = heapq.heappop(heap)
+        log.append((at, event))
+        if event != barren:
+            for delay in plan[event % len(plan)]:
+                n = next(seq)
+                if n < cap:
+                    heapq.heappush(heap, (at + delay, n))
+    return log
+
+
+def planned_sim(starts, plan, cap, boom=None):
+    """A simulator loaded with the plan; event ``boom`` raises once, before its children."""
+    sim = Simulator()
+    seq, log = itertools.count(len(starts)), []
+
+    def handler(event):
+        log.append((sim.now, event))
+        if event == boom:
+            raise RuntimeError("boom")
+        for delay in plan[event % len(plan)]:
+            n = next(seq)
+            if n < cap:
+                sim.schedule_in(delay, "t", n)
+
+    sim.register("t", handler)
+    for event, at in enumerate(starts):
+        sim.schedule(at, "t", event)
+    return sim, log
+
+
+STARTS = st.lists(st.integers(0, 6), min_size=1, max_size=12)
+PLANS = st.lists(st.lists(st.sampled_from([0, 0, 1, 2, 5]), max_size=3), min_size=1, max_size=6)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(STARTS, PLANS, st.integers(1, 80))
+def test_order_matches_an_at_seq_heap(starts, plan, cap):
+    sim, log = planned_sim(starts, plan, cap)
+    assert sim.run_until_idle() == max(at for at, _ in log)
+    assert log == reference_run(starts, plan, cap)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(STARTS, PLANS, st.integers(1, 80), st.data())
+def test_a_raising_handler_leaves_the_rest_pending(starts, plan, cap, data):
+    expected = reference_run(starts, plan, cap)
+    boom = data.draw(st.sampled_from(sorted(e for _, e in expected)), label="boom")
+    expected = reference_run(starts, plan, cap, barren=boom)
+    sim, log = planned_sim(starts, plan, cap, boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run_until_idle()
+    assert log[-1][1] == boom
+    sim.run_until_idle()
+    # The raising event is spent; everything after it runs once, in order.
+    assert log == expected
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(STARTS, PLANS, st.integers(1, 80), st.integers(0, 12))
+def test_limit_exceeded_leaves_the_queue_intact(starts, plan, cap, limit):
+    expected = reference_run(starts, plan, cap)
+    sim, log = planned_sim(starts, plan, cap)
+    if expected[-1][0] > limit:
+        with pytest.raises(LimitExceeded):
+            sim.run_until_idle(limit=limit)
+        assert log == [entry for entry in expected if entry[0] <= limit]
+    sim.run_until_idle()
+    assert log == expected

@@ -93,10 +93,12 @@ class TestCommitExpire:
         g = make_graph()
         before = set(g.lid_registry)
         grant = g.allocate_resources(NodeKind.ICN_NODE, TM_NID)
+        g.data_fid(TM_NID, grant.nid)  # builds the pending node's in-tree
         g.expire_grant(grant.nid)
         assert g.lid_registry == before
         assert grant.nid not in g.nodes
         assert (TM_NID, grant.nid) not in g.links
+        assert grant.nid not in g._trees
 
     def test_expire_unknown(self):
         with pytest.raises(NoPendingGrant):
