@@ -39,8 +39,12 @@ class CableError(ValueError):
 
 
 class FabricDelivery(NamedTuple):
+    """A copy in flight: the packet, one object shared by all its copies, and
+    the hop budget this copy arrives with (the budget's only home)."""
+
     packet: IcnPacket
     in_port: int
+    hop_limit: int
 
 
 class PortLink(NamedTuple):
@@ -82,27 +86,24 @@ class SwitchNode:
         self.drops = 0
 
     def handle(self, event) -> None:
-        if isinstance(event, FabricDelivery):
-            self._forward(event.packet, event.in_port)
-        else:  # PacketOutCmd
-            self.net.emit(self, event.port, event.packet)
-
-    def _forward(self, packet: IcnPacket, in_port: int) -> None:
+        if type(event) is not FabricDelivery:  # PacketOutCmd
+            self.net.emit(self, event.port, event.packet, self.net.hop_limit)
+            return
+        packet, in_port, hop_limit = event
         result = switch_forward(self.table, packet)
         if result is MISS:
             if packet.fid.is_zero():
                 # Unknown ICN traffic on the bootstrap channel goes upstairs.
-                self.net.packet_in(self.name, in_port, packet)
+                self.net.packet_in(self.name, in_port, packet, hop_limit)
             else:
                 self.drops += 1
             return
-        if packet.hop_limit <= 0:
+        if hop_limit <= 0:
             self.drops += 1
             return
-        onward = packet.spend_hop()
         for port in result:
             if port != in_port:  # split horizon: never back over the arrival link
-                self.net.emit(self, port, onward)
+                self.net.emit(self, port, packet, hop_limit - 1)
 
 
 class HostNode:
@@ -131,14 +132,16 @@ class HostNode:
         self._execute(self.fsm.start())
 
     def handle(self, event) -> None:
-        if isinstance(event, FabricDelivery):
-            self._on_packet(event.packet, event.in_port)
+        if type(event) is FabricDelivery:
+            self._on_packet(*event)
         else:  # Timer
             self._execute(self.fsm.on_timeout(event.timer_id, event.token))
-        self._check_settled()
+        if not self._settled:
+            self._check_settled()
 
-    def _on_packet(self, packet: IcnPacket, in_port: int) -> None:
-        if packet.fid.is_zero():
+    def _on_packet(self, packet: IcnPacket, in_port: int, hop_limit: int) -> None:
+        fid = packet.fid.value
+        if not fid:
             self._on_link_local(packet, in_port)
             return
         if self.fsm.state != BootstrapState.DONE:
@@ -148,16 +151,17 @@ class HostNode:
             if msg is not None:
                 self._execute(self.fsm.on_message(msg, in_port))
             return
-        if self.config.ilid is not None and fid_matches(packet.fid, self.config.ilid):
+        if (ilid := self.config.ilid) is not None and fid & ilid.value == ilid.value:
             self._consume(packet, in_port)
-        if packet.hop_limit > 0:
-            self.send(packet.spend_hop(), in_port)
+        if hop_limit > 0:
+            self.send(packet, hop_limit - 1, in_port)
 
-    def send(self, packet: IcnPacket, in_port: Optional[int] = None) -> None:
-        """Emit on every link whose LID the FID holds, except the arrival port ``in_port``."""
+    def send(self, packet: IcnPacket, hop_limit: int, in_port: Optional[int] = None) -> None:
+        """Emit, ``hop_limit`` hops left, on each link whose LID the FID holds, but ``in_port``."""
+        fid = packet.fid.value
         ports = set()
         for nid, lid in self.config.link_lids.items():
-            if not fid_matches(packet.fid, lid):
+            if fid & lid.value != lid.value:
                 continue
             port = self.nid_port.get(nid)
             if port is not None:
@@ -166,8 +170,8 @@ class HostNode:
                 # Neighbor not yet bound to a port: flood, Bloom style.
                 ports.update(self.ports)
         ports.discard(in_port)
-        for port in sorted(ports):
-            self.net.emit(self, port, packet)
+        for port in sorted(ports) if len(ports) > 1 else ports:
+            self.net.emit(self, port, packet, hop_limit)
 
     def _on_link_local(self, packet: IcnPacket, in_port: int) -> None:
         msg = self.net.decode(self.name, packet.payload)
@@ -178,7 +182,7 @@ class HostNode:
                 offer = responder_on_discovery(msg, self.config)
             except NotBootstrapped:
                 return
-            self.net.emit(self, in_port, self.net.link_local_packet(offer))
+            self.net.emit(self, in_port, self.net.link_local_packet(offer), self.net.hop_limit)
         elif self.fsm.state != BootstrapState.DONE:
             self._execute(self.fsm.on_message(msg, in_port))
 
@@ -194,19 +198,16 @@ class HostNode:
             if isinstance(action, Broadcast):
                 frame = self.net.link_local_packet(action.message)
                 for port in sorted(self.ports):
-                    self.net.emit(self, port, frame)
+                    self.net.emit(self, port, frame, self.net.hop_limit)
             elif isinstance(action, Send):
-                packet = IcnPacket(action.fid, self.net.hop_limit,
-                                   wire.encode(action.message, self.net.params),
+                packet = IcnPacket(action.fid, wire.encode(action.message, self.net.params),
                                    trace_id=self.net.next_trace())
-                self.net.emit(self, action.port, packet)
+                self.net.emit(self, action.port, packet, self.net.hop_limit)
             elif isinstance(action, Arm):
                 self.net.sim.schedule_in(action.delay_us, f"node:{self.name}",
                                          Timer(action.timer_id, action.token))
 
     def _check_settled(self) -> None:
-        if self._settled:
-            return
         if self.fsm.state == BootstrapState.DONE:
             self._settled = True
             self.net.node_done(self.name)
@@ -234,8 +235,8 @@ class TmNode:
         self._busy = False
 
     def handle(self, event) -> None:
-        if isinstance(event, FabricDelivery):
-            self._on_packet(event.packet, event.in_port)
+        if type(event) is FabricDelivery:
+            self._on_packet(*event)
         elif isinstance(event, CtlDelivery):
             msg = self.net.decode(self.name, event.data)
             if msg is not None:
@@ -245,24 +246,24 @@ class TmNode:
 
     # -- packet plane ---------------------------------------------------------
 
-    def _on_packet(self, packet: IcnPacket, in_port: int) -> None:
+    def _on_packet(self, packet: IcnPacket, in_port: int, hop_limit: int) -> None:
         if packet.fid.is_zero():
             self._on_link_local(packet, in_port)
             return
-        if packet.hop_limit > 0:
-            self.send(packet.spend_hop(), in_port)
+        if hop_limit > 0:
+            self.send(packet, hop_limit - 1, in_port)
         # TM-bound FIDs carry no iLID for the TM, so arrival means delivery.
         msg = self.net.consume(self.name, packet)
         if msg is not None:
             self._enqueue(msg, in_port)
 
-    def send(self, packet: IcnPacket, in_port: Optional[int] = None) -> None:
-        """Emit on every bound out-link whose LID the FID holds, except arrival port ``in_port``."""
+    def send(self, packet: IcnPacket, hop_limit: int, in_port: Optional[int] = None) -> None:
+        """Emit, ``hop_limit`` hops left, on each bound out-link the FID holds, but ``in_port``."""
         for link in self.graph.out_links(TM_NID):
             if fid_matches(packet.fid, link.lid):
                 port = self.nid_port.get(link.dst)
                 if port is not None and port != in_port:
-                    self.net.emit(self, port, packet)
+                    self.net.emit(self, port, packet, hop_limit)
 
     def _on_link_local(self, packet: IcnPacket, in_port: int) -> None:
         msg = self.net.decode(self.name, packet.payload)
@@ -270,7 +271,7 @@ class TmNode:
             return
         if isinstance(msg, DiscoveryRequest):
             offer = responder_on_discovery(msg, self.config)
-            self.net.emit(self, in_port, self.net.link_local_packet(offer))
+            self.net.emit(self, in_port, self.net.link_local_packet(offer), self.net.hop_limit)
         else:
             # Directly attached nodes address the TM with its own (all-zero)
             # TMFID, so handshake messages arrive on the default-FID channel.
@@ -334,9 +335,8 @@ class TmNode:
             return
         if not path:
             return
-        self.send(IcnPacket(self.graph.path_fid(path, nid), self.net.hop_limit,
-                            wire.encode(message, self.net.params),
-                            trace_id=self.net.next_trace()))
+        self.send(IcnPacket(self.graph.path_fid(path, nid), wire.encode(message, self.net.params),
+                            trace_id=self.net.next_trace()), self.net.hop_limit)
 
 
 class Deployment:
@@ -422,11 +422,12 @@ class Deployment:
         return self._trace_counter
 
     def link_local_packet(self, message) -> IcnPacket:
-        return IcnPacket(BitVector.zero(self.params.m), self.hop_limit,
-                         wire.encode(message, self.params), trace_id=self.next_trace())
+        return IcnPacket(BitVector.zero(self.params.m), wire.encode(message, self.params),
+                         trace_id=self.next_trace())
 
-    def emit(self, node, port: int, packet: IcnPacket) -> None:
-        """Send ``packet`` from ``node`` over the cable on its ``port``."""
+    def emit(self, node, port: int, packet: IcnPacket, hop_limit: int) -> None:
+        """Send ``packet`` from ``node`` over the cable on its ``port``; the
+        :class:`FabricDelivery` it schedules carries the ``hop_limit`` hops left."""
         link = node.ports.get(port)
         if link is None:
             log.warning("%s: emission on unwired port %d", node.name, port)
@@ -439,7 +440,8 @@ class Deployment:
             return
         if self.trace_hops:
             self._trace_hop(packet.trace_id, src, dst)
-        self.sim.schedule_in(delay_us, target, FabricDelivery(packet, dst_port))
+        sim = self.sim
+        sim.schedule(sim.now + delay_us, target, FabricDelivery(packet, dst_port, hop_limit))
 
     def _trace_hop(self, trace_id: int, src: str, dst: str) -> None:
         if self._trace_room:
@@ -448,8 +450,8 @@ class Deployment:
         else:
             self.trace_dropped += 1
 
-    def packet_in(self, switch: str, in_port: int, packet: IcnPacket) -> None:
-        data = encode_packet(packet, self.params)
+    def packet_in(self, switch: str, in_port: int, packet: IcnPacket, hop_limit: int) -> None:
+        data = encode_packet(packet, hop_limit, self.params)
         self.sim.schedule_in(self.ctl_delay_us, "ctl", PacketIn(switch, in_port, data))
 
     def packet_out(self, switch: str, port: int, packet: IcnPacket) -> None:
@@ -625,9 +627,8 @@ class Deployment:
         host = self._endpoint(host_name)
         if host is self.tm:
             raise EndpointError(f"{host_name!r} is the TM; a probe goes from a host to it")
-        packet = IcnPacket(host.config.tmfid, self.hop_limit, b"PROBE",
-                           trace_id=self.next_trace())
-        host.send(packet)
+        packet = IcnPacket(host.config.tmfid, b"PROBE", trace_id=self.next_trace())
+        host.send(packet, self.hop_limit)
         return packet.trace_id
 
     def inject_data(self, src: str, dst: str) -> int:
@@ -635,9 +636,9 @@ class Deployment:
         source, dest = self._endpoint(src), self._endpoint(dst)
         if source is dest:
             raise EndpointError(f"{src!r} is both source and destination")
-        packet = IcnPacket(self.graph.data_fid(source.config.nid, dest.config.nid),
-                           self.hop_limit, b"DATA", trace_id=self.next_trace())
-        source.send(packet)
+        packet = IcnPacket(self.graph.data_fid(source.config.nid, dest.config.nid), b"DATA",
+                           trace_id=self.next_trace())
+        source.send(packet, self.hop_limit)
         return packet.trace_id
 
     def run_until_idle(self, limit_us: int = 10 ** 12) -> int:

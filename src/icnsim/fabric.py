@@ -17,6 +17,7 @@ frames.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -53,19 +54,15 @@ class FlowRule:
 
 
 class IcnPacket(NamedTuple):
-    """Data-plane frame: source-route FID, hop budget, opaque payload.
+    """Data-plane frame: source-route FID and opaque payload.
 
-    A named tuple, so immutable and cheap to build: every hop builds one.
+    Built once and never copied; the hop budget rides on each copy's
+    ``deploy.FabricDelivery``, and only :func:`encode_packet` writes it into a frame.
     """
 
     fid: Fid
-    hop_limit: int
     payload: bytes
     trace_id: int = 0
-
-    def spend_hop(self) -> "IcnPacket":
-        """The packet as sent on by a forwarder: one hop less."""
-        return IcnPacket(self.fid, self.hop_limit - 1, self.payload, self.trace_id)
 
 
 class Miss:
@@ -78,12 +75,16 @@ class Miss:
 MISS = Miss()
 
 
+def _order_key(rule: FlowRule) -> Tuple[int, int, int, int]:
+    return (-rule.priority, rule.mask.value, rule.value.value, rule.out_port)
+
+
 class FlowTable:
     """Priority-ordered rule list with multi-match semantics.
 
     ``rules`` is the canonical table, in a canonical order.  ``_match``
-    mirrors it as ``(mask, value, out_port)`` integers, rebuilt on every
-    change, so a lookup compares plain ints rule by rule.
+    mirrors it as ``(mask, value, out_port)`` integers, index for index,
+    so a lookup compares plain ints rule by rule.
     """
 
     def __init__(self) -> None:
@@ -91,23 +92,19 @@ class FlowTable:
         self._match: List[Tuple[int, int, int]] = []
 
     def add(self, rule: FlowRule) -> None:
-        if rule in self.rules:
+        # Canonical order keeps tables comparable across install sequences;
+        # a rule goes after the rules with its key, as a stable sort puts it.
+        at = bisect_right(self.rules, _order_key(rule), key=_order_key)
+        if at and self.rules[at - 1] == rule:
             return
-        self.rules.append(rule)
-        # Canonical order keeps tables comparable across install sequences.
-        self.rules.sort(key=lambda r: (-r.priority, r.mask.value, r.value.value, r.out_port))
-        self._reindex()
+        self.rules.insert(at, rule)
+        self._match.insert(at, (rule.mask.value, rule.value.value, rule.out_port))
 
     def remove(self, mask: BitVector, value: BitVector) -> bool:
-        before = len(self.rules)
-        self.rules = [r for r in self.rules if not (r.mask == mask and r.value == value)]
-        if len(self.rules) == before:
-            return False
-        self._reindex()
-        return True
-
-    def _reindex(self) -> None:
-        self._match = [(r.mask.value, r.value.value, r.out_port) for r in self.rules]
+        hits = [i for i, r in enumerate(self.rules) if r.mask == mask and r.value == value]
+        for i in reversed(hits):
+            del self.rules[i], self._match[i]
+        return bool(hits)
 
     def match_ports(self, fid: Fid) -> List[int]:
         """Out-ports of the rules with ``fid & mask == value``, once each, in rule order."""
@@ -131,16 +128,18 @@ def switch_forward(table: FlowTable, packet: IcnPacket) -> Union[List[int], Miss
     return ports if ports else MISS
 
 
-def encode_packet(packet: IcnPacket, params: FidParams) -> bytes:
-    return packet.fid.to_bytes() + bytes([min(packet.hop_limit, 255)]) + packet.payload
+def encode_packet(packet: IcnPacket, hop_limit: int, params: FidParams) -> bytes:
+    """The frame of ``packet`` as it travels with ``hop_limit`` hops left."""
+    return packet.fid.to_bytes() + bytes([min(hop_limit, 255)]) + packet.payload
 
 
-def decode_packet(data: bytes, params: FidParams) -> IcnPacket:
+def decode_packet(data: bytes, params: FidParams) -> Tuple[IcnPacket, int]:
+    """A frame's packet and the hop budget it carried."""
     width_bytes = params.m // 8
     if len(data) < width_bytes + 1:
         raise CodecError("packet shorter than FID header")
     fid = BitVector.from_bytes(data[:width_bytes])
-    return IcnPacket(fid, data[width_bytes], data[width_bytes + 1:])
+    return IcnPacket(fid, data[width_bytes + 1:]), data[width_bytes]
 
 
 # -- control events -----------------------------------------------------------
@@ -239,7 +238,7 @@ class Controller:
         """Discovery broadcasts escalate here; everything else is logged away."""
         self.packet_in_count += 1
         try:
-            packet = decode_packet(event.data, self.params)
+            packet, _ = decode_packet(event.data, self.params)
             msg = wire.decode(packet.payload, self.params)
         except CodecError as exc:
             self.audit_drops += 1

@@ -105,6 +105,13 @@ class TopologySpec:
                 raise SpecError(f"links[{i}].delay_ms: must be >= 0 and <= {wire.MAX_DELAY_MS}, "
                                 "a u32 count of microseconds in a LinkEvent")
         check_params(self.m, self.k)
+        bounds = _schema()["properties"]["params"]["properties"]["defaults"]["properties"]
+        for name, bound in bounds.items():
+            value = getattr(self.defaults, name)
+            if "minimum" in bound and not value >= bound["minimum"]:
+                raise SpecError(f"params.defaults.{name}: must be >= {bound['minimum']}")
+            if "exclusiveMinimum" in bound and not value > bound["exclusiveMinimum"]:
+                raise SpecError(f"params.defaults.{name}: must be > {bound['exclusiveMinimum']}")
 
     def to_json(self) -> str:
         doc = {
@@ -117,7 +124,7 @@ class TopologySpec:
 
 
 def _schema() -> dict:
-    text = resources.files("icnsim").joinpath("topology_spec.schema.json").read_text()
+    text = resources.files(__package__).joinpath("topology_spec.schema.json").read_text()
     return json.loads(text)
 
 

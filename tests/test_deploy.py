@@ -1,5 +1,6 @@
 """End-to-end deployments: handshakes over the fabric, rules, resilience."""
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -209,6 +210,30 @@ class TestIcnNodeChain:
         trace = net.inject_probe("h2")
         net.run_until_idle()
         assert net.tm_name in net.consumed.get(trace, [])
+
+    @pytest.mark.parametrize("hop_limit, emitted", [
+        (0, [("h2", "h1", 0)]),
+        (1, [("h2", "h1", 1), ("h1", "s1", 0)]),
+        (5, [("h2", "h1", 5), ("h1", "s1", 4), ("s1", "tm", 3)]),
+    ])
+    def test_transit_host_forwards_with_one_hop_less(self, monkeypatch, hop_limit, emitted):
+        # h2's probe crosses h1; h1 forwards it with one hop less, and
+        # nothing once none is left.
+        net = Deployment(self.spec())
+        net.run_bootstrap()
+        sent = []
+        emit = net.emit
+
+        def recorded(node, port, packet, hops):
+            sent.append((node.name, node.ports[port].dst, hops))
+            emit(node, port, packet, hops)
+
+        monkeypatch.setattr(net, "emit", recorded)
+        net.hop_limit = hop_limit
+        trace = net.inject_probe("h2")
+        net.run_until_idle()
+        assert sent == emitted
+        assert (net.tm_name in net.consumed.get(trace, [])) == (hop_limit == 5)
 
     def test_direct_tm_attachment(self):
         spec = TopologySpec(
@@ -457,6 +482,22 @@ def test_delay_beyond_the_link_event_field_rejected():
     Deployment(spec)
 
 
+@pytest.mark.parametrize("name, bad, allowed", [
+    ("discovery_wait_ms", 0.0, 0.001),
+    ("request_timeout_ms", -5.0, 0.001),
+    ("max_retries", 0, 1),
+    ("tm_service_ms", -1.0, 0.0),
+    ("tm_alloc_per_lid_ms", -0.1, 0.0),
+    ("control_delay_ms", -0.5, 0.0),
+    ("hop_limit", 0, 1),
+])
+def test_default_outside_the_schema_bound_rejected(name, bad, allowed):
+    # A spec built in Python skips the JSON schema; validate() holds its bounds.
+    with pytest.raises(SpecError, match=rf"^params\.defaults\.{name}: must be >"):
+        Deployment(chain_spec(1, hosts=1, defaults=replace(Defaults(), **{name: bad})))
+    Deployment(chain_spec(1, hosts=1, defaults=replace(Defaults(), **{name: allowed})))
+
+
 class TestDenseBootstrap:
     """A dense fabric: 24 switches, 200 links, 32 hosts."""
 
@@ -539,8 +580,8 @@ class TestDataPayloads:
         net.run_bootstrap()
         host = net.hosts["h1"]
         payload = bytes([wire.VERSION]) + b"junk"
-        packet = IcnPacket(host.config.tmfid, net.hop_limit, payload, trace_id=net.next_trace())
-        host.send(packet)
+        packet = IcnPacket(host.config.tmfid, payload, trace_id=net.next_trace())
+        host.send(packet, net.hop_limit)
         net.run_until_idle()
         assert ("s1", "tm") in net.traces[packet.trace_id]  # it reached the TM
         assert packet.trace_id not in net.consumed
@@ -643,10 +684,9 @@ def test_emit_on_unwired_port_logs_and_drops(caplog):
     net = Deployment(chain_spec(1, hosts=1), trace_hops=TRACE_HOPS)
     net.run_bootstrap()
     assert net.traces  # the bootstrap's hops
-    packet = IcnPacket(net.hosts["h1"].config.tmfid, net.hop_limit, b"DATA",
-                       trace_id=net.next_trace())
+    packet = IcnPacket(net.hosts["h1"].config.tmfid, b"DATA", trace_id=net.next_trace())
     with caplog.at_level("WARNING", logger="icnsim.deploy"):
-        net.emit(net.switches["s1"], 7, packet)
+        net.emit(net.switches["s1"], 7, packet, net.hop_limit)
     assert [r.getMessage() for r in caplog.records] == ["s1: emission on unwired port 7"]
     assert packet.trace_id not in net.traces
 

@@ -7,7 +7,7 @@ from icnsim.fabric import (AttachNotEnabled, FlowRule, FlowTable, IcnPacket, MIS
                            SwitchAttached, decode_packet, encode_packet, switch_forward)
 from icnsim.fid import BitVector, FidParams, fid_or
 from icnsim.simnet import LimitExceeded
-from icnsim.deploy import Deployment
+from icnsim.deploy import Deployment, FabricDelivery
 from icnsim.topospec import TopoLink, TopoNode, TopologySpec
 from icnsim.wire import DiscoveryRequest, ResourceRequest, encode
 from icnsim.topology import NodeKind, RuleInstallFrame, TM_NID
@@ -26,20 +26,20 @@ L2 = bv8(0b00110000)
 
 class TestFlowTable:
     def test_empty_table_misses(self):
-        assert switch_forward(FlowTable(), IcnPacket(bv8(0xFF), 64, b"")) is MISS
+        assert switch_forward(FlowTable(), IcnPacket(bv8(0xFF), b"")) is MISS
 
     def test_multicast_on_or_ed_fid(self):
         table = FlowTable()
         table.add(FlowRule(L1, L1, out_port=1))
         table.add(FlowRule(L2, L2, out_port=2))
         fid = fid_or([L1, L2])
-        assert sorted(switch_forward(table, IcnPacket(fid, 64, b""))) == [1, 2]
+        assert sorted(switch_forward(table, IcnPacket(fid, b""))) == [1, 2]
 
     def test_single_match(self):
         table = FlowTable()
         table.add(FlowRule(L1, L1, out_port=1))
         table.add(FlowRule(L2, L2, out_port=2))
-        assert switch_forward(table, IcnPacket(L1, 64, b"")) == [1]
+        assert switch_forward(table, IcnPacket(L1, b"")) == [1]
 
     def test_value_must_be_within_mask(self):
         with pytest.raises(ValueError):
@@ -49,7 +49,7 @@ class TestFlowTable:
         table = FlowTable()
         table.add(FlowRule(L1, L1, out_port=3))
         table.add(FlowRule(L2, L2, out_port=3))
-        assert switch_forward(table, IcnPacket(fid_or([L1, L2]), 64, b"")) == [3]
+        assert switch_forward(table, IcnPacket(fid_or([L1, L2]), b"")) == [3]
 
     def test_canonical_order_is_install_order_independent(self):
         a, b = FlowTable(), FlowTable()
@@ -66,7 +66,7 @@ class TestFlowTable:
         assert table.remove(L1, L1)
         assert not table.remove(L1, L1)
         assert len(table) == 0
-        assert switch_forward(table, IcnPacket(L1, 64, b"")) is MISS
+        assert switch_forward(table, IcnPacket(L1, b"")) is MISS
 
     @pytest.mark.parametrize("width", [8, 64, 256])
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -85,7 +85,9 @@ class TestFlowTable:
         for op, a, b, port, priority in steps:
             if op == 0 and table.rules:
                 rule = table.rules[a % len(table.rules)]
+                kept = [r for r in table.rules if (r.mask, r.value) != (rule.mask, rule.value)]
                 table.remove(rule.mask, rule.value)
+                assert table.rules == kept  # every rule of that mask and value, no other
             else:
                 table.add(FlowRule(BitVector(width, a), BitVector(width, a & b), port, priority))
             covering = 0
@@ -98,25 +100,25 @@ class TestFlowTable:
                     if fid.value & r.mask.value == r.value.value and r.out_port not in expected:
                         expected.append(r.out_port)
                 assert table.match_ports(fid) == expected
+            keys = [(-r.priority, r.mask.value, r.value.value, r.out_port) for r in table.rules]
+            assert keys == sorted(set(keys))  # canonical order, no rule twice
+            assert table._match == [(r.mask.value, r.value.value, r.out_port)
+                                    for r in table.rules]
 
 
 class TestIcnPacket:
     def test_fields_cannot_be_assigned(self):
-        packet = IcnPacket(L1, 64, b"x")
+        packet = IcnPacket(L1, b"x")
         with pytest.raises(AttributeError):
-            packet.hop_limit = 3
-
-    def test_spend_hop(self):
-        packet = IcnPacket(L1, 64, b"x", trace_id=7)
-        assert packet.spend_hop() == IcnPacket(L1, 63, b"x", trace_id=7)
+            packet.payload = b"y"
 
 
 class TestPacketCodec:
     def test_round_trip(self):
-        packet = IcnPacket(BitVector.from_bits(256, [0, 9]), 64, b"payload")
-        decoded = decode_packet(encode_packet(packet, P256), P256)
+        packet = IcnPacket(BitVector.from_bits(256, [0, 9]), b"payload")
+        decoded, hop_limit = decode_packet(encode_packet(packet, 64, P256), P256)
         assert decoded.fid == packet.fid
-        assert decoded.hop_limit == 64
+        assert hop_limit == 64
         assert decoded.payload == b"payload"
 
     def test_short_frame_rejected(self):
@@ -151,7 +153,7 @@ class TestController:
         net = Deployment(mini_spec())
         net.run_bootstrap()
         inner = encode(ResourceRequest(1, NodeKind.ICN_NODE, 1), net.params)
-        frame = encode_packet(IcnPacket(BitVector.zero(256), 64, inner), net.params)
+        frame = encode_packet(IcnPacket(BitVector.zero(256), inner), 64, net.params)
         sent = []
         net.packet_out = lambda *a: sent.append(a)
         net.controller.on_packet_in(PacketIn("s1", 0, frame))
@@ -162,7 +164,7 @@ class TestController:
         net = Deployment(spec)
         net.run_bootstrap()
         inner = encode(DiscoveryRequest(12345), net.params)
-        frame = encode_packet(IcnPacket(BitVector.zero(256), 64, inner), net.params)
+        frame = encode_packet(IcnPacket(BitVector.zero(256), inner), 64, net.params)
         sent = []
         net.packet_out = lambda switch, port, packet: sent.append((switch, port, packet))
         net.controller.on_packet_in(PacketIn("s1", 1, frame))
@@ -187,6 +189,20 @@ class TestController:
         net.controller.on_ctl_message(RuleInstallFrame(False, 0, s1, TM_NID, lid, lid, 7))
         assert rule not in net.switches["s1"].table.snapshot()
 
+    @pytest.mark.parametrize("hop_limit", [0, 37, 300])
+    def test_zero_fid_miss_reaches_the_controller_with_the_arriving_budget(self, hop_limit):
+        net = Deployment(mini_spec())
+        net.run_bootstrap()
+        seen = []
+        net.controller.on_packet_in = seen.append
+        packet = IcnPacket(BitVector.zero(256), encode(DiscoveryRequest(9), net.params))
+        net.sim.schedule_in(0, "node:s1", FabricDelivery(packet, 0, hop_limit))
+        net.run_until_idle()
+        [event] = seen
+        assert (event.switch, event.in_port) == ("s1", 0)
+        assert event.data[256 // 8] == min(hop_limit, 255)  # the hop byte
+        assert event.data == encode_packet(packet, hop_limit, net.params)
+
     def test_packet_in_counter(self):
         net = Deployment(mini_spec())
         net.run_bootstrap()
@@ -196,7 +212,7 @@ class TestController:
 
 
 class TestBloomLoop:
-    def loop_net(self, hop_limit):
+    def loop_net(self, hop_limit, trace_hops=0):
         spec = TopologySpec(
             m=8, k=2,
             nodes=[TopoNode("tm", "tm"), TopoNode("s1", "switch"),
@@ -205,15 +221,26 @@ class TestBloomLoop:
                    TopoLink("s2", "s3", 1.0), TopoLink("s3", "s1", 1.0)],
             seed=3,
         )
-        net = Deployment(spec)
+        net = Deployment(spec, trace_hops=trace_hops)
         lid = bv8(0b11000000)
         for name, peer in (("s1", "s2"), ("s2", "s3"), ("s3", "s1")):
             port = next(p for p, n in net.switches[name].ports.items() if n.dst == peer)
             net.switches[name].table.add(FlowRule(lid, lid, port))
-        packet = IcnPacket(lid, hop_limit, b"loop", trace_id=net.next_trace())
+        packet = IcnPacket(lid, b"loop", trace_id=net.next_trace())
         port = next(p for p, n in net.switches["s1"].ports.items() if n.dst == "s2")
-        net.emit(net.switches["s1"], port, packet)
+        net.emit(net.switches["s1"], port, packet, hop_limit)
         return net
+
+    @pytest.mark.parametrize("hop_limit", [0, 1, 5, 64])
+    def test_budget_h_makes_h_plus_one_emissions(self, hop_limit):
+        # Each switch re-emits with one hop less; the copy that arrives
+        # with none left is dropped, once, by the switch it reaches.
+        net = self.loop_net(hop_limit, trace_hops=1000)
+        net.run_until_idle(limit_us=1_000_000)  # a budget never spent would loop past it
+        [hops] = net.traces.values()
+        assert len(hops) == hop_limit + 1
+        assert hops[:3] == [("s1", "s2"), ("s2", "s3"), ("s3", "s1")][:hop_limit + 1]
+        assert sorted(sw.drops for sw in net.switches.values()) == [0, 0, 1]
 
     def test_unbounded_loop_hits_limit(self):
         # A budget far beyond the ~50 hops that fit in the run limit.
