@@ -228,7 +228,7 @@ class Notify:
     """Message from the TM to a committed or pending node, replies included.
 
     The hosting layer hands a switch's message to the controller and routes
-    an ICN node's over :meth:`TopologyGraph.path_from_tm`.
+    an ICN node's over :meth:`TopologyGraph.fid_from_tm`.
     """
 
     nid: int

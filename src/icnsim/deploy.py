@@ -326,16 +326,13 @@ class TmNode:
             self._start_next()
 
     def _route_to_node(self, nid: int, message) -> None:
-        """Source-route a message to a node over the downstream FID of
-        :meth:`TopologyGraph.path_from_tm`, the node's in-tree path reversed."""
+        """Source-route a message to a node over :meth:`TopologyGraph.fid_from_tm`."""
         try:
-            path = self.graph.path_from_tm(nid)
+            fid = self.graph.fid_from_tm(nid)
         except TopologyError as exc:
             log.warning("tm: cannot route to %d: %s", nid, exc)
             return
-        if not path:
-            return
-        self.send(IcnPacket(self.graph.path_fid(path, nid), wire.encode(message, self.net.params),
+        self.send(IcnPacket(fid, wire.encode(message, self.net.params),
                             trace_id=self.net.next_trace()), self.net.hop_limit)
 
 

@@ -49,7 +49,6 @@ class NodeKind(enum.Enum):
 class LinkEventKind(enum.Enum):
     ADD = 0
     REMOVE = 1
-    UPDATE = 2
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,11 @@ class NodeRecord:
     kind: NodeKind
     ilid: Optional[LinkId] = None
     tmfid: Optional[Fid] = None
-    committed: bool = False
+
+    @property
+    def committed(self) -> bool:
+        """Only :meth:`TopologyGraph.commit_grant` gives a node its TMFID."""
+        return self.tmfid is not None
 
 
 @dataclass(frozen=True)
@@ -173,8 +176,9 @@ class TopologyGraph:
     next hop's OR the LID of the link there, so only the TMFIDs below a
     changed next hop are recomposed, and only changed ones are reported.
 
-    A route from the TM to any node, pending or committed, is the node's
-    in-tree path reversed (:meth:`path_from_tm`), so it needs no BFS.
+    The FID of a message from the TM to any node, pending or committed, is
+    ORed along the node's in-tree path reversed (:meth:`fid_from_tm`), so
+    it needs no BFS while every reversed link is up.
 
     :meth:`shortest_path` reads an in-tree per destination (``_trees``):
     the TM in-tree for the TM, and for any other node the hop counts and
@@ -214,10 +218,9 @@ class TopologyGraph:
         # far); a tree from before the last adjacency change is stale.
         self._epoch = 0
         self._trees: Dict[int, Tuple[int, Dict[int, int], Dict[int, int], Dict[int, Fid]]] = {}
-        tm = NodeRecord(TM_NID, NodeKind.TM, ilid=new_lid(rng, self.lid_registry, params),
-                        committed=True)
-        tm.tmfid = BitVector.zero(params.m)
-        self.nodes[TM_NID] = tm
+        self.nodes[TM_NID] = NodeRecord(TM_NID, NodeKind.TM,
+                                        ilid=new_lid(rng, self.lid_registry, params),
+                                        tmfid=BitVector.zero(params.m))
         self._succ[TM_NID], self._pred[TM_NID] = set(), set()
 
     # -- identifier bookkeeping -------------------------------------------
@@ -229,9 +232,6 @@ class TopologyGraph:
         nid = self.next_nid
         self.next_nid += 1
         return nid
-
-    def _release_lid(self, lid: LinkId) -> None:
-        self.lid_registry.discard(lid)
 
     # -- link table and adjacency index ------------------------------------
 
@@ -297,7 +297,6 @@ class TopologyGraph:
             raise Unreachable(f"no path {nid} -> {TM_NID}")
         del self._pending[nid]
         record = self.nodes[nid]
-        record.committed = True
         record.tmfid = self._tmfid(nid)
         return record
 
@@ -316,10 +315,7 @@ class TopologyGraph:
         self._trees.pop(nid, None)
         if self._dist.pop(nid, None) is not None:
             self._children[self._next.pop(nid)].discard(nid)
-        self._release_lid(grant.lid)
-        self._release_lid(grant.uplink_lid)
-        if grant.ilid is not None:
-            self._release_lid(grant.ilid)
+        self.lid_registry.difference_update((grant.lid, grant.uplink_lid, grant.ilid))
         self._free_nids.append(nid)
 
     def pending_grant(self, nid: int) -> Optional[ResourceGrant]:
@@ -397,9 +393,10 @@ class TopologyGraph:
     def data_fid(self, src: int, dst: int) -> Fid:
         """The FID of a data packet from ``src`` to ``dst``.
 
-        It equals ``path_fid(shortest_path(src, dst), dst)`` and raises as
-        ``shortest_path`` does, but it is composed down ``dst``'s in-tree
-        and kept there, so a repeated read is one lookup.
+        It equals the OR of the LIDs on ``shortest_path(src, dst)`` and
+        ``dst``'s iLID, if it has one, and raises as ``shortest_path`` does,
+        but it is composed down ``dst``'s in-tree and kept there, so a
+        repeated read is one lookup.
         """
         _, _, nxt, fids = self._tree(src, dst)
         fid = fids.get(src)
@@ -421,20 +418,24 @@ class TopologyGraph:
         self._next[nid] = nxt
         self._children.setdefault(nxt, set()).add(nid)
 
-    def path_from_tm(self, nid: int) -> List[DirectedLink]:
-        """TM->node route: the node's in-tree path, reversed link by link.
+    def fid_from_tm(self, nid: int) -> Fid:
+        """The FID of a TM->node message: the OR of the node's iLID, if any,
+        and the LIDs of its in-tree path reversed, as one vector.
 
-        A pending node's path runs over its tentative uplink.  A physical
-        link change reaches the TM as two per-direction events; between
-        them a reverse link may be missing, and the route falls back to
-        ``shortest_path(TM, nid)``.
+        A pending node's route runs over its tentative downlink.  A link
+        change reaches the TM as two per-direction events, and between them
+        a reversed link may be missing; then, or if the node is cut off, the
+        FID is ``data_fid(TM, nid)``, over the TM's shortest path to it.
         """
         if nid in self._dist:
-            up = self._path_via(nid, TM_NID, self._next)
-            route = [self.links.get((l.dst, l.src)) for l in reversed(up)]
-            if None not in route:
-                return route
-        return self.shortest_path(TM_NID, nid)
+            ilid = self.nodes[nid].ilid
+            cur, value = nid, 0 if ilid is None else ilid.value
+            while cur != TM_NID and (link := self.links.get((self._next[cur], cur))):
+                value |= link.lid.value
+                cur = link.src
+            if cur == TM_NID:
+                return BitVector(self.params.m, value)
+        return self.data_fid(TM_NID, nid)
 
     def _compose(self, nid: int, nxt: int, fid: Fid) -> Fid:
         """A FID down an in-tree: ``fid``, the next hop ``nxt``'s, OR the LID of ``nid -> nxt``.
@@ -448,14 +449,6 @@ class TopologyGraph:
         """The TMFID of an in-tree node, composed from its next hop's."""
         nxt = self._next[nid]
         return self._compose(nid, nxt, self.nodes[nxt].tmfid)
-
-    def path_fid(self, path: List[DirectedLink], dst_nid: int) -> Fid:
-        """A route's FID: the OR of its LIDs and the destination's iLID, if it has one."""
-        lids = [l.lid for l in path]
-        ilid = self.nodes[dst_nid].ilid
-        if ilid is not None:
-            lids.append(ilid)
-        return fid_or(lids, width=self.params.m)
 
     def te_select_path(self, src: int, dst: int) -> List[DirectedLink]:
         """Bottleneck-optimal path: minimize max link load, then hops, then
@@ -516,11 +509,6 @@ class TopologyGraph:
                 out.rules.append(
                     RuleInstallFrame.for_link(True, event.src, event.dst, link.lid))
             out.repairs = self._add_and_repair(link)
-        elif event.kind == LinkEventKind.UPDATE:
-            link = self.links.get(key)
-            if link is None:
-                raise UnknownLink(f"link {event.src}->{event.dst} unknown")
-            self.links[key] = replace(link, delay_ms=event.delay_ms)
         return out
 
     def _subtree(self, roots: List[int]) -> Set[int]:

@@ -19,6 +19,7 @@ from typing import Dict, List, Tuple
 from . import wire
 
 VALID_KINDS = ("tm", "switch", "host")
+_TYPES = {"integer": int, "number": (int, float)}  # the schema's types of the defaults
 
 
 class SpecError(Exception):
@@ -108,10 +109,16 @@ class TopologySpec:
         bounds = _schema()["properties"]["params"]["properties"]["defaults"]["properties"]
         for name, bound in bounds.items():
             value = getattr(self.defaults, name)
+            # JSON's 2.0 passes the schema as an integer; the simulator needs an int.
+            if isinstance(value, bool) or not isinstance(value, _TYPES[bound["type"]]):
+                raise SpecError(f"params.defaults.{name}: must be of type {bound['type']}, "
+                                f"got {value!r}")
             if "minimum" in bound and not value >= bound["minimum"]:
                 raise SpecError(f"params.defaults.{name}: must be >= {bound['minimum']}")
             if "exclusiveMinimum" in bound and not value > bound["exclusiveMinimum"]:
                 raise SpecError(f"params.defaults.{name}: must be > {bound['exclusiveMinimum']}")
+            if "maximum" in bound and not value <= bound["maximum"]:
+                raise SpecError(f"params.defaults.{name}: must be <= {bound['maximum']}")
 
     def to_json(self) -> str:
         doc = {

@@ -13,7 +13,7 @@ from icnsim.fid import fid_or
 from icnsim.simnet import NeverCompleted
 from icnsim.topology import TM_NID, LinkEvent, LinkEventKind, TopologyGraph
 from icnsim.topospec import (Defaults, SpecError, TopoLink, TopoNode, TopologySpec,
-                             generate_random)
+                             generate_random, parse_spec)
 from icnsim.wire import ResourceOffer, decode
 
 
@@ -496,6 +496,26 @@ def test_default_outside_the_schema_bound_rejected(name, bad, allowed):
     with pytest.raises(SpecError, match=rf"^params\.defaults\.{name}: must be >"):
         Deployment(chain_spec(1, hosts=1, defaults=replace(Defaults(), **{name: bad})))
     Deployment(chain_spec(1, hosts=1, defaults=replace(Defaults(), **{name: allowed})))
+
+
+@pytest.mark.parametrize("name, bad, allowed", [
+    ("hop_limit", 2.5, 2),
+    ("hop_limit", 2.0, 2),  # JSON's 2.0 passes the schema as an integer
+    ("hop_limit", 256, 255),  # the hop byte
+    ("hop_limit", True, 1),
+    ("max_retries", 1.5, 2),
+    ("discovery_wait_ms", "100", 100),
+])
+def test_default_the_run_cannot_use_rejected(name, bad, allowed):
+    # Each default must have its schema type and stay within its maximum,
+    # whether the spec is built in Python or parsed from JSON.
+    spec = chain_spec(1, hosts=1, defaults=replace(Defaults(), **{name: bad}))
+    with pytest.raises(SpecError, match=rf"^params\.defaults\.{name}: "):
+        Deployment(spec)
+    with pytest.raises(SpecError, match=rf"^params\.defaults\.{name}: "):
+        parse_spec(spec.to_json())
+    spec = chain_spec(1, hosts=1, defaults=replace(Defaults(), **{name: allowed}))
+    Deployment(parse_spec(spec.to_json())).run_bootstrap()
 
 
 class TestDenseBootstrap:

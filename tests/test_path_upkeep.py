@@ -2,8 +2,10 @@
 
 After every attach, ADD and REMOVE, each committed node that can still reach
 the TM must hold the lexicographically smallest shortest path, recomputed
-here from networkx hop counts, and the TMFID OR-ed from it; the TM's route
-to it is that path reversed while every reverse link is up.  A sample of
+here from networkx hop counts, and the TMFID OR-ed from it.  The FID of
+the TM's route to any node, pending ones included, is ORed from that path
+reversed while every reversed link is up, and else from the TM's smallest
+shortest path to the node, plus the node's iLID.  A sample of
 ``shortest_path`` reads, towards the TM and towards other nodes, must give
 the same path, and ``data_fid`` the OR of that path's LIDs plus the
 destination's iLID, so a per-destination tree or a composed FID left over
@@ -54,19 +56,34 @@ def check_in_tree(g, graph, hops):
     assert {nid: kids for nid, kids in g._children.items() if kids} == inverse
 
 
+def check_route(g, graph, hops, nid):
+    """The FID of a TM->node message, against the route the oracle picks."""
+    route = [(b, a) for a, b in reversed(oracle_path(graph, hops, nid))] if nid in hops else []
+    if nid not in hops or not all(key in g.links for key in route):
+        to_nid = nx.shortest_path_length(graph, target=nid)
+        if TM_NID not in to_nid:
+            with pytest.raises(Unreachable):
+                g.fid_from_tm(nid)
+            return
+        route = oracle_path(graph, to_nid, TM_NID, nid)
+    lids = [g.links[key].lid for key in route]
+    if g.nodes[nid].ilid is not None:
+        lids.append(g.nodes[nid].ilid)
+    assert g.fid_from_tm(nid) == fid_or(lids, width=g.params.m), f"route to {nid}"
+
+
 def check_paths(g, rng=None):
     graph, hops = oracle_hops(g)
     check_in_tree(g, graph, hops)
     for nid, rec in g.nodes.items():
+        if nid != TM_NID:
+            check_route(g, graph, hops, nid)
         if not rec.committed or nid not in hops:
             continue  # a cut-off node keeps its stale TMFID until a link returns
         keys = oracle_path(graph, hops, nid)
         assert [l.key() for l in g.shortest_path(nid, TM_NID)] == keys, f"node {nid}"
         assert len(keys) == nx.shortest_path_length(graph, nid, TM_NID)
         assert rec.tmfid == fid_or((g.links[key].lid for key in keys), width=g.params.m)
-        back = [(b, a) for a, b in reversed(keys)]
-        if all(key in g.links for key in back):
-            assert [l.key() for l in g.path_from_tm(nid)] == back, f"route to {nid}"
     check_shortest_paths(g, graph, rng or Random(0))
 
 

@@ -113,6 +113,9 @@ class TestCommitExpire:
             g.commit_grant(grant.nid)
         assert g.pending_grant(grant.nid) == grant
         assert not g.nodes[grant.nid].committed
+        # Cut off from the TM, the pending node is still reached over TM -> s.
+        assert g.fid_from_tm(grant.nid) == fid_or(
+            [g.links[(TM_NID, s)].lid, grant.lid, grant.ilid])
         g.handle_link_event(LinkEvent(LinkEventKind.ADD, s, TM_NID))
         record = g.commit_grant(grant.nid)
         path = g.shortest_path(grant.nid, TM_NID)
@@ -293,11 +296,6 @@ class TestLinkEvents:
         g, s1, s2, s3, h = self.resilience_fixture()
         outcome = g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, TM_NID))
         assert any(r.switch_nid == s2 and not r.install for r in outcome.rules)
-
-    def test_update_event_changes_delay(self):
-        g, s1, s2, s3, h = self.resilience_fixture()
-        g.handle_link_event(LinkEvent(LinkEventKind.UPDATE, s2, TM_NID, delay_ms=7.5))
-        assert g.links[(s2, TM_NID)].delay_ms == 7.5
 
     def test_no_managed_path_contains_removed_link(self):
         g, s1, s2, s3, h = self.resilience_fixture()

@@ -72,6 +72,12 @@ class TestDecodeErrors:
         with pytest.raises(LengthMismatch):
             decode(frame, P256)
 
+    def test_unknown_link_event_kind(self):
+        frame = bytearray(encode(LinkEvent(LinkEventKind.REMOVE, 3, 4), P256))
+        frame[4] = 2  # the kind byte; 0 is ADD and 1 REMOVE
+        with pytest.raises(LengthMismatch):
+            decode(bytes(frame), P256)
+
 
 class TestSemantics:
     def test_absent_ilid_encodes_as_zero(self):
