@@ -624,6 +624,8 @@ class Deployment:
         host = self._endpoint(host_name)
         if host is self.tm:
             raise EndpointError(f"{host_name!r} is the TM; a probe goes from a host to it")
+        if host.config.tmfid is None:
+            raise EndpointError(f"host {host_name!r} holds no TMFID; the TM's Update with it was lost")
         packet = IcnPacket(host.config.tmfid, b"PROBE", trace_id=self.next_trace())
         host.send(packet, self.hop_limit)
         return packet.trace_id

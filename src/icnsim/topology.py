@@ -4,6 +4,8 @@ The TM is the single writer of the deployment's directed graph.  It hands
 out node identifiers (NIDs), per-link LIDs and node-internal iLIDs, caches
 each node's FID towards the TM (TMFID), composed from its next hop's along
 the TM in-tree, selects load-aware paths, and repairs paths when links fail.
+One grower (``TopologyGraph._grow``, a BFS expanded level by level in NID
+order) builds every in-tree and re-grows the TM in-tree after a REMOVE.
 """
 
 from __future__ import annotations
@@ -11,9 +13,8 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field, replace
-from heapq import heapify, heappop, heappush
 from random import Random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .fid import BitVector, Exhausted, Fid, FidParams, LinkId, fid_or, new_lid
 
@@ -167,14 +168,17 @@ class TopologyGraph:
 
     Paths towards the TM are kept as an in-tree: hop counts (``_dist``) plus
     each node's next hop (smallest NID among neighbours one hop closer), so a
-    node's path is lexicographically smallest among its shortest paths.  An
-    ADD lowers hop counts incrementally.  A REMOVE of a tree edge re-grows
-    only the subtree the edge held (:meth:`_regrow`): every other node keeps
-    its hop count and next hop, since its path avoids the edge and a
-    removal shortens no path.  The tree always equals what a fresh BFS
-    would give, and it is the only record of TM paths: a node's TMFID is its
-    next hop's OR the LID of the link there, so only the TMFIDs below a
-    changed next hop are recomposed, and only changed ones are reported.
+    node's path is lexicographically smallest among its shortest paths.  A
+    node's children are the predecessors whose next hop it is; no index of
+    them is kept.  An ADD lowers hop counts incrementally and re-picks next
+    hops with :meth:`_step`.  A REMOVE of a tree edge drops the subtree the
+    edge held (:meth:`_subtree`) and re-grows it with :meth:`_grow` from its
+    members' successors outside it: every other node keeps its hop count
+    and next hop, since its path avoids the edge and a removal shortens no
+    path.  The tree always equals what a fresh BFS would give, and it is
+    the only record of TM paths: a node's TMFID is its next hop's OR the
+    LID of the link there, so only the TMFIDs below a changed next hop are
+    recomposed, and only changed ones are reported.
 
     The FID of a message from the TM to any node, pending or committed, is
     ORed along the node's in-tree path reversed (:meth:`fid_from_tm`), so
@@ -182,7 +186,7 @@ class TopologyGraph:
 
     :meth:`shortest_path` reads an in-tree per destination (``_trees``):
     the TM in-tree for the TM, and for any other node the hop counts and
-    next hops of one BFS towards it, with the same tie-break.  Trees hold
+    next hops that :meth:`_grow` gives from it alone.  Trees hold
     NIDs only, so a path returns the link objects current in ``links``.
 
     Data FIDs are composed, not walked: :meth:`data_fid` gives the
@@ -210,10 +214,9 @@ class TopologyGraph:
         self._pending: Dict[int, ResourceGrant] = {}
         self._succ: Dict[int, Set[int]] = {}
         self._pred: Dict[int, Set[int]] = {}
-        # TM in-tree: hop counts, next hops and their inverse.
+        # TM in-tree: hop counts and next hops.
         self._dist: Dict[int, int] = {TM_NID: 0}
         self._next: Dict[int, int] = {}
-        self._children: Dict[int, Set[int]] = {}
         # In-trees by destination: (epoch, hop counts, next hops, data FIDs so
         # far); a tree from before the last adjacency change is stale.
         self._epoch = 0
@@ -280,7 +283,7 @@ class TopologyGraph:
         # The new node is a leaf: it shortens no other node's path.
         if attach_nid in self._dist:
             self._dist[nid] = self._dist[attach_nid] + 1
-            self._set_next(nid, attach_nid)
+            self._next[nid] = attach_nid
         grant = ResourceGrant(nid, down, up, ilid, attach_nid, kind)
         self._pending[nid] = grant
         return grant
@@ -313,8 +316,8 @@ class TopologyGraph:
                 del self.down_links[key]
         del self._succ[nid], self._pred[nid]
         self._trees.pop(nid, None)
-        if self._dist.pop(nid, None) is not None:
-            self._children[self._next.pop(nid)].discard(nid)
+        self._dist.pop(nid, None)
+        self._next.pop(nid, None)
         self.lid_registry.difference_update((grant.lid, grant.uplink_lid, grant.ilid))
         self._free_nids.append(nid)
 
@@ -325,22 +328,35 @@ class TopologyGraph:
 
     def _distances_to(self, dst: int, cap: Optional[float] = None
                       ) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """Hop counts towards ``dst`` and each node's next hop, by one BFS.
-
-        The BFS runs over reversed edges; with a cap, only links loaded at
-        most ``cap`` are used.  Each level is expanded in NID order, so the
-        node that first reaches a neighbour is the smallest NID one hop
-        closer to ``dst``: the tie-break of :meth:`_step`.
-        """
+        """Hop counts towards ``dst`` and each node's next hop: :meth:`_grow` from ``dst``."""
         dist = {dst: 0}
         nxt: Dict[int, int] = {}
-        frontier = [dst]
-        hops = 0
-        while frontier:
+        self._grow(dist, nxt, [dst], cap)
+        return dist, nxt
+
+    def _grow(self, dist: Dict[int, int], nxt: Dict[int, int], anchors: Iterable[int],
+              cap: Optional[float] = None) -> None:
+        """Grow an in-tree over reversed edges from ``anchors``, whose hop counts are final.
+
+        Each anchor enters at its own hop count in ``dist``; levels are
+        expanded in increasing hop count, each in NID order, and a node
+        joins only if it has no hop count yet.  So the node that first
+        reaches a neighbour is the smallest NID one hop closer: the
+        tie-break of :meth:`_step`.  With a cap, only links loaded at most
+        ``cap`` are used.
+        """
+        waiting = sorted(anchors, key=dist.__getitem__, reverse=True)  # nearest last
+        frontier: List[int] = []
+        hops = dist[waiting[-1]] if waiting else 0
+        pred_of = self._pred
+        while frontier or waiting:
+            while waiting and dist[waiting[-1]] == hops:
+                frontier.append(waiting.pop())
+            frontier.sort()
             hops += 1
             level: List[int] = []
             for node in frontier:
-                preds = self._pred[node]
+                preds = pred_of[node]
                 if cap is not None:
                     preds = [p for p in preds if self.links[(p, node)].load <= cap]
                 for pred in preds:
@@ -348,9 +364,7 @@ class TopologyGraph:
                         dist[pred] = hops
                         nxt[pred] = node
                         level.append(pred)
-            level.sort()
             frontier = level
-        return dist, nxt
 
     def _step(self, cur: int, dist: Dict[int, int]) -> int:
         # Smallest-NID neighbour one hop closer along the BFS gradient.
@@ -410,13 +424,6 @@ class TopologyGraph:
             for nid in reversed(walked):
                 fid = fids[nid] = self._compose(nid, nxt[nid], fid)
         return fid
-
-    def _set_next(self, nid: int, nxt: int) -> None:
-        old = self._next.get(nid)
-        if old is not None:
-            self._children[old].discard(nid)
-        self._next[nid] = nxt
-        self._children.setdefault(nxt, set()).add(nid)
 
     def fid_from_tm(self, nid: int) -> Fid:
         """The FID of a TM->node message: the OR of the node's iLID, if any,
@@ -478,15 +485,19 @@ class TopologyGraph:
             if key not in self.links:
                 raise UnknownLink(f"link {event.src}->{event.dst} unknown")
             # Only a tree edge carries paths: its loss can lengthen or move
-            # just the paths of the subtree below it, which is re-grown from
-            # the rest of the tree.  Any other edge leaves every hop count
-            # and next hop as it was.
+            # just the paths of the subtree below it.  The subtree leaves the
+            # tree and is re-grown from its members' successors outside it;
+            # a node already cut off reaches none of them.  Any other edge
+            # leaves the tree as it was.
             below: Set[int] = set()
             link = self._pop_link(key)
             self.down_links[key] = link
             if self._next.get(event.src) == event.dst:
+                dist, nxt = self._dist, self._next
                 below = self._subtree([event.src])
-                self._regrow(below)
+                for nid in below:
+                    del dist[nid], nxt[nid]
+                self._grow(dist, nxt, {s for nid in below for s in self._succ[nid] if s in dist})
             if self.nodes[event.src].kind == NodeKind.SDN_SWITCH:
                 out.rules.append(
                     RuleInstallFrame.for_link(False, event.src, event.dst, link.lid))
@@ -514,43 +525,14 @@ class TopologyGraph:
     def _subtree(self, roots: List[int]) -> Set[int]:
         """The roots and every node whose in-tree path runs through one."""
         below: Set[int] = set()
+        nxt = self._next
         stack = list(roots)
         while stack:
             nid = stack.pop()
             if nid not in below:
                 below.add(nid)
-                stack.extend(self._children.get(nid, ()))
+                stack.extend([p for p in self._pred[nid] if nxt.get(p) == nid])
         return below
-
-    def _regrow(self, below: Set[int]) -> None:
-        """Re-grow the in-tree over ``below``, a subtree whose root lost its tree edge.
-
-        Members are re-seeded from their successors outside ``below``, whose
-        hop counts stand, and hop counts grow inwards over ``_pred`` in
-        increasing order.  A member no seed reaches is cut off and leaves
-        the tree.
-        """
-        dist, nxt, children = self._dist, self._next, self._children
-        for nid in below:  # a member's own child set empties as its children leave
-            del dist[nid]
-            children[nxt.pop(nid)].discard(nid)
-        heap = []
-        for nid in below:
-            seed = min((dist[s] for s in self._succ[nid] if s in dist), default=None)
-            if seed is not None:
-                heap.append((seed + 1, nid))
-        heapify(heap)
-        while heap:
-            hops, nid = heappop(heap)
-            if nid not in dist:
-                dist[nid] = hops
-                for pred in self._pred[nid]:
-                    if pred in below and pred not in dist:
-                        heappush(heap, (hops + 1, pred))
-        # Next hops are picked once every hop count is final.
-        for nid in below:
-            if nid in dist:
-                self._set_next(nid, self._step(nid, dist))
 
     def _repair(self, affected: Set[int]) -> List[RepairAction]:
         """Recompose the affected committed nodes' TMFIDs by hop count, so a next
@@ -591,7 +573,7 @@ class TopologyGraph:
             if nid != TM_NID and nid in dist:
                 step = self._step(nid, dist)
                 if self._next.get(nid) != step:
-                    self._set_next(nid, step)
+                    self._next[nid] = step
                     changed.append(nid)
         # Only nodes below a changed next hop have a new path.
         return self._repair(self._subtree(changed))

@@ -652,6 +652,31 @@ class TestTrafficEndpoints:
         with pytest.raises(EndpointError, match="host 'h1' is FAILED, not DONE"):
             net.inject_probe("h1")
 
+    def test_probe_from_a_host_whose_tmfid_update_was_lost(self):
+        # h1 is DONE, but the TM's self-Update carrying its TMFID never arrived.
+        spec = TopologySpec(
+            nodes=[TopoNode("tm", "tm"), TopoNode("s1", "switch"),
+                   TopoNode("h1", "host"), TopoNode("h2", "host")],
+            links=[TopoLink("tm", "s1", 0.2), TopoLink("h1", "s1", 0.2),
+                   TopoLink("h2", "s1", 0.2)], seed=53)
+        net = Deployment(spec)
+
+        def drop_tmfid_update(src, dst, packet):
+            if dst != "h1" or packet.payload[:1] != bytes([wire.VERSION]):
+                return False
+            msg = wire.decode(packet.payload, net.graph.params)
+            return isinstance(msg, wire.Update) and msg.tmfid is not None
+
+        net.drop_filter = drop_tmfid_update
+        net.run_bootstrap()
+        assert net.hosts["h1"].fsm.state == BootstrapState.DONE
+        assert net.hosts["h1"].config.tmfid is None
+        with pytest.raises(EndpointError, match="host 'h1' holds no TMFID"):
+            net.inject_probe("h1")
+        trace = net.inject_probe("h2")  # the other host still probes
+        net.run_until_idle()
+        assert "tm" in net.consumed[trace]
+
     def test_probe_from_the_tm(self, net):
         with pytest.raises(EndpointError, match="'tm' is the TM"):
             net.inject_probe("tm")

@@ -9,10 +9,11 @@ shortest path to the node, plus the node's iLID.  A sample of
 ``shortest_path`` reads, towards the TM and towards other nodes, must give
 the same path, and ``data_fid`` the OR of that path's LIDs plus the
 destination's iLID, so a per-destination tree or a composed FID left over
-from an earlier event shows.  The TM in-tree itself (hop counts, next hops
-and their inverse) must equal the oracle's for every node, pending ones
-included: it persists across REMOVEs, which re-grow only the subtree a
-removed tree edge held.
+from an earlier event shows.  The TM in-tree itself (hop counts and next
+hops) must equal the oracle's for every node, pending ones included: it
+persists across REMOVEs, which re-grow only the subtree a removed tree edge
+held.  For a sample of nodes, that subtree as the graph finds it must be
+the node's descendants under the inverse of its next hops.
 """
 
 from random import Random
@@ -45,15 +46,24 @@ def oracle_hops(g):
     return graph, nx.shortest_path_length(graph, target=TM_NID)
 
 
-def check_in_tree(g, graph, hops):
-    """The TM in-tree is what a fresh BFS gives; a cut-off node is in none of it."""
+def check_in_tree(g, graph, hops, rng):
+    """The TM in-tree is what a fresh BFS gives; a cut-off node is in none of it.
+
+    ``_subtree`` of sampled nodes, the TM and cut-off nodes included, is
+    each one's descendants under the inverse of ``_next``.
+    """
     assert g._dist == hops
     assert g._next == {nid: oracle_path(graph, hops, nid)[0][1] for nid in hops if nid != TM_NID}
     inverse = {}
     for nid, step in g._next.items():
-        inverse.setdefault(step, set()).add(nid)
-    # A node whose last child moved away may keep an empty set.
-    assert {nid: kids for nid, kids in g._children.items() if kids} == inverse
+        inverse.setdefault(step, []).append(nid)
+    for root in rng.sample(sorted(g.nodes), min(3, len(g.nodes))):
+        below, stack = set(), [root]
+        while stack:
+            nid = stack.pop()
+            below.add(nid)
+            stack.extend(inverse.get(nid, ()))
+        assert g._subtree([root]) == below, f"subtree of {root}"
 
 
 def check_route(g, graph, hops, nid):
@@ -73,8 +83,9 @@ def check_route(g, graph, hops, nid):
 
 
 def check_paths(g, rng=None):
+    rng = rng or Random(0)
     graph, hops = oracle_hops(g)
-    check_in_tree(g, graph, hops)
+    check_in_tree(g, graph, hops, rng)
     for nid, rec in g.nodes.items():
         if nid != TM_NID:
             check_route(g, graph, hops, nid)
@@ -84,7 +95,7 @@ def check_paths(g, rng=None):
         assert [l.key() for l in g.shortest_path(nid, TM_NID)] == keys, f"node {nid}"
         assert len(keys) == nx.shortest_path_length(graph, nid, TM_NID)
         assert rec.tmfid == fid_or((g.links[key].lid for key in keys), width=g.params.m)
-    check_shortest_paths(g, graph, rng or Random(0))
+    check_shortest_paths(g, graph, rng)
 
 
 def check_shortest_paths(g, graph, rng):
@@ -230,4 +241,22 @@ def test_remove_repairs_exactly_the_subtree_below_a_tree_edge():
     # via s4.  No node outside the subtree moves.
     assert [r.nid for r in outcome.repairs] == [s3, s4, s5, s6]
     assert [l.dst for l in g.shortest_path(s4, TM_NID)] == [s8, s7, TM_NID]
+    check_paths(g)
+
+
+def test_remove_regrows_a_member_through_its_smallest_tied_successor():
+    # tm <- s2 <- s9, with s9 <-> s3 and s9 <-> s8, where s2 .. s8 all hang off
+    # the TM.  Once s9 -> s2 fails, s9 is two hops out via s3 or s8 and must
+    # step to the smaller NID, s3, though a set of s9's successors lists s8
+    # first (8 and 3 fall in hash slots 0 and 3).
+    g = TopologyGraph(FidParams(m=256, k=5), Random(9))
+    leaves = [attach_to(g, TM_NID) for _ in range(7)]
+    s2, s3, s8 = leaves[0], leaves[1], leaves[-1]
+    s9 = attach_to(g, s2)
+    link_up(g, s9, s3)
+    link_up(g, s9, s8)
+    assert (s2, s3, s8, s9) == (2, 3, 8, 9) and g._next[s9] == s2
+    outcome = g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s9, s2))
+    assert [r.nid for r in outcome.repairs] == [s9]
+    assert g._next[s9] == s3 and g._dist[s9] == 2
     check_paths(g)

@@ -329,7 +329,7 @@ class TestLinkEvents:
             assert repair.new_tmfid == g.nodes[repair.nid].tmfid == fid_or(
                 [l.lid for l in path])
             assert g._dist[repair.nid] == len(hops)
-        assert g._next[a1] == a2 and g._children[a2] == {a1, a3}
+        assert g._next[a1] == a2 and g._next[a3] == a2
         assert {n: g._dist[n] for n in (b1, b2, b3)} == {b1: 1, b2: 2, b3: 3}
 
     def test_flap_that_cuts_a_subtree_off_restores_the_graph_and_tree(self):
@@ -340,16 +340,14 @@ class TestLinkEvents:
         s4 = attach(g, NodeKind.SDN_SWITCH, s3)
         h5 = attach(g, NodeKind.ICN_NODE, s3)
         before = (g.dump(), dict(g._dist), dict(g._next))
-        kids = {n: set(c) for n, c in g._children.items() if c}
         outcome = g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, TM_NID))
         assert outcome.repairs == []  # cut off: stale paths kept until the link returns
         for nid in (s2, s3, s4, h5):
-            assert nid not in g._dist and nid not in g._next and not g._children.get(nid)
-        assert g._dist == {TM_NID: 0} and not g._children.get(TM_NID)
+            assert nid not in g._dist and nid not in g._next
+        assert g._dist == {TM_NID: 0} and g._next == {}
         outcome = g.handle_link_event(LinkEvent(LinkEventKind.ADD, s2, TM_NID))
         assert outcome.repairs == []  # every path is the one held before the flap
         assert (g.dump(), g._dist, g._next) == before
-        assert {n: c for n, c in g._children.items() if c} == kids
 
 
 class TestStats:
