@@ -70,7 +70,7 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
         sys.stdout.write(net.graph.dump())
     if not net.all_done():
         detail = "; ".join(f"{name}: {why}" for name, why in sorted(net.failures.items()))
-        return _fail(2, f"bootstrap incomplete ({detail or 'pending nodes'})")
+        return _fail(2, f"bootstrap incomplete ({detail or 'pending nodes or a host without a TMFID'})")
     return 0
 
 

@@ -13,7 +13,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from random import Random
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from . import wire
 from .bootstrap import (Arm, Broadcast, NodeBootstrapFsm, NodeConfig,
@@ -38,23 +38,19 @@ class CableError(ValueError):
     """A link fault was asked for on a pair of nodes that no cable joins."""
 
 
-class FabricDelivery(NamedTuple):
-    """A copy in flight: the packet, one object shared by all its copies, and
-    the hop budget this copy arrives with (the budget's only home)."""
-
-    packet: IcnPacket
-    in_port: int
-    hop_limit: int
-
-
 class PortLink(NamedTuple):
-    """Where a wired port leads, with all that a hop over it needs."""
+    """Where a wired port leads, with all that a hop over it needs.
+
+    A copy in flight is the plain tuple ``(packet, in_port, hop_limit)``
+    posted to ``handler``: the packet, shared by all its copies, and the
+    hop budget it arrives with (the budget's only home).  Nodes tell it
+    from other events by ``type(event) is tuple``."""
 
     dst: str
     dst_port: int
     pair: FrozenSet[str]   # both ends, the key of ``down_pairs``
     delay_us: int
-    target: str            # the simulator target of ``dst``
+    handler: Callable[[Any], None]  # ``dst``'s simulator handler
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ class SwitchNode:
         self.drops = 0
 
     def handle(self, event) -> None:
-        if type(event) is not FabricDelivery:  # PacketOutCmd
+        if type(event) is not tuple:  # PacketOutCmd
             self.net.emit(self, event.port, event.packet, self.net.hop_limit)
             return
         packet, in_port, hop_limit = event
@@ -132,7 +128,7 @@ class HostNode:
         self._execute(self.fsm.start())
 
     def handle(self, event) -> None:
-        if type(event) is FabricDelivery:
+        if type(event) is tuple:
             self._on_packet(*event)
         else:  # Timer
             self._execute(self.fsm.on_timeout(event.timer_id, event.token))
@@ -153,7 +149,7 @@ class HostNode:
             return
         if (ilid := self.config.ilid) is not None and fid & ilid.value == ilid.value:
             self._consume(packet, in_port)
-        if hop_limit > 0:
+        if hop_limit > 0 and len(self.ports) > 1:  # split horizon bars a lone cable
             self.send(packet, hop_limit - 1, in_port)
 
     def send(self, packet: IcnPacket, hop_limit: int, in_port: Optional[int] = None) -> None:
@@ -235,7 +231,7 @@ class TmNode:
         self._busy = False
 
     def handle(self, event) -> None:
-        if type(event) is FabricDelivery:
+        if type(event) is tuple:
             self._on_packet(*event)
         elif isinstance(event, CtlDelivery):
             msg = self.net.decode(self.name, event.data)
@@ -250,7 +246,7 @@ class TmNode:
         if packet.fid.is_zero():
             self._on_link_local(packet, in_port)
             return
-        if hop_limit > 0:
+        if hop_limit > 0 and len(self.ports) > 1:  # split horizon bars a lone cable
             self.send(packet, hop_limit - 1, in_port)
         # TM-bound FIDs carry no iLID for the TM, so arrival means delivery.
         msg = self.net.consume(self.name, packet)
@@ -375,14 +371,21 @@ class Deployment:
                 rng = Random(f"{self.seed}:nonce:{node.name}")
                 self.hosts[node.name] = HostNode(node.name, self, rng, self.timers)
 
-        # Cable everything: port indices follow spec link order per node.
+        for name, node in [(self.tm_name, self.tm), *self.switches.items(), *self.hosts.items()]:
+            self.sim.register(f"node:{name}", node.handle)
+        self.sim.register("ctl", self._controller_handle)
+        self.sim.register("orch", self._orch_handle)
+
+        # Cable everything: port indices follow spec link order per node.  A
+        # cable holds its far end's registered handler, so a hop looks up none.
+        handler = self.sim.handler
         for link in spec.links:
             a, b = self._node(link.a), self._node(link.b)
             pa, pb = len(a.ports), len(b.ports)
             pair = frozenset((link.a, link.b))
             delay_us = ms(link.delay_ms)
-            a.ports[pa] = PortLink(link.b, pb, pair, delay_us, f"node:{link.b}")
-            b.ports[pb] = PortLink(link.a, pa, pair, delay_us, f"node:{link.a}")
+            a.ports[pa] = PortLink(link.b, pb, pair, delay_us, handler(f"node:{link.b}"))
+            b.ports[pb] = PortLink(link.a, pa, pair, delay_us, handler(f"node:{link.a}"))
 
         self.controller = Controller(self)
         self.down_pairs: set = set()
@@ -396,14 +399,6 @@ class Deployment:
         self._order = [n.name for n in spec.nodes if n.kind != "tm"]
         self._order_idx = 0
         self.failures: Dict[str, str] = {}
-
-        self.sim.register(f"node:{self.tm_name}", self.tm.handle)
-        for name, sw in self.switches.items():
-            self.sim.register(f"node:{name}", sw.handle)
-        for name, host in self.hosts.items():
-            self.sim.register(f"node:{name}", host.handle)
-        self.sim.register("ctl", self._controller_handle)
-        self.sim.register("orch", self._orch_handle)
 
     # -- construction helpers ---------------------------------------------------
 
@@ -424,12 +419,12 @@ class Deployment:
 
     def emit(self, node, port: int, packet: IcnPacket, hop_limit: int) -> None:
         """Send ``packet`` from ``node`` over the cable on its ``port``; the
-        :class:`FabricDelivery` it schedules carries the ``hop_limit`` hops left."""
+        copy it posts to the far end carries the ``hop_limit`` hops left."""
         link = node.ports.get(port)
         if link is None:
             log.warning("%s: emission on unwired port %d", node.name, port)
             return
-        dst, dst_port, pair, delay_us, target = link
+        dst, dst_port, pair, delay_us, handler = link
         if pair in self.down_pairs:
             return
         src = node.name
@@ -438,7 +433,7 @@ class Deployment:
         if self.trace_hops:
             self._trace_hop(packet.trace_id, src, dst)
         sim = self.sim
-        sim.schedule(sim.now + delay_us, target, FabricDelivery(packet, dst_port, hop_limit))
+        sim.post(sim.now + delay_us, handler, (packet, dst_port, hop_limit))
 
     def _trace_hop(self, trace_id: int, src: str, dst: str) -> None:
         if self._trace_room:
@@ -654,5 +649,7 @@ class Deployment:
         return self.sim.report(states)
 
     def all_done(self) -> bool:
+        """Every switch enabled, every host DONE and holding a TMFID (a lost TM Update leaves none)."""
         return (all(n in self.controller.enabled for n in self.switches)
-                and all(h.fsm.state == BootstrapState.DONE for h in self.hosts.values()))
+                and all(h.fsm.state == BootstrapState.DONE and h.config.tmfid is not None
+                        for h in self.hosts.values()))

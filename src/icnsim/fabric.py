@@ -56,8 +56,9 @@ class FlowRule:
 class IcnPacket(NamedTuple):
     """Data-plane frame: source-route FID and opaque payload.
 
-    Built once and never copied; the hop budget rides on each copy's
-    ``deploy.FabricDelivery``, and only :func:`encode_packet` writes it into a frame.
+    Built once and never copied; the hop budget rides on each copy in
+    flight, the ``(packet, in_port, hop_limit)`` tuple of ``deploy.PortLink``,
+    and only :func:`encode_packet` writes it into a frame.
     """
 
     fid: Fid

@@ -16,8 +16,10 @@ at one instant moves in lockstep), and each of them costs one append and
 one step of a list, not a heap push and pop through tuple comparisons.
 
 An event is the object that was scheduled: a handler receives it as is and
-dispatches on its type.  The handler is resolved when the event is
-scheduled, so an unknown target fails there.
+dispatches on its type.  ``schedule`` resolves its target when the event is
+scheduled, so an unknown target fails there.  A caller that sends many
+events to one target resolves it once with ``handler`` and gives it to
+``post``, which files the event with no lookup and no check of the time.
 """
 
 from __future__ import annotations
@@ -118,13 +120,20 @@ class Simulator:
             raise ValueError(f"target {target!r} already registered")
         self._handlers[target] = handler
 
+    def handler(self, target: str) -> Callable[[Any], None]:
+        """The handler registered for ``target``."""
+        try:
+            return self._handlers[target]
+        except KeyError:
+            raise UnknownTarget(f"no handler registered for target {target!r}") from None
+
     def schedule(self, at: int, target: str, event: Any) -> None:
         if at < self.now:
             raise PastTime(f"cannot schedule at {at} before now {self.now}")
-        try:
-            handler = self._handlers[target]
-        except KeyError:
-            raise UnknownTarget(f"no handler registered for target {target!r}") from None
+        self.post(at, self.handler(target), event)
+
+    def post(self, at: int, handler: Callable[[Any], None], event: Any) -> None:
+        """File ``event`` for ``handler`` at ``at``, which must not be before ``now``."""
         bucket = self._calendar.get(at)
         if bucket is None:
             self._calendar[at] = [(handler, event)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .fid import BitVector, Exhausted, Fid, FidParams, LinkId, fid_or, new_lid
+from .fid import BitVector, Exhausted, Fid, FidParams, LinkId, new_lid
 
 TM_NID = 1
 
@@ -192,9 +192,9 @@ class TopologyGraph:
     Data FIDs are composed, not walked: :meth:`data_fid` gives the
     destination's iLID (zero without one) to the destination itself, and
     to every other member its next hop's data FID OR the LID of the link
-    there (:meth:`_compose`, the rule TMFIDs follow too).  Each tree
-    memoises the data FIDs composed so far, so a read walks only down to
-    the first member already known.  Every adjacency change
+    there, the rule TMFIDs follow too.  Each tree memoises the data FIDs
+    composed so far as ints, so a read walks only down to the first member
+    already known, and the ones returned as vectors.  Every adjacency change
     (``_put_link``/``_pop_link``) makes all trees stale, FIDs included; the
     next read of a destination replaces its tree, with one BFS (none for
     the TM).  A stale tree is freed there, not at the change, so a link
@@ -217,10 +217,11 @@ class TopologyGraph:
         # TM in-tree: hop counts and next hops.
         self._dist: Dict[int, int] = {TM_NID: 0}
         self._next: Dict[int, int] = {}
-        # In-trees by destination: (epoch, hop counts, next hops, data FIDs so
-        # far); a tree from before the last adjacency change is stale.
+        # In-trees by destination: (epoch, hop counts, next hops, data FID
+        # values composed so far, data FIDs returned so far); a tree from
+        # before the last adjacency change is stale.
         self._epoch = 0
-        self._trees: Dict[int, Tuple[int, Dict[int, int], Dict[int, int], Dict[int, Fid]]] = {}
+        self._trees: Dict[int, tuple] = {}
         self.nodes[TM_NID] = NodeRecord(TM_NID, NodeKind.TM,
                                         ilid=new_lid(rng, self.lid_registry, params),
                                         tmfid=BitVector.zero(params.m))
@@ -381,19 +382,18 @@ class TopologyGraph:
             cur = step
         return path
 
-    def _tree(self, src: int, dst: int
-              ) -> Tuple[int, Dict[int, int], Dict[int, int], Dict[int, Fid]]:
+    def _tree(self, src: int, dst: int) -> tuple:
         """``dst``'s current in-tree, built on first read; raises if ``src`` is not in it."""
         if src not in self.nodes or dst not in self.nodes:
             raise UnknownAttachPoint(f"unknown endpoint {src if src not in self.nodes else dst}")
         tree = self._trees.get(dst)
         if tree is None or tree[0] != self._epoch:
             ilid = self.nodes[dst].ilid
-            fids = {dst: BitVector.zero(self.params.m) if ilid is None else ilid}
+            values = {dst: 0 if ilid is None else ilid.value}
             if dst == TM_NID:
-                tree = (self._epoch, self._dist, self._next, fids)
+                tree = (self._epoch, self._dist, self._next, values, {})
             else:
-                tree = (self._epoch, *self._distances_to(dst), fids)
+                tree = (self._epoch, *self._distances_to(dst), values, {})
             self._trees[dst] = tree
         if src not in tree[1]:
             raise Unreachable(f"no path {src} -> {dst}")
@@ -412,17 +412,18 @@ class TopologyGraph:
         but it is composed down ``dst``'s in-tree and kept there, so a
         repeated read is one lookup.
         """
-        _, _, nxt, fids = self._tree(src, dst)
+        _, _, nxt, values, fids = self._tree(src, dst)
         fid = fids.get(src)
         if fid is None:
             walked = []
             cur = src
-            while cur not in fids:
+            while (value := values.get(cur)) is None:
                 walked.append(cur)
                 cur = nxt[cur]
-            fid = fids[cur]
+            links = self.links
             for nid in reversed(walked):
-                fid = fids[nid] = self._compose(nid, nxt[nid], fid)
+                value = values[nid] = value | links[(nid, nxt[nid])].lid.value
+            fid = fids[src] = BitVector(self.params.m, value)
         return fid
 
     def fid_from_tm(self, nid: int) -> Fid:
@@ -444,18 +445,10 @@ class TopologyGraph:
                 return BitVector(self.params.m, value)
         return self.data_fid(TM_NID, nid)
 
-    def _compose(self, nid: int, nxt: int, fid: Fid) -> Fid:
-        """A FID down an in-tree: ``fid``, the next hop ``nxt``'s, OR the LID of ``nid -> nxt``.
-
-        A TMFID is composed from the next hop's TMFID in the TM in-tree, a
-        data FID from the next hop's data FID in the destination's tree.
-        """
-        return fid_or((fid, self.links[(nid, nxt)].lid), width=self.params.m)
-
     def _tmfid(self, nid: int) -> Fid:
-        """The TMFID of an in-tree node, composed from its next hop's."""
+        """The TMFID of an in-tree node: its next hop's OR the LID of the link there."""
         nxt = self._next[nid]
-        return self._compose(nid, nxt, self.nodes[nxt].tmfid)
+        return BitVector(self.params.m, self.nodes[nxt].tmfid.value | self.links[(nid, nxt)].lid.value)
 
     def te_select_path(self, src: int, dst: int) -> List[DirectedLink]:
         """Bottleneck-optimal path: minimize max link load, then hops, then

@@ -283,6 +283,41 @@ class TestIcnNodeChain:
         assert [net.consumed.get(t) for t in traces] == [["tm"], ["tm"]]
 
 
+class TestForwardAfterDelivery:
+    """A delivered packet goes on only over a link its FID holds, never back."""
+
+    def counted(self, spec):
+        net = Deployment(spec)
+        net.run_bootstrap()
+        assert net.all_done()
+        emitted = []
+        net.drop_filter = lambda src, dst, packet: emitted.append((src, dst))  # drops none
+        return net, emitted
+
+    def test_one_cable_endpoint_adds_no_emission(self, monkeypatch):
+        # h2 and the TM each have one cable, the arrival link: no forward scan.
+        net, emitted = self.counted(chain_spec(1, hosts=2))
+        scans = []
+        for node in (net.hosts["h2"], net.tm):
+            monkeypatch.setattr(node, "send", lambda *args, name=node.name: scans.append(name))
+        traces = [net.inject_data("h1", "h2"), net.inject_data("h1", "tm")]
+        net.run_until_idle()
+        assert [net.consumed.get(t) for t in traces] == [["h2"], ["tm"]]
+        assert emitted == [("h1", "s1"), ("h1", "s1"), ("s1", "h2"), ("s1", "tm")]
+        assert scans == []
+
+    def test_two_cable_host_forwards_over_its_other_link(self):
+        # tm - s1 - h1 - h2: one FID for h1 and h2 is consumed by h1 and goes on to h2.
+        net, emitted = self.counted(TestIcnNodeChain().spec())
+        h1, h2 = net.nid_of("h1"), net.nid_of("h2")
+        fid = fid_or([net.graph.data_fid(TM_NID, h1), net.graph.data_fid(TM_NID, h2)])
+        packet = IcnPacket(fid, b"DATA", trace_id=net.next_trace())
+        net.tm.send(packet, net.hop_limit)
+        net.run_until_idle()
+        assert net.consumed.get(packet.trace_id) == ["h1", "h2"]
+        assert emitted == [("tm", "s1"), ("s1", "h1"), ("h1", "h2")]
+
+
 class TestMultiHoming:
     def test_host_on_two_switches_attaches(self):
         # Both switches see h1's discovery; the rule on the one h1 selects
@@ -671,6 +706,7 @@ class TestTrafficEndpoints:
         net.run_bootstrap()
         assert net.hosts["h1"].fsm.state == BootstrapState.DONE
         assert net.hosts["h1"].config.tmfid is None
+        assert not net.all_done()  # DONE without a TMFID is not done
         with pytest.raises(EndpointError, match="host 'h1' holds no TMFID"):
             net.inject_probe("h1")
         trace = net.inject_probe("h2")  # the other host still probes

@@ -7,7 +7,7 @@ from icnsim.fabric import (AttachNotEnabled, FlowRule, FlowTable, IcnPacket, MIS
                            SwitchAttached, decode_packet, encode_packet, switch_forward)
 from icnsim.fid import BitVector, FidParams, fid_or
 from icnsim.simnet import LimitExceeded
-from icnsim.deploy import Deployment, FabricDelivery
+from icnsim.deploy import Deployment
 from icnsim.topospec import TopoLink, TopoNode, TopologySpec
 from icnsim.wire import DiscoveryRequest, ResourceRequest, encode
 from icnsim.topology import NodeKind, RuleInstallFrame, TM_NID
@@ -196,7 +196,7 @@ class TestController:
         seen = []
         net.controller.on_packet_in = seen.append
         packet = IcnPacket(BitVector.zero(256), encode(DiscoveryRequest(9), net.params))
-        net.sim.schedule_in(0, "node:s1", FabricDelivery(packet, 0, hop_limit))
+        net.sim.schedule_in(0, "node:s1", (packet, 0, hop_limit))  # a copy in flight
         net.run_until_idle()
         [event] = seen
         assert (event.switch, event.in_port) == ("s1", 0)

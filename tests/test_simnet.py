@@ -6,8 +6,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icnsim.deploy import Deployment
 from icnsim.simnet import (LimitExceeded, MeasurementSpan, NeverCompleted, PastTime,
                            SimReport, Simulator, Timer, UnknownTarget, ms)
+from icnsim.topospec import generate_random
 
 
 def test_ms_conversion_exact():
@@ -74,6 +76,35 @@ class TestScheduling:
         with pytest.raises(UnknownTarget):
             sim.schedule_in(0, "nope", Timer("x"))
         assert sim.run_until_idle() == 0  # nothing was queued
+
+    def test_handler_of_an_unregistered_target_rejected(self):
+        sim = Simulator()
+        sim.register("t", print)
+        assert sim.handler("t") is print
+        with pytest.raises(UnknownTarget, match="'nope'"):
+            sim.handler("nope")
+
+    def test_post_and_schedule_file_one_order(self):
+        # Events for one time run in call order, whichever method filed them,
+        # also those filed by a handler running at that time.
+        sim = Simulator()
+        order = []
+        sim.register("u", order.append)
+        u = sim.handler("u")
+
+        def t(event):
+            order.append(event)
+            sim.post(sim.now, u, "a1")
+            sim.schedule_in(0, "u", "a2")
+            sim.post(sim.now, u, "a3")
+
+        sim.register("t", t)
+        sim.schedule(5, "t", "a")
+        sim.post(5, u, "b")
+        sim.schedule(5, "u", "c")
+        sim.post(3, u, "early")
+        assert sim.run_until_idle() == 5
+        assert order == ["early", "a", "b", "c", "a1", "a2", "a3"]
 
     def test_zero_delay_event_joins_the_running_time(self):
         sim = Simulator()
@@ -181,6 +212,34 @@ def test_duplicate_target_registration_rejected():
         sim.register("t", lambda e: None)
 
 
+def test_each_cable_holds_its_far_end_handler(monkeypatch):
+    # Cables are wired after registration, so a handler wrapped as it is
+    # registered (as a tracer does) is the one every hop runs.
+    hops = []
+    register = Simulator.register
+
+    def wrapping(sim, target, handler):
+        def wrapped(event):
+            if type(event) is tuple:  # a copy in flight
+                hops.append(target)
+            handler(event)
+        register(sim, target, wrapped)
+
+    monkeypatch.setattr(Simulator, "register", wrapping)
+    spec = generate_random(6, 9, 4, 3)
+    net = Deployment(spec)
+    nodes = [net.tm, *net.switches.values(), *net.hosts.values()]
+    cables = [cable for node in nodes for cable in node.ports.values()]
+    assert len(cables) == 2 * len(spec.links)
+    for cable in cables:
+        assert cable.handler is net.sim.handler(f"node:{cable.dst}")
+    emitted = []
+    net.drop_filter = lambda src, dst, packet: emitted.append(f"node:{dst}")  # drops none
+    net.run_bootstrap()
+    assert net.all_done()
+    assert emitted and sorted(hops) == sorted(emitted)
+
+
 # -- order oracle ------------------------------------------------------------------
 #
 # An event is an integer id, numbered in scheduling order.  When event ``e``
@@ -206,8 +265,12 @@ def reference_run(starts, plan, cap, barren=None):
     return log
 
 
-def planned_sim(starts, plan, cap, boom=None):
-    """A simulator loaded with the plan; event ``boom`` raises once, before its children."""
+def planned_sim(starts, plan, cap, boom=None, post_odd=False):
+    """A simulator loaded with the plan; event ``boom`` raises once, before its children.
+
+    With ``post_odd``, odd-numbered children are filed by ``post``, the rest
+    by ``schedule_in``.
+    """
     sim = Simulator()
     seq, log = itertools.count(len(starts)), []
 
@@ -218,7 +281,10 @@ def planned_sim(starts, plan, cap, boom=None):
         for delay in plan[event % len(plan)]:
             n = next(seq)
             if n < cap:
-                sim.schedule_in(delay, "t", n)
+                if post_odd and n % 2:
+                    sim.post(sim.now + delay, handler, n)
+                else:
+                    sim.schedule_in(delay, "t", n)
 
     sim.register("t", handler)
     for event, at in enumerate(starts):
@@ -235,6 +301,14 @@ PLANS = st.lists(st.lists(st.sampled_from([0, 0, 1, 2, 5]), max_size=3), min_siz
 def test_order_matches_an_at_seq_heap(starts, plan, cap):
     sim, log = planned_sim(starts, plan, cap)
     assert sim.run_until_idle() == max(at for at, _ in log)
+    assert log == reference_run(starts, plan, cap)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(STARTS, PLANS, st.integers(1, 80))
+def test_posted_events_keep_the_at_seq_order(starts, plan, cap):
+    sim, log = planned_sim(starts, plan, cap, post_odd=True)
+    sim.run_until_idle()
     assert log == reference_run(starts, plan, cap)
 
 
