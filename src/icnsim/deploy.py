@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
@@ -23,7 +23,8 @@ from .fabric import (Controller, FlowTable, IcnPacket, LinkDown, LinkUp, MISS, P
                      SwitchAttached, encode_packet, switch_forward)
 from .fid import BitVector, FidError, FidParams, fid_matches
 from .simnet import SimReport, Simulator, Timer, ms
-from .topology import TM_NID, NodeKind, RuleInstallFrame, TopologyError, TopologyGraph
+from .topology import (TM_NID, DirectedLink, NodeKind, RuleInstallFrame, TopologyError,
+                       TopologyGraph)
 from .topospec import TopologySpec
 from .wire import CodecError, DiscoveryRequest, ResourceRequest, Update
 
@@ -200,8 +201,9 @@ class HostNode:
                                    trace_id=self.net.next_trace())
                 self.net.emit(self, action.port, packet, self.net.hop_limit)
             elif isinstance(action, Arm):
-                self.net.sim.schedule_in(action.delay_us, f"node:{self.name}",
-                                         Timer(action.timer_id, action.token))
+                sim = self.net.sim
+                sim.post(sim.now + action.delay_us, self.handler,
+                         Timer(action.timer_id, action.token))
 
     def _check_settled(self) -> None:
         if self.fsm.state == BootstrapState.DONE:
@@ -305,9 +307,9 @@ class TmNode:
             nid = self.engine.nid_for_nonce(msg.nonce)
             if nid is not None:
                 self.nid_port[nid] = in_port
-        cost = self.service_us + lids * self.alloc_us
-        self.net.sim.schedule_in(cost, f"node:{self.name}",
-                                 ServiceDone(result.actions if result else []))
+        sim = self.net.sim
+        sim.post(sim.now + self.service_us + lids * self.alloc_us, self.handler,
+                 ServiceDone(result.actions if result else []))
 
     def _service_done(self, done: ServiceDone) -> None:
         for action in done.actions:
@@ -348,6 +350,7 @@ class Deployment:
         self.spec = spec
         self.seed = spec.seed if seed is None else seed
         self.params = FidParams(m=spec.m, k=spec.k)
+        self._zero_fid = BitVector.zero(spec.m)  # the link-local (bootstrap) FID
         d = spec.defaults
         self.timers = Timers(ms(d.discovery_wait_ms), ms(d.request_timeout_ms), d.max_retries)
         self.hop_limit = d.hop_limit
@@ -371,21 +374,26 @@ class Deployment:
                 rng = Random(f"{self.seed}:nonce:{node.name}")
                 self.hosts[node.name] = HostNode(node.name, self, rng, self.timers)
 
+        # Each node keeps its handler as registered (wrapped, if ``register``
+        # wraps it): its cables, timers and control messages post to it.
         for name, node in [(self.tm_name, self.tm), *self.switches.items(), *self.hosts.items()]:
             self.sim.register(f"node:{name}", node.handle)
+            node.handler = self.sim.handler(f"node:{name}")
         self.sim.register("ctl", self._controller_handle)
+        self._ctl_handler = self.sim.handler("ctl")
         self.sim.register("orch", self._orch_handle)
 
-        # Cable everything: port indices follow spec link order per node.  A
-        # cable holds its far end's registered handler, so a hop looks up none.
-        handler = self.sim.handler
+        # Cable everything: port indices follow spec link order per node.
+        # ``port_to`` maps a node and a neighbour's name to the port between them.
+        self.port_to: Dict[str, Dict[str, int]] = {node.name: {} for node in spec.nodes}
         for link in spec.links:
             a, b = self._node(link.a), self._node(link.b)
             pa, pb = len(a.ports), len(b.ports)
             pair = frozenset((link.a, link.b))
             delay_us = ms(link.delay_ms)
-            a.ports[pa] = PortLink(link.b, pb, pair, delay_us, handler(f"node:{link.b}"))
-            b.ports[pb] = PortLink(link.a, pa, pair, delay_us, handler(f"node:{link.a}"))
+            a.ports[pa] = PortLink(link.b, pb, pair, delay_us, b.handler)
+            b.ports[pb] = PortLink(link.a, pa, pair, delay_us, a.handler)
+            self.port_to[link.a][link.b], self.port_to[link.b][link.a] = pa, pb
 
         self.controller = Controller(self)
         self.down_pairs: set = set()
@@ -414,7 +422,7 @@ class Deployment:
         return self._trace_counter
 
     def link_local_packet(self, message) -> IcnPacket:
-        return IcnPacket(BitVector.zero(self.params.m), wire.encode(message, self.params),
+        return IcnPacket(self._zero_fid, wire.encode(message, self.params),
                          trace_id=self.next_trace())
 
     def emit(self, node, port: int, packet: IcnPacket, hop_limit: int) -> None:
@@ -444,20 +452,22 @@ class Deployment:
 
     def packet_in(self, switch: str, in_port: int, packet: IcnPacket, hop_limit: int) -> None:
         data = encode_packet(packet, hop_limit, self.params)
-        self.sim.schedule_in(self.ctl_delay_us, "ctl", PacketIn(switch, in_port, data))
+        self.sim.post(self.sim.now + self.ctl_delay_us, self._ctl_handler,
+                      PacketIn(switch, in_port, data))
 
     def packet_out(self, switch: str, port: int, packet: IcnPacket) -> None:
-        self.sim.schedule_in(self.ctl_delay_us, f"node:{switch}", PacketOutCmd(port, packet))
+        self.sim.post(self.sim.now + self.ctl_delay_us, self.switches[switch].handler,
+                      PacketOutCmd(port, packet))
 
     def ctl_send(self, message) -> None:
         """Controller -> TM over the ICN-SDN interface."""
         data = wire.encode(message, self.params)
-        self.sim.schedule_in(self.ctl_delay_us, f"node:{self.tm_name}", CtlDelivery(data))
+        self.sim.post(self.sim.now + self.ctl_delay_us, self.tm.handler, CtlDelivery(data))
 
     def ctl_to_controller(self, message) -> None:
         """TM -> controller over the ICN-SDN interface."""
         data = wire.encode(message, self.params)
-        self.sim.schedule_in(self.ctl_delay_us, "ctl", CtlDelivery(data))
+        self.sim.post(self.sim.now + self.ctl_delay_us, self._ctl_handler, CtlDelivery(data))
 
     def link_delay_ms(self, a: str, b: str) -> float:
         return self._cable(a, b).delay_us / 1000
@@ -558,7 +568,7 @@ class Deployment:
             for key in ((nid, other_nid), (other_nid, nid)):
                 link = self.graph.links.get(key)
                 if link is not None and not link.delay_ms:
-                    self.graph.links[key] = replace(link, delay_ms=delay_ms)
+                    self.graph.links[key] = DirectedLink(*key, link.lid, delay_ms, link.load)
             if cable.pair in self.down_pairs:
                 continue
             a, b = sorted((name, other))
@@ -589,10 +599,9 @@ class Deployment:
                    and name not in self.switches and name not in self.hosts]
         if unknown:
             raise CableError(f"link {a!r}-{b!r}: unknown node {unknown[0]!r}")
-        for link in self._node(a).ports.values():
-            if link.dst == b:
-                return link
-        raise CableError(f"link {a!r}-{b!r}: no cable joins the two nodes")
+        if b not in self.port_to[a]:
+            raise CableError(f"link {a!r}-{b!r}: no cable joins the two nodes")
+        return self._node(a).ports[self.port_to[a][b]]
 
     def fail_link(self, a: str, b: str) -> None:
         self.down_pairs.add(self._cable(a, b).pair)

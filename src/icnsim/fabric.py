@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import wire
-from .fid import BitVector, Fid, FidParams
+from .fid import BitVector, Fid, FidParams, _vector
 from .topology import (LinkEvent, LinkEventKind, NodeKind, RULE_PRIORITY, RuleInstallFrame,
                        TM_NID)
 from .wire import (CodecError, DiscoveryOffer, DiscoveryRequest, OfferAccepted,
@@ -139,7 +139,7 @@ def decode_packet(data: bytes, params: FidParams) -> Tuple[IcnPacket, int]:
     width_bytes = params.m // 8
     if len(data) < width_bytes + 1:
         raise CodecError("packet shorter than FID header")
-    fid = BitVector.from_bytes(data[:width_bytes])
+    fid = _vector(params.m, int.from_bytes(data[:width_bytes], "big"))
     return IcnPacket(fid, data[width_bytes + 1:]), data[width_bytes]
 
 
@@ -296,8 +296,4 @@ class Controller:
 
     def _resolve_port(self, switch_name: str, frame: RuleInstallFrame) -> Optional[int]:
         """The switch's port whose cable leads to the rule's destination, by name."""
-        dst_name = self.nid_names.get(frame.dst_nid)
-        for port, link in self.net.switches[switch_name].ports.items():
-            if link.dst == dst_name:
-                return port
-        return None
+        return self.net.port_to[switch_name].get(self.nid_names.get(frame.dst_nid))

@@ -96,13 +96,22 @@ class FidParams:
     k: int = 5
 
     def __post_init__(self) -> None:
-        if self.m % 8 != 0:
-            raise ValueError("m must be a multiple of 8")
+        if self.m <= 0 or self.m % 8 != 0:
+            raise ValueError("m must be a positive multiple of 8")
         if not 0 < self.k < self.m:
             raise ValueError("k must satisfy 0 < k < m")
 
 
 MAX_GEN_RETRIES = 64
+_new, _set = object.__new__, object.__setattr__
+
+
+def _vector(width: int, value: int) -> BitVector:
+    """A vector built unchecked: ``width`` is a valid ``m`` and ``value`` fits in it."""
+    vec = _new(BitVector)
+    _set(vec, "width", width)
+    _set(vec, "value", value)
+    return vec
 
 
 def new_lid(rng: Random, registry: Set[LinkId], params: FidParams) -> LinkId:
@@ -110,11 +119,32 @@ def new_lid(rng: Random, registry: Set[LinkId], params: FidParams) -> LinkId:
 
     The candidate is added to the registry before returning.  Raises
     :class:`Exhausted` after ``MAX_GEN_RETRIES`` colliding draws, which the
-    topology manager treats as resource exhaustion.
+    topology manager treats as resource exhaustion.  A draw makes the
+    ``rng.getrandbits`` calls of CPython's ``rng.sample(range(m), k)``, on
+    either of its branches (a pool of the positions left while ``m`` is at
+    most its set-size threshold, else redraws of taken positions), so the
+    LIDs are those of ``BitVector.from_bits(m, rng.sample(range(m), k))``.
     """
+    m, k = params.m, params.k
+    top, bits, getrandbits = m - 1, m.bit_length(), rng.getrandbits
+    pooled = m <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
     for _ in range(MAX_GEN_RETRIES):
-        positions = rng.sample(range(params.m), params.k)
-        candidate = BitVector.from_bits(params.m, positions)
+        value = 0
+        if pooled:
+            pool = list(range(m))
+            for n in range(m, m - k, -1):
+                j = getrandbits(n.bit_length())
+                while j >= n:
+                    j = getrandbits(n.bit_length())
+                value |= 1 << (top - pool[j])
+                pool[j] = pool[n - 1]
+        else:
+            for _ in range(k):
+                j = getrandbits(bits)
+                while j >= m or value >> (top - j) & 1:
+                    j = getrandbits(bits)
+                value |= 1 << (top - j)
+        candidate = _vector(m, value)
         if candidate not in registry:
             registry.add(candidate)
             return candidate

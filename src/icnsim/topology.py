@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .fid import BitVector, Exhausted, Fid, FidParams, LinkId, new_lid
+from .fid import BitVector, Exhausted, Fid, FidParams, LinkId, _vector, new_lid
 
 TM_NID = 1
 
@@ -423,7 +423,7 @@ class TopologyGraph:
             links = self.links
             for nid in reversed(walked):
                 value = values[nid] = value | links[(nid, nxt[nid])].lid.value
-            fid = fids[src] = BitVector(self.params.m, value)
+            fid = fids[src] = _vector(self.params.m, value)
         return fid
 
     def fid_from_tm(self, nid: int) -> Fid:
@@ -442,13 +442,13 @@ class TopologyGraph:
                 value |= link.lid.value
                 cur = link.src
             if cur == TM_NID:
-                return BitVector(self.params.m, value)
+                return _vector(self.params.m, value)
         return self.data_fid(TM_NID, nid)
 
     def _tmfid(self, nid: int) -> Fid:
         """The TMFID of an in-tree node: its next hop's OR the LID of the link there."""
         nxt = self._next[nid]
-        return BitVector(self.params.m, self.nodes[nxt].tmfid.value | self.links[(nid, nxt)].lid.value)
+        return _vector(self.params.m, self.nodes[nxt].tmfid.value | self.links[(nid, nxt)].lid.value)
 
     def te_select_path(self, src: int, dst: int) -> List[DirectedLink]:
         """Bottleneck-optimal path: minimize max link load, then hops, then
@@ -504,7 +504,7 @@ class TopologyGraph:
                     raise UnknownAttachPoint(f"endpoint {nid} unknown or not committed")
             revived = self.down_links.pop(key, None)
             if revived is not None:
-                link = replace(revived, delay_ms=event.delay_ms)
+                link = DirectedLink(event.src, event.dst, revived.lid, event.delay_ms, revived.load)
             else:
                 link = DirectedLink(event.src, event.dst,
                                     new_lid(self.rng, self.lid_registry, self.params),

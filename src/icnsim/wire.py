@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import operator
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
-from .fid import BitVector, Fid, FidParams, LinkId
+from .fid import BitVector, Fid, FidParams, LinkId, _vector
 from .topology import (LinkEvent, LinkEventKind, LinkStatsReport, NodeKind, RuleInstallFrame,
                        StatsEntry)
 
@@ -113,9 +112,9 @@ _U16 = struct.Struct(">H")
 MAX_PAYLOAD = 0xFFFF  # the header's u16 length
 MAX_DELAY_MS = 0xFFFF_FFFF / 1000  # a LinkEvent delay is a u32 count of microseconds
 
-# A field kind: its struct code ("{n}" is the identifier width in bytes) and, for
-# a non-integer, its conversions: value and m -> packed value, unpacked value -> value.
-_Kind = namedtuple("_Kind", "code to_wire from_wire", defaults=(None, None))
+# A field kind: its struct code ("{n}" is the identifier width in bytes) and
+# the expressions ("{}" is the value) that convert it to and from its packed value.
+_Kind = namedtuple("_Kind", "code to_wire from_wire", defaults=("{}", "{}"))
 
 
 def _id_bytes(vec: Optional[BitVector], m: int) -> bytes:
@@ -123,12 +122,12 @@ def _id_bytes(vec: Optional[BitVector], m: int) -> bytes:
         return bytes(m // 8)
     if vec.width != m:
         raise ValueError(f"identifier width {vec.width} != deployment m {m}")
-    return vec.to_bytes()
+    return vec.value.to_bytes(m // 8, "big")
 
 
-def _opt_id(raw: bytes) -> Optional[BitVector]:
-    vec = BitVector.from_bytes(raw)
-    return None if vec.is_zero() else vec
+def _opt_id(raw: bytes, m: int) -> Optional[BitVector]:
+    value = int.from_bytes(raw, "big")
+    return _vector(m, value) if value else None
 
 
 def _rule_op(byte: int) -> bool:
@@ -139,12 +138,12 @@ def _rule_op(byte: int) -> bool:
 
 U64 = _Kind("Q")
 U32 = _Kind("I")
-ID = _Kind("{n}s", _id_bytes, BitVector.from_bytes)
-OPT_ID = _Kind("{n}s", _id_bytes, _opt_id)
-NODE_KIND = _Kind("B", lambda kind, m: kind.value, NodeKind)
-LINK_KIND = _Kind("B", lambda kind, m: kind.value, LinkEventKind)
-RULE_OP = _Kind("B", lambda install, m: 0 if install else 1, _rule_op)
-DELAY_US = _Kind("I", lambda delay_ms, m: round(delay_ms * 1000), lambda us: us / 1000)
+ID = _Kind("{n}s", "_id_bytes({}, m)", "_vector(m, int.from_bytes({}, 'big'))")
+OPT_ID = _Kind("{n}s", "_id_bytes({}, m)", "_opt_id({}, m)")
+NODE_KIND = _Kind("B", "{}.value", "NodeKind({})")
+LINK_KIND = _Kind("B", "{}.value", "LinkEventKind({})")
+RULE_OP = _Kind("B", "0 if {} else 1", "_rule_op({})")
+DELAY_US = _Kind("I", "round({} * 1000)", "{} / 1000")
 
 LAYOUTS: Dict[type, Tuple[int, Tuple[_Kind, ...]]] = {
     DiscoveryRequest: (0x01, (U64,)),
@@ -162,37 +161,33 @@ _RECORDS = {LinkStatsReport: StatsEntry}  # payload: a u16 count, then the recor
 
 
 class _Layout:
-    """One entry of :data:`LAYOUTS` compiled for identifier width ``m``."""
+    """One entry of :data:`LAYOUTS` compiled for identifier width ``m``: a
+    ``struct`` of a whole frame, header included (or of one record), and two
+    functions generated with one conversion per field.  ``encode(obj)`` packs
+    an object; ``decode(*values)`` fills the fields of a bare instance from
+    the unpacked values (no message has a ``__post_init__`` to skip)."""
 
     def __init__(self, frame_cls: type, type_byte: int, kinds: Tuple[_Kind, ...], m: int):
         self.type_byte = type_byte
         self.records = frame_cls in _RECORDS
-        self.cls = _RECORDS.get(frame_cls, frame_cls)
-        names = [f.name for f in dataclasses.fields(self.cls)]
-        assert len(names) == len(kinds), f"{len(kinds)} kinds for the fields of {self.cls.__name__}"
-        getter = operator.attrgetter(*names)
-        self.get = getter if len(names) > 1 else lambda obj: (getter(obj),)
-        self.fields = struct.Struct((">" + "".join(k.code for k in kinds)).format(n=m // 8))
-        self.to_wire = [(i, k.to_wire) for i, k in enumerate(kinds) if k.to_wire]
-        self.from_wire = [(i, k.from_wire) for i, k in enumerate(kinds) if k.from_wire]
-
-    def pack(self, obj, m: int) -> bytes:
-        values = self.get(obj)
-        if self.to_wire:
-            values = list(values)
-            for i, convert in self.to_wire:
-                values[i] = convert(values[i], m)
-        return self.fields.pack(*values)
-
-    def build(self, values):
-        if self.from_wire:
-            values = list(values)
-            try:
-                for i, convert in self.from_wire:
-                    values[i] = convert(values[i])
-            except ValueError as exc:  # a kind or op byte with no meaning
-                raise LengthMismatch(str(exc)) from None
-        return self.cls(*values)
+        cls = _RECORDS.get(frame_cls, frame_cls)
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert len(names) == len(kinds), f"{len(kinds)} kinds for the fields of {cls.__name__}"
+        header = "" if self.records else "BBH"  # version, type, length: folded into one struct
+        self.struct = struct.Struct((">" + header + "".join(k.code for k in kinds)).format(n=m // 8))
+        self.payload = self.struct.size - (0 if self.records else _HEADER.size)
+        head = "" if self.records else f"{VERSION}, {type_byte}, {self.payload}, "
+        packed = ", ".join(k.to_wire.format("obj." + n) for n, k in zip(names, kinds))
+        unpacked = ("" if self.records else "version, mtype, size, ") + ", ".join(
+            f"v{i}" for i in range(len(kinds)))
+        fill = "".join(f"    put(obj, {n!r}, {k.from_wire.format(f'v{i}')})\n"
+                       for i, (n, k) in enumerate(zip(names, kinds)))
+        source = (f"def encode(obj):\n    return pack({head}{packed})\n"
+                  f"def decode({unpacked}):\n    obj = new(cls)\n{fill}    return obj\n")
+        scope = dict(globals(), pack=self.struct.pack, new=object.__new__, put=object.__setattr__,
+                     cls=cls, m=m)
+        exec(source, scope)
+        self.encode, self.decode = scope["encode"], scope["decode"]
 
 
 @functools.lru_cache(maxsize=8)
@@ -206,19 +201,17 @@ def _layouts(m: int) -> Dict[object, _Layout]:
 
 def largest_payload(m: int) -> int:
     """Payload bytes of the longest frame at width ``m``, a record list holding one record."""
-    return max(layout.fields.size + 2 * layout.records for layout in _layouts(m).values())
+    return max(layout.payload + 2 * layout.records for layout in _layouts(m).values())
 
 
 def encode(msg: Message, params: FidParams) -> bytes:
     """Serialize a message to its wire frame."""
-    m = params.m
-    layout = _layouts(m).get(type(msg))
+    layout = _layouts(params.m).get(type(msg))
     if layout is None:
         raise TypeError(f"not a wire message: {msg!r}")
-    if layout.records:
-        payload = _U16.pack(len(msg.entries)) + b"".join(layout.pack(e, m) for e in msg.entries)
-    else:
-        payload = layout.pack(msg, m)
+    if not layout.records:
+        return layout.encode(msg)
+    payload = _U16.pack(len(msg.entries)) + b"".join(map(layout.encode, msg.entries))
     return _HEADER.pack(VERSION, layout.type_byte, len(payload)) + payload
 
 
@@ -246,11 +239,16 @@ def decode(data: bytes, params: FidParams) -> Message:
     if layout.records:
         if declared < 2:
             raise LengthMismatch("payload shorter than its record count")
-        count = _U16.unpack_from(data, 4)[0]
-        _expect(declared, 2 + count * layout.fields.size)
-        return LinkStatsReport(tuple(map(layout.build, layout.fields.iter_unpack(data[6:]))))
-    _expect(declared, layout.fields.size)
-    return layout.build(layout.fields.unpack_from(data, 4))
+        _expect(declared, 2 + _U16.unpack_from(data, 4)[0] * layout.payload)
+    else:
+        _expect(declared, layout.payload)
+    try:  # a kind or op byte with no meaning raises ValueError
+        if layout.records:
+            return LinkStatsReport(tuple(layout.decode(*record)
+                                         for record in layout.struct.iter_unpack(data[6:])))
+        return layout.decode(*layout.struct.unpack(data))
+    except ValueError as exc:
+        raise LengthMismatch(str(exc)) from None
 
 
 def golden_messages(params: FidParams) -> Tuple[Tuple[str, Message], ...]:

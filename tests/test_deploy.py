@@ -1,5 +1,6 @@
 """End-to-end deployments: handshakes over the fabric, rules, resilience."""
 
+from collections import Counter
 from dataclasses import replace
 from random import Random
 
@@ -7,10 +8,11 @@ import pytest
 
 from icnsim import wire
 from icnsim.bootstrap import BootstrapState
-from icnsim.deploy import CableError, CtlDelivery, Deployment, EndpointError
-from icnsim.fabric import IcnPacket
+from icnsim.deploy import (CableError, CtlDelivery, Deployment, EndpointError, PacketOutCmd,
+                           ServiceDone)
+from icnsim.fabric import IcnPacket, PacketIn
 from icnsim.fid import fid_or
-from icnsim.simnet import NeverCompleted
+from icnsim.simnet import NeverCompleted, Simulator, Timer
 from icnsim.topology import TM_NID, LinkEvent, LinkEventKind, TopologyGraph
 from icnsim.topospec import (Defaults, SpecError, TopoLink, TopoNode, TopologySpec,
                              generate_random, parse_spec)
@@ -316,6 +318,57 @@ class TestForwardAfterDelivery:
         net.run_until_idle()
         assert net.consumed.get(packet.trace_id) == ["h1", "h2"]
         assert emitted == [("tm", "s1"), ("s1", "h1"), ("h1", "h2")]
+
+
+class TestRegisteredHandlers:
+    """Control events are posted to the handlers as registered, so a wrapper
+    that ``Simulator.register`` puts around them (as the benchmark's tracer
+    does) sees every one."""
+
+    CONTROL = (CtlDelivery, PacketIn, PacketOutCmd, ServiceDone, Timer)
+
+    def flapped(self):
+        spec = generate_random(6, 9, 4, 3)
+        net = Deployment(spec)
+        net.run_bootstrap()
+        assert net.all_done()
+        for link in [l for l in spec.links if l.a[0] == l.b[0] == "s"][:3]:
+            net.fail_link(link.a, link.b)
+            net.run_until_idle()
+            net.restore_link(link.a, link.b)
+            net.run_until_idle()
+        return net
+
+    def test_wrapped_handlers_receive_every_control_event(self, monkeypatch):
+        received, posted = [], []
+        register, post = Simulator.register, Simulator.post
+
+        def wrapping(sim, target, handler):
+            def wrapped(event):
+                received.append((target, event))
+                handler(event)
+            register(sim, target, wrapped)
+
+        def recording(sim, at, handler, event):
+            posted.append(event)
+            post(sim, at, handler, event)
+
+        monkeypatch.setattr(Simulator, "register", wrapping)
+        monkeypatch.setattr(Simulator, "post", recording)
+        net = self.flapped()
+        monkeypatch.undo()
+        ids = lambda events: Counter(id(e) for e in events if isinstance(e, self.CONTROL))
+        assert ids(posted) == ids(e for _, e in received)
+        to = lambda kind: {t for t, e in received if type(e) is kind}
+        assert to(CtlDelivery) == {"node:tm", "ctl"}
+        assert to(PacketIn) == {"ctl"}
+        assert to(ServiceDone) == {"node:tm"}
+        assert to(PacketOutCmd) and to(PacketOutCmd) <= {f"node:{s}" for s in net.switches}
+        hosts = {f"node:{h}" for h in net.hosts}
+        assert hosts <= to(Timer) <= hosts | {"orch"}
+        plain = self.flapped()
+        assert net.report().to_text() == plain.report().to_text()
+        assert net.graph.dump() == plain.graph.dump()
 
 
 class TestMultiHoming:

@@ -9,7 +9,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icnsim.fid import (BitVector, Exhausted, FidParams, WidthMismatch,
+from icnsim.fid import (MAX_GEN_RETRIES, BitVector, Exhausted, FidParams, WidthMismatch,
                         fid_matches, fid_or, lid_fpr, new_lid)
 
 
@@ -94,6 +94,65 @@ class TestNewLid:
         rng = Random(5)
         for _ in range(50):
             assert not new_lid(rng, set(), params).is_zero()
+
+
+def sampled_lid(rng, registry, params):
+    """``new_lid`` as the sum of its parts: ``random.sample`` and ``from_bits``."""
+    for _ in range(MAX_GEN_RETRIES):
+        candidate = BitVector.from_bits(params.m, rng.sample(range(params.m), params.k))
+        if candidate not in registry:
+            registry.add(candidate)
+            return candidate
+    raise Exhausted
+
+
+def draw(lid_source, rng, registry, params):
+    try:
+        return lid_source(rng, registry, params)
+    except Exhausted:
+        return Exhausted
+
+
+class TestLidStream:
+    # new_lid inlines random.sample; the LIDs, and so every golden run, must not
+    # change.  sample keeps a pool of positions while m is at most its set-size
+    # threshold (21, or 85 for 6 <= k <= 21) and tracks picks in a set above it:
+    # (8, 3), (16, 5) and (64, 7) take the pool branch, the others the set.
+
+    @pytest.mark.parametrize("m,k", [(8, 3), (16, 5), (24, 5), (32, 3), (64, 7), (256, 5),
+                                     (256, 7)])
+    def test_draws_equal_random_sample(self, m, k):
+        params = FidParams(m=m, k=k)
+        ours, reference = Random(m * 100 + k), Random(m * 100 + k)
+        registry, expected = set(), set()
+        for _ in range(40):
+            assert draw(new_lid, ours, registry, params) == draw(sampled_lid, reference,
+                                                                 expected, params)
+        assert registry == expected
+        assert ours.getstate() == reference.getstate()
+
+    def test_nearly_full_registry_retries_then_exhausts(self):
+        params = FidParams(m=8, k=3)
+        every = [BitVector.from_bits(8, bits) for bits in combinations(range(8), 3)]
+        registry, expected = set(every[2:]), set(every[2:])  # 2 of the 56 LIDs free
+        ours, reference = Random(4), Random(4)
+        outcomes = [draw(new_lid, ours, registry, params) for _ in range(4)]
+        assert outcomes == [draw(sampled_lid, reference, expected, params) for _ in range(4)]
+        assert Exhausted in outcomes and set(every[:2]) & set(outcomes)
+        assert registry == expected
+        assert ours.getstate() == reference.getstate()
+
+
+class TestFidParams:
+    @pytest.mark.parametrize("m", [0, -8, 12])
+    def test_width_must_be_a_positive_multiple_of_eight(self, m):
+        with pytest.raises(ValueError, match="m must be a positive multiple of 8"):
+            FidParams(m=m, k=3)
+
+    @pytest.mark.parametrize("k", [0, 8])
+    def test_k_must_lie_between_zero_and_m(self, k):
+        with pytest.raises(ValueError, match="k must satisfy 0 < k < m"):
+            FidParams(m=8, k=k)
 
 
 class TestFidOps:
