@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from .fid import Exhausted, Fid, LinkId
+from .fid import Exhausted
 from .topology import (NodeKind, LinkEvent, LinkStatsReport, RuleInstallFrame,
                        TopologyGraph, UnknownAttachPoint, Unreachable)
 from .wire import (DiscoveryOffer, DiscoveryRequest, Message, OfferAccepted,
@@ -50,14 +50,14 @@ class Timers:
             raise ValueError("timer values must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeConfig:
     """A node's ICN configuration; defaults until the handshake commits."""
 
     nid: int = 0
-    ilid: Optional[LinkId] = None
-    link_lids: Dict[int, LinkId] = field(default_factory=dict)
-    tmfid: Optional[Fid] = None
+    ilid: Optional[int] = None
+    link_lids: Dict[int, int] = field(default_factory=dict)  # neighbour NID -> LID
+    tmfid: Optional[int] = None
 
 
 class BootstrapState(enum.Enum):
@@ -80,7 +80,7 @@ class Broadcast:
 class Send:
     message: Message
     port: int
-    fid: Fid
+    fid: int
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ class NodeBootstrapFsm:
             if self.collected_offers:
                 offer, port = min(
                     self.collected_offers,
-                    key=lambda item: (item[0].tmfid.popcount(), item[0].responder_nid))
+                    key=lambda item: (item[0].tmfid.bit_count(), item[0].responder_nid))
                 self._selected = (offer, port)
                 self.state = BootstrapState.REQUESTING
                 request = ResourceRequest(self.nonce, NodeKind.ICN_NODE, offer.responder_nid)

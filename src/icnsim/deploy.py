@@ -21,7 +21,7 @@ from .bootstrap import (Arm, Broadcast, NodeBootstrapFsm, NodeConfig,
                         responder_on_discovery, NotBootstrapped)
 from .fabric import (Controller, FlowTable, IcnPacket, LinkDown, LinkUp, MISS, PacketIn,
                      SwitchAttached, encode_packet, switch_forward)
-from .fid import BitVector, FidError, FidParams, fid_matches
+from .fid import FidError, FidParams
 from .simnet import SimReport, Simulator, Timer, ms
 from .topology import (TM_NID, DirectedLink, NodeKind, RuleInstallFrame, TopologyError,
                        TopologyGraph)
@@ -79,7 +79,7 @@ class SwitchNode:
         self.name = name
         self.net = net
         self.ports: Dict[int, PortLink] = {}
-        self.table = FlowTable()
+        self.table = FlowTable(net.params.m)
         self.drops = 0
 
     def handle(self, event) -> None:
@@ -89,7 +89,7 @@ class SwitchNode:
         packet, in_port, hop_limit = event
         result = switch_forward(self.table, packet)
         if result is MISS:
-            if packet.fid.is_zero():
+            if not packet.fid:
                 # Unknown ICN traffic on the bootstrap channel goes upstairs.
                 self.net.packet_in(self.name, in_port, packet, hop_limit)
             else:
@@ -137,7 +137,7 @@ class HostNode:
             self._check_settled()
 
     def _on_packet(self, packet: IcnPacket, in_port: int, hop_limit: int) -> None:
-        fid = packet.fid.value
+        fid = packet.fid
         if not fid:
             self._on_link_local(packet, in_port)
             return
@@ -148,17 +148,17 @@ class HostNode:
             if msg is not None:
                 self._execute(self.fsm.on_message(msg, in_port))
             return
-        if (ilid := self.config.ilid) is not None and fid & ilid.value == ilid.value:
+        if (ilid := self.config.ilid) is not None and fid & ilid == ilid:
             self._consume(packet, in_port)
         if hop_limit > 0 and len(self.ports) > 1:  # split horizon bars a lone cable
             self.send(packet, hop_limit - 1, in_port)
 
     def send(self, packet: IcnPacket, hop_limit: int, in_port: Optional[int] = None) -> None:
         """Emit, ``hop_limit`` hops left, on each link whose LID the FID holds, but ``in_port``."""
-        fid = packet.fid.value
+        fid = packet.fid
         ports = set()
         for nid, lid in self.config.link_lids.items():
-            if fid & lid.value != lid.value:
+            if fid & lid != lid:
                 continue
             port = self.nid_port.get(nid)
             if port is not None:
@@ -224,8 +224,7 @@ class TmNode:
         self.engine = TmEngine(graph)
         self.ports: Dict[int, PortLink] = {}
         self.nid_port: Dict[int, int] = {}
-        self.config = NodeConfig(nid=TM_NID, ilid=graph.nodes[TM_NID].ilid,
-                                 tmfid=BitVector.zero(graph.params.m))
+        self.config = NodeConfig(nid=TM_NID, ilid=graph.nodes[TM_NID].ilid, tmfid=0)
         self.service_us = 0
         self.alloc_us = 0
         self.wall_alloc_s = 0.0
@@ -245,7 +244,7 @@ class TmNode:
     # -- packet plane ---------------------------------------------------------
 
     def _on_packet(self, packet: IcnPacket, in_port: int, hop_limit: int) -> None:
-        if packet.fid.is_zero():
+        if not packet.fid:
             self._on_link_local(packet, in_port)
             return
         if hop_limit > 0 and len(self.ports) > 1:  # split horizon bars a lone cable
@@ -257,8 +256,9 @@ class TmNode:
 
     def send(self, packet: IcnPacket, hop_limit: int, in_port: Optional[int] = None) -> None:
         """Emit, ``hop_limit`` hops left, on each bound out-link the FID holds, but ``in_port``."""
+        fid = packet.fid
         for link in self.graph.out_links(TM_NID):
-            if fid_matches(packet.fid, link.lid):
+            if fid & link.lid == link.lid:
                 port = self.nid_port.get(link.dst)
                 if port is not None and port != in_port:
                     self.net.emit(self, port, packet, hop_limit)
@@ -350,7 +350,6 @@ class Deployment:
         self.spec = spec
         self.seed = spec.seed if seed is None else seed
         self.params = FidParams(m=spec.m, k=spec.k)
-        self._zero_fid = BitVector.zero(spec.m)  # the link-local (bootstrap) FID
         d = spec.defaults
         self.timers = Timers(ms(d.discovery_wait_ms), ms(d.request_timeout_ms), d.max_retries)
         self.hop_limit = d.hop_limit
@@ -422,7 +421,8 @@ class Deployment:
         return self._trace_counter
 
     def link_local_packet(self, message) -> IcnPacket:
-        return IcnPacket(self._zero_fid, wire.encode(message, self.params),
+        """``message`` under the all-zero FID of the link-local (bootstrap) channel."""
+        return IcnPacket(0, wire.encode(message, self.params),
                          trace_id=self.next_trace())
 
     def emit(self, node, port: int, packet: IcnPacket, hop_limit: int) -> None:

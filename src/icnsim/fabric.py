@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import wire
-from .fid import BitVector, Fid, FidParams, _vector
+from .fid import BitVector, FidParams
 from .topology import (LinkEvent, LinkEventKind, NodeKind, RULE_PRIORITY, RuleInstallFrame,
                        TM_NID)
 from .wire import (CodecError, DiscoveryOffer, DiscoveryRequest, OfferAccepted,
@@ -41,16 +41,15 @@ class AttachNotEnabled(FabricError):
 
 @dataclass(frozen=True)
 class FlowRule:
-    """Arbitrary-bitmask match: packet matches when fid & mask == value."""
+    """Arbitrary-bitmask match: packet matches when fid & mask == value.
+
+    The form of a rule in :meth:`FlowTable.snapshot`.
+    """
 
     mask: BitVector
     value: BitVector
     out_port: int
     priority: int = RULE_PRIORITY
-
-    def __post_init__(self) -> None:
-        if self.value.value & self.mask.value != self.value.value:
-            raise ValueError("rule value must be covered by its mask")
 
 
 class IcnPacket(NamedTuple):
@@ -61,7 +60,7 @@ class IcnPacket(NamedTuple):
     and only :func:`encode_packet` writes it into a frame.
     """
 
-    fid: Fid
+    fid: int
     payload: bytes
     trace_id: int = 0
 
@@ -76,48 +75,46 @@ class Miss:
 MISS = Miss()
 
 
-def _order_key(rule: FlowRule) -> Tuple[int, int, int, int]:
-    return (-rule.priority, rule.mask.value, rule.value.value, rule.out_port)
-
-
 class FlowTable:
-    """Priority-ordered rule list with multi-match semantics.
+    """Priority-ordered rule list with multi-match semantics, at FID width ``m``.
 
-    ``rules`` is the canonical table, in a canonical order.  ``_match``
-    mirrors it as ``(mask, value, out_port)`` integers, index for index,
-    so a lookup compares plain ints rule by rule.
+    ``rules`` holds each rule once as the tuple ``(-priority, mask, value,
+    out_port)`` of ints, in ascending order: the canonical order, which
+    keeps tables comparable across install sequences.
     """
 
-    def __init__(self) -> None:
-        self.rules: List[FlowRule] = []
-        self._match: List[Tuple[int, int, int]] = []
+    def __init__(self, m: int) -> None:
+        self.m = m
+        self.rules: List[Tuple[int, int, int, int]] = []
 
-    def add(self, rule: FlowRule) -> None:
-        # Canonical order keeps tables comparable across install sequences;
-        # a rule goes after the rules with its key, as a stable sort puts it.
-        at = bisect_right(self.rules, _order_key(rule), key=_order_key)
-        if at and self.rules[at - 1] == rule:
-            return
-        self.rules.insert(at, rule)
-        self._match.insert(at, (rule.mask.value, rule.value.value, rule.out_port))
+    def add(self, mask: int, value: int, out_port: int, priority: int = RULE_PRIORITY) -> None:
+        if value & mask != value:
+            raise ValueError("rule value must be covered by its mask")
+        rule = (-priority, mask, value, out_port)
+        at = bisect_right(self.rules, rule)
+        if not at or self.rules[at - 1] != rule:
+            self.rules.insert(at, rule)
 
-    def remove(self, mask: BitVector, value: BitVector) -> bool:
-        hits = [i for i, r in enumerate(self.rules) if r.mask == mask and r.value == value]
+    def remove(self, mask: int, value: int) -> bool:
+        """Remove every rule of this mask and value; whether there was one."""
+        hits = [i for i, rule in enumerate(self.rules) if rule[1] == mask and rule[2] == value]
         for i in reversed(hits):
-            del self.rules[i], self._match[i]
+            del self.rules[i]
         return bool(hits)
 
-    def match_ports(self, fid: Fid) -> List[int]:
+    def match_ports(self, fid: int) -> List[int]:
         """Out-ports of the rules with ``fid & mask == value``, once each, in rule order."""
-        bits = fid.value
         ports: List[int] = []
-        for mask, value, port in self._match:
-            if bits & mask == value and port not in ports:
+        for _, mask, value, port in self.rules:
+            if fid & mask == value and port not in ports:
                 ports.append(port)
         return ports
 
     def snapshot(self) -> Tuple[FlowRule, ...]:
-        return tuple(self.rules)
+        """The rules in canonical order, identifiers as vectors."""
+        m = self.m
+        return tuple(FlowRule(BitVector(m, mask), BitVector(m, value), port, -neg_priority)
+                     for neg_priority, mask, value, port in self.rules)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -131,7 +128,8 @@ def switch_forward(table: FlowTable, packet: IcnPacket) -> Union[List[int], Miss
 
 def encode_packet(packet: IcnPacket, hop_limit: int, params: FidParams) -> bytes:
     """The frame of ``packet`` as it travels with ``hop_limit`` hops left."""
-    return packet.fid.to_bytes() + bytes([min(hop_limit, 255)]) + packet.payload
+    fid = packet.fid.to_bytes(params.m // 8, "big")
+    return fid + bytes([min(hop_limit, 255)]) + packet.payload
 
 
 def decode_packet(data: bytes, params: FidParams) -> Tuple[IcnPacket, int]:
@@ -139,7 +137,7 @@ def decode_packet(data: bytes, params: FidParams) -> Tuple[IcnPacket, int]:
     width_bytes = params.m // 8
     if len(data) < width_bytes + 1:
         raise CodecError("packet shorter than FID header")
-    fid = _vector(params.m, int.from_bytes(data[:width_bytes], "big"))
+    fid = int.from_bytes(data[:width_bytes], "big")
     return IcnPacket(fid, data[width_bytes + 1:]), data[width_bytes]
 
 
@@ -292,7 +290,7 @@ class Controller:
             log.warning("controller: cannot resolve port for rule on %s towards NID %d",
                         switch_name, frame.dst_nid)
             return
-        table.add(FlowRule(frame.mask, frame.value, port, frame.priority))
+        table.add(frame.mask, frame.value, port, frame.priority)
 
     def _resolve_port(self, switch_name: str, frame: RuleInstallFrame) -> Optional[int]:
         """The switch's port whose cable leads to the rule's destination, by name."""

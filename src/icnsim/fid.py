@@ -5,6 +5,12 @@ Every identifier in a deployment is a bit vector of the same width ``m``
 forwarding identifier (FID) is the bitwise OR of the LIDs along a path.
 A packet carrying FID ``f`` is forwarded over a link with LID ``l`` when
 ``f & l == l``, which admits false positives but never false negatives.
+
+Inside the simulator an identifier is a plain int whose bit ``m - 1 - i``
+is bit ``i`` of the vector, and ``m`` lives once, in :class:`FidParams`.
+:class:`BitVector` carries its width with it: it is the value type of this
+module's public helpers, and the codec and the text exports convert at
+their edge.
 """
 
 from __future__ import annotations
@@ -103,19 +109,10 @@ class FidParams:
 
 
 MAX_GEN_RETRIES = 64
-_new, _set = object.__new__, object.__setattr__
 
 
-def _vector(width: int, value: int) -> BitVector:
-    """A vector built unchecked: ``width`` is a valid ``m`` and ``value`` fits in it."""
-    vec = _new(BitVector)
-    _set(vec, "width", width)
-    _set(vec, "value", value)
-    return vec
-
-
-def new_lid(rng: Random, registry: Set[LinkId], params: FidParams) -> LinkId:
-    """Draw a fresh LID with exactly ``k`` set bits, unique within ``registry``.
+def new_lid(rng: Random, registry: Set[int], params: FidParams) -> int:
+    """Draw a fresh LID, an int with exactly ``k`` of ``m`` bits set, unique within ``registry``.
 
     The candidate is added to the registry before returning.  Raises
     :class:`Exhausted` after ``MAX_GEN_RETRIES`` colliding draws, which the
@@ -123,7 +120,7 @@ def new_lid(rng: Random, registry: Set[LinkId], params: FidParams) -> LinkId:
     ``rng.getrandbits`` calls of CPython's ``rng.sample(range(m), k)``, on
     either of its branches (a pool of the positions left while ``m`` is at
     most its set-size threshold, else redraws of taken positions), so the
-    LIDs are those of ``BitVector.from_bits(m, rng.sample(range(m), k))``.
+    LIDs are the values of ``BitVector.from_bits(m, rng.sample(range(m), k))``.
     """
     m, k = params.m, params.k
     top, bits, getrandbits = m - 1, m.bit_length(), rng.getrandbits
@@ -144,10 +141,9 @@ def new_lid(rng: Random, registry: Set[LinkId], params: FidParams) -> LinkId:
                 while j >= m or value >> (top - j) & 1:
                     j = getrandbits(bits)
                 value |= 1 << (top - j)
-        candidate = _vector(m, value)
-        if candidate not in registry:
-            registry.add(candidate)
-            return candidate
+        if value not in registry:
+            registry.add(value)
+            return value
     raise Exhausted(f"no unused LID found in {MAX_GEN_RETRIES} draws")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .fid import BitVector, Exhausted, Fid, FidParams, LinkId, _vector, new_lid
+from .fid import BitVector, Exhausted, FidParams, new_lid
 
 TM_NID = 1
 
@@ -52,13 +52,13 @@ class LinkEventKind(enum.Enum):
     REMOVE = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectedLink:
     """One direction of a point-to-point connection, named by its LID."""
 
     src: int
     dst: int
-    lid: LinkId
+    lid: int
     delay_ms: float = 0.0
     load: float = 0.0
 
@@ -66,12 +66,12 @@ class DirectedLink:
         return (self.src, self.dst)
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeRecord:
     nid: int
     kind: NodeKind
-    ilid: Optional[LinkId] = None
-    tmfid: Optional[Fid] = None
+    ilid: Optional[int] = None
+    tmfid: Optional[int] = None  # the TM's is 0
 
     @property
     def committed(self) -> bool:
@@ -79,7 +79,7 @@ class NodeRecord:
         return self.tmfid is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceGrant:
     """Tentative allocation for one attachment: fresh NID, LIDs, optional iLID.
 
@@ -88,14 +88,14 @@ class ResourceGrant:
     """
 
     nid: int
-    lid: LinkId
-    uplink_lid: LinkId
-    ilid: Optional[LinkId]
+    lid: int
+    uplink_lid: int
+    ilid: Optional[int]
     attach_nid: int
     kind: NodeKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkEvent:
     kind: LinkEventKind
     src: int
@@ -103,19 +103,19 @@ class LinkEvent:
     delay_ms: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepairAction:
     """A node's changed TMFID after a topology change; ``uplink`` is its first hop's LID."""
 
     nid: int
-    new_tmfid: Fid
-    uplink: LinkId
+    new_tmfid: int
+    uplink: int
 
 
 RULE_PRIORITY = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleInstallFrame:
     """Flow-rule change on one switch, from the TM to the controller.
 
@@ -130,25 +130,25 @@ class RuleInstallFrame:
     nonce: int
     switch_nid: int
     dst_nid: int
-    mask: BitVector
-    value: BitVector
+    mask: int
+    value: int
     priority: int
 
     @classmethod
-    def for_link(cls, install: bool, switch_nid: int, dst_nid: int, lid: LinkId,
+    def for_link(cls, install: bool, switch_nid: int, dst_nid: int, lid: int,
                  nonce: int = 0) -> "RuleInstallFrame":
         """The rule forwarding a FID that holds ``lid`` onto the link to ``dst_nid``."""
         return cls(install, nonce, switch_nid, dst_nid, lid, lid, RULE_PRIORITY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StatsEntry:
-    lid: LinkId
+    lid: int
     byte_count: int
     utilization_ppm: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkStatsReport:
     entries: Tuple[StatsEntry, ...]
 
@@ -193,8 +193,8 @@ class TopologyGraph:
     destination's iLID (zero without one) to the destination itself, and
     to every other member its next hop's data FID OR the LID of the link
     there, the rule TMFIDs follow too.  Each tree memoises the data FIDs
-    composed so far as ints, so a read walks only down to the first member
-    already known, and the ones returned as vectors.  Every adjacency change
+    composed so far, so a read walks only down to the first member already
+    known.  Every adjacency change
     (``_put_link``/``_pop_link``) makes all trees stale, FIDs included; the
     next read of a destination replaces its tree, with one BFS (none for
     the TM).  A stale tree is freed there, not at the change, so a link
@@ -208,7 +208,7 @@ class TopologyGraph:
         self.nodes: Dict[int, NodeRecord] = {}
         self.links: Dict[Tuple[int, int], DirectedLink] = {}
         self.down_links: Dict[Tuple[int, int], DirectedLink] = {}
-        self.lid_registry: Set[LinkId] = set()
+        self.lid_registry: Set[int] = set()
         self.next_nid = 2
         self._free_nids: List[int] = []
         self._pending: Dict[int, ResourceGrant] = {}
@@ -217,14 +217,14 @@ class TopologyGraph:
         # TM in-tree: hop counts and next hops.
         self._dist: Dict[int, int] = {TM_NID: 0}
         self._next: Dict[int, int] = {}
-        # In-trees by destination: (epoch, hop counts, next hops, data FID
-        # values composed so far, data FIDs returned so far); a tree from
-        # before the last adjacency change is stale.
+        # In-trees by destination: (epoch, hop counts, next hops, data FIDs
+        # composed so far); a tree from before the last adjacency change is
+        # stale.
         self._epoch = 0
         self._trees: Dict[int, tuple] = {}
         self.nodes[TM_NID] = NodeRecord(TM_NID, NodeKind.TM,
                                         ilid=new_lid(rng, self.lid_registry, params),
-                                        tmfid=BitVector.zero(params.m))
+                                        tmfid=0)
         self._succ[TM_NID], self._pred[TM_NID] = set(), set()
 
     # -- identifier bookkeeping -------------------------------------------
@@ -267,7 +267,7 @@ class TopologyGraph:
         attach = self.nodes.get(attach_nid)
         if attach is None or not attach.committed:
             raise UnknownAttachPoint(f"attach point {attach_nid} unknown or not committed")
-        drawn: List[LinkId] = []
+        drawn: List[int] = []
         try:
             for _ in range(2 if kind == NodeKind.SDN_SWITCH else 3):
                 drawn.append(new_lid(self.rng, self.lid_registry, self.params))
@@ -389,11 +389,11 @@ class TopologyGraph:
         tree = self._trees.get(dst)
         if tree is None or tree[0] != self._epoch:
             ilid = self.nodes[dst].ilid
-            values = {dst: 0 if ilid is None else ilid.value}
+            fids = {dst: 0 if ilid is None else ilid}
             if dst == TM_NID:
-                tree = (self._epoch, self._dist, self._next, values, {})
+                tree = (self._epoch, self._dist, self._next, fids)
             else:
-                tree = (self._epoch, *self._distances_to(dst), values, {})
+                tree = (self._epoch, *self._distances_to(dst), fids)
             self._trees[dst] = tree
         if src not in tree[1]:
             raise Unreachable(f"no path {src} -> {dst}")
@@ -404,7 +404,7 @@ class TopologyGraph:
         smallest sequence of intermediate NIDs, so the result is unique."""
         return self._path_via(src, dst, self._tree(src, dst)[2])
 
-    def data_fid(self, src: int, dst: int) -> Fid:
+    def data_fid(self, src: int, dst: int) -> int:
         """The FID of a data packet from ``src`` to ``dst``.
 
         It equals the OR of the LIDs on ``shortest_path(src, dst)`` and
@@ -412,23 +412,22 @@ class TopologyGraph:
         but it is composed down ``dst``'s in-tree and kept there, so a
         repeated read is one lookup.
         """
-        _, _, nxt, values, fids = self._tree(src, dst)
+        _, _, nxt, fids = self._tree(src, dst)
         fid = fids.get(src)
         if fid is None:
             walked = []
             cur = src
-            while (value := values.get(cur)) is None:
+            while (fid := fids.get(cur)) is None:
                 walked.append(cur)
                 cur = nxt[cur]
             links = self.links
             for nid in reversed(walked):
-                value = values[nid] = value | links[(nid, nxt[nid])].lid.value
-            fid = fids[src] = _vector(self.params.m, value)
+                fid = fids[nid] = fid | links[(nid, nxt[nid])].lid
         return fid
 
-    def fid_from_tm(self, nid: int) -> Fid:
+    def fid_from_tm(self, nid: int) -> int:
         """The FID of a TM->node message: the OR of the node's iLID, if any,
-        and the LIDs of its in-tree path reversed, as one vector.
+        and the LIDs of its in-tree path reversed.
 
         A pending node's route runs over its tentative downlink.  A link
         change reaches the TM as two per-direction events, and between them
@@ -437,18 +436,18 @@ class TopologyGraph:
         """
         if nid in self._dist:
             ilid = self.nodes[nid].ilid
-            cur, value = nid, 0 if ilid is None else ilid.value
+            cur, fid = nid, 0 if ilid is None else ilid
             while cur != TM_NID and (link := self.links.get((self._next[cur], cur))):
-                value |= link.lid.value
+                fid |= link.lid
                 cur = link.src
             if cur == TM_NID:
-                return _vector(self.params.m, value)
+                return fid
         return self.data_fid(TM_NID, nid)
 
-    def _tmfid(self, nid: int) -> Fid:
+    def _tmfid(self, nid: int) -> int:
         """The TMFID of an in-tree node: its next hop's OR the LID of the link there."""
         nxt = self._next[nid]
-        return _vector(self.params.m, self.nodes[nxt].tmfid.value | self.links[(nid, nxt)].lid.value)
+        return self.nodes[nxt].tmfid | self.links[(nid, nxt)].lid
 
     def te_select_path(self, src: int, dst: int) -> List[DirectedLink]:
         """Bottleneck-optimal path: minimize max link load, then hops, then
@@ -577,29 +576,31 @@ class TopologyGraph:
         for entry in report.entries:
             key = by_lid.get(entry.lid)
             if key is None:
-                raise UnknownLink(f"stats for unknown LID {entry.lid}")
+                raise UnknownLink(f"stats for unknown LID {self._hex(entry.lid)}")
             self.links[key] = replace(self.links[key],
                                       load=entry.utilization_ppm / 1_000_000)
 
     # -- introspection -------------------------------------------------------
 
-    def live_lids(self) -> Set[LinkId]:
+    def live_lids(self) -> Set[int]:
         lids = {link.lid for link in self.links.values()}
         lids.update(rec.ilid for rec in self.nodes.values() if rec.ilid is not None)
         return lids
+
+    def _hex(self, fid: Optional[int]) -> str:
+        """An identifier as its m/8 wire bytes in hex, or ``-`` for none."""
+        return "-" if fid is None else str(BitVector(self.params.m, fid))
 
     def dump(self) -> str:
         """Structured text export: node table then link table, LIDs in hex."""
         lines = ["# nodes: nid kind ilid tmfid"]
         for nid in sorted(self.nodes):
             rec = self.nodes[nid]
-            lines.append("%d %s %s %s" % (
-                nid, rec.kind.name,
-                rec.ilid.to_bytes().hex() if rec.ilid else "-",
-                rec.tmfid.to_bytes().hex() if rec.tmfid else "-"))
+            lines.append("%d %s %s %s" % (nid, rec.kind.name, self._hex(rec.ilid),
+                                          self._hex(rec.tmfid)))
         lines.append("# links: src dst lid delay_ms load")
         for key in sorted(self.links):
             link = self.links[key]
             lines.append("%d %d %s %.3f %.6f" % (
-                link.src, link.dst, link.lid.to_bytes().hex(), link.delay_ms, link.load))
+                link.src, link.dst, self._hex(link.lid), link.delay_ms, link.load))
         return "\n".join(lines) + "\n"

@@ -6,10 +6,13 @@ for each message class, its type byte and the kinds of its payload fields in
 dataclass field order.  :func:`encode` and :func:`decode` both read it, and
 nothing else in the package states a type byte or a field order.
 
-Integers are big-endian.  LIDs and FIDs occupy ``m/8`` bytes in MSB-first
-bit order; an absent one is all zeros (a real identifier always has set
-bits).  A ``LinkStatsReport`` payload is a u16 record count followed by that
-many ``StatsEntry`` records.  :func:`golden_messages` holds one golden
+Integers are big-endian.  LIDs and FIDs are ints in the messages and
+occupy ``m/8`` bytes on the wire, big-endian, which is the MSB-first bit
+order of a :class:`~icnsim.fid.BitVector`; an absent one is all zeros (a
+real identifier always has set bits).  :func:`encode` raises
+``ValueError`` for an identifier that does not fit in ``m`` bits.  A
+``LinkStatsReport`` payload is a u16 record count followed by that many
+``StatsEntry`` records.  :func:`golden_messages` holds one golden
 message per frame type; ``icnsim dump-protocol`` prints their encodings.
 """
 
@@ -22,7 +25,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
-from .fid import BitVector, Fid, FidParams, LinkId, _vector
+from .fid import BitVector, FidParams
 from .topology import (LinkEvent, LinkEventKind, LinkStatsReport, NodeKind, RuleInstallFrame,
                        StatsEntry)
 
@@ -49,46 +52,46 @@ class LengthMismatch(CodecError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscoveryRequest:
     nonce: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscoveryOffer:
     nonce: int
     responder_nid: int
-    tmfid: Fid
+    tmfid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceRequest:
     nonce: int
     requester_kind: NodeKind
     attach_nid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceOffer:
     nonce: int
     nid: int
-    lid: LinkId
-    ilid: Optional[LinkId]  # absent for SDN switches
+    lid: int
+    ilid: Optional[int]  # absent for SDN switches
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OfferAccepted:
     nonce: int
     nid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceAccepted:
     nonce: int
     nid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Update:
     """TM -> ICN node link notification: the LID of the receiver's link towards ``nid``.
 
@@ -99,8 +102,8 @@ class Update:
     """
 
     nid: int
-    lid: LinkId
-    tmfid: Optional[Fid] = None
+    lid: int
+    tmfid: Optional[int] = None
 
 
 Message = Union[DiscoveryRequest, DiscoveryOffer, ResourceRequest, ResourceOffer,
@@ -117,17 +120,13 @@ MAX_DELAY_MS = 0xFFFF_FFFF / 1000  # a LinkEvent delay is a u32 count of microse
 _Kind = namedtuple("_Kind", "code to_wire from_wire", defaults=("{}", "{}"))
 
 
-def _id_bytes(vec: Optional[BitVector], m: int) -> bytes:
-    if vec is None:
+def _id_bytes(fid: Optional[int], m: int) -> bytes:
+    if fid is None:
         return bytes(m // 8)
-    if vec.width != m:
-        raise ValueError(f"identifier width {vec.width} != deployment m {m}")
-    return vec.value.to_bytes(m // 8, "big")
-
-
-def _opt_id(raw: bytes, m: int) -> Optional[BitVector]:
-    value = int.from_bytes(raw, "big")
-    return _vector(m, value) if value else None
+    try:
+        return fid.to_bytes(m // 8, "big")
+    except OverflowError:  # negative, or wider than m
+        raise ValueError(f"identifier {fid:#x} does not fit in m = {m} bits") from None
 
 
 def _rule_op(byte: int) -> bool:
@@ -138,8 +137,8 @@ def _rule_op(byte: int) -> bool:
 
 U64 = _Kind("Q")
 U32 = _Kind("I")
-ID = _Kind("{n}s", "_id_bytes({}, m)", "_vector(m, int.from_bytes({}, 'big'))")
-OPT_ID = _Kind("{n}s", "_id_bytes({}, m)", "_opt_id({}, m)")
+ID = _Kind("{n}s", "_id_bytes({}, m)", "int.from_bytes({}, 'big')")
+OPT_ID = _Kind("{n}s", "_id_bytes({}, m)", "int.from_bytes({}, 'big') or None")
 NODE_KIND = _Kind("B", "{}.value", "NodeKind({})")
 LINK_KIND = _Kind("B", "{}.value", "LinkEventKind({})")
 RULE_OP = _Kind("B", "0 if {} else 1", "_rule_op({})")
@@ -255,9 +254,9 @@ def golden_messages(params: FidParams) -> Tuple[Tuple[str, Message], ...]:
     """Canonical example of every frame type, used by tests and the
     ``dump-protocol`` CLI verb to pin the wire format."""
     m = params.m
-    lid_a = BitVector.from_bits(m, [0, 1])
-    lid_b = BitVector.from_bits(m, [2, 3])
-    tmfid = BitVector.from_bits(m, [0, m - 1])
+    lid_a = BitVector.from_bits(m, [0, 1]).value
+    lid_b = BitVector.from_bits(m, [2, 3]).value
+    tmfid = BitVector.from_bits(m, [0, m - 1]).value
     return (
         ("DiscoveryRequest", DiscoveryRequest(nonce=1)),
         ("DiscoveryOffer", DiscoveryOffer(nonce=0x0102030405060708, responder_nid=9, tmfid=tmfid)),

@@ -51,7 +51,7 @@ def test_criterion_1_handshake_correctness_and_uniqueness():
         assert len(nids) == len(set(nids))
         live = [link.lid for link in net.graph.links.values()]
         live += [rec.ilid for rec in net.graph.nodes.values() if rec.ilid is not None]
-        assert len(live) == len({v.value for v in live}), f"run {i}: LID collision"
+        assert len(live) == len(set(live)), f"run {i}: LID collision"
         host_nids = [h.config.nid for h in net.hosts.values()]
         assert len(host_nids) == len(set(host_nids))
     elapsed = time.monotonic() - started
@@ -109,7 +109,7 @@ def test_criterion_3_bloom_fpr_oracle(m, k, n):
     hits = 0
     for _ in range(trials // per_path):
         registry = set()
-        path = [new_lid(rng, registry, params) for _ in range(n)]
+        path = [BitVector(m, new_lid(rng, registry, params)) for _ in range(n)]
         fid = fid_or(path)
         path_set = set(path)
         for _ in range(per_path):

@@ -25,7 +25,7 @@ def make_fsm(name="h1", seed=1):
 
 
 def lid(*positions):
-    return BitVector.from_bits(64, positions)
+    return BitVector.from_bits(64, positions).value
 
 
 def fire_discovery(fsm, actions=None):
@@ -170,8 +170,8 @@ class TestResponder:
             responder_on_discovery(DiscoveryRequest(1), NodeConfig())
 
     def test_tm_offers_all_zero_tmfid(self):
-        config = NodeConfig(nid=TM_NID, ilid=lid(0), tmfid=BitVector.zero(64))
-        assert responder_on_discovery(DiscoveryRequest(1), config).tmfid.is_zero()
+        config = NodeConfig(nid=TM_NID, ilid=lid(0), tmfid=0)
+        assert responder_on_discovery(DiscoveryRequest(1), config).tmfid == 0
 
 
 class TestApplyUpdate:
@@ -360,7 +360,7 @@ class TestTmEngine:
         graph = TopologyGraph(FidParams(m=8, k=2), Random(2))
         for i in range(8):
             for j in range(i + 1, 8):
-                graph.lid_registry.add(BitVector.from_bits(8, [i, j]))
+                graph.lid_registry.add(BitVector.from_bits(8, [i, j]).value)
         engine = TmEngine(graph)
         result = engine.on_message(ResourceRequest(1, NodeKind.ICN_NODE, TM_NID))
         assert result.actions == []

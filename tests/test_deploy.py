@@ -11,7 +11,7 @@ from icnsim.bootstrap import BootstrapState
 from icnsim.deploy import (CableError, CtlDelivery, Deployment, EndpointError, PacketOutCmd,
                            ServiceDone)
 from icnsim.fabric import IcnPacket, PacketIn
-from icnsim.fid import fid_or
+from icnsim.fid import BitVector, fid_or
 from icnsim.simnet import NeverCompleted, Simulator, Timer
 from icnsim.topology import TM_NID, LinkEvent, LinkEventKind, TopologyGraph
 from icnsim.topospec import (Defaults, SpecError, TopoLink, TopoNode, TopologySpec,
@@ -72,11 +72,11 @@ class TestChainBootstrap:
         net = Deployment(chain_spec(5, hosts=0))
         net.run_bootstrap()
         switch_nids = set(net.controller.enabled.values())
-        inter_switch_lids = {link.lid.value for link in net.graph.links.values()
+        inter_switch_lids = {link.lid for link in net.graph.links.values()
                              if link.src in switch_nids and link.dst in switch_nids}
         total, inter = 0, 0
         for sw in net.switches.values():
-            for rule in sw.table.rules:
+            for rule in sw.table.snapshot():
                 total += 1
                 if rule.value.value in inter_switch_lids:
                     inter += 1
@@ -89,7 +89,7 @@ class TestChainBootstrap:
         h_nid = net.nid_of("h1")
         s_nid = net.controller.enabled["s1"]
         down_lid = net.graph.links[(s_nid, h_nid)].lid
-        assert any(r.value == down_lid for r in net.switches["s1"].table.rules)
+        assert any(r.value.value == down_lid for r in net.switches["s1"].table.snapshot())
 
     def test_host_config_matches_graph(self):
         net = Deployment(chain_spec(3, hosts=2))
@@ -107,7 +107,7 @@ class TestChainBootstrap:
         net.run_bootstrap()
         nid = net.nid_of("h1")
         path = net.graph.shortest_path(nid, TM_NID)
-        assert net.graph.nodes[nid].tmfid == fid_or([l.lid for l in path])
+        assert net.graph.nodes[nid].tmfid == fid_or([BitVector(256, l.lid) for l in path]).value
         assert path[-1].dst == TM_NID
 
 
@@ -312,7 +312,7 @@ class TestForwardAfterDelivery:
         # tm - s1 - h1 - h2: one FID for h1 and h2 is consumed by h1 and goes on to h2.
         net, emitted = self.counted(TestIcnNodeChain().spec())
         h1, h2 = net.nid_of("h1"), net.nid_of("h2")
-        fid = fid_or([net.graph.data_fid(TM_NID, h1), net.graph.data_fid(TM_NID, h2)])
+        fid = net.graph.data_fid(TM_NID, h1) | net.graph.data_fid(TM_NID, h2)
         packet = IcnPacket(fid, b"DATA", trace_id=net.next_trace())
         net.tm.send(packet, net.hop_limit)
         net.run_until_idle()
@@ -515,7 +515,7 @@ class TestExtraLinks:
         s2, s3 = net.controller.enabled["s2"], net.controller.enabled["s3"]
         assert (s2, s3) in net.graph.links and (s3, s2) in net.graph.links
         lid_23 = net.graph.links[(s2, s3)].lid
-        assert any(r.value == lid_23 for r in net.switches["s2"].table.rules)
+        assert any(r.value.value == lid_23 for r in net.switches["s2"].table.snapshot())
 
     def test_every_spec_pair_up_once_with_its_delay(self):
         # A mesh with a second TM link and a multi-homed host; every link

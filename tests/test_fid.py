@@ -60,11 +60,11 @@ class TestNewLid:
     def test_popcount_forced(self):
         params = FidParams(m=8, k=2)
         lid = new_lid(Random(1), set(), params)
-        assert lid.popcount() == 2
+        assert BitVector(8, lid).popcount() == 2  # an int of the width, k bits set
 
     def test_exhausted_by_pigeonhole(self):
         params = FidParams(m=8, k=2)
-        registry = {BitVector.from_bits(8, [i, j]) for i in range(8) for j in range(i + 1, 8)}
+        registry = {BitVector.from_bits(8, [i, j]).value for i in range(8) for j in range(i + 1, 8)}
         assert len(registry) == 28
         with pytest.raises(Exhausted):
             new_lid(Random(1), registry, params)
@@ -75,7 +75,7 @@ class TestNewLid:
         registry = set()
         lids = [new_lid(rng, registry, params) for _ in range(10_000)]
         assert len(set(lids)) == 10_000
-        assert all(lid.popcount() == 5 for lid in lids)
+        assert all(BitVector(256, lid).popcount() == 5 for lid in lids)
 
     def test_deterministic_given_seed(self):
         params = FidParams(m=256, k=5)
@@ -93,13 +93,13 @@ class TestNewLid:
         params = FidParams(m=8, k=1)
         rng = Random(5)
         for _ in range(50):
-            assert not new_lid(rng, set(), params).is_zero()
+            assert new_lid(rng, set(), params) != 0
 
 
 def sampled_lid(rng, registry, params):
     """``new_lid`` as the sum of its parts: ``random.sample`` and ``from_bits``."""
     for _ in range(MAX_GEN_RETRIES):
-        candidate = BitVector.from_bits(params.m, rng.sample(range(params.m), params.k))
+        candidate = BitVector.from_bits(params.m, rng.sample(range(params.m), params.k)).value
         if candidate not in registry:
             registry.add(candidate)
             return candidate
@@ -133,7 +133,7 @@ class TestLidStream:
 
     def test_nearly_full_registry_retries_then_exhausts(self):
         params = FidParams(m=8, k=3)
-        every = [BitVector.from_bits(8, bits) for bits in combinations(range(8), 3)]
+        every = [BitVector.from_bits(8, bits).value for bits in combinations(range(8), 3)]
         registry, expected = set(every[2:]), set(every[2:])  # 2 of the 56 LIDs free
         ours, reference = Random(4), Random(4)
         outcomes = [draw(new_lid, ours, registry, params) for _ in range(4)]
@@ -194,7 +194,8 @@ class TestFidOps:
         rng = Random(data.draw(st.integers(0, 2 ** 32)))
         params = FidParams(m=64, k=3)
         registry = set()
-        lids = [new_lid(rng, registry, params) for _ in range(data.draw(st.integers(1, 10)))]
+        lids = [BitVector(64, new_lid(rng, registry, params))
+                for _ in range(data.draw(st.integers(1, 10)))]
         fid = fid_or(lids)
         assert all(fid_matches(fid, lid) for lid in lids)
 
@@ -246,7 +247,7 @@ def test_empirical_fpr_converges_medium_width():
     per_path = 500
     for _ in range(trials // per_path):
         registry = set()
-        path = [new_lid(rng, registry, params) for _ in range(n)]
+        path = [BitVector(m, new_lid(rng, registry, params)) for _ in range(n)]
         fid = fid_or(path)
         path_set = set(path)
         for _ in range(per_path):

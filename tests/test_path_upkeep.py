@@ -21,12 +21,18 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icnsim.fid import FidParams, fid_or
+from icnsim.fid import BitVector, FidParams, fid_or
 from icnsim.topology import (LinkEvent, LinkEventKind, NodeKind, TM_NID, TopologyGraph,
                              UnknownAttachPoint, Unreachable)
 from test_topology import link_up
 
 nx = pytest.importorskip("networkx")
+
+
+def or_fid(g, lids):
+    """The oracle FID of int LIDs: ``fid_or`` of their vectors at the graph's width."""
+    m = g.params.m
+    return fid_or([BitVector(m, lid) for lid in lids], width=m).value
 
 
 def oracle_path(graph, hops, nid, dst=TM_NID):
@@ -79,7 +85,7 @@ def check_route(g, graph, hops, nid):
     lids = [g.links[key].lid for key in route]
     if g.nodes[nid].ilid is not None:
         lids.append(g.nodes[nid].ilid)
-    assert g.fid_from_tm(nid) == fid_or(lids, width=g.params.m), f"route to {nid}"
+    assert g.fid_from_tm(nid) == or_fid(g, lids), f"route to {nid}"
 
 
 def check_paths(g, rng=None):
@@ -94,7 +100,7 @@ def check_paths(g, rng=None):
         keys = oracle_path(graph, hops, nid)
         assert [l.key() for l in g.shortest_path(nid, TM_NID)] == keys, f"node {nid}"
         assert len(keys) == nx.shortest_path_length(graph, nid, TM_NID)
-        assert rec.tmfid == fid_or((g.links[key].lid for key in keys), width=g.params.m)
+        assert rec.tmfid == or_fid(g, [g.links[key].lid for key in keys])
     check_shortest_paths(g, graph, rng)
 
 
@@ -120,7 +126,7 @@ def check_shortest_paths(g, graph, rng):
             lids = [g.links[key].lid for key in keys]
             if g.nodes[b].ilid is not None:
                 lids.append(g.nodes[b].ilid)
-            assert g.data_fid(a, b) == fid_or(lids, width=g.params.m), f"data {a} -> {b}"
+            assert g.data_fid(a, b) == or_fid(g, lids), f"data {a} -> {b}"
     unknown = max(g.nodes) + 1
     for a, b in ((unknown, TM_NID), (TM_NID, unknown), (unknown, unknown)):
         for read in (g.shortest_path, g.data_fid):

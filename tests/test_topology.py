@@ -14,6 +14,11 @@ def make_graph(m=256, k=5, seed=1):
     return TopologyGraph(FidParams(m=m, k=k), Random(seed))
 
 
+def or_fid(lids, m=256):
+    """The oracle FID of int LIDs: ``fid_or`` of their vectors."""
+    return fid_or([BitVector(m, lid) for lid in lids], width=m).value
+
+
 def attach(graph, kind, attach_nid):
     grant = graph.allocate_resources(kind, attach_nid)
     graph.commit_grant(grant.nid)
@@ -31,7 +36,7 @@ class TestAllocation:
         g = make_graph()
         grant = g.allocate_resources(NodeKind.ICN_NODE, TM_NID)
         assert grant.nid >= 2
-        assert grant.lid.popcount() == 5
+        assert BitVector(256, grant.lid).popcount() == 5
         assert grant.ilid is not None
 
     def test_switch_grant_has_no_ilid(self):
@@ -63,7 +68,7 @@ class TestAllocation:
         g = make_graph(m=8, k=2)
         for i in range(8):
             for j in range(i + 1, 8):
-                g.lid_registry.add(BitVector.from_bits(8, [i, j]))
+                g.lid_registry.add(BitVector.from_bits(8, [i, j]).value)
         before = set(g.lid_registry)
         with pytest.raises(Exhausted):
             g.allocate_resources(NodeKind.ICN_NODE, TM_NID)
@@ -114,13 +119,13 @@ class TestCommitExpire:
         assert g.pending_grant(grant.nid) == grant
         assert not g.nodes[grant.nid].committed
         # Cut off from the TM, the pending node is still reached over TM -> s.
-        assert g.fid_from_tm(grant.nid) == fid_or(
+        assert g.fid_from_tm(grant.nid) == or_fid(
             [g.links[(TM_NID, s)].lid, grant.lid, grant.ilid])
         g.handle_link_event(LinkEvent(LinkEventKind.ADD, s, TM_NID))
         record = g.commit_grant(grant.nid)
         path = g.shortest_path(grant.nid, TM_NID)
         assert [l.key() for l in path] == [(grant.nid, s), (s, TM_NID)]
-        assert record.tmfid == fid_or([l.lid for l in path])
+        assert record.tmfid == or_fid([l.lid for l in path])
 
     def test_expire_after_remove_of_tentative_link(self):
         g = make_graph()
@@ -182,11 +187,11 @@ class TestPaths:
     def test_tmfid_is_or_of_path(self):
         g, s, a, b = self.build_chain()
         path = g.shortest_path(b, TM_NID)
-        assert g.nodes[b].tmfid == fid_or([l.lid for l in path])
+        assert g.nodes[b].tmfid == or_fid([l.lid for l in path])
 
     def test_tm_tmfid_is_zero(self):
         g = make_graph()
-        assert g.nodes[TM_NID].tmfid.is_zero()
+        assert g.nodes[TM_NID].tmfid == 0
 
     def test_two_hop_or(self):
         g = make_graph()
@@ -276,7 +281,7 @@ class TestLinkEvents:
         new_path = g.shortest_path(h, TM_NID)
         assert all(l.key() != failed.key() for l in new_path)
         assert new_path[-1].dst == TM_NID
-        assert g.nodes[h].tmfid == fid_or([l.lid for l in new_path])
+        assert g.nodes[h].tmfid == or_fid([l.lid for l in new_path])
 
     def test_remove_then_readd_restores_shortest(self):
         g, s1, s2, s3, h = self.resilience_fixture()
@@ -326,7 +331,7 @@ class TestLinkEvents:
             path = g.shortest_path(repair.nid, TM_NID)
             assert [l.dst for l in path] == hops
             assert repair.uplink == path[0].lid
-            assert repair.new_tmfid == g.nodes[repair.nid].tmfid == fid_or(
+            assert repair.new_tmfid == g.nodes[repair.nid].tmfid == or_fid(
                 [l.lid for l in path])
             assert g._dist[repair.nid] == len(hops)
         assert g._next[a1] == a2 and g._next[a3] == a2
@@ -361,7 +366,8 @@ class TestStats:
     def test_unknown_lid(self):
         g = make_graph()
         with pytest.raises(UnknownLink):
-            g.record_stats(LinkStatsReport((StatsEntry(BitVector.from_bits(256, [1, 2, 3, 4, 5]), 0, 10),)))
+            lid = BitVector.from_bits(256, [1, 2, 3, 4, 5]).value
+            g.record_stats(LinkStatsReport((StatsEntry(lid, 0, 10),)))
 
 
 class TestInvariants:
@@ -396,7 +402,7 @@ class TestInvariants:
         nodes = [attach(g, NodeKind.ICN_NODE, s) for _ in range(5)]
         for nid in nodes:
             path = g.shortest_path(nid, TM_NID)
-            assert g.nodes[nid].tmfid == fid_or([l.lid for l in path])
+            assert g.nodes[nid].tmfid == or_fid([l.lid for l in path])
             assert path[0].src == nid
             assert path[-1].dst == TM_NID
 
@@ -404,6 +410,16 @@ class TestInvariants:
 def test_dump_contains_nodes_and_hex_lids():
     g = make_graph()
     s = attach(g, NodeKind.SDN_SWITCH, TM_NID)
-    text = g.dump()
-    assert "# nodes" in text and "# links" in text
-    assert g.links[(TM_NID, s)].lid.to_bytes().hex() in text
+    pending = g.allocate_resources(NodeKind.ICN_NODE, s).nid
+
+    def hex_of(fid):
+        return BitVector(256, fid).to_bytes().hex()
+
+    rows = g.dump().splitlines()
+    assert rows[0] == "# nodes: nid kind ilid tmfid"
+    # The TM's TMFID is all zeros, not absent; a pending node has none yet.
+    assert rows[1] == f"{TM_NID} TM {hex_of(g.nodes[TM_NID].ilid)} {'0' * 64}"
+    assert rows[2] == f"{s} SDN_SWITCH - {hex_of(g.nodes[s].tmfid)}"
+    assert rows[3] == f"{pending} ICN_NODE {hex_of(g.nodes[pending].ilid)} -"
+    assert rows[4] == "# links: src dst lid delay_ms load"
+    assert f"{TM_NID} {s} {hex_of(g.links[(TM_NID, s)].lid)} 0.000 0.000000" in rows

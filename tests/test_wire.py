@@ -13,9 +13,9 @@ from icnsim.wire import (BadVersion, DiscoveryOffer, DiscoveryRequest, LengthMis
 
 P256 = FidParams(m=256, k=5)
 
-LID_A = BitVector.from_bits(256, [0, 1])      # c0 00...
-LID_B = BitVector.from_bits(256, [2, 3])      # 30 00...
-TMFID = BitVector.from_bits(256, [0, 255])    # 80 ... 01
+LID_A = BitVector.from_bits(256, [0, 1]).value      # c0 00...
+LID_B = BitVector.from_bits(256, [2, 3]).value      # 30 00...
+TMFID = BitVector.from_bits(256, [0, 255]).value    # 80 ... 01
 
 from golden_vectors import GOLDEN_HEX
 
@@ -94,8 +94,12 @@ class TestSemantics:
         assert msg.tmfid == TMFID
 
     def test_width_enforced(self):
-        with pytest.raises(ValueError):
-            encode(DiscoveryOffer(1, 2, BitVector.zero(64)), P256)
+        # An identifier that does not fit in m bits, in an ID and an OPT_ID field.
+        for fid in (1 << 256, -1):
+            with pytest.raises(ValueError):
+                encode(DiscoveryOffer(1, 2, fid), P256)
+            with pytest.raises(ValueError):
+                encode(ResourceOffer(2, 5, LID_A, fid), P256)
 
     def test_link_event_round_trip_delay(self):
         evt = LinkEvent(LinkEventKind.ADD, 3, 9, delay_ms=1.5)
@@ -120,8 +124,8 @@ U32 = st.integers(0, 2 ** 32 - 1)
 
 def any_message(m):
     """Every frame type at width m; an optional identifier is absent or has set bits."""
-    ident = st.integers(0, 2 ** m - 1).map(lambda v: BitVector(m, v))
-    opt_ident = st.none() | st.integers(1, 2 ** m - 1).map(lambda v: BitVector(m, v))
+    ident = st.integers(0, 2 ** m - 1)
+    opt_ident = st.none() | st.integers(1, 2 ** m - 1)
     entries = st.lists(st.builds(StatsEntry, ident, U64, U32), max_size=4).map(tuple)
     return st.one_of(
         st.builds(DiscoveryRequest, U64),
@@ -148,7 +152,7 @@ def test_round_trip_property(width_and_msg):
 
 def test_small_width_vectors():
     params = FidParams(m=8, k=2)
-    offer = DiscoveryOffer(1, 2, BitVector(8, 0b00001111))
+    offer = DiscoveryOffer(1, 2, 0b00001111)
     frame = encode(offer, params)
     assert frame.hex() == "0102" + "0011" + "0000000000000001" + "0000000000000002" + "0f"
     assert decode(frame, params) == offer

@@ -16,14 +16,16 @@ It prints one JSON line with, per link count:
   files during the bootstrap, control events and fabric hops alike,
   counted in one untimed pass, over the median time;
 - ``peak_kib_per_link``: the tracemalloc peak of building the deployment
-  and bootstrapping it, in that untimed pass, per link.
+  and bootstrapping it, in that untimed pass, per link;
+- ``retained_kib_per_link``: what that pass still holds once the bootstrap
+  is done (tracemalloc's current size, with the deployment alive), per link.
 
 ``--against DIR`` compares with a second icnsim tree, as
 ``tools/data_bench.py`` does: DIR is its ``src`` directory (or the
 ``icnsim`` package in it), imported under another package name.  Each of
 its samples is taken right after or right before this tree's, alternating
 which goes first.  Both trees must give the same graph dump, report and
-switch tables.  Per link count the line then also holds the other tree's
+switch tables (the text of ``FlowTable.snapshot()``).  Per link count the line then also holds the other tree's
 figures and the median and quartiles over the pairs of this tree's time
 over the other's (``ratio``, ``ratio_q1``, ``ratio_q3``).
 """
@@ -62,8 +64,8 @@ def timed(tree: ModuleType, spec) -> float:
     return took
 
 
-def untimed(tree: ModuleType, spec) -> Tuple[int, int, tuple]:
-    """Events posted, tracemalloc peak bytes and the outcome of one bootstrap."""
+def untimed(tree: ModuleType, spec) -> Tuple[int, int, int, tuple]:
+    """Events posted, tracemalloc peak and retained bytes, and the outcome of one bootstrap."""
     simulator = tree.simnet.Simulator
     post = simulator.__dict__["post"]
     events = 0
@@ -75,28 +77,29 @@ def untimed(tree: ModuleType, spec) -> Tuple[int, int, tuple]:
 
     simulator.post = counted
     gc.collect()
-    gc.disable()  # so that when a collection runs does not move the peak
+    gc.disable()  # so that when a collection runs moves neither figure
     tracemalloc.start()
     try:
         net = tree.Deployment(spec)
         net.run_bootstrap()
-        peak = tracemalloc.get_traced_memory()[1]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         gc.enable()
         simulator.post = post
-    tables = {name: [(r.mask.value, r.value.value, r.out_port, r.priority) for r in sw.table.rules]
-              for name, sw in net.switches.items()}
-    return events, peak, (net.graph.dump(), net.report().to_text(), tables)
+    tables = {name: repr(sw.table.snapshot()) for name, sw in net.switches.items()}
+    return events, peak, retained, (net.graph.dump(), net.report().to_text(), tables)
 
 
-def summary(links: int, times: List[float], events: int, peak: int) -> Dict[str, float]:
+def summary(links: int, times: List[float], events: int, peak: int,
+            retained: int) -> Dict[str, float]:
     median = statistics.median(times)
     return {"us_per_link": round(median / links * 1e6, 2),
             "us_per_link_min": round(min(times) / links * 1e6, 2),
             "events": events,
             "events_per_s": round(events / median),
-            "peak_kib_per_link": round(peak / links / 1024, 2)}
+            "peak_kib_per_link": round(peak / links / 1024, 2),
+            "retained_kib_per_link": round(retained / links / 1024, 2)}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -130,7 +133,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         result["against"] = args.against
     for links, specs in fabrics.items():
         passes = [untimed(tree, spec) for tree, spec in zip(trees, specs)]
-        if any(outcome != passes[0][2] for _, _, outcome in passes):
+        if any(outcome != passes[0][3] for *_, outcome in passes):
             raise SystemExit(f"{links} links: the trees bootstrap to different graphs, "
                              "reports or tables")
         times: List[List[float]] = [[] for _ in trees]
@@ -138,9 +141,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         for rep in range(args.repeats):
             for k in order if rep % 2 else order[::-1]:
                 times[k].append(timed(trees[k], specs[k]))
-        row: Dict[str, object] = summary(links, times[0], *passes[0][:2])
+        row: Dict[str, object] = summary(links, times[0], *passes[0][:3])
         if args.against:
-            row["against"] = summary(links, times[1], *passes[1][:2])
+            row["against"] = summary(links, times[1], *passes[1][:3])
             ratios = [a / b for a, b in zip(times[0], times[1])]
             q1, _, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
                          if len(ratios) > 1 else ratios * 3)
