@@ -43,7 +43,7 @@ class PortLink(NamedTuple):
     """Where a wired port leads, with all that a hop over it needs.
 
     A copy in flight is the plain tuple ``(packet, in_port, hop_limit)``
-    posted to ``handler``: the packet, shared by all its copies, and the
+    scheduled for ``handler``: the packet, shared by all its copies, and the
     hop budget it arrives with (the budget's only home).  Nodes tell it
     from other events by ``type(event) is tuple``."""
 
@@ -201,9 +201,8 @@ class HostNode:
                                    trace_id=self.net.next_trace())
                 self.net.emit(self, action.port, packet, self.net.hop_limit)
             elif isinstance(action, Arm):
-                sim = self.net.sim
-                sim.post(sim.now + action.delay_us, self.handler,
-                         Timer(action.timer_id, action.token))
+                self.net.sim.schedule(action.delay_us, self.handler,
+                                      Timer(action.timer_id, action.token))
 
     def _check_settled(self) -> None:
         if self.fsm.state == BootstrapState.DONE:
@@ -307,9 +306,8 @@ class TmNode:
             nid = self.engine.nid_for_nonce(msg.nonce)
             if nid is not None:
                 self.nid_port[nid] = in_port
-        sim = self.net.sim
-        sim.post(sim.now + self.service_us + lids * self.alloc_us, self.handler,
-                 ServiceDone(result.actions if result else []))
+        self.net.sim.schedule(self.service_us + lids * self.alloc_us, self.handler,
+                              ServiceDone(result.actions if result else []))
 
     def _service_done(self, done: ServiceDone) -> None:
         for action in done.actions:
@@ -374,13 +372,14 @@ class Deployment:
                 self.hosts[node.name] = HostNode(node.name, self, rng, self.timers)
 
         # Each node keeps its handler as registered (wrapped, if ``register``
-        # wraps it): its cables, timers and control messages post to it.
+        # wraps it): its cables, timers and control messages are scheduled for it.
         for name, node in [(self.tm_name, self.tm), *self.switches.items(), *self.hosts.items()]:
             self.sim.register(f"node:{name}", node.handle)
             node.handler = self.sim.handler(f"node:{name}")
         self.sim.register("ctl", self._controller_handle)
         self._ctl_handler = self.sim.handler("ctl")
         self.sim.register("orch", self._orch_handle)
+        self._orch_handler = self.sim.handler("orch")
 
         # Cable everything: port indices follow spec link order per node.
         # ``port_to`` maps a node and a neighbour's name to the port between them.
@@ -427,7 +426,7 @@ class Deployment:
 
     def emit(self, node, port: int, packet: IcnPacket, hop_limit: int) -> None:
         """Send ``packet`` from ``node`` over the cable on its ``port``; the
-        copy it posts to the far end carries the ``hop_limit`` hops left."""
+        copy it schedules for the far end carries the ``hop_limit`` hops left."""
         link = node.ports.get(port)
         if link is None:
             log.warning("%s: emission on unwired port %d", node.name, port)
@@ -440,8 +439,7 @@ class Deployment:
             return
         if self.trace_hops:
             self._trace_hop(packet.trace_id, src, dst)
-        sim = self.sim
-        sim.post(sim.now + delay_us, handler, (packet, dst_port, hop_limit))
+        self.sim.schedule(delay_us, handler, (packet, dst_port, hop_limit))
 
     def _trace_hop(self, trace_id: int, src: str, dst: str) -> None:
         if self._trace_room:
@@ -452,22 +450,21 @@ class Deployment:
 
     def packet_in(self, switch: str, in_port: int, packet: IcnPacket, hop_limit: int) -> None:
         data = encode_packet(packet, hop_limit, self.params)
-        self.sim.post(self.sim.now + self.ctl_delay_us, self._ctl_handler,
-                      PacketIn(switch, in_port, data))
+        self.sim.schedule(self.ctl_delay_us, self._ctl_handler, PacketIn(switch, in_port, data))
 
     def packet_out(self, switch: str, port: int, packet: IcnPacket) -> None:
-        self.sim.post(self.sim.now + self.ctl_delay_us, self.switches[switch].handler,
-                      PacketOutCmd(port, packet))
+        self.sim.schedule(self.ctl_delay_us, self.switches[switch].handler,
+                          PacketOutCmd(port, packet))
 
     def ctl_send(self, message) -> None:
         """Controller -> TM over the ICN-SDN interface."""
         data = wire.encode(message, self.params)
-        self.sim.post(self.sim.now + self.ctl_delay_us, self.tm.handler, CtlDelivery(data))
+        self.sim.schedule(self.ctl_delay_us, self.tm.handler, CtlDelivery(data))
 
     def ctl_to_controller(self, message) -> None:
         """TM -> controller over the ICN-SDN interface."""
         data = wire.encode(message, self.params)
-        self.sim.post(self.sim.now + self.ctl_delay_us, self._ctl_handler, CtlDelivery(data))
+        self.sim.schedule(self.ctl_delay_us, self._ctl_handler, CtlDelivery(data))
 
     def link_delay_ms(self, a: str, b: str) -> float:
         return self._cable(a, b).delay_us / 1000
@@ -494,7 +491,9 @@ class Deployment:
     def _controller_handle(self, event) -> None:
         if isinstance(event, CtlDelivery):
             msg = self.decode("controller", event.data)
-            if msg is not None:
+            if msg is None:
+                self.controller.audit_drops += 1
+            else:
                 self.controller.on_ctl_message(msg)
         else:  # PacketIn, SwitchAttached, LinkUp or LinkDown
             self.controller.on_control_event(event)
@@ -503,7 +502,7 @@ class Deployment:
 
     def run_bootstrap(self) -> SimReport:
         """Bootstrap every node in spec order; returns the finished report."""
-        self.sim.schedule_in(0, "orch", Timer("next"))
+        self.sim.schedule(0, self._orch_handler, Timer("next"))
         self.sim.run_until_idle(10_000_000 + 5_000_000 * len(self._order))
         return self.report()
 
@@ -520,7 +519,7 @@ class Deployment:
                     self.failures[name] = "no ICN-enabled attach point"
                     continue
                 self.sim.begin_span(f"bootstrap:{name}")
-                self.sim.schedule_in(0, "ctl", SwitchAttached(name, attach))
+                self.sim.schedule(0, self._ctl_handler, SwitchAttached(name, attach))
                 return
             self.sim.begin_span(f"bootstrap:{name}")
             self.hosts[name].start()
@@ -534,7 +533,7 @@ class Deployment:
         """Controller callback: proxy handshake finished, rules installed."""
         self.sim.end_span(f"bootstrap:{name}")
         self._finish_ports(name)
-        self.sim.schedule_in(0, "orch", Timer("next"))
+        self.sim.schedule(0, self._orch_handler, Timer("next"))
 
     def node_done(self, name: str) -> None:
         self.sim.end_span(f"bootstrap:{name}")
@@ -542,7 +541,7 @@ class Deployment:
         # rule, so its discovery entry is dropped here.
         self.controller.pending_discovery.pop(self.hosts[name].fsm.nonce, None)
         self._finish_ports(name)
-        self.sim.schedule_in(0, "orch", Timer("next"))
+        self.sim.schedule(0, self._orch_handler, Timer("next"))
 
     def _finish_ports(self, name: str) -> None:
         """Per port of a node that just got its NID, towards each neighbour with one.
@@ -575,13 +574,13 @@ class Deployment:
             key = (nid, other_nid) if a == name else (other_nid, nid)
             if key in self.graph.links or key in self.graph.down_links:
                 continue
-            self.sim.schedule_in(0, "ctl", LinkUp(a, b))
+            self.sim.schedule(0, self._ctl_handler, LinkUp(a, b))
 
     def node_failed(self, name: str, reason: str) -> None:
         self.failures[name] = reason
         # A FAILED host never attaches, so its discovery ports are spent too.
         self.controller.pending_discovery.pop(self.hosts[name].fsm.nonce, None)
-        self.sim.schedule_in(0, "orch", Timer("next"))
+        self.sim.schedule(0, self._orch_handler, Timer("next"))
 
     def nid_of(self, name: str) -> Optional[int]:
         if name == self.tm_name:
@@ -605,11 +604,11 @@ class Deployment:
 
     def fail_link(self, a: str, b: str) -> None:
         self.down_pairs.add(self._cable(a, b).pair)
-        self.sim.schedule_in(0, "ctl", LinkDown(a, b))
+        self.sim.schedule(0, self._ctl_handler, LinkDown(a, b))
 
     def restore_link(self, a: str, b: str) -> None:
         self.down_pairs.discard(self._cable(a, b).pair)
-        self.sim.schedule_in(0, "ctl", LinkUp(a, b))
+        self.sim.schedule(0, self._ctl_handler, LinkUp(a, b))
 
     def _endpoint(self, name: str):
         """The TM or a DONE host: the nodes that originate and consume traffic."""

@@ -53,10 +53,6 @@ class BitVector:
             raise ValueError("value does not fit in width")
 
     @classmethod
-    def zero(cls, width: int) -> "BitVector":
-        return cls(width, 0)
-
-    @classmethod
     def from_bits(cls, width: int, positions: Iterable[int]) -> "BitVector":
         value = 0
         for pos in positions:
@@ -65,20 +61,8 @@ class BitVector:
             value |= 1 << (width - 1 - pos)
         return cls(width, value)
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BitVector":
-        if not data:
-            raise ValueError("empty byte string")
-        return cls(len(data) * 8, int.from_bytes(data, "big"))
-
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(self.width // 8, "big")
-
-    def popcount(self) -> int:
-        return self.value.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.value == 0
 
     def __or__(self, other: "BitVector") -> "BitVector":
         if self.width != other.width:

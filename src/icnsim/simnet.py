@@ -15,11 +15,13 @@ before it.  Many events often share a time (a pass of data packets injected
 at one instant moves in lockstep), and each of them costs one append and
 one step of a list, not a heap push and pop through tuple comparisons.
 
-An event is the object that was scheduled: a handler receives it as is and
-dispatches on its type.  ``schedule`` resolves its target when the event is
-scheduled, so an unknown target fails there.  A caller that sends many
-events to one target resolves it once with ``handler`` and gives it to
-``post``, which files the event with no lookup and no check of the time.
+There is one way to file an event: ``schedule(delay, handler, event)``
+files it ``delay`` microseconds from now, and a negative delay raises
+:class:`PastTime`.  An event is the object that was filed: its handler
+receives it as is and dispatches on its type.  Handlers are registered
+under target names, and a caller resolves a target's handler once, with
+``handler``, which raises :class:`UnknownTarget` for a name nothing
+registered.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class LimitExceeded(SimError):
 
 
 class UnknownTarget(SimError):
-    """Attempt to schedule an event for a target no handler is registered for."""
+    """Attempt to resolve a target no handler is registered for."""
 
 
 class NeverCompleted(SimError):
@@ -127,22 +129,17 @@ class Simulator:
         except KeyError:
             raise UnknownTarget(f"no handler registered for target {target!r}") from None
 
-    def schedule(self, at: int, target: str, event: Any) -> None:
-        if at < self.now:
-            raise PastTime(f"cannot schedule at {at} before now {self.now}")
-        self.post(at, self.handler(target), event)
-
-    def post(self, at: int, handler: Callable[[Any], None], event: Any) -> None:
-        """File ``event`` for ``handler`` at ``at``, which must not be before ``now``."""
+    def schedule(self, delay: int, handler: Callable[[Any], None], event: Any) -> None:
+        """File ``event`` for ``handler`` ``delay`` microseconds from now."""
+        if delay < 0:
+            raise PastTime(f"negative delay {delay}: cannot schedule before now {self.now}")
+        at = self.now + delay
         bucket = self._calendar.get(at)
         if bucket is None:
             self._calendar[at] = [(handler, event)]
             heappush(self._times, at)
         else:
             bucket.append((handler, event))
-
-    def schedule_in(self, delay: int, target: str, event: Any) -> None:
-        self.schedule(self.now + delay, target, event)
 
     def run_until_idle(self, limit: int = 10 ** 12) -> int:
         """Process events in order; returns the time of the last event.

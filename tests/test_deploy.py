@@ -10,7 +10,7 @@ from icnsim import wire
 from icnsim.bootstrap import BootstrapState
 from icnsim.deploy import (CableError, CtlDelivery, Deployment, EndpointError, PacketOutCmd,
                            ServiceDone)
-from icnsim.fabric import IcnPacket, PacketIn
+from icnsim.fabric import IcnPacket, LinkDown, LinkUp, PacketIn, SwitchAttached
 from icnsim.fid import BitVector, fid_or
 from icnsim.simnet import NeverCompleted, Simulator, Timer
 from icnsim.topology import TM_NID, LinkEvent, LinkEventKind, TopologyGraph
@@ -321,11 +321,9 @@ class TestForwardAfterDelivery:
 
 
 class TestRegisteredHandlers:
-    """Control events are posted to the handlers as registered, so a wrapper
-    that ``Simulator.register`` puts around them (as the benchmark's tracer
-    does) sees every one."""
-
-    CONTROL = (CtlDelivery, PacketIn, PacketOutCmd, ServiceDone, Timer)
+    """Every event is scheduled for a handler as registered, so a wrapper
+    that ``Simulator.register`` puts around it (as the benchmark's tracer
+    does) sees every one: fabric hops, control events and timers alike."""
 
     def flapped(self):
         spec = generate_random(6, 9, 4, 3)
@@ -340,8 +338,8 @@ class TestRegisteredHandlers:
         return net
 
     def test_wrapped_handlers_receive_every_control_event(self, monkeypatch):
-        received, posted = [], []
-        register, post = Simulator.register, Simulator.post
+        received, scheduled = [], []
+        register, schedule = Simulator.register, Simulator.schedule
 
         def wrapping(sim, target, handler):
             def wrapped(event):
@@ -349,23 +347,24 @@ class TestRegisteredHandlers:
                 handler(event)
             register(sim, target, wrapped)
 
-        def recording(sim, at, handler, event):
-            posted.append(event)
-            post(sim, at, handler, event)
+        def recording(sim, *args):
+            scheduled.append(args[-1])
+            schedule(sim, *args)
 
         monkeypatch.setattr(Simulator, "register", wrapping)
-        monkeypatch.setattr(Simulator, "post", recording)
+        monkeypatch.setattr(Simulator, "schedule", recording)
         net = self.flapped()
         monkeypatch.undo()
-        ids = lambda events: Counter(id(e) for e in events if isinstance(e, self.CONTROL))
-        assert ids(posted) == ids(e for _, e in received)
+        assert Counter(map(id, scheduled)) == Counter(id(e) for _, e in received)
         to = lambda kind: {t for t, e in received if type(e) is kind}
+        nodes = {f"node:{n}" for n in [net.tm_name, *net.switches, *net.hosts]}
+        assert "node:tm" in to(tuple) <= nodes
         assert to(CtlDelivery) == {"node:tm", "ctl"}
-        assert to(PacketIn) == {"ctl"}
+        assert to(PacketIn) == to(SwitchAttached) == to(LinkUp) == to(LinkDown) == {"ctl"}
         assert to(ServiceDone) == {"node:tm"}
         assert to(PacketOutCmd) and to(PacketOutCmd) <= {f"node:{s}" for s in net.switches}
         hosts = {f"node:{h}" for h in net.hosts}
-        assert hosts <= to(Timer) <= hosts | {"orch"}
+        assert hosts | {"orch"} == to(Timer)
         plain = self.flapped()
         assert net.report().to_text() == plain.report().to_text()
         assert net.graph.dump() == plain.graph.dump()
@@ -698,8 +697,8 @@ class TestDataPayloads:
         net = Deployment(chain_spec(1, hosts=1))
         net.run_bootstrap()
         junk = bytes([wire.VERSION]) + b"junk"
-        net.sim.schedule_in(0, "ctl", CtlDelivery(junk))
-        net.sim.schedule_in(0, "node:tm", CtlDelivery(junk))
+        net.sim.schedule(0, net.sim.handler("ctl"), CtlDelivery(junk))
+        net.sim.schedule(0, net.tm.handler, CtlDelivery(junk))
         with caplog.at_level("INFO", logger="icnsim.deploy"):
             net.run_until_idle()
         lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
@@ -843,7 +842,7 @@ class TestLinkFaultNames:
     ])
     def test_bad_pair_raises_and_changes_nothing(self, net, monkeypatch, change, a, b, why):
         scheduled = []
-        monkeypatch.setattr(net.sim, "schedule_in", lambda *args: scheduled.append(args))
+        monkeypatch.setattr(net.sim, "schedule", lambda *args: scheduled.append(args))
         with pytest.raises(CableError, match=f"link '{a}'-'{b}': {why}"):
             getattr(net, change)(a, b)
         assert net.down_pairs == set()

@@ -7,7 +7,7 @@ from icnsim.fabric import (AttachNotEnabled, FlowRule, FlowTable, IcnPacket, MIS
                            SwitchAttached, decode_packet, encode_packet, switch_forward)
 from icnsim.fid import BitVector, FidParams, fid_or
 from icnsim.simnet import LimitExceeded
-from icnsim.deploy import Deployment
+from icnsim.deploy import CtlDelivery, Deployment
 from icnsim.topospec import TopoLink, TopoNode, TopologySpec
 from icnsim.wire import DiscoveryRequest, ResourceRequest, encode
 from icnsim.topology import NodeKind, RuleInstallFrame, TM_NID
@@ -159,6 +159,17 @@ class TestController:
         net.controller.on_packet_in(PacketIn("s1", 0, b"\xff\xff\xff"))
         assert net.controller.audit_drops == drops + 1
 
+    def test_truncated_ctl_frame_dropped(self, caplog):
+        net = Deployment(mini_spec())
+        net.run_bootstrap()
+        drops = net.controller.audit_drops
+        frame = encode(ResourceRequest(1, NodeKind.ICN_NODE, 1), net.params)
+        with caplog.at_level("INFO", logger="icnsim.deploy"):
+            net.sim.handler("ctl")(CtlDelivery(frame[:-1]))
+        assert net.controller.audit_drops == drops + 1
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == ["controller"]
+        assert "undecodable control frame dropped" in caplog.records[0].getMessage()
+
     def test_misrouted_resource_request_dropped(self):
         net = Deployment(mini_spec())
         net.run_bootstrap()
@@ -207,7 +218,7 @@ class TestController:
         seen = []
         net.controller.on_packet_in = seen.append
         packet = IcnPacket(0, encode(DiscoveryRequest(9), net.params))
-        net.sim.schedule_in(0, "node:s1", (packet, 0, hop_limit))  # a copy in flight
+        net.sim.schedule(0, net.switches["s1"].handler, (packet, 0, hop_limit))  # a copy in flight
         net.run_until_idle()
         [event] = seen
         assert (event.switch, event.in_port) == ("s1", 0)

@@ -22,35 +22,35 @@ class TestScheduling:
     def test_now_executes_before_later(self):
         sim = Simulator()
         order = []
-        sim.register("t", lambda e: order.append(e.timer_id))
-        sim.schedule(5, "t", Timer("later"))
-        sim.schedule(0, "t", Timer("now"))
+        t = lambda e: order.append(e.timer_id)
+        sim.schedule(5, t, Timer("later"))
+        sim.schedule(0, t, Timer("now"))
         sim.run_until_idle()
         assert order == ["now", "later"]
 
     def test_fifo_among_equal_timestamps(self):
         sim = Simulator()
         order = []
-        sim.register("t", lambda e: order.append(e.timer_id))
         for name in ("a", "b", "c"):
-            sim.schedule(7, "t", Timer(name))
+            sim.schedule(7, lambda e: order.append(e.timer_id), Timer(name))
         sim.run_until_idle()
         assert order == ["a", "b", "c"]
 
     def test_past_time_rejected(self):
         sim = Simulator()
-        sim.register("t", lambda e: None)
-        sim.schedule(10, "t", Timer("x"))
+        t = lambda e: None
+        sim.schedule(10, t, Timer("x"))
         sim.run_until_idle()
+        sim.schedule(0, t, Timer("now"))  # the current time is not past
         with pytest.raises(PastTime):
-            sim.schedule(9, "t", Timer("y"))
+            sim.schedule(-1, t, Timer("y"))
+        assert sim.run_until_idle() == 10  # only the zero-delay timer was queued
 
     def test_clock_never_decreases(self):
         sim = Simulator()
         seen = []
-        sim.register("t", lambda e: seen.append(sim.now))
         for at in (3, 1, 2, 1, 9):
-            sim.schedule(at, "t", Timer(str(at)))
+            sim.schedule(at, lambda e: seen.append(sim.now), Timer(str(at)))
         sim.run_until_idle()
         assert seen == sorted(seen)
 
@@ -61,20 +61,18 @@ class TestScheduling:
         def handler(event):
             hits.append(sim.now)
             if len(hits) < 3:
-                sim.schedule_in(4, "t", Timer("again"))
+                sim.schedule(4, handler, Timer("again"))
 
-        sim.register("t", handler)
-        sim.schedule(0, "t", Timer("start"))
+        sim.schedule(0, handler, Timer("start"))
         assert sim.run_until_idle() == 8
         assert hits == [0, 4, 8]
 
     def test_unknown_target_rejected_when_scheduled(self):
+        # A target is resolved before its event is filed, so an unknown one
+        # fails there and queues nothing.
         sim = Simulator()
-        sim.register("t", lambda e: None)
         with pytest.raises(UnknownTarget, match="'nope'"):
-            sim.schedule(3, "nope", Timer("x"))
-        with pytest.raises(UnknownTarget):
-            sim.schedule_in(0, "nope", Timer("x"))
+            sim.schedule(3, sim.handler("nope"), Timer("x"))
         assert sim.run_until_idle() == 0  # nothing was queued
 
     def test_handler_of_an_unregistered_target_rejected(self):
@@ -84,25 +82,22 @@ class TestScheduling:
         with pytest.raises(UnknownTarget, match="'nope'"):
             sim.handler("nope")
 
-    def test_post_and_schedule_file_one_order(self):
-        # Events for one time run in call order, whichever method filed them,
-        # also those filed by a handler running at that time.
+    def test_one_time_runs_in_filing_order(self):
+        # Events for one time run in the order they were filed, also those
+        # filed by a handler running at that time.
         sim = Simulator()
         order = []
-        sim.register("u", order.append)
-        u = sim.handler("u")
+        u = order.append
 
         def t(event):
             order.append(event)
-            sim.post(sim.now, u, "a1")
-            sim.schedule_in(0, "u", "a2")
-            sim.post(sim.now, u, "a3")
+            for name in ("a1", "a2", "a3"):
+                sim.schedule(0, u, name)
 
-        sim.register("t", t)
-        sim.schedule(5, "t", "a")
-        sim.post(5, u, "b")
-        sim.schedule(5, "u", "c")
-        sim.post(3, u, "early")
+        sim.schedule(5, t, "a")
+        sim.schedule(5, u, "b")
+        sim.schedule(5, u, "c")
+        sim.schedule(3, u, "early")
         assert sim.run_until_idle() == 5
         assert order == ["early", "a", "b", "c", "a1", "a2", "a3"]
 
@@ -113,12 +108,11 @@ class TestScheduling:
         def handler(event):
             order.append(event)
             if event == "a":
-                sim.schedule_in(0, "t", "a0")
+                sim.schedule(0, handler, "a0")
 
-        sim.register("t", handler)
         for name in ("a", "b"):
-            sim.schedule(5, "t", name)
-        sim.schedule(6, "t", "c")
+            sim.schedule(5, handler, name)
+        sim.schedule(6, handler, "c")
         sim.run_until_idle()
         assert order == ["a", "b", "a0", "c"]
 
@@ -133,20 +127,18 @@ class TestRunUntilIdle:
         sim = Simulator()
 
         def forever(event):
-            sim.schedule_in(10, "t", Timer("tick"))
+            sim.schedule(10, forever, Timer("tick"))
 
-        sim.register("t", forever)
-        sim.schedule(0, "t", Timer("tick"))
+        sim.schedule(0, forever, Timer("tick"))
         with pytest.raises(LimitExceeded):
             sim.run_until_idle(limit=1_000)
 
     def test_handler_receives_the_scheduled_object(self):
         sim = Simulator()
         got = []
-        sim.register("t", got.append)
         timer, payload = Timer("x", token=3), object()
-        sim.schedule(0, "t", timer)
-        sim.schedule_in(0, "t", payload)
+        sim.schedule(0, got.append, timer)
+        sim.schedule(0, got.append, payload)
         sim.run_until_idle()
         assert got[0] is timer and got[1] is payload
 
@@ -154,9 +146,8 @@ class TestRunUntilIdle:
 class TestSpans:
     def test_span_measures_interval(self):
         sim = Simulator()
-        sim.register("t", lambda e: sim.end_span("work"))
         sim.begin_span("work")
-        sim.schedule(42, "t", Timer("done"))
+        sim.schedule(42, lambda e: sim.end_span("work"), Timer("done"))
         sim.run_until_idle()
         span = sim.report().span("work")
         assert (span.start_us, span.end_us, span.duration_us) == (0, 42, 42)
@@ -194,10 +185,9 @@ class TestReport:
     def test_identical_runs_identical_reports(self):
         def run():
             sim = Simulator()
-            sim.register("t", lambda e: sim.end_span(e.timer_id))
             for i, label in enumerate(("x", "y")):
                 sim.begin_span(label)
-                sim.schedule(10 * (i + 1), "t", Timer(label))
+                sim.schedule(10 * (i + 1), lambda e: sim.end_span(e.timer_id), Timer(label))
             sim.run_until_idle()
             return sim.report({"t": "ok"})
 
@@ -265,12 +255,8 @@ def reference_run(starts, plan, cap, barren=None):
     return log
 
 
-def planned_sim(starts, plan, cap, boom=None, post_odd=False):
-    """A simulator loaded with the plan; event ``boom`` raises once, before its children.
-
-    With ``post_odd``, odd-numbered children are filed by ``post``, the rest
-    by ``schedule_in``.
-    """
+def planned_sim(starts, plan, cap, boom=None):
+    """A simulator loaded with the plan; event ``boom`` raises once, before its children."""
     sim = Simulator()
     seq, log = itertools.count(len(starts)), []
 
@@ -281,14 +267,10 @@ def planned_sim(starts, plan, cap, boom=None, post_odd=False):
         for delay in plan[event % len(plan)]:
             n = next(seq)
             if n < cap:
-                if post_odd and n % 2:
-                    sim.post(sim.now + delay, handler, n)
-                else:
-                    sim.schedule_in(delay, "t", n)
+                sim.schedule(delay, handler, n)
 
-    sim.register("t", handler)
     for event, at in enumerate(starts):
-        sim.schedule(at, "t", event)
+        sim.schedule(at, handler, event)
     return sim, log
 
 
@@ -301,14 +283,6 @@ PLANS = st.lists(st.lists(st.sampled_from([0, 0, 1, 2, 5]), max_size=3), min_siz
 def test_order_matches_an_at_seq_heap(starts, plan, cap):
     sim, log = planned_sim(starts, plan, cap)
     assert sim.run_until_idle() == max(at for at, _ in log)
-    assert log == reference_run(starts, plan, cap)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(STARTS, PLANS, st.integers(1, 80))
-def test_posted_events_keep_the_at_seq_order(starts, plan, cap):
-    sim, log = planned_sim(starts, plan, cap, post_odd=True)
-    sim.run_until_idle()
     assert log == reference_run(starts, plan, cap)
 
 

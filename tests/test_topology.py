@@ -36,7 +36,7 @@ class TestAllocation:
         g = make_graph()
         grant = g.allocate_resources(NodeKind.ICN_NODE, TM_NID)
         assert grant.nid >= 2
-        assert BitVector(256, grant.lid).popcount() == 5
+        assert BitVector(256, grant.lid).value.bit_count() == 5
         assert grant.ilid is not None
 
     def test_switch_grant_has_no_ilid(self):

@@ -12,13 +12,15 @@ It prints one JSON line with, per link count:
 
 - ``us_per_link``: the median bootstrap wall time over ``repeats``
   samples, in microseconds per link, and the fastest (``us_per_link_min``);
-- ``events`` and ``events_per_s``: every event that ``Simulator.post``
-  files during the bootstrap, control events and fabric hops alike,
-  counted in one untimed pass, over the median time;
+- ``events`` and ``events_per_s``: every event that a registered handler
+  runs during the bootstrap, control events and fabric hops alike, counted
+  in an untimed bootstrap, over the median time.  The count wraps each
+  handler as ``Simulator.register`` receives it, which works the same on
+  any icnsim tree, so it means the same for both trees of ``--against``;
 - ``peak_kib_per_link``: the tracemalloc peak of building the deployment
-  and bootstrapping it, in that untimed pass, per link;
-- ``retained_kib_per_link``: what that pass still holds once the bootstrap
-  is done (tracemalloc's current size, with the deployment alive), per link.
+  and bootstrapping it, in a second untimed bootstrap, per link;
+- ``retained_kib_per_link``: what that bootstrap still holds once it is
+  done (tracemalloc's current size, with the deployment alive), per link.
 
 ``--against DIR`` compares with a second icnsim tree, as
 ``tools/data_bench.py`` does: DIR is its ``src`` directory (or the
@@ -65,17 +67,27 @@ def timed(tree: ModuleType, spec) -> float:
 
 
 def untimed(tree: ModuleType, spec) -> Tuple[int, int, int, tuple]:
-    """Events posted, tracemalloc peak and retained bytes, and the outcome of one bootstrap."""
+    """Events run, tracemalloc peak and retained bytes, and the outcome of bootstrap.
+
+    Events are counted in a bootstrap of their own, which keeps the
+    counting wrappers out of the memory figures.
+    """
     simulator = tree.simnet.Simulator
-    post = simulator.__dict__["post"]
+    register = simulator.__dict__["register"]
     events = 0
 
-    def counted(sim, at, handler, event):
-        nonlocal events
-        events += 1
-        post(sim, at, handler, event)
+    def counting(sim, target, handler):
+        def counted(event):
+            nonlocal events
+            events += 1
+            handler(event)
+        register(sim, target, counted)
 
-    simulator.post = counted
+    simulator.register = counting
+    try:
+        tree.Deployment(spec).run_bootstrap()
+    finally:
+        simulator.register = register
     gc.collect()
     gc.disable()  # so that when a collection runs moves neither figure
     tracemalloc.start()
@@ -86,7 +98,6 @@ def untimed(tree: ModuleType, spec) -> Tuple[int, int, int, tuple]:
     finally:
         tracemalloc.stop()
         gc.enable()
-        simulator.post = post
     tables = {name: repr(sw.table.snapshot()) for name, sw in net.switches.items()}
     return events, peak, retained, (net.graph.dump(), net.report().to_text(), tables)
 

@@ -42,16 +42,15 @@ def run_once(chains: int, length: int, stagger: int, delay: int) -> float:
     next one ``delay`` later.
     """
     sim = Simulator()
-    schedule_in = sim.schedule_in
+    schedule = sim.schedule
 
     def step(left: int) -> None:
         if left:
-            schedule_in(delay, "n", left - 1)
+            schedule(delay, step, left - 1)
 
-    sim.register("n", step)
     start = time.perf_counter()
     for i in range(chains):
-        sim.schedule(i * stagger, "n", length - 1)
+        schedule(i * stagger, step, length - 1)
     sim.run_until_idle()
     took = time.perf_counter() - start
     return took / (chains * length) * 1e9
