@@ -23,9 +23,6 @@ from .wire import (DiscoveryOffer, DiscoveryRequest, Message, OfferAccepted,
 
 log = logging.getLogger(__name__)
 
-DISCOVERY_TIMER = "discovery"
-REQUEST_TIMER = "request"
-
 
 class ProtocolError(Exception):
     pass
@@ -85,16 +82,23 @@ class Send:
 
 @dataclass(frozen=True)
 class Arm:
-    timer_id: str
     delay_us: int
     token: int
 
 
 Action = object
 
+# The states with a live timer.
+_WAITING = (BootstrapState.DISCOVERING, BootstrapState.REQUESTING, BootstrapState.AWAIT_FINAL)
+
 
 class NodeBootstrapFsm:
-    """Bootstrap state machine for one ICN node."""
+    """Bootstrap state machine for one ICN node.
+
+    Like a DHCP client it keeps one retransmission timer: ``_token`` is the
+    live one's, and arming again or reaching DONE moves it on, so an earlier
+    timer's ``on_timeout`` finds it stale.
+    """
 
     def __init__(self, name: str, rng: Random, timers: Timers):
         self.name = name
@@ -109,23 +113,33 @@ class NodeBootstrapFsm:
         while self.nonce == 0:
             self.nonce = rng.getrandbits(64)
         self._selected: Optional[Tuple[DiscoveryOffer, int]] = None
-        self._tokens: Dict[str, int] = {}
+        self._token = 0
 
-    def _arm(self, timer_id: str, delay_us: int) -> Arm:
-        token = self._tokens.get(timer_id, 0) + 1
-        self._tokens[timer_id] = token
-        return Arm(timer_id, delay_us, token)
+    def _arm(self, delay_us: int) -> Arm:
+        self._token += 1
+        return Arm(delay_us, self._token)
+
+    def _discover(self) -> List[Action]:
+        return [Broadcast(DiscoveryRequest(self.nonce)), self._arm(self.timers.discovery_wait_us)]
+
+    def _request(self) -> List[Action]:
+        """(Re)send the state's ResourceRequest or OfferAccepted, and arm the request timer."""
+        assert self._selected is not None
+        offer, port = self._selected
+        if self.state == BootstrapState.REQUESTING:
+            msg: Message = ResourceRequest(self.nonce, NodeKind.ICN_NODE, offer.responder_nid)
+        else:
+            assert self.offered is not None
+            msg = OfferAccepted(self.nonce, self.offered.nid)
+        return [Send(msg, port, offer.tmfid), self._arm(self.timers.request_timeout_us)]
 
     def start(self) -> List[Action]:
         if self.state != BootstrapState.INIT:
             raise WrongState(f"start() in state {self.state.name}")
         self.state = BootstrapState.DISCOVERING
-        return [Broadcast(DiscoveryRequest(self.nonce)),
-                self._arm(DISCOVERY_TIMER, self.timers.discovery_wait_us)]
+        return self._discover()
 
     def on_message(self, msg: Message, via_port: int) -> List[Action]:
-        if self.state in (BootstrapState.DONE, BootstrapState.FAILED):
-            return []
         if isinstance(msg, DiscoveryOffer) and self.state == BootstrapState.DISCOVERING:
             if msg.nonce != self.nonce:
                 log.debug("%s: discovery offer with alien nonce ignored", self.name)
@@ -139,10 +153,7 @@ class NodeBootstrapFsm:
                 return []
             self.offered = msg
             self.state = BootstrapState.AWAIT_FINAL
-            assert self._selected is not None
-            offer, port = self._selected
-            return [Send(OfferAccepted(self.nonce, msg.nid), port, offer.tmfid),
-                    self._arm(REQUEST_TIMER, self.timers.request_timeout_us)]
+            return self._request()
         if isinstance(msg, ResourceAccepted) and self.state == BootstrapState.AWAIT_FINAL:
             if msg.nonce != self.nonce or self.offered is None or msg.nid != self.offered.nid:
                 log.debug("%s: final ack mismatch ignored", self.name)
@@ -152,47 +163,26 @@ class NodeBootstrapFsm:
             assert self._selected is not None
             self.attach_nid = self._selected[0].responder_nid
             self.state = BootstrapState.DONE
-            self._tokens = {t: v + 1 for t, v in self._tokens.items()}  # cancel timers
+            self._token += 1  # cancels the live timer
             return []
         log.debug("%s: %s ignored in state %s", self.name, type(msg).__name__, self.state.name)
         return []
 
-    def on_timeout(self, timer_id: str, token: int) -> List[Action]:
-        if self._tokens.get(timer_id) != token:
+    def on_timeout(self, token: int) -> List[Action]:
+        """The timer armed with ``token`` expired: pick an offer, or retry or fail."""
+        if token != self._token or self.state not in _WAITING:
             return []  # stale timer
-        if self.state == BootstrapState.DISCOVERING and timer_id == DISCOVERY_TIMER:
-            if self.collected_offers:
-                offer, port = min(
-                    self.collected_offers,
-                    key=lambda item: (item[0].tmfid.bit_count(), item[0].responder_nid))
-                self._selected = (offer, port)
-                self.state = BootstrapState.REQUESTING
-                request = ResourceRequest(self.nonce, NodeKind.ICN_NODE, offer.responder_nid)
-                return [Send(request, port, offer.tmfid),
-                        self._arm(REQUEST_TIMER, self.timers.request_timeout_us)]
-            self.retries_left -= 1
-            if self.retries_left <= 0:
-                self.state = BootstrapState.FAILED
-                return []
-            return [Broadcast(DiscoveryRequest(self.nonce)),
-                    self._arm(DISCOVERY_TIMER, self.timers.discovery_wait_us)]
-        if timer_id == REQUEST_TIMER and self.state in (BootstrapState.REQUESTING,
-                                                        BootstrapState.AWAIT_FINAL):
-            self.retries_left -= 1
-            if self.retries_left <= 0:
-                self.state = BootstrapState.FAILED
-                return []
-            assert self._selected is not None
-            offer, port = self._selected
-            if self.state == BootstrapState.REQUESTING:
-                resend: Message = ResourceRequest(self.nonce, NodeKind.ICN_NODE,
-                                                  offer.responder_nid)
-            else:
-                assert self.offered is not None
-                resend = OfferAccepted(self.nonce, self.offered.nid)
-            return [Send(resend, port, offer.tmfid),
-                    self._arm(REQUEST_TIMER, self.timers.request_timeout_us)]
-        return []
+        if self.state == BootstrapState.DISCOVERING and self.collected_offers:
+            self._selected = min(
+                self.collected_offers,
+                key=lambda item: (item[0].tmfid.bit_count(), item[0].responder_nid))
+            self.state = BootstrapState.REQUESTING
+            return self._request()
+        self.retries_left -= 1
+        if self.retries_left <= 0:
+            self.state = BootstrapState.FAILED
+            return []
+        return self._discover() if self.state == BootstrapState.DISCOVERING else self._request()
 
 
 def responder_on_discovery(request: DiscoveryRequest, config: NodeConfig) -> DiscoveryOffer:

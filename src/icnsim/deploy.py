@@ -19,7 +19,7 @@ from . import wire
 from .bootstrap import (Arm, Broadcast, NodeBootstrapFsm, NodeConfig,
                         BootstrapState, Send, Timers, TmEngine, apply_update,
                         responder_on_discovery, NotBootstrapped)
-from .fabric import (Controller, FlowTable, IcnPacket, LinkDown, LinkUp, MISS, PacketIn,
+from .fabric import (Controller, FlowTable, IcnPacket, LinkDown, LinkUp, PacketIn,
                      SwitchAttached, encode_packet, switch_forward)
 from .fid import FidError, FidParams
 from .simnet import SimReport, Simulator, Timer, ms
@@ -88,7 +88,7 @@ class SwitchNode:
             return
         packet, in_port, hop_limit = event
         result = switch_forward(self.table, packet)
-        if result is MISS:
+        if result is None:
             if not packet.fid:
                 # Unknown ICN traffic on the bootstrap channel goes upstairs.
                 self.net.packet_in(self.name, in_port, packet, hop_limit)
@@ -103,27 +103,55 @@ class SwitchNode:
                 self.net.emit(self, port, packet, hop_limit - 1)
 
 
-class HostNode:
-    """ICN end host: runs the bootstrap FSM, then consumes and forwards.
+class IcnEndpoint:
+    """An ICN node on the FID-forwarding plane: the TM or a host.
 
-    ``ports`` holds its cables.  Its link table (``config.link_lids``,
-    neighbour NID -> LID) is written only by the TM's Updates; ``nid_port``
-    (neighbour NID -> port) only by :meth:`Deployment._finish_ports`, from
-    those cables, when either end of a link finishes bootstrap.  One rule,
-    :meth:`send`, emits what the host originates and what it forwards.
+    ``ports`` holds its cables; ``nid_port`` (neighbour NID -> port) is
+    written only by :meth:`Deployment._finish_ports`, from those cables, when
+    either end of a link finishes bootstrap.  It answers a neighbour's
+    link-local discovery once its ``config`` holds a NID and a TMFID, hands
+    every other link-local frame to its ``_handshake``, and forwards by split
+    horizon over its own ``send``.
     """
 
-    def __init__(self, name: str, net: "Deployment", rng: Random, timers: Timers):
+    def __init__(self, name: str, net: "Deployment"):
         self.name = name
         self.net = net
         self.ports: Dict[int, PortLink] = {}
-        self.fsm = NodeBootstrapFsm(name, rng, timers)
         self.nid_port: Dict[int, int] = {}
-        self._settled = False
 
-    @property
-    def config(self):
-        return self.fsm.config
+    def _on_link_local(self, packet: IcnPacket, in_port: int) -> None:
+        msg = self.net.decode(self.name, packet.payload)
+        if msg is None:
+            return
+        if isinstance(msg, DiscoveryRequest):
+            try:
+                offer = responder_on_discovery(msg, self.config)
+            except NotBootstrapped:  # a host not DONE, or one with no TMFID
+                return
+            self.net.emit(self, in_port, self.net.control_packet(offer), self.net.hop_limit)
+        else:
+            self._handshake(msg, in_port)
+
+    def _forward(self, packet: IcnPacket, in_port: int, hop_limit: int) -> None:
+        if hop_limit > 0 and len(self.ports) > 1:  # split horizon bars a lone cable
+            self.send(packet, hop_limit - 1, in_port)
+
+
+class HostNode(IcnEndpoint):
+    """ICN end host: runs the bootstrap FSM, then consumes and forwards.
+
+    Its link table (``config.link_lids``, neighbour NID -> LID) is written
+    only by the TM's Updates.  One rule, :meth:`send`, emits what the host
+    originates and what it forwards.  Every FSM call goes through
+    :meth:`_execute`, which reports the FSM's end, DONE or FAILED, once.
+    """
+
+    def __init__(self, name: str, net: "Deployment", rng: Random, timers: Timers):
+        super().__init__(name, net)
+        self.fsm = NodeBootstrapFsm(name, rng, timers)
+        self.config = self.fsm.config
+        self._settled = False
 
     def start(self) -> None:
         self._execute(self.fsm.start())
@@ -132,26 +160,21 @@ class HostNode:
         if type(event) is tuple:
             self._on_packet(*event)
         else:  # Timer
-            self._execute(self.fsm.on_timeout(event.timer_id, event.token))
-        if not self._settled:
-            self._check_settled()
+            self._execute(self.fsm.on_timeout(event.token))
 
     def _on_packet(self, packet: IcnPacket, in_port: int, hop_limit: int) -> None:
         fid = packet.fid
-        if not fid:
+        if not fid or self.fsm.state != BootstrapState.DONE:
+            # Pre-configuration the node owns no identifiers; everything that
+            # arrives is treated as addressed to it, on the link-local channel.
             self._on_link_local(packet, in_port)
             return
-        if self.fsm.state != BootstrapState.DONE:
-            # Pre-configuration the node owns no identifiers; everything that
-            # arrives is treated as addressed to it.
-            msg = self.net.decode(self.name, packet.payload)
-            if msg is not None:
-                self._execute(self.fsm.on_message(msg, in_port))
-            return
         if (ilid := self.config.ilid) is not None and fid & ilid == ilid:
-            self._consume(packet, in_port)
-        if hop_limit > 0 and len(self.ports) > 1:  # split horizon bars a lone cable
-            self.send(packet, hop_limit - 1, in_port)
+            # A DONE host acts only on the TM's Updates; its FSM takes no more frames.
+            msg = self.net.consume(self.name, packet)
+            if isinstance(msg, Update):
+                apply_update(self.config, msg, self.fsm.attach_nid)
+        self._forward(packet, in_port, hop_limit)
 
     def send(self, packet: IcnPacket, hop_limit: int, in_port: Optional[int] = None) -> None:
         """Emit, ``hop_limit`` hops left, on each link whose LID the FID holds, but ``in_port``."""
@@ -170,62 +193,45 @@ class HostNode:
         for port in sorted(ports) if len(ports) > 1 else ports:
             self.net.emit(self, port, packet, hop_limit)
 
-    def _on_link_local(self, packet: IcnPacket, in_port: int) -> None:
-        msg = self.net.decode(self.name, packet.payload)
-        if msg is None:
-            return
-        if isinstance(msg, DiscoveryRequest) and self.fsm.state == BootstrapState.DONE:
-            try:
-                offer = responder_on_discovery(msg, self.config)
-            except NotBootstrapped:
-                return
-            self.net.emit(self, in_port, self.net.link_local_packet(offer), self.net.hop_limit)
-        elif self.fsm.state != BootstrapState.DONE:
-            self._execute(self.fsm.on_message(msg, in_port))
-
-    def _consume(self, packet: IcnPacket, in_port: int) -> None:
-        msg = self.net.consume(self.name, packet)
-        if isinstance(msg, Update):
-            apply_update(self.config, msg, self.fsm.attach_nid)
-        elif msg is not None:
+    def _handshake(self, msg, in_port: int) -> None:
+        if self.fsm.state != BootstrapState.DONE:
             self._execute(self.fsm.on_message(msg, in_port))
 
     def _execute(self, actions) -> None:
         for action in actions:
             if isinstance(action, Broadcast):
-                frame = self.net.link_local_packet(action.message)
+                frame = self.net.control_packet(action.message)
                 for port in sorted(self.ports):
                     self.net.emit(self, port, frame, self.net.hop_limit)
             elif isinstance(action, Send):
-                packet = IcnPacket(action.fid, wire.encode(action.message, self.net.params),
-                                   trace_id=self.net.next_trace())
+                packet = self.net.control_packet(action.message, action.fid)
                 self.net.emit(self, action.port, packet, self.net.hop_limit)
             elif isinstance(action, Arm):
                 self.net.sim.schedule(action.delay_us, self.handler,
-                                      Timer(action.timer_id, action.token))
-
-    def _check_settled(self) -> None:
-        if self.fsm.state == BootstrapState.DONE:
+                                      Timer("bootstrap", action.token))
+        if not self._settled and self.fsm.state in (BootstrapState.DONE, BootstrapState.FAILED):
             self._settled = True
-            self.net.node_done(self.name)
-        elif self.fsm.state == BootstrapState.FAILED:
-            self._settled = True
-            self.net.node_failed(self.name, "bootstrap retries exhausted")
+            self.net.host_settled(self)
 
 
-class TmNode:
-    """The Topology Manager as a network endpoint plus serial message server."""
+class TmNode(IcnEndpoint):
+    """The Topology Manager as a network endpoint plus serial message server.
 
-    def __init__(self, name: str, net: "Deployment", graph: TopologyGraph):
-        self.name = name
-        self.net = net
+    Its configuration is fixed: the TM's NID, its iLID and the all-zero
+    TMFID.  It forwards a packet before it consumes it, and :meth:`send`
+    emits only towards neighbours bound to a port.  Directly attached nodes
+    address the TM with its own (all-zero) TMFID, so their handshake frames
+    arrive on the link-local channel and join the serial queue.
+    """
+
+    def __init__(self, name: str, net: "Deployment", graph: TopologyGraph,
+                 service_us: int, alloc_us: int):
+        super().__init__(name, net)
         self.graph = graph
         self.engine = TmEngine(graph)
-        self.ports: Dict[int, PortLink] = {}
-        self.nid_port: Dict[int, int] = {}
         self.config = NodeConfig(nid=TM_NID, ilid=graph.nodes[TM_NID].ilid, tmfid=0)
-        self.service_us = 0
-        self.alloc_us = 0
+        self.service_us = service_us  # per message served
+        self.alloc_us = alloc_us  # per LID allocated
         self.wall_alloc_s = 0.0
         self._queue: deque = deque()
         self._busy = False
@@ -246,8 +252,7 @@ class TmNode:
         if not packet.fid:
             self._on_link_local(packet, in_port)
             return
-        if hop_limit > 0 and len(self.ports) > 1:  # split horizon bars a lone cable
-            self.send(packet, hop_limit - 1, in_port)
+        self._forward(packet, in_port, hop_limit)
         # TM-bound FIDs carry no iLID for the TM, so arrival means delivery.
         msg = self.net.consume(self.name, packet)
         if msg is not None:
@@ -262,18 +267,6 @@ class TmNode:
                 if port is not None and port != in_port:
                     self.net.emit(self, port, packet, hop_limit)
 
-    def _on_link_local(self, packet: IcnPacket, in_port: int) -> None:
-        msg = self.net.decode(self.name, packet.payload)
-        if msg is None:
-            return
-        if isinstance(msg, DiscoveryRequest):
-            offer = responder_on_discovery(msg, self.config)
-            self.net.emit(self, in_port, self.net.link_local_packet(offer), self.net.hop_limit)
-        else:
-            # Directly attached nodes address the TM with its own (all-zero)
-            # TMFID, so handshake messages arrive on the default-FID channel.
-            self._enqueue(msg, in_port)
-
     # -- serial processing ------------------------------------------------------
 
     def _enqueue(self, msg, in_port: Optional[int]) -> None:
@@ -281,6 +274,8 @@ class TmNode:
         self._queue.append((msg, in_port))
         if not self._busy:
             self._start_next()
+
+    _handshake = _enqueue
 
     def _start_next(self) -> None:
         msg, in_port = self._queue.popleft()
@@ -328,8 +323,7 @@ class TmNode:
         except TopologyError as exc:
             log.warning("tm: cannot route to %d: %s", nid, exc)
             return
-        self.send(IcnPacket(fid, wire.encode(message, self.net.params),
-                            trace_id=self.net.next_trace()), self.net.hop_limit)
+        self.send(self.net.control_packet(message, fid), self.net.hop_limit)
 
 
 class Deployment:
@@ -358,9 +352,8 @@ class Deployment:
 
         graph_rng = Random(f"{self.seed}:lids")
         self.graph = TopologyGraph(self.params, graph_rng)
-        self.tm = TmNode(self.tm_name, self, self.graph)
-        self.tm.service_us = ms(d.tm_service_ms)
-        self.tm.alloc_us = ms(d.tm_alloc_per_lid_ms)
+        self.tm = TmNode(self.tm_name, self, self.graph,
+                         ms(d.tm_service_ms), ms(d.tm_alloc_per_lid_ms))
 
         self.switches: Dict[str, SwitchNode] = {}
         self.hosts: Dict[str, HostNode] = {}
@@ -371,9 +364,10 @@ class Deployment:
                 rng = Random(f"{self.seed}:nonce:{node.name}")
                 self.hosts[node.name] = HostNode(node.name, self, rng, self.timers)
 
+        self.nodes: Dict[str, Any] = {self.tm_name: self.tm, **self.switches, **self.hosts}
         # Each node keeps its handler as registered (wrapped, if ``register``
         # wraps it): its cables, timers and control messages are scheduled for it.
-        for name, node in [(self.tm_name, self.tm), *self.switches.items(), *self.hosts.items()]:
+        for name, node in self.nodes.items():
             self.sim.register(f"node:{name}", node.handle)
             node.handler = self.sim.handler(f"node:{name}")
         self.sim.register("ctl", self._controller_handle)
@@ -385,7 +379,7 @@ class Deployment:
         # ``port_to`` maps a node and a neighbour's name to the port between them.
         self.port_to: Dict[str, Dict[str, int]] = {node.name: {} for node in spec.nodes}
         for link in spec.links:
-            a, b = self._node(link.a), self._node(link.b)
+            a, b = self.nodes[link.a], self.nodes[link.b]
             pa, pb = len(a.ports), len(b.ports)
             pair = frozenset((link.a, link.b))
             delay_us = ms(link.delay_ms)
@@ -402,16 +396,8 @@ class Deployment:
         self._trace_room = trace_hops
         self.consumed: Dict[int, List[str]] = {}
         self._trace_counter = 0
-        self._order = [n.name for n in spec.nodes if n.kind != "tm"]
-        self._order_idx = 0
+        self._order = iter([n.name for n in spec.nodes if n.kind != "tm"])
         self.failures: Dict[str, str] = {}
-
-    # -- construction helpers ---------------------------------------------------
-
-    def _node(self, name: str):
-        if name == self.tm_name:
-            return self.tm
-        return self.switches.get(name) or self.hosts[name]
 
     # -- plumbing used by nodes and the controller -------------------------------
 
@@ -419,10 +405,9 @@ class Deployment:
         self._trace_counter += 1
         return self._trace_counter
 
-    def link_local_packet(self, message) -> IcnPacket:
-        """``message`` under the all-zero FID of the link-local (bootstrap) channel."""
-        return IcnPacket(0, wire.encode(message, self.params),
-                         trace_id=self.next_trace())
+    def control_packet(self, message, fid: int = 0) -> IcnPacket:
+        """``message`` under ``fid``; the default, 0, is the link-local (bootstrap) channel."""
+        return IcnPacket(fid, wire.encode(message, self.params), trace_id=self.next_trace())
 
     def emit(self, node, port: int, packet: IcnPacket, hop_limit: int) -> None:
         """Send ``packet`` from ``node`` over the cable on its ``port``; the
@@ -503,45 +488,43 @@ class Deployment:
     def run_bootstrap(self) -> SimReport:
         """Bootstrap every node in spec order; returns the finished report."""
         self.sim.schedule(0, self._orch_handler, Timer("next"))
-        self.sim.run_until_idle(10_000_000 + 5_000_000 * len(self._order))
+        self.sim.run_until_idle(10_000_000 + 5_000_000 * (len(self.nodes) - 1))
         return self.report()
 
     def _orch_handle(self, event: Timer) -> None:
-        self._start_next_node()
-
-    def _start_next_node(self) -> None:
-        while self._order_idx < len(self._order):
-            name = self._order[self._order_idx]
-            self._order_idx += 1
+        """Start the next node in spec order that can start."""
+        for name in self._order:  # an iterator: each call resumes where the last stopped
             if name in self.switches:
                 attach = self._find_attach_point(name)
                 if attach is None:
                     self.failures[name] = "no ICN-enabled attach point"
                     continue
-                self.sim.begin_span(f"bootstrap:{name}")
                 self.sim.schedule(0, self._ctl_handler, SwitchAttached(name, attach))
-                return
+            else:
+                self.hosts[name].start()
             self.sim.begin_span(f"bootstrap:{name}")
-            self.hosts[name].start()
             return
 
     def _find_attach_point(self, switch_name: str) -> Optional[str]:
         return next((link.dst for link in self.switches[switch_name].ports.values()
                      if link.dst == self.tm_name or link.dst in self.controller.enabled), None)
 
-    def switch_attach_complete(self, name: str) -> None:
-        """Controller callback: proxy handshake finished, rules installed."""
+    def node_attached(self, name: str) -> None:
+        """A node got its NID: the controller reports a switch, a DONE host itself."""
         self.sim.end_span(f"bootstrap:{name}")
         self._finish_ports(name)
         self.sim.schedule(0, self._orch_handler, Timer("next"))
 
-    def node_done(self, name: str) -> None:
-        self.sim.end_span(f"bootstrap:{name}")
+    def host_settled(self, host: HostNode) -> None:
+        """A host's FSM ended DONE or FAILED."""
         # A host that attached through the TM or another host got no attach
-        # rule, so its discovery entry is dropped here.
-        self.controller.pending_discovery.pop(self.hosts[name].fsm.nonce, None)
-        self._finish_ports(name)
-        self.sim.schedule(0, self._orch_handler, Timer("next"))
+        # rule, and a FAILED host never attaches: its discovery entry goes here.
+        self.controller.pending_discovery.pop(host.fsm.nonce, None)
+        if host.fsm.state == BootstrapState.DONE:
+            self.node_attached(host.name)
+        else:
+            self.failures[host.name] = "bootstrap retries exhausted"
+            self.sim.schedule(0, self._orch_handler, Timer("next"))
 
     def _finish_ports(self, name: str) -> None:
         """Per port of a node that just got its NID, towards each neighbour with one.
@@ -551,17 +534,17 @@ class Deployment:
         binds its port to the other's NID, and a connection no handshake
         covered is reported to the TM as a ``LinkUp``.
         """
-        node = self._node(name)
+        node = self.nodes[name]
         nid = self.nid_of(name)
         for port, cable in node.ports.items():  # port order is spec link order
             other = cable.dst
             other_nid = self.nid_of(other)
             if other_nid is None:
                 continue
-            if not isinstance(node, SwitchNode):
+            if isinstance(node, IcnEndpoint):
                 node.nid_port[other_nid] = port
-            peer = self._node(other)
-            if not isinstance(peer, SwitchNode):
+            peer = self.nodes[other]
+            if isinstance(peer, IcnEndpoint):
                 peer.nid_port[nid] = cable.dst_port
             delay_ms = cable.delay_us / 1000
             for key in ((nid, other_nid), (other_nid, nid)):
@@ -576,31 +559,22 @@ class Deployment:
                 continue
             self.sim.schedule(0, self._ctl_handler, LinkUp(a, b))
 
-    def node_failed(self, name: str, reason: str) -> None:
-        self.failures[name] = reason
-        # A FAILED host never attaches, so its discovery ports are spent too.
-        self.controller.pending_discovery.pop(self.hosts[name].fsm.nonce, None)
-        self.sim.schedule(0, self._orch_handler, Timer("next"))
-
     def nid_of(self, name: str) -> Optional[int]:
-        if name == self.tm_name:
-            return TM_NID
-        if name in self.switches:
+        node = self.nodes[name]
+        if isinstance(node, SwitchNode):
             return self.controller.enabled.get(name)
-        host = self.hosts[name]
-        return host.config.nid if host.fsm.state == BootstrapState.DONE else None
+        return node.config.nid or None  # a host has NID 0 until DONE
 
     # -- faults and probes ---------------------------------------------------------
 
     def _cable(self, a: str, b: str) -> PortLink:
         """``a``'s end of the cable to ``b``; CableError if there is none."""
-        unknown = [name for name in (a, b) if name != self.tm_name
-                   and name not in self.switches and name not in self.hosts]
+        unknown = [name for name in (a, b) if name not in self.nodes]
         if unknown:
             raise CableError(f"link {a!r}-{b!r}: unknown node {unknown[0]!r}")
         if b not in self.port_to[a]:
             raise CableError(f"link {a!r}-{b!r}: no cable joins the two nodes")
-        return self._node(a).ports[self.port_to[a][b]]
+        return self.nodes[a].ports[self.port_to[a][b]]
 
     def fail_link(self, a: str, b: str) -> None:
         self.down_pairs.add(self._cable(a, b).pair)
@@ -612,15 +586,13 @@ class Deployment:
 
     def _endpoint(self, name: str):
         """The TM or a DONE host: the nodes that originate and consume traffic."""
-        if name == self.tm_name:
-            return self.tm
-        host = self.hosts.get(name)
-        if host is None:
-            what = "a switch" if name in self.switches else "not a node"
+        node = self.nodes.get(name)
+        if not isinstance(node, IcnEndpoint):
+            what = "a switch" if node is not None else "not a node"
             raise EndpointError(f"{name!r} is {what}; traffic runs between the TM and DONE hosts")
-        if host.fsm.state != BootstrapState.DONE:
-            raise EndpointError(f"host {name!r} is {host.fsm.state.name}, not DONE")
-        return host
+        if node is not self.tm and node.fsm.state != BootstrapState.DONE:
+            raise EndpointError(f"host {name!r} is {node.fsm.state.name}, not DONE")
+        return node
 
     def inject_probe(self, host_name: str) -> int:
         """Send a packet stamped with a DONE host's own TMFID towards the TM."""

@@ -65,16 +65,6 @@ class IcnPacket(NamedTuple):
     trace_id: int = 0
 
 
-class Miss:
-    """Returned by switch_forward when no rule matches."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "Miss"
-
-
-MISS = Miss()
-
-
 class FlowTable:
     """Priority-ordered rule list with multi-match semantics, at FID width ``m``.
 
@@ -120,10 +110,9 @@ class FlowTable:
         return len(self.rules)
 
 
-def switch_forward(table: FlowTable, packet: IcnPacket) -> Union[List[int], Miss]:
-    """All out-ports whose rules match the packet FID, or Miss."""
-    ports = table.match_ports(packet.fid)
-    return ports if ports else MISS
+def switch_forward(table: FlowTable, packet: IcnPacket) -> Optional[List[int]]:
+    """All out-ports whose rules match the packet FID, or None on a table miss."""
+    return table.match_ports(packet.fid) or None
 
 
 def encode_packet(packet: IcnPacket, hop_limit: int, params: FidParams) -> bytes:
@@ -226,7 +215,7 @@ class Controller:
         elif isinstance(msg, ResourceAccepted) and msg.nonce in self.pending_proxy:
             name = self.pending_proxy.pop(msg.nonce)
             self.enabled[name] = msg.nid
-            self.net.switch_attach_complete(name)
+            self.net.node_attached(name)
         elif isinstance(msg, RuleInstallFrame):
             self.apply_rule(msg)
         else:
@@ -254,7 +243,7 @@ class Controller:
             return
         tmfid = self.net.graph.nodes[nid].tmfid
         offer = DiscoveryOffer(msg.nonce, nid, tmfid)
-        self.net.packet_out(event.switch, event.in_port, self.net.link_local_packet(offer))
+        self.net.packet_out(event.switch, event.in_port, self.net.control_packet(offer))
 
     def on_link_change(self, event: Union[LinkDown, LinkUp]) -> None:
         """Relay a physical link transition to the TM, one event per direction."""

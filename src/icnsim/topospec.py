@@ -17,6 +17,7 @@ from random import Random
 from typing import Dict, List, Tuple
 
 from . import wire
+from .simnet import ms
 
 VALID_KINDS = ("tm", "switch", "host")
 _TYPES = {"integer": int, "number": (int, float)}  # the schema's types of the defaults
@@ -117,6 +118,9 @@ class TopologySpec:
                 raise SpecError(f"params.defaults.{name}: must be >= {bound['minimum']}")
             if "exclusiveMinimum" in bound and not value > bound["exclusiveMinimum"]:
                 raise SpecError(f"params.defaults.{name}: must be > {bound['exclusiveMinimum']}")
+            if name in ("discovery_wait_ms", "request_timeout_ms") and ms(value) == 0:
+                raise SpecError(f"params.defaults.{name}: {value} ms rounds to 0 us; "
+                                "a timer counts whole microseconds and needs at least 1")
             if "maximum" in bound and not value <= bound["maximum"]:
                 raise SpecError(f"params.defaults.{name}: must be <= {bound['maximum']}")
 

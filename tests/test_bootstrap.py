@@ -4,9 +4,9 @@ from random import Random
 
 import pytest
 
-from icnsim.bootstrap import (Arm, Broadcast, DISCOVERY_TIMER, Notify,
+from icnsim.bootstrap import (Arm, Broadcast, Notify,
                               NodeBootstrapFsm, NodeConfig, NotBootstrapped,
-                              REQUEST_TIMER, BootstrapState, Send, Timers,
+                              BootstrapState, Send, Timers,
                               TmEngine, WrongState, apply_update,
                               responder_on_discovery)
 from icnsim.fid import BitVector, FidParams
@@ -28,10 +28,15 @@ def lid(*positions):
     return BitVector.from_bits(64, positions).value
 
 
-def fire_discovery(fsm, actions=None):
-    arm = next(a for a in (actions or []) if isinstance(a, Arm)) if actions else None
-    token = arm.token if arm else fsm._tokens[DISCOVERY_TIMER]
-    return fsm.on_timeout(DISCOVERY_TIMER, token)
+def token_of(actions):
+    """The token of the one timer that ``actions`` arm."""
+    [arm] = [a for a in actions if isinstance(a, Arm)]
+    return arm.token
+
+
+def fire(actions, fsm):
+    """Expire the timer that ``actions`` armed."""
+    return fsm.on_timeout(token_of(actions))
 
 
 class TestFsmStart:
@@ -57,7 +62,7 @@ class TestDiscoverySelection:
         fsm = make_fsm()
         acts = fsm.start()
         fsm.on_message(DiscoveryOffer(fsm.nonce, 2, lid(1, 2, 3)), via_port=0)
-        out = fire_discovery(fsm, acts)
+        out = fire(acts, fsm)
         send = next(a for a in out if isinstance(a, Send))
         assert isinstance(send.message, ResourceRequest)
         assert send.message.attach_nid == 2
@@ -69,7 +74,7 @@ class TestDiscoverySelection:
         acts = fsm.start()
         fsm.on_message(DiscoveryOffer(fsm.nonce, 2, lid(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)), 0)
         fsm.on_message(DiscoveryOffer(fsm.nonce, 3, lid(1, 2, 3, 4, 5)), 1)
-        out = fire_discovery(fsm, acts)
+        out = fire(acts, fsm)
         send = next(a for a in out if isinstance(a, Send))
         assert send.message.attach_nid == 3
         assert send.port == 1
@@ -79,7 +84,7 @@ class TestDiscoverySelection:
         acts = fsm.start()
         fsm.on_message(DiscoveryOffer(fsm.nonce, 9, lid(4, 5, 6)), 0)
         fsm.on_message(DiscoveryOffer(fsm.nonce, 2, lid(1, 2, 3)), 1)
-        out = fire_discovery(fsm, acts)
+        out = fire(acts, fsm)
         assert next(a for a in out if isinstance(a, Send)).message.attach_nid == 2
 
     def test_alien_nonce_offer_ignored(self):
@@ -91,20 +96,32 @@ class TestDiscoverySelection:
     def test_no_offers_rebroadcast_then_fail(self):
         fsm = make_fsm()
         acts = fsm.start()
-        out1 = fire_discovery(fsm, acts)
+        out1 = fire(acts, fsm)
         assert any(isinstance(a, Broadcast) for a in out1)
-        out2 = fire_discovery(fsm)
+        out2 = fire(out1, fsm)
         assert any(isinstance(a, Broadcast) for a in out2)
-        out3 = fire_discovery(fsm)
+        out3 = fire(out2, fsm)
         assert out3 == []
         assert fsm.state == BootstrapState.FAILED
+
+    def test_rebroadcast_makes_the_first_discovery_timer_stale(self):
+        fsm = make_fsm()
+        first = token_of(fsm.start())
+        again = fsm.on_timeout(first)
+        assert any(isinstance(a, Broadcast) for a in again)
+        fsm.on_message(DiscoveryOffer(fsm.nonce, 2, lid(1, 2, 3)), 0)
+        assert fsm.on_timeout(first) == []  # neither selects the offer nor retries
+        assert fsm.state == BootstrapState.DISCOVERING
+        assert fsm.retries_left == TIMERS.max_retries - 1
+        send = next(a for a in fire(again, fsm) if isinstance(a, Send))
+        assert send.message.attach_nid == 2
 
 
 class TestRequestPhase:
     def drive_to_requesting(self, fsm):
         acts = fsm.start()
         fsm.on_message(DiscoveryOffer(fsm.nonce, 2, lid(1, 2, 3)), 0)
-        return fire_discovery(fsm, acts)
+        return fire(acts, fsm)
 
     def test_offer_adopted_and_acknowledged(self):
         fsm = make_fsm()
@@ -142,20 +159,31 @@ class TestRequestPhase:
 
     def test_three_request_timeouts_fail(self):
         fsm = make_fsm()
-        self.drive_to_requesting(fsm)
+        out = self.drive_to_requesting(fsm)
         for _ in range(2):
-            out = fsm.on_timeout(REQUEST_TIMER, fsm._tokens[REQUEST_TIMER])
-            assert any(isinstance(a, Send) for a in out)
-        assert fsm.on_timeout(REQUEST_TIMER, fsm._tokens[REQUEST_TIMER]) == []
+            out = fire(out, fsm)
+            send = next(a for a in out if isinstance(a, Send))
+            assert isinstance(send.message, ResourceRequest)
+        assert fire(out, fsm) == []
         assert fsm.state == BootstrapState.FAILED
+
+    def test_offer_makes_the_request_timer_stale(self):
+        fsm = make_fsm()
+        requested = self.drive_to_requesting(fsm)
+        accepted = fsm.on_message(ResourceOffer(fsm.nonce, 7, lid(4), lid(5)), 0)
+        assert fire(requested, fsm) == []  # the request is answered: no re-send
+        assert fsm.retries_left == TIMERS.max_retries
+        [send] = [a for a in fire(accepted, fsm) if isinstance(a, Send)]
+        assert send.message == OfferAccepted(fsm.nonce, 7)
+        assert (send.port, send.fid) == (0, lid(1, 2, 3))
+        assert fsm.state == BootstrapState.AWAIT_FINAL
 
     def test_stale_timer_after_done_is_noop(self):
         fsm = make_fsm()
         self.drive_to_requesting(fsm)
-        fsm.on_message(ResourceOffer(fsm.nonce, 7, lid(4), lid(5)), 0)
-        token = fsm._tokens[REQUEST_TIMER]
+        accepted = fsm.on_message(ResourceOffer(fsm.nonce, 7, lid(4), lid(5)), 0)
         fsm.on_message(ResourceAccepted(fsm.nonce, 7), 0)
-        assert fsm.on_timeout(REQUEST_TIMER, token) == []
+        assert fire(accepted, fsm) == []
         assert fsm.state == BootstrapState.DONE
 
 

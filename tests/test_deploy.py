@@ -50,6 +50,16 @@ def failed_host_net():
     return net
 
 
+def drop_tmfid_updates_to(net, host):
+    """A drop filter that loses each TM Update carrying a TMFID on its way to ``host``."""
+    def drop(src, dst, packet):
+        if dst != host or packet.payload[:1] != bytes([wire.VERSION]):
+            return False
+        msg = wire.decode(packet.payload, net.graph.params)
+        return isinstance(msg, wire.Update) and msg.tmfid is not None
+    return drop
+
+
 class TestChainBootstrap:
     def test_minimal_chain_completes(self):
         net = Deployment(chain_spec(1, hosts=1))
@@ -236,6 +246,39 @@ class TestIcnNodeChain:
         net.run_until_idle()
         assert sent == emitted
         assert (net.tm_name in net.consumed.get(trace, [])) == (hop_limit == 5)
+
+    def answers_to_discovery(self, net, monkeypatch, name, neighbour):
+        """What ``name`` sends back when a DiscoveryRequest reaches it from ``neighbour``."""
+        sent = []
+        request = net.control_packet(wire.DiscoveryRequest(77))
+        port = net.port_to[name][neighbour]
+        with monkeypatch.context() as patch:
+            patch.setattr(net, "emit", lambda node, port, packet, hops: sent.append(
+                (node.name, node.ports[port].dst, decode(packet.payload, net.params))))
+            net.sim.schedule(0, net.nodes[name].handler, (request, port, net.hop_limit))
+            net.run_until_idle()
+        return sent
+
+    def test_tm_and_done_host_answer_a_discovery(self, monkeypatch):
+        net = Deployment(self.spec())
+        assert self.answers_to_discovery(net, monkeypatch, "h1", "h2") == []  # h1 is INIT
+        assert net.hosts["h1"].fsm.state == BootstrapState.INIT
+        net.run_bootstrap()
+        h1 = net.hosts["h1"].config
+        assert self.answers_to_discovery(net, monkeypatch, "h1", "h2") == [
+            ("h1", "h2", wire.DiscoveryOffer(77, h1.nid, h1.tmfid))]
+        assert self.answers_to_discovery(net, monkeypatch, "tm", "s1") == [
+            ("tm", "s1", wire.DiscoveryOffer(77, TM_NID, 0))]
+
+    def test_done_host_without_a_tmfid_stays_silent(self, monkeypatch):
+        net = Deployment(self.spec())
+        net.drop_filter = drop_tmfid_updates_to(net, "h1")
+        net.run_bootstrap()
+        assert net.hosts["h1"].fsm.state == BootstrapState.DONE
+        assert net.hosts["h1"].config.tmfid is None
+        # h1 had no TM path to offer h2, whose only neighbour it is.
+        assert net.hosts["h2"].fsm.state == BootstrapState.FAILED
+        assert self.answers_to_discovery(net, monkeypatch, "h1", "h2") == []
 
     def test_direct_tm_attachment(self):
         spec = TopologySpec(
@@ -592,10 +635,16 @@ def test_default_outside_the_schema_bound_rejected(name, bad, allowed):
     ("hop_limit", True, 1),
     ("max_retries", 1.5, 2),
     ("discovery_wait_ms", "100", 100),
+    # A timer counts whole microseconds; round() takes 0.5 us to 0 (half to even).
+    ("discovery_wait_ms", 0.0004, 0.001),
+    ("discovery_wait_ms", 0.0005, 0.001),
+    ("request_timeout_ms", 0.0004, 0.001),
+    ("request_timeout_ms", 0.0005, 0.001),
 ])
 def test_default_the_run_cannot_use_rejected(name, bad, allowed):
-    # Each default must have its schema type and stay within its maximum,
-    # whether the spec is built in Python or parsed from JSON.
+    # Each default must have its schema type and stay within its maximum, and
+    # a timer must not round to 0 us, whether the spec is built in Python or
+    # parsed from JSON.
     spec = chain_spec(1, hosts=1, defaults=replace(Defaults(), **{name: bad}))
     with pytest.raises(SpecError, match=rf"^params\.defaults\.{name}: "):
         Deployment(spec)
@@ -747,14 +796,7 @@ class TestTrafficEndpoints:
             links=[TopoLink("tm", "s1", 0.2), TopoLink("h1", "s1", 0.2),
                    TopoLink("h2", "s1", 0.2)], seed=53)
         net = Deployment(spec)
-
-        def drop_tmfid_update(src, dst, packet):
-            if dst != "h1" or packet.payload[:1] != bytes([wire.VERSION]):
-                return False
-            msg = wire.decode(packet.payload, net.graph.params)
-            return isinstance(msg, wire.Update) and msg.tmfid is not None
-
-        net.drop_filter = drop_tmfid_update
+        net.drop_filter = drop_tmfid_updates_to(net, "h1")
         net.run_bootstrap()
         assert net.hosts["h1"].fsm.state == BootstrapState.DONE
         assert net.hosts["h1"].config.tmfid is None

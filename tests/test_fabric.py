@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icnsim.fabric import (AttachNotEnabled, FlowRule, FlowTable, IcnPacket, MISS, PacketIn,
+from icnsim.fabric import (AttachNotEnabled, FlowRule, FlowTable, IcnPacket, PacketIn,
                            SwitchAttached, decode_packet, encode_packet, switch_forward)
 from icnsim.fid import BitVector, FidParams, fid_or
 from icnsim.simnet import LimitExceeded
@@ -22,7 +22,7 @@ L2 = 0b00110000
 
 class TestFlowTable:
     def test_empty_table_misses(self):
-        assert switch_forward(FlowTable(8), IcnPacket(0xFF, b"")) is MISS
+        assert switch_forward(FlowTable(8), IcnPacket(0xFF, b"")) is None
 
     def test_multicast_on_or_ed_fid(self):
         table = FlowTable(8)
@@ -76,7 +76,7 @@ class TestFlowTable:
         assert table.remove(L1, L1)
         assert not table.remove(L1, L1)
         assert len(table) == 0
-        assert switch_forward(table, IcnPacket(L1, b"")) is MISS
+        assert switch_forward(table, IcnPacket(L1, b"")) is None
 
     @pytest.mark.parametrize("width", [8, 64, 256])
     @settings(derandomize=True, max_examples=150, deadline=None)
