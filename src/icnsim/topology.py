@@ -170,15 +170,18 @@ class TopologyGraph:
     each node's next hop (smallest NID among neighbours one hop closer), so a
     node's path is lexicographically smallest among its shortest paths.  A
     node's children are the predecessors whose next hop it is; no index of
-    them is kept.  An ADD lowers hop counts incrementally and re-picks next
-    hops with :meth:`_step`.  A REMOVE of a tree edge drops the subtree the
-    edge held (:meth:`_subtree`) and re-grows it with :meth:`_grow` from its
-    members' successors outside it: every other node keeps its hop count
-    and next hop, since its path avoids the edge and a removal shortens no
-    path.  The tree always equals what a fresh BFS would give, and it is
-    the only record of TM paths: a node's TMFID is its next hop's OR the
-    LID of the link there, so only the TMFIDs below a changed next hop are
-    recomposed, and only changed ones are reported.
+    them is kept.  An ADD src->dst that gives src no fewer hops moves it
+    only on a tie won by a smaller dst; one that lowers src lowers hop
+    counts breadth-first over reversed edges, only lowered nodes re-pick
+    with :meth:`_step`, and a node beside them that keeps its hop count can
+    only switch to a smaller lowered successor.  A REMOVE of a tree edge
+    drops the subtree the edge held (:meth:`_subtree`) and re-grows it with
+    :meth:`_grow` from its members' successors outside it: every other node
+    keeps its hop count and next hop, since its path avoids the edge and a
+    removal shortens no path.  The tree always equals what a fresh BFS
+    would give, and it is the only record of TM paths: a node's TMFID is
+    its next hop's OR the LID of the link there, so only the TMFIDs below a
+    changed next hop are recomposed, and only changed ones are reported.
 
     The FID of a message from the TM to any node, pending or committed, is
     ORed along the node's in-tree path reversed (:meth:`fid_from_tm`), so
@@ -540,35 +543,40 @@ class TopologyGraph:
         return sorted(repairs, key=lambda r: r.nid)
 
     def _add_and_repair(self, link: DirectedLink) -> List[RepairAction]:
-        # Bring the link up, then move nodes whose deterministic shortest
-        # path changed; restores pre-failure TMFIDs after a flap.  Hop counts
-        # can only fall: lower them breadth-first from the link's source,
-        # then re-pick the next hop wherever a neighbour got closer.
-        dist = self._dist  # the in-tree of the graph without the link
+        # Bring the link up, then move only nodes whose deterministic shortest
+        # path changed, all below src; restores pre-failure TMFIDs after a flap.
+        dist, nxt = self._dist, self._next  # the in-tree of the graph without the link
         self._put_link(link)
         src, dst = link.src, link.dst
-        lowered: List[int] = []
-        if dst in dist and (src not in dist or dist[dst] + 1 < dist[src]):
-            dist[src] = dist[dst] + 1
-            lowered.append(src)
-            queue = deque(lowered)
-            while queue:
-                node = queue.popleft()
-                for pred in self._pred[node]:
-                    if pred not in dist or dist[node] + 1 < dist[pred]:
-                        dist[pred] = dist[node] + 1
-                        lowered.append(pred)
-                        queue.append(pred)
-        rechoose = {src}.union(lowered, *(self._pred[n] for n in lowered))
-        changed = []
-        for nid in rechoose:
-            if nid != TM_NID and nid in dist:
-                step = self._step(nid, dist)
-                if self._next.get(nid) != step:
-                    self._next[nid] = step
-                    changed.append(nid)
-        # Only nodes below a changed next hop have a new path.
-        return self._repair(self._subtree(changed))
+        if dst not in dist:
+            return []
+        hops = dist[dst] + 1
+        if src in dist and hops >= dist[src]:
+            if hops > dist[src] or dst > nxt[src]:
+                return []
+            nxt[src] = dst  # a tie won by the smaller NID
+            return self._repair(self._subtree([src]))
+        # Hop counts can only fall: lower them breadth-first from src.
+        dist[src] = hops
+        lowered = [src]
+        queue = deque(lowered)
+        while queue:
+            node = queue.popleft()
+            for pred in self._pred[node]:
+                if pred not in dist or dist[node] + 1 < dist[pred]:
+                    dist[pred] = dist[node] + 1
+                    lowered.append(pred)
+                    queue.append(pred)
+        # A lowered node re-picks its next hop.  A node that keeps its hop
+        # count keeps a valid next hop, whose count is unchanged too, and
+        # moves only to a smaller lowered successor one hop closer.
+        moved = set(lowered)
+        for node in lowered:
+            nxt[node] = self._step(node, dist)
+            for pred in self._pred[node]:
+                if pred not in moved and dist[pred] == dist[node] + 1 and node < nxt[pred]:
+                    nxt[pred] = node
+        return self._repair(self._subtree([src]))
 
     def record_stats(self, report: LinkStatsReport) -> None:
         """Fold reported per-link utilization into link loads for TE."""

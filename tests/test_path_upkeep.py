@@ -266,3 +266,86 @@ def test_remove_regrows_a_member_through_its_smallest_tied_successor():
     assert [r.nid for r in outcome.repairs] == [s9]
     assert g._next[s9] == s3 and g._dist[s9] == 2
     check_paths(g)
+
+
+def add(g, src, dst):
+    return g.handle_link_event(LinkEvent(LinkEventKind.ADD, src, dst)).repairs
+
+
+def test_add_that_gives_no_path_or_comes_from_the_tm_moves_nothing():
+    # tm <- s2 <- s3, tm <- s4; s3 is cut off once s3 -> s2 fails.  An ADD
+    # s4 -> s3 leads s4 nowhere, and an ADD tm -> s2 starts at the TM.
+    g = TopologyGraph(FidParams(m=256, k=5), Random(11))
+    s2 = attach_to(g, TM_NID)
+    s3 = attach_to(g, s2)
+    s4 = attach_to(g, TM_NID)
+    g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s3, s2))
+    g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, TM_NID, s2))
+    assert s3 not in g._dist
+    tree = (dict(g._dist), dict(g._next))
+    assert add(g, s4, s3) == []
+    assert add(g, TM_NID, s2) == []
+    assert (g._dist, g._next) == tree
+    check_paths(g)
+
+
+def test_tie_add_moves_its_source_only_to_a_smaller_nid():
+    # tm <- s2 <- s6 and tm <- s3 <- s4 <- s5.  s4 -> s2 ties s4's 2 hops
+    # with a smaller next hop: s4 and the s5 below it move, and nothing
+    # else.  s6 -> s3 ties s6's 2 hops with a larger one: nothing moves.
+    g = TopologyGraph(FidParams(m=256, k=5), Random(13))
+    s2 = attach_to(g, TM_NID)
+    s3 = attach_to(g, TM_NID)
+    s4 = attach_to(g, s3)
+    s5 = attach_to(g, s4)
+    s6 = attach_to(g, s2)
+    dist, nxt = dict(g._dist), dict(g._next)
+    assert [r.nid for r in add(g, s4, s2)] == [s4, s5]
+    assert g._dist == dist and g._next == {**nxt, s4: s2}
+    check_paths(g)
+    nxt = dict(g._next)
+    assert add(g, s6, s3) == []
+    assert g._dist == dist and g._next == nxt
+    check_paths(g)
+
+
+def test_lowering_add_moves_a_neighbour_that_keeps_its_hop_count():
+    # tm <- s2 <- s3 <- s4, and tm <- s5 <- s6 <- s7 with s7 <-> s4.  Once
+    # s3 -> tm is up, s3 and s4 are lowered, and s7 keeps 3 hops but must
+    # step to the lowered s4, a smaller NID than its next hop s6.
+    g = TopologyGraph(FidParams(m=256, k=5), Random(17))
+    s2 = attach_to(g, TM_NID)
+    s3 = attach_to(g, s2)
+    s4 = attach_to(g, s3)
+    s5 = attach_to(g, TM_NID)
+    s6 = attach_to(g, s5)
+    s7 = attach_to(g, s6)
+    link_up(g, s7, s4)
+    assert g._next[s7] == s6 and g._dist[s7] == 3 > g._dist[s4] - 1
+    repairs = add(g, s3, TM_NID)
+    assert [r.nid for r in repairs] == [s3, s4, s7]
+    assert (g._dist[s3], g._dist[s4], g._dist[s7]) == (1, 2, 3)
+    assert g._next[s7] == s4
+    check_paths(g)
+
+
+def test_route_in_a_flap_gap_is_the_tms_shortest_path():
+    # tm <- s2 <- s3 with s3 <-> s4 <- tm, and s5 behind s4 alone.  With
+    # s2 -> s3 down, s3's in-tree path has no reversed link; the TM reaches
+    # it over s4.  With s4 -> s5 down, nothing reaches s5.
+    g = TopologyGraph(FidParams(m=256, k=5), Random(19))
+    s2 = attach_to(g, TM_NID)
+    s3 = attach_to(g, s2)
+    s4 = attach_to(g, TM_NID)
+    s5 = attach_to(g, s4)
+    link_up(g, s3, s4)
+    g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, s3))
+    g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s4, s5))
+    assert g._next[s3] == s2
+    assert g.fid_from_tm(s3) == g.data_fid(TM_NID, s3) == or_fid(
+        g, [g.links[(TM_NID, s4)].lid, g.links[(s4, s3)].lid])
+    with pytest.raises(Unreachable):
+        g.fid_from_tm(s5)
+    with pytest.raises(UnknownAttachPoint):
+        g.fid_from_tm(max(g.nodes) + 1)
+    check_paths(g)
