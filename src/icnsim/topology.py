@@ -1,17 +1,19 @@
 """Topology Manager: authoritative graph, resource allocation, and paths.
 
-The TM is the single writer of the deployment's directed graph.  It hands
-out node identifiers (NIDs), per-link LIDs and node-internal iLIDs, caches
-each node's FID towards the TM (TMFID), composed from its next hop's along
-the TM in-tree, selects load-aware paths, and repairs paths when links fail.
-One grower (``TopologyGraph._grow``, a BFS expanded level by level in NID
-order) builds every in-tree and re-grows the TM in-tree after a REMOVE.
+The TM is the single writer of the deployment's graph, whose paths run
+over whole cables only: both directions up.  It hands out node identifiers
+(NIDs), per-link LIDs and node-internal iLIDs, caches each node's FID
+towards the TM (TMFID), composed from its next hop's along the TM in-tree,
+selects load-aware paths, and repairs paths when links fail.  One grower
+(``TopologyGraph._grow``, a BFS expanded level by level in NID order)
+builds every in-tree and re-grows the TM in-tree after a REMOVE.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
+from math import inf
 from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -160,32 +162,35 @@ class LinkEventOutcome:
 
 
 class TopologyGraph:
-    """The TM's directed graph plus identifier registries.
+    """The TM's graph of directed links plus identifier registries.
 
     Single-writer: mutations must be applied sequentially in event order.
     Every link mutation goes through :meth:`_put_link` / :meth:`_pop_link`,
-    which keep an adjacency index, so path queries never scan the link table.
+    which keep ``_adj``, a symmetric index of whole cables: a cable joins it
+    when its second direction comes up and leaves it when its first goes
+    down.  So a lone direction moves no path, and paths never scan ``links``.
 
     Paths towards the TM are kept as an in-tree: hop counts (``_dist``) plus
     each node's next hop (smallest NID among neighbours one hop closer), so a
     node's path is lexicographically smallest among its shortest paths.  A
-    node's children are the predecessors whose next hop it is; no index of
-    them is kept.  An ADD src->dst that gives src no fewer hops moves it
-    only on a tie won by a smaller dst; one that lowers src lowers hop
-    counts breadth-first over reversed edges, only lowered nodes re-pick
-    with :meth:`_step`, and a node beside them that keeps its hop count can
-    only switch to a smaller lowered successor.  A REMOVE of a tree edge
-    drops the subtree the edge held (:meth:`_subtree`) and re-grows it with
-    :meth:`_grow` from its members' successors outside it: every other node
-    keeps its hop count and next hop, since its path avoids the edge and a
+    node's children are the neighbours whose next hop it is; no index of
+    them is kept.  An ADD that makes a cable whole runs from its end
+    farther from the TM, src, to dst: if src gets no fewer hops it moves
+    only on a tie won by a smaller dst; else hop counts fall breadth-first
+    from src, only lowered nodes re-pick with :meth:`_step`, and a node
+    beside them that keeps its hop count can only switch to a smaller
+    lowered neighbour.  A REMOVE of a tree cable drops the subtree below
+    the end whose next hop it was (:meth:`_subtree`) and re-grows it with
+    :meth:`_grow` from its members' neighbours outside it: every other node
+    keeps its hop count and next hop, since its path avoids the cable and a
     removal shortens no path.  The tree always equals what a fresh BFS
     would give, and it is the only record of TM paths: a node's TMFID is
     its next hop's OR the LID of the link there, so only the TMFIDs below a
     changed next hop are recomposed, and only changed ones are reported.
 
     The FID of a message from the TM to any node, pending or committed, is
-    ORed along the node's in-tree path reversed (:meth:`fid_from_tm`), so
-    it needs no BFS while every reversed link is up.
+    ORed along the node's in-tree path reversed (:meth:`fid_from_tm`); its
+    cables are whole, so every reversed link is up and no search is needed.
 
     :meth:`shortest_path` reads an in-tree per destination (``_trees``):
     the TM in-tree for the TM, and for any other node the hop counts and
@@ -197,7 +202,7 @@ class TopologyGraph:
     to every other member its next hop's data FID OR the LID of the link
     there, the rule TMFIDs follow too.  Each tree memoises the data FIDs
     composed so far, so a read walks only down to the first member already
-    known.  Every adjacency change
+    known.  Every change to ``_adj``
     (``_put_link``/``_pop_link``) makes all trees stale, FIDs included; the
     next read of a destination replaces its tree, with one BFS (none for
     the TM).  A stale tree is freed there, not at the change, so a link
@@ -215,8 +220,7 @@ class TopologyGraph:
         self.next_nid = 2
         self._free_nids: List[int] = []
         self._pending: Dict[int, ResourceGrant] = {}
-        self._succ: Dict[int, Set[int]] = {}
-        self._pred: Dict[int, Set[int]] = {}
+        self._adj: Dict[int, Set[int]] = {}  # whole cables only
         # TM in-tree: hop counts and next hops.
         self._dist: Dict[int, int] = {TM_NID: 0}
         self._next: Dict[int, int] = {}
@@ -228,7 +232,7 @@ class TopologyGraph:
         self.nodes[TM_NID] = NodeRecord(TM_NID, NodeKind.TM,
                                         ilid=new_lid(rng, self.lid_registry, params),
                                         tmfid=0)
-        self._succ[TM_NID], self._pred[TM_NID] = set(), set()
+        self._adj[TM_NID] = set()
 
     # -- identifier bookkeeping -------------------------------------------
 
@@ -244,20 +248,22 @@ class TopologyGraph:
 
     def _put_link(self, link: DirectedLink) -> None:
         self.links[link.key()] = link
-        self._succ[link.src].add(link.dst)
-        self._pred[link.dst].add(link.src)
-        self._epoch += 1
+        if (link.dst, link.src) in self.links:  # the cable is whole
+            self._adj[link.src].add(link.dst)
+            self._adj[link.dst].add(link.src)
+            self._epoch += 1
 
     def _pop_link(self, key: Tuple[int, int]) -> DirectedLink:
         link = self.links.pop(key)
-        self._succ[key[0]].discard(key[1])
-        self._pred[key[1]].discard(key[0])
-        self._epoch += 1
+        if key[::-1] in self.links:  # the cable was whole
+            self._adj[key[0]].discard(key[1])
+            self._adj[key[1]].discard(key[0])
+            self._epoch += 1
         return link
 
     def out_links(self, nid: int) -> List[DirectedLink]:
-        """The node's outgoing links, by destination NID."""
-        return [self.links[(nid, dst)] for dst in sorted(self._succ[nid])]
+        """The node's outgoing links over whole cables, by destination NID."""
+        return [self.links[(nid, dst)] for dst in sorted(self._adj[nid])]
 
     # -- allocation lifecycle ---------------------------------------------
 
@@ -281,7 +287,7 @@ class TopologyGraph:
         ilid = drawn[2] if len(drawn) == 3 else None
         nid = self._take_nid()
         self.nodes[nid] = NodeRecord(nid, kind, ilid=ilid)
-        self._succ[nid], self._pred[nid] = set(), set()
+        self._adj[nid] = set()
         self._put_link(DirectedLink(attach_nid, nid, down))
         self._put_link(DirectedLink(nid, attach_nid, up))
         # The new node is a leaf: it shortens no other node's path.
@@ -318,7 +324,7 @@ class TopologyGraph:
                 self._pop_link(key)
             else:  # a REMOVE took it
                 del self.down_links[key]
-        del self._succ[nid], self._pred[nid]
+        del self._adj[nid]
         self._trees.pop(nid, None)
         self._dist.pop(nid, None)
         self._next.pop(nid, None)
@@ -340,7 +346,7 @@ class TopologyGraph:
 
     def _grow(self, dist: Dict[int, int], nxt: Dict[int, int], anchors: Iterable[int],
               cap: Optional[float] = None) -> None:
-        """Grow an in-tree over reversed edges from ``anchors``, whose hop counts are final.
+        """Grow an in-tree over whole cables from ``anchors``, whose hop counts are final.
 
         Each anchor enters at its own hop count in ``dist``; levels are
         expanded in increasing hop count, each in NID order, and a node
@@ -352,7 +358,7 @@ class TopologyGraph:
         waiting = sorted(anchors, key=dist.__getitem__, reverse=True)  # nearest last
         frontier: List[int] = []
         hops = dist[waiting[-1]] if waiting else 0
-        pred_of = self._pred
+        adj = self._adj
         while frontier or waiting:
             while waiting and dist[waiting[-1]] == hops:
                 frontier.append(waiting.pop())
@@ -360,7 +366,7 @@ class TopologyGraph:
             hops += 1
             level: List[int] = []
             for node in frontier:
-                preds = pred_of[node]
+                preds = adj[node]
                 if cap is not None:
                     preds = [p for p in preds if self.links[(p, node)].load <= cap]
                 for pred in preds:
@@ -372,7 +378,7 @@ class TopologyGraph:
 
     def _step(self, cur: int, dist: Dict[int, int]) -> int:
         # Smallest-NID neighbour one hop closer along the BFS gradient.
-        return min(n for n in self._succ[cur] if dist.get(n, -1) == dist[cur] - 1)
+        return min(n for n in self._adj[cur] if dist.get(n, -1) == dist[cur] - 1)
 
     def _path_via(self, src: int, dst: int, nxt: Dict[int, int]) -> List[DirectedLink]:
         # Following the smallest-NID next hops yields the lexicographically
@@ -432,20 +438,19 @@ class TopologyGraph:
         """The FID of a TM->node message: the OR of the node's iLID, if any,
         and the LIDs of its in-tree path reversed.
 
-        A pending node's route runs over its tentative downlink.  A link
-        change reaches the TM as two per-direction events, and between them
-        a reversed link may be missing; then, or if the node is cut off, the
-        FID is ``data_fid(TM, nid)``, over the TM's shortest path to it.
+        The in-tree runs over whole cables only, so every reversed link is
+        up; a pending node's route runs over its tentative downlink.  A node
+        outside the in-tree, cut off or unknown, raises :class:`Unreachable`.
         """
-        if nid in self._dist:
-            ilid = self.nodes[nid].ilid
-            cur, fid = nid, 0 if ilid is None else ilid
-            while cur != TM_NID and (link := self.links.get((self._next[cur], cur))):
-                fid |= link.lid
-                cur = link.src
-            if cur == TM_NID:
-                return fid
-        return self.data_fid(TM_NID, nid)
+        if nid not in self._dist:
+            raise Unreachable(f"no path {TM_NID} -> {nid}")
+        ilid = self.nodes[nid].ilid
+        fid = 0 if ilid is None else ilid
+        while nid != TM_NID:
+            nxt = self._next[nid]
+            fid |= self.links[(nxt, nid)].lid
+            nid = nxt
+        return fid
 
     def _tmfid(self, nid: int) -> int:
         """The TMFID of an in-tree node: its next hop's OR the LID of the link there."""
@@ -479,20 +484,21 @@ class TopologyGraph:
         if event.kind == LinkEventKind.REMOVE:
             if key not in self.links:
                 raise UnknownLink(f"link {event.src}->{event.dst} unknown")
-            # Only a tree edge carries paths: its loss can lengthen or move
-            # just the paths of the subtree below it.  The subtree leaves the
-            # tree and is re-grown from its members' successors outside it;
-            # a node already cut off reaches none of them.  Any other edge
-            # leaves the tree as it was.
+            # Only a tree cable carries paths, and its first direction down
+            # takes it out: that can lengthen or move just the paths of the
+            # subtree below the end whose next hop it was, which leaves the
+            # tree and is re-grown from its members' neighbours outside it; a
+            # node already cut off reaches none.  Anything else moves nothing.
             below: Set[int] = set()
             link = self._pop_link(key)
             self.down_links[key] = link
-            if self._next.get(event.src) == event.dst:
-                dist, nxt = self._dist, self._next
-                below = self._subtree([event.src])
-                for nid in below:
-                    del dist[nid], nxt[nid]
-                self._grow(dist, nxt, {s for nid in below for s in self._succ[nid] if s in dist})
+            for child, parent in (key, key[::-1]):
+                if self._next.get(child) == parent:
+                    dist, nxt = self._dist, self._next
+                    below = self._subtree([child])
+                    for nid in below:
+                        del dist[nid], nxt[nid]
+                    self._grow(dist, nxt, {s for nid in below for s in self._adj[nid] if s in dist})
             if self.nodes[event.src].kind == NodeKind.SDN_SWITCH:
                 out.rules.append(
                     RuleInstallFrame.for_link(False, event.src, event.dst, link.lid))
@@ -526,7 +532,7 @@ class TopologyGraph:
             nid = stack.pop()
             if nid not in below:
                 below.add(nid)
-                stack.extend([p for p in self._pred[nid] if nxt.get(p) == nid])
+                stack.extend([p for p in self._adj[nid] if nxt.get(p) == nid])
         return below
 
     def _repair(self, affected: Set[int]) -> List[RepairAction]:
@@ -543,12 +549,15 @@ class TopologyGraph:
         return sorted(repairs, key=lambda r: r.nid)
 
     def _add_and_repair(self, link: DirectedLink) -> List[RepairAction]:
-        # Bring the link up, then move only nodes whose deterministic shortest
-        # path changed, all below src; restores pre-failure TMFIDs after a flap.
-        dist, nxt = self._dist, self._next  # the in-tree of the graph without the link
+        # Bring the link up; once its cable is whole, move only nodes whose
+        # deterministic shortest path changed, all below its end farther from
+        # the TM (src); restores pre-failure TMFIDs after a flap.
+        dist, nxt = self._dist, self._next  # the in-tree of the graph without the cable
         self._put_link(link)
         src, dst = link.src, link.dst
-        if dst not in dist:
+        if dist.get(dst, inf) > dist.get(src, inf):
+            src, dst = dst, src
+        if dst not in dist or src not in self._adj[dst]:  # unreached, or a lone direction
             return []
         hops = dist[dst] + 1
         if src in dist and hops >= dist[src]:
@@ -562,7 +571,7 @@ class TopologyGraph:
         queue = deque(lowered)
         while queue:
             node = queue.popleft()
-            for pred in self._pred[node]:
+            for pred in self._adj[node]:
                 if pred not in dist or dist[node] + 1 < dist[pred]:
                     dist[pred] = dist[node] + 1
                     lowered.append(pred)
@@ -573,7 +582,7 @@ class TopologyGraph:
         moved = set(lowered)
         for node in lowered:
             nxt[node] = self._step(node, dist)
-            for pred in self._pred[node]:
+            for pred in self._adj[node]:
                 if pred not in moved and dist[pred] == dist[node] + 1 and node < nxt[pred]:
                     nxt[pred] = node
         return self._repair(self._subtree([src]))

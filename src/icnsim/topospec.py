@@ -28,14 +28,17 @@ class SpecError(Exception):
 
 
 def check_params(m: int, k: int, prefix: str = "params.") -> None:
-    """SpecError unless FIDs of width ``m`` with ``k`` bits per LID fit every frame.
+    """SpecError unless FIDs of width ``m`` with ``k`` bits per LID are sparse and fit every frame.
 
     The message names the field at fault, after ``prefix``.
     """
+    for name, value in (("m", m), ("k", k)):
+        if type(value) is not int:  # the schema's integer admits 256.0; bool is an int
+            raise SpecError(f"{prefix}{name}: must be of type integer, got {value!r}")
     if m % 8 != 0 or m <= 0:
         raise SpecError(f"{prefix}m: must be a positive multiple of 8")
-    if not 0 < k < m:
-        raise SpecError(f"{prefix}k: must satisfy 0 < k < m")
+    if not 0 < k <= m // 2:  # a denser LID matches nearly every rule: copies flood
+        raise SpecError(f"{prefix}k: must satisfy 0 < k <= m/2, got {k} for m = {m}")
     if (payload := wire.largest_payload(m)) > wire.MAX_PAYLOAD:
         raise SpecError(f"{prefix}m: {m} makes a {payload}-byte frame payload, "
                         f"over the u16 length limit {wire.MAX_PAYLOAD}")

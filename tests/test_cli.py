@@ -52,6 +52,16 @@ class TestRun:
         assert main(["run", "--topology", str(topo)]) == 1
         assert "exactly one 'tm'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("m", 256.0), ("k", 5.0), ("k", 160)])
+    def test_bad_width_or_bit_count_exit_one_named(self, tmp_path, capsys, field, value):
+        # A float once crashed the run with a traceback, and k = 160 flooded without end.
+        doc = json.loads(generate_random(6, 8, 4, 1).to_json())
+        doc["params"][field] = value
+        topo = tmp_path / "bad.json"
+        topo.write_text(json.dumps(doc))
+        assert main(["run", "--topology", str(topo)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: invalid spec: params.{field}: ")
+
     def test_missing_file_exit_one(self, tmp_path):
         assert main(["run", "--topology", str(tmp_path / "nope.json")]) == 1
 
@@ -218,6 +228,7 @@ class TestMalformedOptions:
         (["dump-protocol", "--m", "8", "--k", "8"], "--k:"),
         (["dump-protocol", "--m", "262144"], "--m:"),
         (["bench", "--links", "5..4"], "--links:"),
+        (["dump-protocol", "--m", "256", "--k", "129"], "--k:"),
     ])
     def test_rejected_with_the_option_named(self, argv, named, capsys):
         assert main(argv) == 1

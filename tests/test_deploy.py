@@ -502,6 +502,35 @@ class TestLinkFlap:
         assert new_tmfid != old_tmfid
         assert new_tmfid == net.graph.nodes[net.nid_of("h1")].tmfid
 
+    @pytest.mark.parametrize("upward", [True, False])
+    def test_lone_link_event_reroutes_at_once(self, upward):
+        # A controller that relays only one direction of a change (a lost
+        # frame): the first REMOVE takes the whole s1 - s3 cable out of the
+        # TM's paths, and the ADD of that direction alone puts it back, since
+        # the other direction never went down.
+        net = Deployment(self.diamond())
+        net.run_bootstrap()
+        s1, s3, h1 = net.nid_of("s1"), net.nid_of("s3"), net.nid_of("h1")
+        assert net.graph._next[s3] == s1
+        key = (s3, s1) if upward else (s1, s3)
+        old_tmfid = net.hosts["h1"].config.tmfid
+
+        def probes_reach_the_tm():
+            traces = [net.inject_probe(name) for name in sorted(net.hosts)]
+            net.run_until_idle()
+            return all(net.consumed.get(trace) == ["tm"] for trace in traces)
+
+        for kind, rerouted in ((LinkEventKind.REMOVE, True), (LinkEventKind.ADD, False)):
+            net.ctl_send(LinkEvent(kind, *key, net.link_delay_ms("s1", "s3")))
+            net.run_until_idle()
+            tmfid = net.hosts["h1"].config.tmfid
+            assert tmfid == net.graph.nodes[h1].tmfid
+            assert (tmfid != old_tmfid) == rerouted
+            assert (net.graph._next[s3] == s1) != rerouted
+            assert probes_reach_the_tm()
+        assert not net.graph.down_links
+        assert net.graph.lid_registry == net.graph.live_lids()
+
     def test_data_path_follows_a_flap(self):
         # A square s1-s2-s4-s3 with h1 on s1 and h2 on s4: h1's data to h2
         # runs over s2 (the smaller NID) and detours over s3 while s2-s4 is down.

@@ -19,9 +19,9 @@ from icnsim.deploy import Deployment
 from icnsim.topospec import generate_random
 
 GOLDEN = {
-    (10, 14, 8, 1): "5b0f3ac79f3152327c9ccfc676090c06ed76fa6e9a15d6829b978c4fd6f338ef",
-    (24, 60, 16, 2): "4d837bce2cce150b7be8f3365bf6f4c0d0075c0025a4f99f5b15642a5365da32",
-    (40, 80, 16, 3): "8a8c6ab95408eda18e348c74e0d0271f6dc5dd713d9feffd356cf0f87d68a53f",
+    (10, 14, 8, 1): "f63a20973691d526f35e38480bf207e22dad0c539b5390e04a5d817fd1c0dd30",
+    (24, 60, 16, 2): "ce949274002f5dcc829075791bb26a39de125b043d252ae2804778eb010a4c25",
+    (40, 80, 16, 3): "83ccd5347c7a569cad5765639aa095fd45b12dc92e934438372a96f40df7e21e",
 }
 
 

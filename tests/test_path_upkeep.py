@@ -1,11 +1,12 @@
 """TM path upkeep against a from-scratch oracle over random link event sequences.
 
-After every attach, ADD and REMOVE, each committed node that can still reach
-the TM must hold the lexicographically smallest shortest path, recomputed
-here from networkx hop counts, and the TMFID OR-ed from it.  The FID of
-the TM's route to any node, pending ones included, is ORed from that path
-reversed while every reversed link is up, and else from the TM's smallest
-shortest path to the node, plus the node's iLID.  A sample of
+Paths run over whole cables only: the oracle's graph holds a link while its
+reverse is up too.  After every attach, ADD and REMOVE, each committed node
+that can still reach the TM must hold the lexicographically smallest
+shortest path, recomputed here from networkx hop counts, and the TMFID
+OR-ed from it.  The FID of the TM's route to any node, pending ones
+included, is ORed from that path reversed, plus the node's iLID, and a
+node the oracle cannot reach has none.  A sample of
 ``shortest_path`` reads, towards the TM and towards other nodes, must give
 the same path, and ``data_fid`` the OR of that path's LIDs plus the
 destination's iLID, so a per-destination tree or a composed FID left over
@@ -48,7 +49,7 @@ def oracle_path(graph, hops, nid, dst=TM_NID):
 def oracle_hops(g):
     graph = nx.DiGraph()
     graph.add_nodes_from(g.nodes)
-    graph.add_edges_from(g.links)
+    graph.add_edges_from(key for key in g.links if key[::-1] in g.links)
     return graph, nx.shortest_path_length(graph, target=TM_NID)
 
 
@@ -74,15 +75,11 @@ def check_in_tree(g, graph, hops, rng):
 
 def check_route(g, graph, hops, nid):
     """The FID of a TM->node message, against the route the oracle picks."""
-    route = [(b, a) for a, b in reversed(oracle_path(graph, hops, nid))] if nid in hops else []
-    if nid not in hops or not all(key in g.links for key in route):
-        to_nid = nx.shortest_path_length(graph, target=nid)
-        if TM_NID not in to_nid:
-            with pytest.raises(Unreachable):
-                g.fid_from_tm(nid)
-            return
-        route = oracle_path(graph, to_nid, TM_NID, nid)
-    lids = [g.links[key].lid for key in route]
+    if nid not in hops:
+        with pytest.raises(Unreachable):
+            g.fid_from_tm(nid)
+        return
+    lids = [g.links[(b, a)].lid for a, b in oracle_path(graph, hops, nid)]
     if g.nodes[nid].ilid is not None:
         lids.append(g.nodes[nid].ilid)
     assert g.fid_from_tm(nid) == or_fid(g, lids), f"route to {nid}"
@@ -161,9 +158,11 @@ def link_event(g, op, pick):
         if key not in g.links:
             g.handle_link_event(LinkEvent(LinkEventKind.ADD, *key))
     elif op == "add" and len(committed) > 1:
+        # Both directions, so that a new cable can lower hop counts.
         a, b = Random(pick).sample(committed, 2)
-        if (a, b) not in g.links:
-            g.handle_link_event(LinkEvent(LinkEventKind.ADD, a, b))
+        for key in ((a, b), (b, a)):
+            if key not in g.links:
+                g.handle_link_event(LinkEvent(LinkEventKind.ADD, *key))
 
 
 OPS = st.tuples(st.sampled_from(["attach", "add", "remove", "restore"]),
@@ -190,6 +189,7 @@ def test_paths_match_oracle_after_every_event(seed, tree, ops):
 def test_add_moves_a_node_whose_hop_count_stays():
     # tm <- s2 <- s3 and tm <- s4 <- s5, with s5 <-> s3.  Once s3 reaches the
     # TM directly, s5 keeps 2 hops but must switch to the smaller NID s3.
+    # The cable s3 - tm is whole at its second ADD, which comes from the TM.
     g = TopologyGraph(FidParams(m=256, k=5), Random(3))
     s2 = attach_to(g, TM_NID)
     s3 = attach_to(g, s2)
@@ -198,7 +198,8 @@ def test_add_moves_a_node_whose_hop_count_stays():
     link_up(g, s5, s3)
     assert s3 < s4
     assert [l.dst for l in g.shortest_path(s5, TM_NID)] == [s4, TM_NID]
-    outcome = g.handle_link_event(LinkEvent(LinkEventKind.ADD, s3, TM_NID))
+    assert g.handle_link_event(LinkEvent(LinkEventKind.ADD, s3, TM_NID)).repairs == []
+    outcome = g.handle_link_event(LinkEvent(LinkEventKind.ADD, TM_NID, s3))
     assert [r.nid for r in outcome.repairs] == [s3, s5]
     assert [l.dst for l in g.shortest_path(s5, TM_NID)] == [s3, TM_NID]
     check_paths(g)
@@ -237,16 +238,18 @@ def test_remove_repairs_exactly_the_subtree_below_a_tree_edge():
     s7 = attach_to(g, TM_NID)
     s8 = attach_to(g, s7)
     link_up(g, s8, s4)
-    # Off the tree, in either direction: no hop count or next hop changes.
-    assert g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s4, s8)).repairs == []
-    assert g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, s3)).repairs == []
+    # A cable off the tree, in either direction: no hop count or next hop changes.
+    for key in ((s4, s8), (s8, s4)):
+        assert g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, *key)).repairs == []
     check_paths(g)
-    g.handle_link_event(LinkEvent(LinkEventKind.ADD, s4, s8))
+    link_up(g, s4, s8)
     outcome = g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s3, s2))
     # s3's subtree is s3, s4, s5 and s6; s4 and s6 reroute via s8, s3 and s5
-    # via s4.  No node outside the subtree moves.
+    # via s4.  No node outside the subtree moves, and the cable's other
+    # direction moves nothing more.
     assert [r.nid for r in outcome.repairs] == [s3, s4, s5, s6]
     assert [l.dst for l in g.shortest_path(s4, TM_NID)] == [s8, s7, TM_NID]
+    assert g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, s3)).repairs == []
     check_paths(g)
 
 
@@ -273,16 +276,19 @@ def add(g, src, dst):
 
 
 def test_add_that_gives_no_path_or_comes_from_the_tm_moves_nothing():
-    # tm <- s2 <- s3, tm <- s4; s3 is cut off once s3 -> s2 fails.  An ADD
-    # s4 -> s3 leads s4 nowhere, and an ADD tm -> s2 starts at the TM.
+    # tm <- s2 <- s3 <- s5, tm <- s4; s2, s3 and s5 are cut off once s2 -> tm
+    # fails.  A cable s2 - s5 joins two cut-off nodes; an ADD s4 -> s3 and
+    # an ADD tm -> s2 from the TM each come without their other direction.
     g = TopologyGraph(FidParams(m=256, k=5), Random(11))
     s2 = attach_to(g, TM_NID)
     s3 = attach_to(g, s2)
     s4 = attach_to(g, TM_NID)
-    g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s3, s2))
+    s5 = attach_to(g, s3)
+    g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, TM_NID))
     g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, TM_NID, s2))
-    assert s3 not in g._dist
+    assert {s2, s3, s5}.isdisjoint(g._dist)
     tree = (dict(g._dist), dict(g._next))
+    assert add(g, s2, s5) == [] and add(g, s5, s2) == []
     assert add(g, s4, s3) == []
     assert add(g, TM_NID, s2) == []
     assert (g._dist, g._next) == tree
@@ -290,9 +296,10 @@ def test_add_that_gives_no_path_or_comes_from_the_tm_moves_nothing():
 
 
 def test_tie_add_moves_its_source_only_to_a_smaller_nid():
-    # tm <- s2 <- s6 and tm <- s3 <- s4 <- s5.  s4 -> s2 ties s4's 2 hops
-    # with a smaller next hop: s4 and the s5 below it move, and nothing
-    # else.  s6 -> s3 ties s6's 2 hops with a larger one: nothing moves.
+    # tm <- s2 <- s6 and tm <- s3 <- s4 <- s5.  A cable s4 - s2 ties s4's 2
+    # hops with a smaller next hop: s4 and the s5 below it move, and nothing
+    # else.  A cable s6 - s3 ties s6's 2 hops with a larger one: nothing moves.
+    # Each cable is whole at its second ADD, from either end.
     g = TopologyGraph(FidParams(m=256, k=5), Random(13))
     s2 = attach_to(g, TM_NID)
     s3 = attach_to(g, TM_NID)
@@ -300,19 +307,20 @@ def test_tie_add_moves_its_source_only_to_a_smaller_nid():
     s5 = attach_to(g, s4)
     s6 = attach_to(g, s2)
     dist, nxt = dict(g._dist), dict(g._next)
-    assert [r.nid for r in add(g, s4, s2)] == [s4, s5]
+    assert add(g, s4, s2) == []
+    assert [r.nid for r in add(g, s2, s4)] == [s4, s5]
     assert g._dist == dist and g._next == {**nxt, s4: s2}
     check_paths(g)
     nxt = dict(g._next)
-    assert add(g, s6, s3) == []
+    assert add(g, s3, s6) == [] and add(g, s6, s3) == []
     assert g._dist == dist and g._next == nxt
     check_paths(g)
 
 
 def test_lowering_add_moves_a_neighbour_that_keeps_its_hop_count():
     # tm <- s2 <- s3 <- s4, and tm <- s5 <- s6 <- s7 with s7 <-> s4.  Once
-    # s3 -> tm is up, s3 and s4 are lowered, and s7 keeps 3 hops but must
-    # step to the lowered s4, a smaller NID than its next hop s6.
+    # the cable s3 - tm is whole, s3 and s4 are lowered, and s7 keeps 3 hops
+    # but must step to the lowered s4, a smaller NID than its next hop s6.
     g = TopologyGraph(FidParams(m=256, k=5), Random(17))
     s2 = attach_to(g, TM_NID)
     s3 = attach_to(g, s2)
@@ -322,30 +330,49 @@ def test_lowering_add_moves_a_neighbour_that_keeps_its_hop_count():
     s7 = attach_to(g, s6)
     link_up(g, s7, s4)
     assert g._next[s7] == s6 and g._dist[s7] == 3 > g._dist[s4] - 1
-    repairs = add(g, s3, TM_NID)
+    assert add(g, s3, TM_NID) == []
+    repairs = add(g, TM_NID, s3)
     assert [r.nid for r in repairs] == [s3, s4, s7]
     assert (g._dist[s3], g._dist[s4], g._dist[s7]) == (1, 2, 3)
     assert g._next[s7] == s4
     check_paths(g)
 
 
-def test_route_in_a_flap_gap_is_the_tms_shortest_path():
-    # tm <- s2 <- s3 with s3 <-> s4 <- tm, and s5 behind s4 alone.  With
-    # s2 -> s3 down, s3's in-tree path has no reversed link; the TM reaches
-    # it over s4.  With s4 -> s5 down, nothing reaches s5.
+def test_lone_direction_moves_paths_only_when_it_breaks_or_completes_a_cable():
+    # tm <- s2 <- s3 with s3 <-> s4 <- tm, and s5 behind s4 alone.  Either
+    # direction of s2 - s3 down moves s3 to s4 at once, and the TM's route
+    # to s3 runs over whole cables; the other direction down, and the first
+    # back up, move nothing; the second back up restores s3's path.
     g = TopologyGraph(FidParams(m=256, k=5), Random(19))
     s2 = attach_to(g, TM_NID)
     s3 = attach_to(g, s2)
     s4 = attach_to(g, TM_NID)
     s5 = attach_to(g, s4)
     link_up(g, s3, s4)
-    g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, s3))
+    whole = [g.links[key].lid for key in ((s2, s3), (TM_NID, s2))]
+    via_s4 = [g.links[key].lid for key in ((s4, s3), (TM_NID, s4))]
+
+    def state():
+        return (dict(g._dist), dict(g._next), {n: r.tmfid for n, r in g.nodes.items()},
+                {n: g.out_links(n) for n in g.nodes})
+
+    for first in ((s2, s3), (s3, s2)):
+        assert g._next[s3] == s2 and g.fid_from_tm(s3) == or_fid(g, whole)
+        outcome = g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, *first))
+        assert [r.nid for r in outcome.repairs] == [s3]
+        assert g._next[s3] == s4 and g.fid_from_tm(s3) == or_fid(g, via_s4)
+        check_paths(g)
+        assert g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, *first[::-1])).repairs == []
+        check_paths(g)
+        before = state()
+        assert add(g, *first) == []
+        assert state() == before
+        check_paths(g)
+        assert [r.nid for r in add(g, *first[::-1])] == [s3]
+        check_paths(g)
     g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s4, s5))
-    assert g._next[s3] == s2
-    assert g.fid_from_tm(s3) == g.data_fid(TM_NID, s3) == or_fid(
-        g, [g.links[(TM_NID, s4)].lid, g.links[(s4, s3)].lid])
-    with pytest.raises(Unreachable):
+    with pytest.raises(Unreachable):  # s5 -> s4 is up, but half a cable
         g.fid_from_tm(s5)
-    with pytest.raises(UnknownAttachPoint):
+    with pytest.raises(Unreachable):
         g.fid_from_tm(max(g.nodes) + 1)
     check_paths(g)

@@ -113,16 +113,23 @@ class TestCommitExpire:
         g = make_graph()
         s = attach(g, NodeKind.SDN_SWITCH, TM_NID)
         grant = g.allocate_resources(NodeKind.ICN_NODE, s)
+        # The cable's first direction down takes it out: TM -> s is up, but
+        # no path runs over half a cable, the TM's route to the node included.
         g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s, TM_NID))
         with pytest.raises(Unreachable):
             g.commit_grant(grant.nid)
         assert g.pending_grant(grant.nid) == grant
         assert not g.nodes[grant.nid].committed
-        # Cut off from the TM, the pending node is still reached over TM -> s.
+        with pytest.raises(Unreachable):
+            g.fid_from_tm(grant.nid)
+        g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, TM_NID, s))
+        g.handle_link_event(LinkEvent(LinkEventKind.ADD, s, TM_NID))
+        with pytest.raises(Unreachable):  # one direction back is not a cable
+            g.commit_grant(grant.nid)
+        g.handle_link_event(LinkEvent(LinkEventKind.ADD, TM_NID, s))
+        record = g.commit_grant(grant.nid)
         assert g.fid_from_tm(grant.nid) == or_fid(
             [g.links[(TM_NID, s)].lid, grant.lid, grant.ilid])
-        g.handle_link_event(LinkEvent(LinkEventKind.ADD, s, TM_NID))
-        record = g.commit_grant(grant.nid)
         path = g.shortest_path(grant.nid, TM_NID)
         assert [l.key() for l in path] == [(grant.nid, s), (s, TM_NID)]
         assert record.tmfid == or_fid([l.lid for l in path])

@@ -66,6 +66,34 @@ class TestParsing:
         with pytest.raises(SpecError, match=r"params\.m"):
             parse_spec(json.dumps(doc))
 
+    @pytest.mark.parametrize("field, value", [("m", 256.0), ("m", 1e9), ("k", 5.0)])
+    def test_float_width_or_bit_count_named(self, field, value):
+        # JSON Schema's integer admits a number with a zero fraction.
+        doc = minimal_doc()
+        doc["params"][field] = value
+        with pytest.raises(SpecError, match=rf"params\.{field}: must be of type integer"):
+            parse_spec(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["m", "k"])
+    def test_bool_width_or_bit_count_named(self, field):
+        spec = parse_spec(json.dumps(minimal_doc()))
+        setattr(spec, field, True)
+        with pytest.raises(SpecError, match=rf"params\.{field}: must be of type integer"):
+            spec.validate()
+
+    @pytest.mark.parametrize("m, k, ok", [(256, 128, True), (256, 129, False), (256, 160, False),
+                                          (256, 255, False), (8, 4, True), (8, 5, False)])
+    def test_lid_may_set_at_most_half_the_bits(self, m, k, ok):
+        # Denser LIDs flood: at m = 256, k = 160 a small fabric never settles.
+        doc = minimal_doc()
+        doc["params"].update(m=m, k=k)
+        if ok:
+            assert parse_spec(json.dumps(doc)).k == k
+        else:
+            with pytest.raises(SpecError, match=rf"params\.k: must satisfy 0 < k <= m/2, "
+                                                 rf"got {k} for m = {m}"):
+                parse_spec(json.dumps(doc))
+
     def test_m_bounded_by_the_frame_length_field(self):
         # The longest frame, a RuleInstall, has a 29 + m/4 byte payload and a u16 length.
         doc = minimal_doc()

@@ -12,7 +12,7 @@ A third figure times whole link transitions of the deployment: for every
 TM in-tree link between two switches, ``Deployment.fail_link`` and then
 ``restore_link``, each followed by ``run_until_idle``.  Each transition
 carries two per-direction link events and the TM's repair Updates and
-rule changes, routed while one direction is still missing.
+rule changes.
 
 Both fabric shapes of the benchmark's workloads are measured, with its
 0.1 ms links: ``dataplane_unicast`` (``generate_random(24, 200, 32, s)``)
