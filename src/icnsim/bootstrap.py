@@ -327,11 +327,11 @@ class TmEngine:
         before = len(self.graph.lid_registry)
         outcome = self.graph.handle_link_event(event)
         result = TmResult(len(self.graph.lid_registry) - before, list(outcome.rules))
-        if result.lids_allocated and self.graph.nodes[event.src].kind == NodeKind.ICN_NODE:
-            # An ICN node's counterpart of a switch's install rule.  A revived
-            # link keeps its LID, which the node's link table still holds.
-            lid = self.graph.links[(event.src, event.dst)].lid
-            result.actions.append(Notify(event.src, Update(event.dst, lid)))
+        if result.lids_allocated:  # a revived cable's LIDs are in its ends' link tables
+            for src, dst in ((event.src, event.dst), (event.dst, event.src)):
+                if self.graph.nodes[src].kind == NodeKind.ICN_NODE:  # a switch end gets a rule
+                    lid = self.graph.links[(src, dst)].lid
+                    result.actions.append(Notify(src, Update(dst, lid)))
         for repair in outcome.repairs:
             if self.graph.nodes[repair.nid].kind == NodeKind.ICN_NODE:
                 result.actions.append(Notify(

@@ -18,17 +18,21 @@ from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, T
 from . import wire
 from .bootstrap import (Arm, Broadcast, NodeBootstrapFsm, NodeConfig,
                         BootstrapState, Send, Timers, TmEngine, apply_update,
-                        responder_on_discovery, NotBootstrapped)
-from .fabric import (Controller, FlowTable, IcnPacket, LinkDown, LinkUp, PacketIn,
-                     SwitchAttached, encode_packet, switch_forward)
+                        responder_on_discovery, NotBootstrapped, TmResult)
+from .fabric import (Controller, FlowTable, IcnPacket, LinkChange, PacketIn, SwitchAttached,
+                     encode_packet, switch_forward)
 from .fid import FidError, FidParams
 from .simnet import SimReport, Simulator, Timer, ms
-from .topology import (TM_NID, DirectedLink, NodeKind, RuleInstallFrame, TopologyError,
-                       TopologyGraph)
+from .topology import (TM_NID, DirectedLink, LinkEventKind, NodeKind, RuleInstallFrame,
+                       TopologyError, TopologyGraph)
 from .topospec import TopologySpec
 from .wire import CodecError, DiscoveryRequest, ResourceRequest, Update
 
 log = logging.getLogger(__name__)
+
+# Events a bootstrap may run per spec node and link, per hop of the hop limit:
+# a copy storm that the LID density bound misses ends in LimitExceeded there.
+BOOT_EVENTS = 64
 
 
 class EndpointError(ValueError):
@@ -281,28 +285,26 @@ class TmNode(IcnEndpoint):
         msg, in_port = self._queue.popleft()
         self._busy = True
         t0 = time.perf_counter()
+        result = TmResult()  # what a rejected message yields
         if isinstance(msg, wire.LinkEvent):
             try:
                 result = self.engine.on_link_event(msg)
             except (TopologyError, FidError) as exc:  # FidError: no LID left for an ADD
                 log.warning("tm: link event failed: %s", exc)
-                result = None
         elif isinstance(msg, wire.LinkStatsReport):
             try:
                 result = self.engine.on_link_stats(msg)
             except TopologyError as exc:
                 log.warning("tm: stats report rejected: %s", exc)
-                result = None
         else:
             result = self.engine.on_message(msg)
         self.wall_alloc_s += time.perf_counter() - t0
-        lids = result.lids_allocated if result else 0
         if in_port is not None and isinstance(msg, ResourceRequest) and msg.attach_nid == TM_NID:
             nid = self.engine.nid_for_nonce(msg.nonce)
             if nid is not None:
                 self.nid_port[nid] = in_port
-        self.net.sim.schedule(self.service_us + lids * self.alloc_us, self.handler,
-                              ServiceDone(result.actions if result else []))
+        self.net.sim.schedule(self.service_us + result.lids_allocated * self.alloc_us,
+                              self.handler, ServiceDone(result.actions))
 
     def _service_done(self, done: ServiceDone) -> None:
         for action in done.actions:
@@ -480,7 +482,7 @@ class Deployment:
                 self.controller.audit_drops += 1
             else:
                 self.controller.on_ctl_message(msg)
-        else:  # PacketIn, SwitchAttached, LinkUp or LinkDown
+        else:  # PacketIn, SwitchAttached or LinkChange
             self.controller.on_control_event(event)
 
     # -- orchestration ------------------------------------------------------------
@@ -488,7 +490,8 @@ class Deployment:
     def run_bootstrap(self) -> SimReport:
         """Bootstrap every node in spec order; returns the finished report."""
         self.sim.schedule(0, self._orch_handler, Timer("next"))
-        self.sim.run_until_idle(10_000_000 + 5_000_000 * (len(self.nodes) - 1))
+        events = BOOT_EVENTS * self.hop_limit * (len(self.nodes) + len(self.spec.links))
+        self.sim.run_until_idle(10_000_000 + 5_000_000 * (len(self.nodes) - 1), events)
         return self.report()
 
     def _orch_handle(self, event: Timer) -> None:
@@ -532,7 +535,7 @@ class Deployment:
         Handshake-allocated graph links learn the physical delay (the
         protocol never carries it), each ICN end (TM or host) of the pair
         binds its port to the other's NID, and a connection no handshake
-        covered is reported to the TM as a ``LinkUp``.
+        covered is reported to the TM as an ADD ``LinkChange``.
         """
         node = self.nodes[name]
         nid = self.nid_of(name)
@@ -551,13 +554,11 @@ class Deployment:
                 link = self.graph.links.get(key)
                 if link is not None and not link.delay_ms:
                     self.graph.links[key] = DirectedLink(*key, link.lid, delay_ms, link.load)
-            if cable.pair in self.down_pairs:
-                continue
-            a, b = sorted((name, other))
-            key = (nid, other_nid) if a == name else (other_nid, nid)
-            if key in self.graph.links or key in self.graph.down_links:
-                continue
-            self.sim.schedule(0, self._ctl_handler, LinkUp(a, b))
+            key = (nid, other_nid)
+            if not (cable.pair in self.down_pairs or key in self.graph.links
+                    or key in self.graph.down_links):
+                self.sim.schedule(0, self._ctl_handler,
+                                  LinkChange(LinkEventKind.ADD, *sorted((name, other))))
 
     def nid_of(self, name: str) -> Optional[int]:
         node = self.nodes[name]
@@ -578,11 +579,11 @@ class Deployment:
 
     def fail_link(self, a: str, b: str) -> None:
         self.down_pairs.add(self._cable(a, b).pair)
-        self.sim.schedule(0, self._ctl_handler, LinkDown(a, b))
+        self.sim.schedule(0, self._ctl_handler, LinkChange(LinkEventKind.REMOVE, a, b))
 
     def restore_link(self, a: str, b: str) -> None:
         self.down_pairs.discard(self._cable(a, b).pair)
-        self.sim.schedule(0, self._ctl_handler, LinkUp(a, b))
+        self.sim.schedule(0, self._ctl_handler, LinkChange(LinkEventKind.ADD, a, b))
 
     def _endpoint(self, name: str):
         """The TM or a DONE host: the nodes that originate and consume traffic."""

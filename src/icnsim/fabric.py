@@ -146,18 +146,15 @@ class PacketIn:
 
 
 @dataclass(frozen=True)
-class LinkDown:
+class LinkChange:
+    """The cable a - b went down (REMOVE) or came back up (ADD)."""
+
+    kind: LinkEventKind
     a: str
     b: str
 
 
-@dataclass(frozen=True)
-class LinkUp:
-    a: str
-    b: str
-
-
-ControlEvent = Union[SwitchAttached, PacketIn, LinkDown, LinkUp]
+ControlEvent = Union[SwitchAttached, PacketIn, LinkChange]
 
 
 class Controller:
@@ -190,7 +187,7 @@ class Controller:
             self.on_switch_attached(event)
         elif isinstance(event, PacketIn):
             self.on_packet_in(event)
-        elif isinstance(event, (LinkDown, LinkUp)):
+        elif isinstance(event, LinkChange):
             self.on_link_change(event)
         else:  # pragma: no cover
             log.warning("controller: unknown control event %r", event)
@@ -245,9 +242,8 @@ class Controller:
         offer = DiscoveryOffer(msg.nonce, nid, tmfid)
         self.net.packet_out(event.switch, event.in_port, self.net.control_packet(offer))
 
-    def on_link_change(self, event: Union[LinkDown, LinkUp]) -> None:
-        """Relay a physical link transition to the TM, one event per direction."""
-        kind = LinkEventKind.REMOVE if isinstance(event, LinkDown) else LinkEventKind.ADD
+    def on_link_change(self, event: LinkChange) -> None:
+        """Relay a physical link transition to the TM, one event per cable."""
         nid_a, nid_b = self.net.nid_of(event.a), self.net.nid_of(event.b)
         if nid_a is None or nid_b is None:
             log.warning("controller: link %s<->%s has an unmanaged endpoint; not relayed",
@@ -255,8 +251,7 @@ class Controller:
             return
         self.nid_names[nid_a], self.nid_names[nid_b] = event.a, event.b
         delay = self.net.link_delay_ms(event.a, event.b)
-        self.net.ctl_send(LinkEvent(kind, nid_a, nid_b, delay))
-        self.net.ctl_send(LinkEvent(kind, nid_b, nid_a, delay))
+        self.net.ctl_send(LinkEvent(event.kind, nid_a, nid_b, delay))
 
     # -- rule management -------------------------------------------------------
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import islice
 from operator import length_hint
 from typing import Any, Callable, Dict, List, Optional
 
@@ -141,16 +142,17 @@ class Simulator:
         else:
             bucket.append((handler, event))
 
-    def run_until_idle(self, limit: int = 10 ** 12) -> int:
+    def run_until_idle(self, limit: int = 10 ** 12, max_events: Optional[int] = None) -> int:
         """Process events in order; returns the time of the last event.
 
         Raises :class:`LimitExceeded` when an event remains scheduled beyond
-        ``limit``, which signals a livelock such as a Bloom forwarding loop;
-        the queue is left as it was.  When a handler raises, its event is
-        spent and the rest stay pending, so a later call resumes with the
-        next one.
+        ``limit``, or after ``max_events`` events with more pending, which
+        signals a livelock such as a Bloom forwarding loop; the events not
+        run stay pending.  When a handler raises, its event is spent and
+        the rest stay pending, so a later call resumes with the next one.
         """
         times, calendar = self._times, self._calendar
+        left = max_events
         while times:
             at = times[0]
             if at > limit:
@@ -161,8 +163,15 @@ class Simulator:
             # at this time by the handlers it runs.
             events = iter(bucket)
             try:
-                for handler, event in events:
-                    handler(event)
+                if left is None:  # islice costs a timestamp of one event about a third more
+                    for handler, event in events:
+                        handler(event)
+                else:  # the same, stopped at the budget
+                    for handler, event in islice(events, left):
+                        handler(event)
+                    left -= len(bucket)
+                    if left < 0:
+                        raise LimitExceeded(f"more than {max_events} events")
             except BaseException:
                 # Every event handed out so far, the raising one included, is spent.
                 del bucket[:len(bucket) - length_hint(events)]

@@ -1,7 +1,7 @@
 """Topology Manager: authoritative graph, resource allocation, and paths.
 
-The TM is the single writer of the deployment's graph, whose paths run
-over whole cables only: both directions up.  It hands out node identifiers
+The TM is the single writer of the deployment's graph; a link event names
+a cable, both directions at once.  It hands out node identifiers
 (NIDs), per-link LIDs and node-internal iLIDs, caches each node's FID
 towards the TM (TMFID), composed from its next hop's along the TM in-tree,
 selects load-aware paths, and repairs paths when links fail.  One grower
@@ -99,6 +99,8 @@ class ResourceGrant:
 
 @dataclass(frozen=True, slots=True)
 class LinkEvent:
+    """The cable src - dst went down or came up; a new cable's src -> dst LID is drawn first."""
+
     kind: LinkEventKind
     src: int
     dst: int
@@ -165,16 +167,16 @@ class TopologyGraph:
     """The TM's graph of directed links plus identifier registries.
 
     Single-writer: mutations must be applied sequentially in event order.
-    Every link mutation goes through :meth:`_put_link` / :meth:`_pop_link`,
-    which keep ``_adj``, a symmetric index of whole cables: a cable joins it
-    when its second direction comes up and leaves it when its first goes
-    down.  So a lone direction moves no path, and paths never scan ``links``.
+    A link event names a cable: :meth:`_put_cable` / :meth:`_pop_cable` move
+    both its directions together and keep ``_adj``, a symmetric index of the
+    cables that are up, so ``links`` and ``down_links`` each hold both
+    directions of a cable or neither, and paths never scan ``links``.
 
     Paths towards the TM are kept as an in-tree: hop counts (``_dist``) plus
     each node's next hop (smallest NID among neighbours one hop closer), so a
     node's path is lexicographically smallest among its shortest paths.  A
     node's children are the neighbours whose next hop it is; no index of
-    them is kept.  An ADD that makes a cable whole runs from its end
+    them is kept.  An ADD runs from the cable's end
     farther from the TM, src, to dst: if src gets no fewer hops it moves
     only on a tie won by a smaller dst; else hop counts fall breadth-first
     from src, only lowered nodes re-pick with :meth:`_step`, and a node
@@ -190,7 +192,7 @@ class TopologyGraph:
 
     The FID of a message from the TM to any node, pending or committed, is
     ORed along the node's in-tree path reversed (:meth:`fid_from_tm`); its
-    cables are whole, so every reversed link is up and no search is needed.
+    cables are up, so every reversed link is too and no search is needed.
 
     :meth:`shortest_path` reads an in-tree per destination (``_trees``):
     the TM in-tree for the TM, and for any other node the hop counts and
@@ -203,7 +205,7 @@ class TopologyGraph:
     there, the rule TMFIDs follow too.  Each tree memoises the data FIDs
     composed so far, so a read walks only down to the first member already
     known.  Every change to ``_adj``
-    (``_put_link``/``_pop_link``) makes all trees stale, FIDs included; the
+    (``_put_cable``/``_pop_cable``) makes all trees stale, FIDs included; the
     next read of a destination replaces its tree, with one BFS (none for
     the TM).  A stale tree is freed there, not at the change, so a link
     event does not pay to free the FIDs a pass of data composed; at most
@@ -220,7 +222,7 @@ class TopologyGraph:
         self.next_nid = 2
         self._free_nids: List[int] = []
         self._pending: Dict[int, ResourceGrant] = {}
-        self._adj: Dict[int, Set[int]] = {}  # whole cables only
+        self._adj: Dict[int, Set[int]] = {TM_NID: set()}  # the cables that are up
         # TM in-tree: hop counts and next hops.
         self._dist: Dict[int, int] = {TM_NID: 0}
         self._next: Dict[int, int] = {}
@@ -232,7 +234,6 @@ class TopologyGraph:
         self.nodes[TM_NID] = NodeRecord(TM_NID, NodeKind.TM,
                                         ilid=new_lid(rng, self.lid_registry, params),
                                         tmfid=0)
-        self._adj[TM_NID] = set()
 
     # -- identifier bookkeeping -------------------------------------------
 
@@ -246,23 +247,31 @@ class TopologyGraph:
 
     # -- link table and adjacency index ------------------------------------
 
-    def _put_link(self, link: DirectedLink) -> None:
-        self.links[link.key()] = link
-        if (link.dst, link.src) in self.links:  # the cable is whole
-            self._adj[link.src].add(link.dst)
-            self._adj[link.dst].add(link.src)
-            self._epoch += 1
+    def _draw_lids(self, count: int) -> List[int]:
+        """``count`` fresh LIDs, or none: on :class:`Exhausted` those drawn are released."""
+        drawn: List[int] = []
+        try:
+            for _ in range(count):
+                drawn.append(new_lid(self.rng, self.lid_registry, self.params))
+        except Exhausted:
+            self.lid_registry.difference_update(drawn)
+            raise
+        return drawn
 
-    def _pop_link(self, key: Tuple[int, int]) -> DirectedLink:
-        link = self.links.pop(key)
-        if key[::-1] in self.links:  # the cable was whole
-            self._adj[key[0]].discard(key[1])
-            self._adj[key[1]].discard(key[0])
-            self._epoch += 1
-        return link
+    def _put_cable(self, fwd: DirectedLink, rev: DirectedLink) -> None:
+        self.links[fwd.key()], self.links[rev.key()] = fwd, rev
+        self._adj[fwd.src].add(fwd.dst)
+        self._adj[fwd.dst].add(fwd.src)
+        self._epoch += 1
+
+    def _pop_cable(self, a: int, b: int) -> Tuple[DirectedLink, DirectedLink]:
+        self._adj[a].discard(b)
+        self._adj[b].discard(a)
+        self._epoch += 1
+        return self.links.pop((a, b)), self.links.pop((b, a))
 
     def out_links(self, nid: int) -> List[DirectedLink]:
-        """The node's outgoing links over whole cables, by destination NID."""
+        """The node's outgoing links over the cables that are up, by destination NID."""
         return [self.links[(nid, dst)] for dst in sorted(self._adj[nid])]
 
     # -- allocation lifecycle ---------------------------------------------
@@ -276,20 +285,13 @@ class TopologyGraph:
         attach = self.nodes.get(attach_nid)
         if attach is None or not attach.committed:
             raise UnknownAttachPoint(f"attach point {attach_nid} unknown or not committed")
-        drawn: List[int] = []
-        try:
-            for _ in range(2 if kind == NodeKind.SDN_SWITCH else 3):
-                drawn.append(new_lid(self.rng, self.lid_registry, self.params))
-        except Exhausted:
-            self.lid_registry.difference_update(drawn)
-            raise
+        drawn = self._draw_lids(2 if kind == NodeKind.SDN_SWITCH else 3)
         down, up = drawn[0], drawn[1]
         ilid = drawn[2] if len(drawn) == 3 else None
         nid = self._take_nid()
         self.nodes[nid] = NodeRecord(nid, kind, ilid=ilid)
         self._adj[nid] = set()
-        self._put_link(DirectedLink(attach_nid, nid, down))
-        self._put_link(DirectedLink(nid, attach_nid, up))
+        self._put_cable(DirectedLink(attach_nid, nid, down), DirectedLink(nid, attach_nid, up))
         # The new node is a leaf: it shortens no other node's path.
         if attach_nid in self._dist:
             self._dist[nid] = self._dist[attach_nid] + 1
@@ -319,11 +321,11 @@ class TopologyGraph:
         if grant is None:
             raise NoPendingGrant(f"no pending grant for NID {nid}")
         del self.nodes[nid]
-        for key in ((grant.attach_nid, nid), (nid, grant.attach_nid)):
-            if key in self.links:
-                self._pop_link(key)
-            else:  # a REMOVE took it
-                del self.down_links[key]
+        key = (grant.attach_nid, nid)
+        if key in self.links:
+            self._pop_cable(*key)
+        else:  # a REMOVE took the cable
+            del self.down_links[key], self.down_links[key[::-1]]
         del self._adj[nid]
         self._trees.pop(nid, None)
         self._dist.pop(nid, None)
@@ -346,7 +348,7 @@ class TopologyGraph:
 
     def _grow(self, dist: Dict[int, int], nxt: Dict[int, int], anchors: Iterable[int],
               cap: Optional[float] = None) -> None:
-        """Grow an in-tree over whole cables from ``anchors``, whose hop counts are final.
+        """Grow an in-tree over live cables from ``anchors``, whose hop counts are final.
 
         Each anchor enters at its own hop count in ``dist``; levels are
         expanded in increasing hop count, each in NID order, and a node
@@ -438,8 +440,8 @@ class TopologyGraph:
         """The FID of a TM->node message: the OR of the node's iLID, if any,
         and the LIDs of its in-tree path reversed.
 
-        The in-tree runs over whole cables only, so every reversed link is
-        up; a pending node's route runs over its tentative downlink.  A node
+        The in-tree runs over cables that are up, so every reversed link is
+        up too; a pending node's route runs over its tentative downlink.  A node
         outside the in-tree, cut off or unknown, raises :class:`Unreachable`.
         """
         if nid not in self._dist:
@@ -473,54 +475,49 @@ class TopologyGraph:
     # -- link events and resilience ----------------------------------------
 
     def handle_link_event(self, event: LinkEvent) -> LinkEventOutcome:
-        """Apply a reported link change, repair affected TM paths.
+        """Apply a reported change of the cable src - dst, repair affected TM paths.
 
-        REMOVE keeps the LID bound to the (src, dst) pair so a later ADD of
-        the same pair revives identical flow rules.  Affected nodes are found
-        from the TM in-tree, never by Bloom membership.
+        REMOVE keeps each direction's LID bound to its pair, so a later ADD
+        revives identical flow rules; a new cable's ADD draws both LIDs or,
+        out of LIDs, changes nothing.  Affected nodes are found from the TM
+        in-tree, never by Bloom membership.
         """
         out = LinkEventOutcome()
-        key = (event.src, event.dst)
+        a, b = event.src, event.dst
         if event.kind == LinkEventKind.REMOVE:
-            if key not in self.links:
-                raise UnknownLink(f"link {event.src}->{event.dst} unknown")
-            # Only a tree cable carries paths, and its first direction down
-            # takes it out: that can lengthen or move just the paths of the
+            if (a, b) not in self.links:
+                raise UnknownLink(f"link {a}-{b} unknown")
+            links = self._pop_cable(a, b)
+            self.down_links[(a, b)], self.down_links[(b, a)] = links
+            # Only a tree cable carries paths: its loss can move just the
             # subtree below the end whose next hop it was, which leaves the
             # tree and is re-grown from its members' neighbours outside it; a
             # node already cut off reaches none.  Anything else moves nothing.
-            below: Set[int] = set()
-            link = self._pop_link(key)
-            self.down_links[key] = link
-            for child, parent in (key, key[::-1]):
-                if self._next.get(child) == parent:
-                    dist, nxt = self._dist, self._next
-                    below = self._subtree([child])
-                    for nid in below:
-                        del dist[nid], nxt[nid]
-                    self._grow(dist, nxt, {s for nid in below for s in self._adj[nid] if s in dist})
-            if self.nodes[event.src].kind == NodeKind.SDN_SWITCH:
-                out.rules.append(
-                    RuleInstallFrame.for_link(False, event.src, event.dst, link.lid))
+            dist, nxt = self._dist, self._next
+            child = next((c for c, p in ((a, b), (b, a)) if nxt.get(c) == p), None)
+            below = set() if child is None else self._subtree([child])
+            for nid in below:
+                del dist[nid], nxt[nid]
+            self._grow(dist, nxt, {s for nid in below for s in self._adj[nid] if s in dist})
             out.repairs = self._repair(below)
-        elif event.kind == LinkEventKind.ADD:
-            if key in self.links:
-                raise TopologyError(f"link {event.src}->{event.dst} already up")
-            for nid in (event.src, event.dst):
+        else:
+            if (a, b) in self.links:
+                raise TopologyError(f"link {a}-{b} already up")
+            for nid in (a, b):
                 rec = self.nodes.get(nid)
                 if rec is None or not rec.committed:
                     raise UnknownAttachPoint(f"endpoint {nid} unknown or not committed")
-            revived = self.down_links.pop(key, None)
-            if revived is not None:
-                link = DirectedLink(event.src, event.dst, revived.lid, event.delay_ms, revived.load)
+            if (a, b) in self.down_links:  # revived with its LIDs, so its rules, and loads
+                old = self.down_links.pop((a, b)), self.down_links.pop((b, a))
             else:
-                link = DirectedLink(event.src, event.dst,
-                                    new_lid(self.rng, self.lid_registry, self.params),
-                                    delay_ms=event.delay_ms)
-            if self.nodes[event.src].kind == NodeKind.SDN_SWITCH:
-                out.rules.append(
-                    RuleInstallFrame.for_link(True, event.src, event.dst, link.lid))
-            out.repairs = self._add_and_repair(link)
+                lids = self._draw_lids(2)
+                old = DirectedLink(a, b, lids[0]), DirectedLink(b, a, lids[1])
+            links = tuple(DirectedLink(*l.key(), l.lid, event.delay_ms, l.load) for l in old)
+            self._put_cable(*links)
+            out.repairs = self._add_and_repair(a, b)
+        install = event.kind == LinkEventKind.ADD
+        out.rules = [RuleInstallFrame.for_link(install, *link.key(), link.lid) for link in links
+                     if self.nodes[link.src].kind == NodeKind.SDN_SWITCH]
         return out
 
     def _subtree(self, roots: List[int]) -> Set[int]:
@@ -548,16 +545,13 @@ class TopologyGraph:
                 repairs.append(RepairAction(nid, tmfid, self.links[(nid, self._next[nid])].lid))
         return sorted(repairs, key=lambda r: r.nid)
 
-    def _add_and_repair(self, link: DirectedLink) -> List[RepairAction]:
-        # Bring the link up; once its cable is whole, move only nodes whose
-        # deterministic shortest path changed, all below its end farther from
-        # the TM (src); restores pre-failure TMFIDs after a flap.
+    def _add_and_repair(self, a: int, b: int) -> List[RepairAction]:
+        # The cable a - b is up: move only nodes whose deterministic shortest
+        # path changed, all below its end farther from the TM (src); restores
+        # pre-failure TMFIDs after a flap.
         dist, nxt = self._dist, self._next  # the in-tree of the graph without the cable
-        self._put_link(link)
-        src, dst = link.src, link.dst
-        if dist.get(dst, inf) > dist.get(src, inf):
-            src, dst = dst, src
-        if dst not in dist or src not in self._adj[dst]:  # unreached, or a lone direction
+        src, dst = (b, a) if dist.get(a, inf) < dist.get(b, inf) else (a, b)
+        if dst not in dist:  # neither end reaches the TM
             return []
         hops = dist[dst] + 1
         if src in dist and hops >= dist[src]:

@@ -298,20 +298,27 @@ class TestTmEngine:
         switch = engine.on_message(ResourceRequest(5, NodeKind.SDN_SWITCH, TM_NID))
         s_nid = next(a.message for a in switch.actions if isinstance(a, Notify)).nid
         engine.on_message(OfferAccepted(5, s_nid))
-        host = engine.on_message(ResourceRequest(6, NodeKind.ICN_NODE, TM_NID))
-        h_nid = next(a.message for a in host.actions if isinstance(a, Notify)).nid
-        engine.on_message(OfferAccepted(6, h_nid))
-        added = engine.on_link_event(LinkEvent(LinkEventKind.ADD, h_nid, s_nid))
-        notes = [a for a in added.actions if isinstance(a, Notify)]
-        assert [(n.nid, n.message) for n in notes] == [
-            (h_nid, Update(s_nid, graph.links[(h_nid, s_nid)].lid))]
-        # A revival keeps the LID the node already holds: nothing to announce.
-        engine.on_link_event(LinkEvent(LinkEventKind.REMOVE, h_nid, s_nid))
-        revived = engine.on_link_event(LinkEvent(LinkEventKind.ADD, h_nid, s_nid))
-        assert revived.lids_allocated == 0
-        assert not any(isinstance(a, Notify) for a in revived.actions)
-        added = engine.on_link_event(LinkEvent(LinkEventKind.ADD, s_nid, h_nid))
-        assert not any(isinstance(a, Notify) for a in added.actions)
+        hosts = []
+        for nonce in (6, 7):
+            host = engine.on_message(ResourceRequest(nonce, NodeKind.ICN_NODE, TM_NID))
+            hosts.append(next(a.message for a in host.actions if isinstance(a, Notify)).nid)
+            engine.on_message(OfferAccepted(nonce, hosts[-1]))
+        # A new cable, named from either end, announces its fresh LID to its
+        # ICN end only; its switch end gets a rule.
+        for src, dst in ((hosts[0], s_nid), (s_nid, hosts[1])):
+            h_nid = src if src != s_nid else dst
+            added = engine.on_link_event(LinkEvent(LinkEventKind.ADD, src, dst))
+            assert added.lids_allocated == 2
+            notes = [a for a in added.actions if isinstance(a, Notify)]
+            assert [(n.nid, n.message) for n in notes] == [
+                (h_nid, Update(s_nid, graph.links[(h_nid, s_nid)].lid))]
+            assert [(r.switch_nid, r.dst_nid, r.install) for r in added.actions
+                    if isinstance(r, RuleInstallFrame)] == [(s_nid, h_nid, True)]
+            # A revival keeps the LIDs the node already holds: nothing to announce.
+            engine.on_link_event(LinkEvent(LinkEventKind.REMOVE, src, dst))
+            revived = engine.on_link_event(LinkEvent(LinkEventKind.ADD, dst, src))
+            assert revived.lids_allocated == 0
+            assert not any(isinstance(a, Notify) for a in revived.actions)
 
     def test_repair_updates_icn_node_with_new_first_hop(self):
         # tm <- sa <- h and tm <- sb, with h <-> sb off the tree (sa < sb).
@@ -327,8 +334,7 @@ class TestTmEngine:
         sa = join(5, NodeKind.SDN_SWITCH, TM_NID)
         sb = join(6, NodeKind.SDN_SWITCH, TM_NID)
         h = join(7, NodeKind.ICN_NODE, sa)
-        for src, dst in ((h, sb), (sb, h)):
-            engine.on_link_event(LinkEvent(LinkEventKind.ADD, src, dst))
+        engine.on_link_event(LinkEvent(LinkEventKind.ADD, h, sb))
         assert sa < sb and graph._next[h] == sa
         sa_tmfid = graph.nodes[sa].tmfid
         removed = engine.on_link_event(LinkEvent(LinkEventKind.REMOVE, sa, TM_NID))

@@ -62,6 +62,19 @@ class TestRun:
         assert main(["run", "--topology", str(topo)]) == 1
         assert capsys.readouterr().err.startswith(f"error: invalid spec: params.{field}: ")
 
+    @pytest.mark.parametrize("m, k", [(8, 4), (16, 8), (32, 16), (64, 32)])
+    def test_copy_storm_exit_two_did_not_converge(self, tmp_path, capsys, m, k):
+        # LIDs within the density bound, yet so dense at so small a width
+        # that copies flood this fabric: its bootstrap once ran until memory
+        # ran out, and now ends at its event budget.
+        doc = json.loads(generate_random(10, 14, 8, 1).to_json())
+        doc["params"].update(m=m, k=k)
+        topo = tmp_path / "storm.json"
+        topo.write_text(json.dumps(doc))
+        assert main(["run", "--topology", str(topo)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: simulation did not converge: more than 172032 events")
+
     def test_missing_file_exit_one(self, tmp_path):
         assert main(["run", "--topology", str(tmp_path / "nope.json")]) == 1
 

@@ -10,7 +10,7 @@ from icnsim import wire
 from icnsim.bootstrap import BootstrapState
 from icnsim.deploy import (CableError, CtlDelivery, Deployment, EndpointError, PacketOutCmd,
                            ServiceDone)
-from icnsim.fabric import IcnPacket, LinkDown, LinkUp, PacketIn, SwitchAttached
+from icnsim.fabric import IcnPacket, LinkChange, PacketIn, SwitchAttached
 from icnsim.fid import BitVector, fid_or
 from icnsim.simnet import NeverCompleted, Simulator, Timer
 from icnsim.topology import TM_NID, LinkEvent, LinkEventKind, TopologyGraph
@@ -403,7 +403,7 @@ class TestRegisteredHandlers:
         nodes = {f"node:{n}" for n in [net.tm_name, *net.switches, *net.hosts]}
         assert "node:tm" in to(tuple) <= nodes
         assert to(CtlDelivery) == {"node:tm", "ctl"}
-        assert to(PacketIn) == to(SwitchAttached) == to(LinkUp) == to(LinkDown) == {"ctl"}
+        assert to(PacketIn) == to(SwitchAttached) == to(LinkChange) == {"ctl"}
         assert to(ServiceDone) == {"node:tm"}
         assert to(PacketOutCmd) and to(PacketOutCmd) <= {f"node:{s}" for s in net.switches}
         hosts = {f"node:{h}" for h in net.hosts}
@@ -491,8 +491,8 @@ class TestLinkFlap:
 
     @pytest.mark.parametrize("a,b", [("s1", "s3"), ("s3", "s1")])
     def test_repair_update_reaches_host(self, a, b):
-        # The controller reports the failure as one REMOVE per direction, in
-        # the order given; the repair Update must arrive either way.
+        # The controller reports the failure as one REMOVE of the cable,
+        # named in the order given; the repair Update must arrive either way.
         net = Deployment(self.diamond())
         net.run_bootstrap()
         old_tmfid = net.hosts["h1"].config.tmfid
@@ -503,11 +503,10 @@ class TestLinkFlap:
         assert new_tmfid == net.graph.nodes[net.nid_of("h1")].tmfid
 
     @pytest.mark.parametrize("upward", [True, False])
-    def test_lone_link_event_reroutes_at_once(self, upward):
-        # A controller that relays only one direction of a change (a lost
-        # frame): the first REMOVE takes the whole s1 - s3 cable out of the
-        # TM's paths, and the ADD of that direction alone puts it back, since
-        # the other direction never went down.
+    def test_cable_event_reroutes_at_once(self, upward):
+        # A link event that reaches the TM alone, with no physical change,
+        # named from either end: one REMOVE takes the whole s1 - s3 cable out
+        # of the TM's paths and one ADD puts it back.
         net = Deployment(self.diamond())
         net.run_bootstrap()
         s1, s3, h1 = net.nid_of("s1"), net.nid_of("s3"), net.nid_of("h1")
@@ -528,7 +527,7 @@ class TestLinkFlap:
             assert (tmfid != old_tmfid) == rerouted
             assert (net.graph._next[s3] == s1) != rerouted
             assert probes_reach_the_tm()
-        assert not net.graph.down_links
+            assert set(net.graph.down_links) == ({key, key[::-1]} if rerouted else set())
         assert net.graph.lid_registry == net.graph.live_lids()
 
     def test_data_path_follows_a_flap(self):
@@ -616,9 +615,9 @@ class TestExtraLinks:
             for key in ((a, b), (b, a)):
                 assert net.graph.links[key].delay_ms == pytest.approx(link.delay_ms)
         # Each node's handshake covers one pair; the others are reported
-        # once, as one ADD per direction.
+        # once, as one ADD of the cable.
         uncovered = len(spec.links) - (len(spec.nodes) - 1)
-        assert len(added) == 2 * uncovered
+        assert len(added) == uncovered
         assert len(set(added)) == len(added)
         assert all(kind == "ADD" for kind, _, _ in added)
 
@@ -870,6 +869,32 @@ class TestTmErrors:
         net.fail_link("h1", "s1")
         net.run_until_idle()
         assert (h1, s1) not in net.graph.links
+
+    def test_add_out_of_lids_logged_and_next_message_served(self, caplog):
+        # m = 8, k = 1 makes 8 LIDs: the TM's iLID and three switches' cables
+        # leave one, so the ADD of a new cable s1 - s2 draws it and runs out
+        # on its second draw.  The TM takes nothing and serves the REMOVE
+        # that follows.
+        spec = TopologySpec(m=8, k=1, seed=59,
+                            nodes=[TopoNode(n, "tm" if n == "tm" else "switch")
+                                   for n in ("tm", "s1", "s2", "s3")],
+                            links=[TopoLink("tm", s, 0.2) for s in ("s1", "s2", "s3")])
+        net = Deployment(spec)
+        net.run_bootstrap()
+        assert net.all_done() and len(net.graph.lid_registry) == 7
+        before = (set(net.graph.lid_registry), dict(net.graph.links), net.graph.dump())
+        s1, s2, s3 = (net.nid_of(s) for s in ("s1", "s2", "s3"))
+        net.ctl_send(LinkEvent(LinkEventKind.ADD, s1, s2, 0.2))
+        with caplog.at_level("WARNING", logger="icnsim.deploy"):
+            net.run_until_idle()
+        assert [r.getMessage() for r in caplog.records] == [
+            "tm: link event failed: no unused LID found in 64 draws"]
+        assert (net.graph.lid_registry, net.graph.links, net.graph.dump()) == before
+        assert not net.graph.down_links
+        net.fail_link("s3", "tm")
+        net.run_until_idle()
+        assert set(net.graph.down_links) == {(s3, TM_NID), (TM_NID, s3)}
+        assert net.graph.lid_registry == before[0]
 
     def test_programming_error_propagates(self, monkeypatch):
         net = Deployment(chain_spec(1, hosts=1))

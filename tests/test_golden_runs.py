@@ -19,9 +19,9 @@ from icnsim.deploy import Deployment
 from icnsim.topospec import generate_random
 
 GOLDEN = {
-    (10, 14, 8, 1): "f63a20973691d526f35e38480bf207e22dad0c539b5390e04a5d817fd1c0dd30",
-    (24, 60, 16, 2): "ce949274002f5dcc829075791bb26a39de125b043d252ae2804778eb010a4c25",
-    (40, 80, 16, 3): "83ccd5347c7a569cad5765639aa095fd45b12dc92e934438372a96f40df7e21e",
+    (10, 14, 8, 1): "f7e7d1473a696e77a9231a0ff0fe0e4386b85bbc23d63ec3cb1e23355657a8bb",
+    (24, 60, 16, 2): "76487963c31ee3bf83b4e9d8e934621f02cdffaab5695dbecd0a0ff9ec29e4b8",
+    (40, 80, 16, 3): "f546169c7ecfed9a07763330e8a764812d00cde0e36c93642fa0fe0cfd652c6d",
 }
 
 

@@ -1,7 +1,8 @@
 """TM path upkeep against a from-scratch oracle over random link event sequences.
 
-Paths run over whole cables only: the oracle's graph holds a link while its
-reverse is up too.  After every attach, ADD and REMOVE, each committed node
+A link event names a cable, so after every attach, ADD and REMOVE the
+graph's ``links`` and ``down_links`` each hold a link exactly when they
+hold its reverse, and the oracle's graph is ``links``.  Each committed node
 that can still reach the TM must hold the lexicographically smallest
 shortest path, recomputed here from networkx hop counts, and the TMFID
 OR-ed from it.  The FID of the TM's route to any node, pending ones
@@ -24,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from icnsim.fid import BitVector, FidParams, fid_or
 from icnsim.topology import (LinkEvent, LinkEventKind, NodeKind, TM_NID, TopologyGraph,
-                             UnknownAttachPoint, Unreachable)
+                             UnknownAttachPoint, UnknownLink, Unreachable)
 from test_topology import link_up
 
 nx = pytest.importorskip("networkx")
@@ -49,7 +50,7 @@ def oracle_path(graph, hops, nid, dst=TM_NID):
 def oracle_hops(g):
     graph = nx.DiGraph()
     graph.add_nodes_from(g.nodes)
-    graph.add_edges_from(key for key in g.links if key[::-1] in g.links)
+    graph.add_edges_from(g.links)
     return graph, nx.shortest_path_length(graph, target=TM_NID)
 
 
@@ -87,6 +88,8 @@ def check_route(g, graph, hops, nid):
 
 def check_paths(g, rng=None):
     rng = rng or Random(0)
+    for table in (g.links, g.down_links):  # whole cables only, up or down
+        assert all((b, a) in table for a, b in table)
     graph, hops = oracle_hops(g)
     check_in_tree(g, graph, hops, rng)
     for nid, rec in g.nodes.items():
@@ -155,14 +158,11 @@ def link_event(g, op, pick):
         g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, *key))
     elif op == "restore" and g.down_links:
         key = sorted(g.down_links)[pick % len(g.down_links)]
-        if key not in g.links:
-            g.handle_link_event(LinkEvent(LinkEventKind.ADD, *key))
+        g.handle_link_event(LinkEvent(LinkEventKind.ADD, *key))
     elif op == "add" and len(committed) > 1:
-        # Both directions, so that a new cable can lower hop counts.
         a, b = Random(pick).sample(committed, 2)
-        for key in ((a, b), (b, a)):
-            if key not in g.links:
-                g.handle_link_event(LinkEvent(LinkEventKind.ADD, *key))
+        if (a, b) not in g.links:
+            g.handle_link_event(LinkEvent(LinkEventKind.ADD, a, b))
 
 
 OPS = st.tuples(st.sampled_from(["attach", "add", "remove", "restore"]),
@@ -189,7 +189,7 @@ def test_paths_match_oracle_after_every_event(seed, tree, ops):
 def test_add_moves_a_node_whose_hop_count_stays():
     # tm <- s2 <- s3 and tm <- s4 <- s5, with s5 <-> s3.  Once s3 reaches the
     # TM directly, s5 keeps 2 hops but must switch to the smaller NID s3.
-    # The cable s3 - tm is whole at its second ADD, which comes from the TM.
+    # The ADD names the cable s3 - tm from the TM's end.
     g = TopologyGraph(FidParams(m=256, k=5), Random(3))
     s2 = attach_to(g, TM_NID)
     s3 = attach_to(g, s2)
@@ -198,7 +198,6 @@ def test_add_moves_a_node_whose_hop_count_stays():
     link_up(g, s5, s3)
     assert s3 < s4
     assert [l.dst for l in g.shortest_path(s5, TM_NID)] == [s4, TM_NID]
-    assert g.handle_link_event(LinkEvent(LinkEventKind.ADD, s3, TM_NID)).repairs == []
     outcome = g.handle_link_event(LinkEvent(LinkEventKind.ADD, TM_NID, s3))
     assert [r.nid for r in outcome.repairs] == [s3, s5]
     assert [l.dst for l in g.shortest_path(s5, TM_NID)] == [s3, TM_NID]
@@ -216,11 +215,10 @@ def test_flap_sequence_on_a_ladder():
         link_up(g, a, b)
         check_paths(g)
     for a, b in zip(left[1:], right[1:]):
-        for key in ((a, b), (b, a)):
+        for key in ((a, b), (b, a)):  # named from each end, back from the other
             g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, *key))
             check_paths(g)
-        for key in ((b, a), (a, b)):
-            g.handle_link_event(LinkEvent(LinkEventKind.ADD, *key))
+            g.handle_link_event(LinkEvent(LinkEventKind.ADD, *key[::-1]))
             check_paths(g)
     for a, b in zip(left, left[1:]):
         g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, b, a))
@@ -238,18 +236,20 @@ def test_remove_repairs_exactly_the_subtree_below_a_tree_edge():
     s7 = attach_to(g, TM_NID)
     s8 = attach_to(g, s7)
     link_up(g, s8, s4)
-    # A cable off the tree, in either direction: no hop count or next hop changes.
+    # A cable off the tree, named from either end: no hop count or next hop
+    # changes when it goes down or comes back.
     for key in ((s4, s8), (s8, s4)):
         assert g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, *key)).repairs == []
-    check_paths(g)
-    link_up(g, s4, s8)
+        check_paths(g)
+        assert add(g, *key) == []
     outcome = g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s3, s2))
     # s3's subtree is s3, s4, s5 and s6; s4 and s6 reroute via s8, s3 and s5
-    # via s4.  No node outside the subtree moves, and the cable's other
-    # direction moves nothing more.
+    # via s4.  No node outside the subtree moves, and the cable is down from
+    # its other end too.
     assert [r.nid for r in outcome.repairs] == [s3, s4, s5, s6]
     assert [l.dst for l in g.shortest_path(s4, TM_NID)] == [s8, s7, TM_NID]
-    assert g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, s3)).repairs == []
+    with pytest.raises(UnknownLink):
+        g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, s3))
     check_paths(g)
 
 
@@ -275,31 +275,30 @@ def add(g, src, dst):
     return g.handle_link_event(LinkEvent(LinkEventKind.ADD, src, dst)).repairs
 
 
-def test_add_that_gives_no_path_or_comes_from_the_tm_moves_nothing():
-    # tm <- s2 <- s3 <- s5, tm <- s4; s2, s3 and s5 are cut off once s2 -> tm
-    # fails.  A cable s2 - s5 joins two cut-off nodes; an ADD s4 -> s3 and
-    # an ADD tm -> s2 from the TM each come without their other direction.
+def test_add_that_gives_no_path_moves_nothing():
+    # tm <- s2 <- s3 <- s5, tm <- s4; s2, s3 and s5 are cut off once the
+    # cable s2 - tm fails.  A cable s2 - s5 joins two cut-off nodes, named
+    # from either end.
     g = TopologyGraph(FidParams(m=256, k=5), Random(11))
     s2 = attach_to(g, TM_NID)
     s3 = attach_to(g, s2)
-    s4 = attach_to(g, TM_NID)
+    attach_to(g, TM_NID)
     s5 = attach_to(g, s3)
     g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, TM_NID))
-    g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, TM_NID, s2))
     assert {s2, s3, s5}.isdisjoint(g._dist)
     tree = (dict(g._dist), dict(g._next))
-    assert add(g, s2, s5) == [] and add(g, s5, s2) == []
-    assert add(g, s4, s3) == []
-    assert add(g, TM_NID, s2) == []
-    assert (g._dist, g._next) == tree
-    check_paths(g)
+    for key in ((s2, s5), (s5, s2)):
+        assert add(g, *key) == []
+        assert (g._dist, g._next) == tree
+        check_paths(g)
+        g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, *key))
 
 
 def test_tie_add_moves_its_source_only_to_a_smaller_nid():
     # tm <- s2 <- s6 and tm <- s3 <- s4 <- s5.  A cable s4 - s2 ties s4's 2
     # hops with a smaller next hop: s4 and the s5 below it move, and nothing
     # else.  A cable s6 - s3 ties s6's 2 hops with a larger one: nothing moves.
-    # Each cable is whole at its second ADD, from either end.
+    # The ADDs name the cables from either end.
     g = TopologyGraph(FidParams(m=256, k=5), Random(13))
     s2 = attach_to(g, TM_NID)
     s3 = attach_to(g, TM_NID)
@@ -307,19 +306,18 @@ def test_tie_add_moves_its_source_only_to_a_smaller_nid():
     s5 = attach_to(g, s4)
     s6 = attach_to(g, s2)
     dist, nxt = dict(g._dist), dict(g._next)
-    assert add(g, s4, s2) == []
     assert [r.nid for r in add(g, s2, s4)] == [s4, s5]
     assert g._dist == dist and g._next == {**nxt, s4: s2}
     check_paths(g)
     nxt = dict(g._next)
-    assert add(g, s3, s6) == [] and add(g, s6, s3) == []
+    assert add(g, s6, s3) == []
     assert g._dist == dist and g._next == nxt
     check_paths(g)
 
 
 def test_lowering_add_moves_a_neighbour_that_keeps_its_hop_count():
     # tm <- s2 <- s3 <- s4, and tm <- s5 <- s6 <- s7 with s7 <-> s4.  Once
-    # the cable s3 - tm is whole, s3 and s4 are lowered, and s7 keeps 3 hops
+    # the cable s3 - tm is up, s3 and s4 are lowered, and s7 keeps 3 hops
     # but must step to the lowered s4, a smaller NID than its next hop s6.
     g = TopologyGraph(FidParams(m=256, k=5), Random(17))
     s2 = attach_to(g, TM_NID)
@@ -330,7 +328,6 @@ def test_lowering_add_moves_a_neighbour_that_keeps_its_hop_count():
     s7 = attach_to(g, s6)
     link_up(g, s7, s4)
     assert g._next[s7] == s6 and g._dist[s7] == 3 > g._dist[s4] - 1
-    assert add(g, s3, TM_NID) == []
     repairs = add(g, TM_NID, s3)
     assert [r.nid for r in repairs] == [s3, s4, s7]
     assert (g._dist[s3], g._dist[s4], g._dist[s7]) == (1, 2, 3)
@@ -338,40 +335,38 @@ def test_lowering_add_moves_a_neighbour_that_keeps_its_hop_count():
     check_paths(g)
 
 
-def test_lone_direction_moves_paths_only_when_it_breaks_or_completes_a_cable():
-    # tm <- s2 <- s3 with s3 <-> s4 <- tm, and s5 behind s4 alone.  Either
-    # direction of s2 - s3 down moves s3 to s4 at once, and the TM's route
-    # to s3 runs over whole cables; the other direction down, and the first
-    # back up, move nothing; the second back up restores s3's path.
+def test_cable_remove_moves_paths_at_once_and_its_add_restores_them():
+    # tm <- s2 <- s3 with s3 <-> s4 <- tm, and s5 behind s4 alone.  A REMOVE
+    # of s2 - s3, named from either end, moves s3 to s4 at once, takes both
+    # directions out and leaves the TM's route to s3 over cables that are
+    # up; an ADD named from the other end restores the graph as it was.
     g = TopologyGraph(FidParams(m=256, k=5), Random(19))
     s2 = attach_to(g, TM_NID)
     s3 = attach_to(g, s2)
     s4 = attach_to(g, TM_NID)
     s5 = attach_to(g, s4)
     link_up(g, s3, s4)
-    whole = [g.links[key].lid for key in ((s2, s3), (TM_NID, s2))]
+    up = [g.links[key].lid for key in ((s2, s3), (TM_NID, s2))]
     via_s4 = [g.links[key].lid for key in ((s4, s3), (TM_NID, s4))]
 
     def state():
         return (dict(g._dist), dict(g._next), {n: r.tmfid for n, r in g.nodes.items()},
-                {n: g.out_links(n) for n in g.nodes})
+                {n: g.out_links(n) for n in g.nodes}, dict(g.links))
 
     for first in ((s2, s3), (s3, s2)):
-        assert g._next[s3] == s2 and g.fid_from_tm(s3) == or_fid(g, whole)
+        assert g._next[s3] == s2 and g.fid_from_tm(s3) == or_fid(g, up)
+        before = state()
         outcome = g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, *first))
         assert [r.nid for r in outcome.repairs] == [s3]
         assert g._next[s3] == s4 and g.fid_from_tm(s3) == or_fid(g, via_s4)
-        check_paths(g)
-        assert g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, *first[::-1])).repairs == []
-        check_paths(g)
-        before = state()
-        assert add(g, *first) == []
-        assert state() == before
+        assert {first, first[::-1]} == set(g.down_links)
+        assert s3 not in g._adj[s2] and s2 not in g._adj[s3]
         check_paths(g)
         assert [r.nid for r in add(g, *first[::-1])] == [s3]
+        assert state() == before and not g.down_links
         check_paths(g)
     g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s4, s5))
-    with pytest.raises(Unreachable):  # s5 -> s4 is up, but half a cable
+    with pytest.raises(Unreachable):
         g.fid_from_tm(s5)
     with pytest.raises(Unreachable):
         g.fid_from_tm(max(g.nodes) + 1)

@@ -302,6 +302,21 @@ def test_a_raising_handler_leaves_the_rest_pending(starts, plan, cap, data):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
+@given(STARTS, PLANS, st.integers(1, 80), st.integers(0, 40))
+def test_an_event_budget_runs_that_many_and_leaves_the_rest_pending(starts, plan, cap, budget):
+    expected = reference_run(starts, plan, cap)
+    sim, log = planned_sim(starts, plan, cap)
+    if len(expected) > budget:
+        with pytest.raises(LimitExceeded, match=f"more than {budget} events"):
+            sim.run_until_idle(max_events=budget)
+        assert log == expected[:budget]
+    else:  # exactly the budget, with nothing pending, is no excess
+        sim.run_until_idle(max_events=budget)
+    sim.run_until_idle()
+    assert log == expected
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(STARTS, PLANS, st.integers(1, 80), st.integers(0, 12))
 def test_limit_exceeded_leaves_the_queue_intact(starts, plan, cap, limit):
     expected = reference_run(starts, plan, cap)

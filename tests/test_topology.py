@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from icnsim import topology
 from icnsim.fid import BitVector, Exhausted, FidParams, fid_or
 from icnsim.topology import (LinkEvent, LinkEventKind, LinkStatsReport, NodeKind,
                              NoPendingGrant, StatsEntry, TM_NID, TopologyGraph,
@@ -26,9 +27,8 @@ def attach(graph, kind, attach_nid):
 
 
 def link_up(graph, a, b):
-    """Bring up both directions of a connection, one ADD event each, a->b first."""
-    for src, dst in ((a, b), (b, a)):
-        graph.handle_link_event(LinkEvent(LinkEventKind.ADD, src, dst))
+    """Bring up the cable a - b with one ADD event: a->b's LID is drawn first."""
+    graph.handle_link_event(LinkEvent(LinkEventKind.ADD, a, b))
 
 
 class TestAllocation:
@@ -63,6 +63,27 @@ class TestAllocation:
         assert (grant.nid, TM_NID) in g.links
         assert g.links[(TM_NID, grant.nid)].lid == grant.lid
         assert g.links[(grant.nid, TM_NID)].lid == grant.uplink_lid
+
+    def test_add_out_of_lids_changes_nothing(self, monkeypatch):
+        # m = 8, k = 1 makes 8 LIDs: the TM's iLID and three switches' cables
+        # leave one, so a new cable's first draw takes it and its second
+        # finds none.  A down cable is kept as it was too.
+        g = make_graph(m=8, k=1)
+        a, b, c = (attach(g, NodeKind.SDN_SWITCH, TM_NID) for _ in range(3))
+        g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, c, TM_NID))
+        before = (set(g.lid_registry), dict(g.links), dict(g.down_links), g.dump())
+        drawn, real_new_lid = [], topology.new_lid
+
+        def new_lid(*args):
+            drawn.append(real_new_lid(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(topology, "new_lid", new_lid)
+        with pytest.raises(Exhausted):
+            g.handle_link_event(LinkEvent(LinkEventKind.ADD, a, b))
+        assert len(drawn) == 1 and drawn[0] not in before[0]
+        assert (g.lid_registry, g.links, g.down_links, g.dump()) == before
+        assert b not in g._adj[a]
 
     def test_exhausted_leaves_registry_unchanged(self):
         g = make_graph(m=8, k=2)
@@ -113,8 +134,8 @@ class TestCommitExpire:
         g = make_graph()
         s = attach(g, NodeKind.SDN_SWITCH, TM_NID)
         grant = g.allocate_resources(NodeKind.ICN_NODE, s)
-        # The cable's first direction down takes it out: TM -> s is up, but
-        # no path runs over half a cable, the TM's route to the node included.
+        # One REMOVE takes the cable out, both directions and the TM's route
+        # to the node with it.
         g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s, TM_NID))
         with pytest.raises(Unreachable):
             g.commit_grant(grant.nid)
@@ -122,11 +143,10 @@ class TestCommitExpire:
         assert not g.nodes[grant.nid].committed
         with pytest.raises(Unreachable):
             g.fid_from_tm(grant.nid)
-        g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, TM_NID, s))
+        assert {(s, TM_NID), (TM_NID, s)} <= set(g.down_links)
+        with pytest.raises(UnknownLink):  # named from its other end, it is down too
+            g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, TM_NID, s))
         g.handle_link_event(LinkEvent(LinkEventKind.ADD, s, TM_NID))
-        with pytest.raises(Unreachable):  # one direction back is not a cable
-            g.commit_grant(grant.nid)
-        g.handle_link_event(LinkEvent(LinkEventKind.ADD, TM_NID, s))
         record = g.commit_grant(grant.nid)
         assert g.fid_from_tm(grant.nid) == or_fid(
             [g.links[(TM_NID, s)].lid, grant.lid, grant.ilid])

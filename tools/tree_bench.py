@@ -4,15 +4,18 @@ On a bootstrapped fabric, two operations of ``TopologyGraph`` are timed:
 
 - a data-tree build: ``_distances_to(dst)``, the in-tree towards one
   destination that a data FID is composed down, for every node;
-- a flap: a REMOVE and then an ADD of one TM in-tree link, for every
-  in-tree link, each through ``handle_link_event``.  A flap puts back the
-  tree it found, so every repeat measures the same work.
+- a flap: a REMOVE and then an ADD of one TM in-tree cable, for every
+  in-tree link, each one link event through ``handle_link_event``.  A flap
+  puts back the tree it found, so every repeat measures the same work.
+  On a tree whose link events name one direction, each of these events
+  still takes the cable out or puts it back, so ``--against`` such a tree
+  compares the same path work.
 
 A third figure times whole link transitions of the deployment: for every
 TM in-tree link between two switches, ``Deployment.fail_link`` and then
 ``restore_link``, each followed by ``run_until_idle``.  Each transition
-carries two per-direction link events and the TM's repair Updates and
-rule changes.
+carries one link event of the cable and the TM's repair Updates and rule
+changes.
 
 Both fabric shapes of the benchmark's workloads are measured, with its
 0.1 ms links: ``dataplane_unicast`` (``generate_random(24, 200, 32, s)``)
