@@ -16,6 +16,7 @@ from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from .fid import Exhausted
+from .record import record
 from .topology import (NodeKind, LinkEvent, LinkStatsReport, RuleInstallFrame,
                        TopologyGraph, UnknownAttachPoint, Unreachable)
 from .wire import (DiscoveryOffer, DiscoveryRequest, Message, OfferAccepted,
@@ -68,19 +69,19 @@ class BootstrapState(enum.Enum):
 
 # Actions handed back to the hosting layer.
 
-@dataclass(frozen=True)
+@record
 class Broadcast:
     message: Message
 
 
-@dataclass(frozen=True)
+@record
 class Send:
     message: Message
     port: int
     fid: int
 
 
-@dataclass(frozen=True)
+@record
 class Arm:
     delay_us: int
     token: int
@@ -213,7 +214,7 @@ def apply_update(config: NodeConfig, update: Update, self_attach_nid: Optional[i
 
 # -- TM engine ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Notify:
     """Message from the TM to a committed or pending node, replies included.
 

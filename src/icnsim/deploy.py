@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
@@ -22,6 +21,7 @@ from .bootstrap import (Arm, Broadcast, NodeBootstrapFsm, NodeConfig,
 from .fabric import (Controller, FlowTable, IcnPacket, LinkChange, PacketIn, SwitchAttached,
                      encode_packet, switch_forward)
 from .fid import FidError, FidParams
+from .record import record
 from .simnet import SimReport, Simulator, Timer, ms
 from .topology import (TM_NID, DirectedLink, LinkEventKind, NodeKind, RuleInstallFrame,
                        TopologyError, TopologyGraph)
@@ -58,22 +58,13 @@ class PortLink(NamedTuple):
     handler: Callable[[Any], None]  # ``dst``'s simulator handler
 
 
-@dataclass(frozen=True)
-class CtlDelivery:
-    data: bytes
-
-
-@dataclass(frozen=True)
+@record
 class PacketOutCmd:
     port: int
     packet: IcnPacket
 
 
-@dataclass(frozen=True)
-class ServiceDone:
-    """The TM has served one message: the actions to send."""
-
-    actions: List
+_NEXT = Timer("next")  # the orchestrator's one event: start the next node
 
 
 class SwitchNode:
@@ -225,7 +216,8 @@ class TmNode(IcnEndpoint):
     TMFID.  It forwards a packet before it consumes it, and :meth:`send`
     emits only towards neighbours bound to a port.  Directly attached nodes
     address the TM with its own (all-zero) TMFID, so their handshake frames
-    arrive on the link-local channel and join the serial queue.
+    arrive on the link-local channel and join the serial queue.  Controller
+    frames arrive as bytes; a served message, as its list of actions.
     """
 
     def __init__(self, name: str, net: "Deployment", graph: TopologyGraph,
@@ -243,11 +235,11 @@ class TmNode(IcnEndpoint):
     def handle(self, event) -> None:
         if type(event) is tuple:
             self._on_packet(*event)
-        elif isinstance(event, CtlDelivery):
-            msg = self.net.decode(self.name, event.data)
+        elif type(event) is bytes:  # a frame from the controller
+            msg = self.net.decode(self.name, event)
             if msg is not None:
                 self._enqueue(msg, None)
-        else:  # ServiceDone
+        else:  # a list: the actions of the message just served
             self._service_done(event)
 
     # -- packet plane ---------------------------------------------------------
@@ -304,10 +296,10 @@ class TmNode(IcnEndpoint):
             if nid is not None:
                 self.nid_port[nid] = in_port
         self.net.sim.schedule(self.service_us + result.lids_allocated * self.alloc_us,
-                              self.handler, ServiceDone(result.actions))
+                              self.handler, result.actions)
 
-    def _service_done(self, done: ServiceDone) -> None:
-        for action in done.actions:
+    def _service_done(self, actions: List) -> None:
+        for action in actions:
             if isinstance(action, RuleInstallFrame):
                 self.net.ctl_to_controller(action)
             elif self.graph.nodes[action.nid].kind == NodeKind.SDN_SWITCH:  # a Notify
@@ -444,14 +436,12 @@ class Deployment:
                           PacketOutCmd(port, packet))
 
     def ctl_send(self, message) -> None:
-        """Controller -> TM over the ICN-SDN interface."""
-        data = wire.encode(message, self.params)
-        self.sim.schedule(self.ctl_delay_us, self.tm.handler, CtlDelivery(data))
+        """Controller -> TM over the ICN-SDN interface: the frame, filed as its bytes."""
+        self.sim.schedule(self.ctl_delay_us, self.tm.handler, wire.encode(message, self.params))
 
     def ctl_to_controller(self, message) -> None:
-        """TM -> controller over the ICN-SDN interface."""
-        data = wire.encode(message, self.params)
-        self.sim.schedule(self.ctl_delay_us, self._ctl_handler, CtlDelivery(data))
+        """TM -> controller over the ICN-SDN interface: the frame, filed as its bytes."""
+        self.sim.schedule(self.ctl_delay_us, self._ctl_handler, wire.encode(message, self.params))
 
     def link_delay_ms(self, a: str, b: str) -> float:
         return self._cable(a, b).delay_us / 1000
@@ -476,8 +466,8 @@ class Deployment:
             return None
 
     def _controller_handle(self, event) -> None:
-        if isinstance(event, CtlDelivery):
-            msg = self.decode("controller", event.data)
+        if type(event) is bytes:  # a frame from the TM
+            msg = self.decode("controller", event)
             if msg is None:
                 self.controller.audit_drops += 1
             else:
@@ -489,7 +479,7 @@ class Deployment:
 
     def run_bootstrap(self) -> SimReport:
         """Bootstrap every node in spec order; returns the finished report."""
-        self.sim.schedule(0, self._orch_handler, Timer("next"))
+        self.sim.schedule(0, self._orch_handler, _NEXT)
         events = BOOT_EVENTS * self.hop_limit * (len(self.nodes) + len(self.spec.links))
         self.sim.run_until_idle(10_000_000 + 5_000_000 * (len(self.nodes) - 1), events)
         return self.report()
@@ -516,7 +506,7 @@ class Deployment:
         """A node got its NID: the controller reports a switch, a DONE host itself."""
         self.sim.end_span(f"bootstrap:{name}")
         self._finish_ports(name)
-        self.sim.schedule(0, self._orch_handler, Timer("next"))
+        self.sim.schedule(0, self._orch_handler, _NEXT)
 
     def host_settled(self, host: HostNode) -> None:
         """A host's FSM ended DONE or FAILED."""
@@ -527,7 +517,7 @@ class Deployment:
             self.node_attached(host.name)
         else:
             self.failures[host.name] = "bootstrap retries exhausted"
-            self.sim.schedule(0, self._orch_handler, Timer("next"))
+            self.sim.schedule(0, self._orch_handler, _NEXT)
 
     def _finish_ports(self, name: str) -> None:
         """Per port of a node that just got its NID, towards each neighbour with one.

@@ -23,6 +23,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import wire
 from .fid import BitVector, FidParams
+from .record import record
 from .topology import (LinkEvent, LinkEventKind, NodeKind, RULE_PRIORITY, RuleInstallFrame,
                        TM_NID)
 from .wire import (CodecError, DiscoveryOffer, DiscoveryRequest, OfferAccepted,
@@ -132,20 +133,20 @@ def decode_packet(data: bytes, params: FidParams) -> Tuple[IcnPacket, int]:
 
 # -- control events -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class SwitchAttached:
     new_switch: str
     attach_switch: str  # switch name, or the TM's name for the seed switch
 
 
-@dataclass(frozen=True)
+@record
 class PacketIn:
     switch: str
     in_port: int
     data: bytes
 
 
-@dataclass(frozen=True)
+@record
 class LinkChange:
     """The cable a - b went down (REMOVE) or came back up (ADD)."""
 

@@ -16,12 +16,12 @@ at one instant moves in lockstep), and each of them costs one append and
 one step of a list, not a heap push and pop through tuple comparisons.
 
 There is one way to file an event: ``schedule(delay, handler, event)``
-files it ``delay`` microseconds from now, and a negative delay raises
-:class:`PastTime`.  An event is the object that was filed: its handler
-receives it as is and dispatches on its type.  Handlers are registered
-under target names, and a caller resolves a target's handler once, with
-``handler``, which raises :class:`UnknownTarget` for a name nothing
-registered.
+files it ``delay`` microseconds from now; a negative delay raises
+:class:`PastTime`.  The handler gets the object filed and dispatches on its
+type: a fabric hop is a tuple, a TM-controller frame its ``bytes``, and a
+message the TM served the ``list`` of its actions.  Handlers are registered
+under target names; a caller resolves one once with ``handler``, which
+raises :class:`UnknownTarget` for a name nothing registered.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from heapq import heappop, heappush
 from itertools import islice
 from operator import length_hint
 from typing import Any, Callable, Dict, List, Optional
+
+from .record import record
 
 US_PER_MS = 1000
 
@@ -60,7 +62,7 @@ def ms(value: float) -> int:
     return round(value * US_PER_MS)
 
 
-@dataclass(frozen=True)
+@record
 class Timer:
     timer_id: str
     token: int = 0

@@ -19,6 +19,7 @@ from random import Random
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .fid import BitVector, Exhausted, FidParams, new_lid
+from .record import record
 
 TM_NID = 1
 
@@ -54,7 +55,7 @@ class LinkEventKind(enum.Enum):
     REMOVE = 1
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DirectedLink:
     """One direction of a point-to-point connection, named by its LID."""
 
@@ -81,7 +82,7 @@ class NodeRecord:
         return self.tmfid is not None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ResourceGrant:
     """Tentative allocation for one attachment: fresh NID, LIDs, optional iLID.
 
@@ -97,7 +98,7 @@ class ResourceGrant:
     kind: NodeKind
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LinkEvent:
     """The cable src - dst went down or came up; a new cable's src -> dst LID is drawn first."""
 
@@ -107,7 +108,7 @@ class LinkEvent:
     delay_ms: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RepairAction:
     """A node's changed TMFID after a topology change; ``uplink`` is its first hop's LID."""
 
@@ -119,7 +120,7 @@ class RepairAction:
 RULE_PRIORITY = 100
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RuleInstallFrame:
     """Flow-rule change on one switch, from the TM to the controller.
 
@@ -145,14 +146,14 @@ class RuleInstallFrame:
         return cls(install, nonce, switch_nid, dst_nid, lid, lid, RULE_PRIORITY)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StatsEntry:
     lid: int
     byte_count: int
     utilization_ppm: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LinkStatsReport:
     entries: Tuple[StatsEntry, ...]
 
@@ -508,11 +509,12 @@ class TopologyGraph:
                 if rec is None or not rec.committed:
                     raise UnknownAttachPoint(f"endpoint {nid} unknown or not committed")
             if (a, b) in self.down_links:  # revived with its LIDs, so its rules, and loads
-                old = self.down_links.pop((a, b)), self.down_links.pop((b, a))
+                fwd, rev = self.down_links.pop((a, b)), self.down_links.pop((b, a))
+                lids, loads = (fwd.lid, rev.lid), (fwd.load, rev.load)
             else:
-                lids = self._draw_lids(2)
-                old = DirectedLink(a, b, lids[0]), DirectedLink(b, a, lids[1])
-            links = tuple(DirectedLink(*l.key(), l.lid, event.delay_ms, l.load) for l in old)
+                lids, loads = self._draw_lids(2), (0.0, 0.0)
+            links = (DirectedLink(a, b, lids[0], event.delay_ms, loads[0]),
+                     DirectedLink(b, a, lids[1], event.delay_ms, loads[1]))
             self._put_cable(*links)
             out.repairs = self._add_and_repair(a, b)
         install = event.kind == LinkEventKind.ADD

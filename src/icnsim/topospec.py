@@ -9,6 +9,7 @@ top of it are enforced here and always name the offending field.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
@@ -17,7 +18,7 @@ from random import Random
 from typing import Dict, List, Tuple
 
 from . import wire
-from .simnet import ms
+from .simnet import US_PER_MS, ms
 
 VALID_KINDS = ("tm", "switch", "host")
 _TYPES = {"integer": int, "number": (int, float)}  # the schema's types of the defaults
@@ -39,6 +40,8 @@ def check_params(m: int, k: int, prefix: str = "params.") -> None:
         raise SpecError(f"{prefix}m: must be a positive multiple of 8")
     if not 0 < k <= m // 2:  # a denser LID matches nearly every rule: copies flood
         raise SpecError(f"{prefix}k: must satisfy 0 < k <= m/2, got {k} for m = {m}")
+    if m // 8 > wire.MAX_PAYLOAD:  # one identifier overflows a frame: build no codec for it
+        raise SpecError(f"{prefix}m: {m} bits overflow the u16 length limit {wire.MAX_PAYLOAD}")
     if (payload := wire.largest_payload(m)) > wire.MAX_PAYLOAD:
         raise SpecError(f"{prefix}m: {m} makes a {payload}-byte frame payload, "
                         f"over the u16 length limit {wire.MAX_PAYLOAD}")
@@ -121,6 +124,8 @@ class TopologySpec:
                 raise SpecError(f"params.defaults.{name}: must be >= {bound['minimum']}")
             if "exclusiveMinimum" in bound and not value > bound["exclusiveMinimum"]:
                 raise SpecError(f"params.defaults.{name}: must be > {bound['exclusiveMinimum']}")
+            if name.endswith("_ms") and value * US_PER_MS == math.inf:  # a float past its range
+                raise SpecError(f"params.defaults.{name}: {value} ms overflows a count of us")
             if name in ("discovery_wait_ms", "request_timeout_ms") and ms(value) == 0:
                 raise SpecError(f"params.defaults.{name}: {value} ms rounds to 0 us; "
                                 "a timer counts whole microseconds and needs at least 1")

@@ -22,10 +22,10 @@ import dataclasses
 import functools
 import struct
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from .fid import BitVector, FidParams
+from .record import record
 from .topology import (LinkEvent, LinkEventKind, LinkStatsReport, NodeKind, RuleInstallFrame,
                        StatsEntry)
 
@@ -52,26 +52,26 @@ class LengthMismatch(CodecError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DiscoveryRequest:
     nonce: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DiscoveryOffer:
     nonce: int
     responder_nid: int
     tmfid: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ResourceRequest:
     nonce: int
     requester_kind: NodeKind
     attach_nid: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ResourceOffer:
     nonce: int
     nid: int
@@ -79,19 +79,19 @@ class ResourceOffer:
     ilid: Optional[int]  # absent for SDN switches
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OfferAccepted:
     nonce: int
     nid: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ResourceAccepted:
     nonce: int
     nid: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Update:
     """TM -> ICN node link notification: the LID of the receiver's link towards ``nid``.
 
@@ -163,8 +163,8 @@ class _Layout:
     """One entry of :data:`LAYOUTS` compiled for identifier width ``m``: a
     ``struct`` of a whole frame, header included (or of one record), and two
     functions generated with one conversion per field.  ``encode(obj)`` packs
-    an object; ``decode(*values)`` fills the fields of a bare instance from
-    the unpacked values (no message has a ``__post_init__`` to skip)."""
+    an object; ``decode(*values)`` builds one from the unpacked values
+    through its class, ``cls(v0, ...)``."""
 
     def __init__(self, frame_cls: type, type_byte: int, kinds: Tuple[_Kind, ...], m: int):
         self.type_byte = type_byte
@@ -179,12 +179,10 @@ class _Layout:
         packed = ", ".join(k.to_wire.format("obj." + n) for n, k in zip(names, kinds))
         unpacked = ("" if self.records else "version, mtype, size, ") + ", ".join(
             f"v{i}" for i in range(len(kinds)))
-        fill = "".join(f"    put(obj, {n!r}, {k.from_wire.format(f'v{i}')})\n"
-                       for i, (n, k) in enumerate(zip(names, kinds)))
+        fields = ", ".join(k.from_wire.format(f"v{i}") for i, k in enumerate(kinds))
         source = (f"def encode(obj):\n    return pack({head}{packed})\n"
-                  f"def decode({unpacked}):\n    obj = new(cls)\n{fill}    return obj\n")
-        scope = dict(globals(), pack=self.struct.pack, new=object.__new__, put=object.__setattr__,
-                     cls=cls, m=m)
+                  f"def decode({unpacked}):\n    return cls({fields})\n")
+        scope = dict(globals(), pack=self.struct.pack, cls=cls, m=m)
         exec(source, scope)
         self.encode, self.decode = scope["encode"], scope["decode"]
 

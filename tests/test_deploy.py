@@ -8,11 +8,10 @@ import pytest
 
 from icnsim import wire
 from icnsim.bootstrap import BootstrapState
-from icnsim.deploy import (CableError, CtlDelivery, Deployment, EndpointError, PacketOutCmd,
-                           ServiceDone)
+from icnsim.deploy import CableError, Deployment, EndpointError, PacketOutCmd
 from icnsim.fabric import IcnPacket, LinkChange, PacketIn, SwitchAttached
 from icnsim.fid import BitVector, fid_or
-from icnsim.simnet import NeverCompleted, Simulator, Timer
+from icnsim.simnet import LimitExceeded, NeverCompleted, Simulator, Timer
 from icnsim.topology import TM_NID, LinkEvent, LinkEventKind, TopologyGraph
 from icnsim.topospec import (Defaults, SpecError, TopoLink, TopoNode, TopologySpec,
                              generate_random, parse_spec)
@@ -402,9 +401,9 @@ class TestRegisteredHandlers:
         to = lambda kind: {t for t, e in received if type(e) is kind}
         nodes = {f"node:{n}" for n in [net.tm_name, *net.switches, *net.hosts]}
         assert "node:tm" in to(tuple) <= nodes
-        assert to(CtlDelivery) == {"node:tm", "ctl"}
+        assert to(bytes) == {"node:tm", "ctl"}  # ctl frames, filed as their bytes
         assert to(PacketIn) == to(SwitchAttached) == to(LinkChange) == {"ctl"}
-        assert to(ServiceDone) == {"node:tm"}
+        assert to(list) == {"node:tm"}  # the actions of each message the TM served
         assert to(PacketOutCmd) and to(PacketOutCmd) <= {f"node:{s}" for s in net.switches}
         hosts = {f"node:{h}" for h in net.hosts}
         assert hosts | {"orch"} == to(Timer)
@@ -668,6 +667,10 @@ def test_default_outside_the_schema_bound_rejected(name, bad, allowed):
     ("discovery_wait_ms", 0.0005, 0.001),
     ("request_timeout_ms", 0.0004, 0.001),
     ("request_timeout_ms", 0.0005, 0.001),
+    # A time whose count of microseconds is not a finite number.
+    ("discovery_wait_ms", float("inf"), 100.0),
+    ("tm_service_ms", 1e308, 1.0),
+    ("control_delay_ms", float("inf"), 0.5),
 ])
 def test_default_the_run_cannot_use_rejected(name, bad, allowed):
     # Each default must have its schema type and stay within its maximum, and
@@ -680,6 +683,51 @@ def test_default_the_run_cannot_use_rejected(name, bad, allowed):
         parse_spec(spec.to_json())
     spec = chain_spec(1, hosts=1, defaults=replace(Defaults(), **{name: allowed}))
     Deployment(parse_spec(spec.to_json())).run_bootstrap()
+
+
+def test_huge_int_time_is_valid_and_ends_at_the_time_limit():
+    # An int counts microseconds exactly however large; only a float overflows.
+    spec = chain_spec(1, hosts=1, defaults=replace(Defaults(), tm_service_ms=10 ** 400))
+    with pytest.raises(LimitExceeded, match="beyond limit"):
+        Deployment(parse_spec(spec.to_json())).run_bootstrap()
+
+
+class TestControlDelay:
+    """A nonzero ``control_delay_ms`` delays every controller-channel event and
+    changes no end state: the same graph and switch tables as at 0 ms, after
+    bootstrap and after a flap of every switch-switch cable."""
+
+    @staticmethod
+    def run(control_delay_ms):
+        spec = generate_random(10, 14, 8, 1, delay_ms=0.1)
+        spec.defaults = replace(spec.defaults, control_delay_ms=control_delay_ms)
+        net = Deployment(spec)
+        report = net.run_bootstrap()
+        assert net.all_done()
+        state = lambda: (net.graph.dump(),
+                         {name: sw.table.snapshot() for name, sw in net.switches.items()})
+        states = [state()]
+        for link in [l for l in spec.links if l.a[0] == l.b[0] == "s"]:
+            net.fail_link(link.a, link.b)
+            net.run_until_idle()
+            net.restore_link(link.a, link.b)
+            net.run_until_idle()
+            states.append(state())
+        probes = [net.inject_probe(host) for host in net.hosts]
+        net.run_until_idle()
+        assert all(net.tm_name in net.consumed.get(probe, []) for probe in probes)
+        return report, states
+
+    def test_same_end_states_as_without_delay(self):
+        delayed, states = self.run(0.5)
+        plain, plain_states = self.run(0.0)
+        assert len(states) == 15 and states == plain_states
+        # A switch's handshake crosses the controller channel four times.
+        for name in [f"s{i}" for i in range(1, 11)]:
+            label = f"bootstrap:{name}"
+            extra = delayed.span(label).duration_us - plain.span(label).duration_us
+            assert extra >= 4 * 500
+        assert delayed.end_us > plain.end_us
 
 
 class TestDenseBootstrap:
@@ -774,8 +822,8 @@ class TestDataPayloads:
         net = Deployment(chain_spec(1, hosts=1))
         net.run_bootstrap()
         junk = bytes([wire.VERSION]) + b"junk"
-        net.sim.schedule(0, net.sim.handler("ctl"), CtlDelivery(junk))
-        net.sim.schedule(0, net.tm.handler, CtlDelivery(junk))
+        net.sim.schedule(0, net.sim.handler("ctl"), junk)
+        net.sim.schedule(0, net.tm.handler, junk)
         with caplog.at_level("INFO", logger="icnsim.deploy"):
             net.run_until_idle()
         lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]

@@ -7,7 +7,7 @@ from icnsim.fabric import (AttachNotEnabled, FlowRule, FlowTable, IcnPacket, Pac
                            SwitchAttached, decode_packet, encode_packet, switch_forward)
 from icnsim.fid import BitVector, FidParams, fid_or
 from icnsim.simnet import LimitExceeded
-from icnsim.deploy import CtlDelivery, Deployment
+from icnsim.deploy import Deployment
 from icnsim.topospec import TopoLink, TopoNode, TopologySpec
 from icnsim.wire import DiscoveryRequest, ResourceRequest, encode
 from icnsim.topology import NodeKind, RuleInstallFrame, TM_NID
@@ -165,7 +165,7 @@ class TestController:
         drops = net.controller.audit_drops
         frame = encode(ResourceRequest(1, NodeKind.ICN_NODE, 1), net.params)
         with caplog.at_level("INFO", logger="icnsim.deploy"):
-            net.sim.handler("ctl")(CtlDelivery(frame[:-1]))
+            net.sim.handler("ctl")(frame[:-1])
         assert net.controller.audit_drops == drops + 1
         assert [r.getMessage().split(":")[0] for r in caplog.records] == ["controller"]
         assert "undecodable control frame dropped" in caplog.records[0].getMessage()

@@ -1,11 +1,17 @@
 """Spec files: schema validation, error naming, random generation."""
 
+import copy
 import hashlib
 import json
+from functools import reduce
+from operator import getitem
 from random import Random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+from icnsim.deploy import Deployment
+from icnsim.simnet import LimitExceeded
 from icnsim.topospec import (Defaults, ExtraPairs, SpecError, TopoLink, TopoNode,
                              TopologySpec, generate_random, parse_spec)
 
@@ -101,6 +107,9 @@ class TestParsing:
         assert parse_spec(json.dumps(doc)).m == 262024
         doc["params"]["m"] = 262144
         with pytest.raises(SpecError, match=r"params\.m: 262144 makes a 65565-byte"):
+            parse_spec(json.dumps(doc))
+        doc["params"]["m"] = 2 ** 70  # wider than any struct: named before a codec is built
+        with pytest.raises(SpecError, match=rf"params\.m: {2 ** 70} bits overflow"):
             parse_spec(json.dumps(doc))
 
     @pytest.mark.parametrize("where", ["defaults", "link"])
@@ -208,3 +217,78 @@ class TestExtraPairs:
 def test_validate_reports_missing_field_via_schema():
     with pytest.raises(SpecError, match="nodes"):
         parse_spec(json.dumps({"params": {}, "links": [], "seed": 0}))
+
+
+MUTANT_BASE = json.loads(generate_random(3, 3, 2, 1, delay_ms=0.5).to_json())
+MUTANT_NAMES = ["tm", "s1", "s2", "s3", "h1", "h2", "switch", "host", "", "zz"]
+MUTANT_ODD = [None, True, 0, -1, 2.5, 1e308, float("inf"), float("nan"), 2 ** 70, "", "s1", [], {}]
+
+
+def positions(doc, path=()):
+    """The path of every value in a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from positions(value, path + (key,))
+
+
+def like(value):
+    """Another value of ``value``'s JSON type; any float, infinities and NaN included."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return st.integers(-3, 300) | st.integers()
+    if isinstance(value, float):
+        return st.floats(0, 10) | st.floats()
+    if isinstance(value, str):
+        return st.sampled_from(MUTANT_NAMES)
+    return st.sampled_from(MUTANT_ODD)
+
+
+@st.composite
+def spec_mutants(draw):
+    """``MUTANT_BASE`` with one to three values changed, types changed, keys
+    or list entries dropped, or list entries duplicated."""
+    doc = copy.deepcopy(MUTANT_BASE)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["value", "type", "drop", "dup"]))
+        paths = [p for p in positions(doc)
+                 if op != "dup" or isinstance(reduce(getitem, p[:-1], doc), list)]
+        if not paths:
+            continue
+        *up, key = draw(st.sampled_from(paths))
+        parent = reduce(getitem, up, doc)
+        if op == "value":
+            parent[key] = draw(like(parent[key]))
+        elif op == "type":
+            parent[key] = draw(st.sampled_from(MUTANT_ODD))
+        elif op == "drop":
+            del parent[key]
+        else:
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return doc
+
+
+@seed(15)
+@settings(max_examples=600, deadline=None, database=None)
+@given(spec_mutants())
+def test_every_valid_mutant_reaches_a_verdict(doc):
+    # A mutant raises SpecError, or bootstraps within the event budget of
+    # run_bootstrap to all DONE, to LimitExceeded, or to every unfinished
+    # node named in Deployment.failures: a valid mutant can cut a host off,
+    # list a switch before its only attach point, or make a link slower
+    # than the request timeout.
+    try:
+        spec = parse_spec(json.dumps(doc))
+    except SpecError:
+        return
+    net = Deployment(spec)
+    try:
+        net.run_bootstrap()
+    except LimitExceeded:
+        return
+    unfinished = {name for name, state in net.report().final_states.items()
+                  if state not in ("TM", "ENABLED", "DONE")}
+    assert set(net.failures) == unfinished
+    assert net.all_done() == (not net.failures)

@@ -26,10 +26,15 @@ It prints one JSON line with, per link count:
 ``tools/data_bench.py`` does: DIR is its ``src`` directory (or the
 ``icnsim`` package in it), imported under another package name.  Each of
 its samples is taken right after or right before this tree's, alternating
-which goes first.  Both trees must give the same graph dump, report and
-switch tables (the text of ``FlowTable.snapshot()``).  Per link count the line then also holds the other tree's
-figures and the median and quartiles over the pairs of this tree's time
-over the other's (``ratio``, ``ratio_q1``, ``ratio_q3``).
+which goes first.  Both trees must give the same graph dump, final node
+states and switch tables (the text of ``FlowTable.snapshot()``), or the
+tool stops.  Per link count the line then also holds the other tree's
+figures, the median and quartiles over the pairs of this tree's time over
+the other's (``ratio``, ``ratio_q1``, ``ratio_q3``), and
+``report_times_differ``: whether the bootstrap reports differ, which with
+equal end states means in simulated times only (a change that moves the
+TM's service timing, say).  When they do, ``report_first_difference``
+holds the first differing report line of this tree and of the other.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+from itertools import zip_longest
 from types import ModuleType
 from typing import Dict, List, Optional, Tuple
 
@@ -66,8 +72,9 @@ def timed(tree: ModuleType, spec) -> float:
     return took
 
 
-def untimed(tree: ModuleType, spec) -> Tuple[int, int, int, tuple]:
-    """Events run, tracemalloc peak and retained bytes, and the outcome of bootstrap.
+def untimed(tree: ModuleType, spec) -> Tuple[int, int, int, tuple, str]:
+    """Events run, tracemalloc peak and retained bytes, the end state of
+    bootstrap (graph dump, final node states and switch tables), and its report.
 
     Events are counted in a bootstrap of their own, which keeps the
     counting wrappers out of the memory figures.
@@ -99,7 +106,14 @@ def untimed(tree: ModuleType, spec) -> Tuple[int, int, int, tuple]:
         tracemalloc.stop()
         gc.enable()
     tables = {name: repr(sw.table.snapshot()) for name, sw in net.switches.items()}
-    return events, peak, retained, (net.graph.dump(), net.report().to_text(), tables)
+    report = net.report()
+    return events, peak, retained, (net.graph.dump(), report.final_states, tables), report.to_text()
+
+
+def first_difference(text: str, other: str) -> Optional[List[str]]:
+    """The first line at which two texts differ, from each ("" past its end), or None."""
+    pairs = zip_longest(text.splitlines(), other.splitlines(), fillvalue="")
+    return next(([line, other_line] for line, other_line in pairs if line != other_line), None)
 
 
 def summary(links: int, times: List[float], events: int, peak: int,
@@ -144,9 +158,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         result["against"] = args.against
     for links, specs in fabrics.items():
         passes = [untimed(tree, spec) for tree, spec in zip(trees, specs)]
-        if any(outcome != passes[0][3] for *_, outcome in passes):
+        if any(end_state != passes[0][3] for *_, end_state, _ in passes):
             raise SystemExit(f"{links} links: the trees bootstrap to different graphs, "
-                             "reports or tables")
+                             "final node states or tables")
         times: List[List[float]] = [[] for _ in trees]
         order = list(range(len(trees)))
         for rep in range(args.repeats):
@@ -160,6 +174,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                          if len(ratios) > 1 else ratios * 3)
             row.update(ratio=round(statistics.median(ratios), 3),
                        ratio_q1=round(q1, 3), ratio_q3=round(q3, 3))
+            difference = first_difference(passes[0][4], passes[1][4])
+            row["report_times_differ"] = difference is not None
+            if difference is not None:
+                row["report_first_difference"] = difference
         result[str(links)] = row
     print(json.dumps(result))
     return 0
