@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from .fid import Exhausted
+from .fid import Exhausted, FidError
 from .record import record
-from .topology import (NodeKind, LinkEvent, LinkStatsReport, RuleInstallFrame,
-                       TopologyGraph, UnknownAttachPoint, Unreachable)
+from .topology import (NodeKind, LinkEvent, LinkStatsReport, ResourceGrant, RuleInstallFrame,
+                       TopologyError, TopologyGraph, UnknownAttachPoint, Unreachable)
 from .wire import (DiscoveryOffer, DiscoveryRequest, Message, OfferAccepted,
                    ResourceAccepted, ResourceOffer, ResourceRequest, Update)
 
@@ -226,14 +226,14 @@ class Notify:
     message: Message
 
 
-@dataclass
-class TmResult:
-    lids_allocated: int = 0
-    actions: List[object] = field(default_factory=list)
-
-
 class TmEngine:
     """Message-level front of the Topology Manager.
+
+    Each call returns the actions it decided, in order; a message it
+    rejects, logged, yields none.  The LIDs a call allocates, which the
+    hosting layer charges, are the growth of ``graph.lid_registry``.  A
+    handshake has one record, the offer under its nonce, replayed on a
+    repeat; whether it committed is the graph's record of the offered NID.
 
     Serialization (one message at a time, arrival order) is the caller's
     job; the engine is deterministic given the graph's RNG.
@@ -242,52 +242,53 @@ class TmEngine:
     def __init__(self, graph: TopologyGraph):
         self.graph = graph
         self._offers: Dict[int, ResourceOffer] = {}
-        self._committed: Dict[int, int] = {}
 
-    def on_message(self, msg: Message) -> TmResult:
+    def on_message(self, msg: Message) -> List[Action]:
         if isinstance(msg, ResourceRequest):
             return self._on_request(msg)
         if isinstance(msg, OfferAccepted):
             return self._on_offer_accepted(msg)
         log.info("tm: unexpected %s dropped", type(msg).__name__)
-        return TmResult()
+        return []
 
-    def _on_request(self, msg: ResourceRequest) -> TmResult:
+    def _grant_rules(self, grant: ResourceGrant, nonce: int) -> List[RuleInstallFrame]:
+        """The install rules of a grant's cable, up while its request or commit is served."""
+        links = self.graph.links
+        return self.graph.cable_rules(True, (links[(grant.attach_nid, grant.nid)],
+                                             links[(grant.nid, grant.attach_nid)]), nonce)
+
+    def _on_request(self, msg: ResourceRequest) -> List[Action]:
         offer = self._offers.get(msg.nonce)
         if offer is not None:
-            return TmResult(0, [Notify(offer.nid, offer)])  # idempotent replay
+            return [Notify(offer.nid, offer)]  # idempotent replay
         try:
             grant = self.graph.allocate_resources(msg.requester_kind, msg.attach_nid)
         except Exhausted:
             log.warning("tm: LID space exhausted; staying silent for nonce %d", msg.nonce)
-            return TmResult()
+            return []
         except UnknownAttachPoint as exc:
             log.warning("tm: %s; request ignored", exc)
-            return TmResult()
+            return []
         offer = ResourceOffer(msg.nonce, grant.nid, grant.lid, grant.ilid)
         self._offers[msg.nonce] = offer
-        result = TmResult(2 if grant.ilid is None else 3)
-        attach_kind = self.graph.nodes[msg.attach_nid].kind
+        actions: List[Action] = []
         if grant.kind != NodeKind.SDN_SWITCH:
-            if attach_kind == NodeKind.SDN_SWITCH:
-                # Downstream rule must be in place before the offer transits
-                # the attachment switch.
-                result.actions.append(RuleInstallFrame.for_link(
-                    True, msg.attach_nid, grant.nid, grant.lid, nonce=msg.nonce))
-            elif attach_kind == NodeKind.ICN_NODE:
+            # A switch attach point's rule, in place before the offer transits it.
+            actions = self._grant_rules(grant, msg.nonce)
+            if self.graph.nodes[msg.attach_nid].kind == NodeKind.ICN_NODE:
                 # Pure ICN attach point learns how to reach the new node so
                 # it can forward the offer onwards.
-                result.actions.append(Notify(msg.attach_nid, Update(grant.nid, grant.lid, None)))
-        result.actions.append(Notify(grant.nid, offer))
-        return result
+                actions.append(Notify(msg.attach_nid, Update(grant.nid, grant.lid, None)))
+        actions.append(Notify(grant.nid, offer))
+        return actions
 
-    def _on_offer_accepted(self, msg: OfferAccepted) -> TmResult:
-        if msg.nonce in self._committed:
-            nid = self._committed[msg.nonce]
-            return TmResult(0, [Notify(nid, ResourceAccepted(msg.nonce, nid))])
-        if self.nid_for_nonce(msg.nonce) != msg.nid or self.graph.pending_grant(msg.nid) is None:
+    def _on_offer_accepted(self, msg: OfferAccepted) -> List[Action]:
+        offer = self._offers.get(msg.nonce)
+        if offer is not None and self.graph.nodes[offer.nid].committed:
+            return [Notify(offer.nid, ResourceAccepted(msg.nonce, offer.nid))]  # replay
+        if offer is None or offer.nid != msg.nid or self.graph.pending_grant(msg.nid) is None:
             log.info("tm: OfferAccepted without pending grant (nid %d) ignored", msg.nid)
-            return TmResult()
+            return []
         grant = self.graph.pending_grant(msg.nid)
         try:
             record = self.graph.commit_grant(msg.nid)
@@ -295,50 +296,49 @@ class TmEngine:
             # The grant stays pending; the node's OfferAccepted retry commits
             # it once a link back to the TM returns.
             log.warning("tm: cannot commit NID %d yet: %s", msg.nid, exc)
-            return TmResult()
-        self._committed[msg.nonce] = msg.nid
-        result = TmResult()
-        if grant.kind == NodeKind.SDN_SWITCH:
-            # Both bitmask rules of the new attachment, per direction.
-            if self.graph.nodes[grant.attach_nid].kind == NodeKind.SDN_SWITCH:
-                result.actions.append(RuleInstallFrame.for_link(
-                    True, grant.attach_nid, grant.nid, grant.lid, nonce=msg.nonce))
-            result.actions.append(RuleInstallFrame.for_link(
-                True, grant.nid, grant.attach_nid, grant.uplink_lid, nonce=msg.nonce))
-        result.actions.append(Notify(msg.nid, ResourceAccepted(msg.nonce, msg.nid)))
+            return []
+        # Both bitmask rules of a switch's attachment, per direction.
+        actions = self._grant_rules(grant, msg.nonce) if grant.kind == NodeKind.SDN_SWITCH else []
+        actions.append(Notify(msg.nid, ResourceAccepted(msg.nonce, msg.nid)))
         if grant.kind != NodeKind.SDN_SWITCH:
             # The node's own outgoing LID and authoritative TMFID.
-            result.actions.append(Notify(
-                msg.nid, Update(msg.nid, grant.uplink_lid, record.tmfid)))
-        return result
+            actions.append(Notify(msg.nid, Update(msg.nid, grant.uplink_lid, record.tmfid)))
+        return actions
 
     def nid_for_nonce(self, nonce: int) -> Optional[int]:
         offer = self._offers.get(nonce)
         return None if offer is None else offer.nid
 
     def expire(self, nonce: int) -> None:
-        """Abandoned handshake: drop the cached offer and free the grant."""
-        if nonce in self._committed:
+        """Abandoned handshake: drop the cached offer and free the grant; a committed one stays."""
+        offer = self._offers.get(nonce)
+        if offer is None or self.graph.nodes[offer.nid].committed:
             return
-        offer = self._offers.pop(nonce, None)
-        if offer is not None:
-            self.graph.expire_grant(offer.nid)
+        del self._offers[nonce]
+        self.graph.expire_grant(offer.nid)
 
-    def on_link_event(self, event: LinkEvent) -> TmResult:
+    def on_link_event(self, event: LinkEvent) -> List[Action]:
         before = len(self.graph.lid_registry)
-        outcome = self.graph.handle_link_event(event)
-        result = TmResult(len(self.graph.lid_registry) - before, list(outcome.rules))
-        if result.lids_allocated:  # a revived cable's LIDs are in its ends' link tables
+        try:
+            outcome = self.graph.handle_link_event(event)
+        except (TopologyError, FidError) as exc:  # FidError: no LID left for an ADD
+            log.warning("tm: link event failed: %s", exc)
+            return []
+        actions: List[Action] = list(outcome.rules)
+        if len(self.graph.lid_registry) != before:  # a revived cable's are in its ends' tables
             for src, dst in ((event.src, event.dst), (event.dst, event.src)):
                 if self.graph.nodes[src].kind == NodeKind.ICN_NODE:  # a switch end gets a rule
                     lid = self.graph.links[(src, dst)].lid
-                    result.actions.append(Notify(src, Update(dst, lid)))
+                    actions.append(Notify(src, Update(dst, lid)))
         for repair in outcome.repairs:
             if self.graph.nodes[repair.nid].kind == NodeKind.ICN_NODE:
-                result.actions.append(Notify(
+                actions.append(Notify(
                     repair.nid, Update(repair.nid, repair.uplink, repair.new_tmfid)))
-        return result
+        return actions
 
-    def on_link_stats(self, report: LinkStatsReport) -> TmResult:
-        self.graph.record_stats(report)
-        return TmResult()
+    def on_link_stats(self, report: LinkStatsReport) -> List[Action]:
+        try:
+            self.graph.record_stats(report)
+        except TopologyError as exc:
+            log.warning("tm: stats report rejected: %s", exc)
+        return []

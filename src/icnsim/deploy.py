@@ -1,9 +1,10 @@
 """Executable deployments: spec in, simulated ICN-over-SDN network out.
 
 Builds the reactive objects (TM, controller, switches, hosts), cables them
-per the topology spec, and orchestrates bootstrap in spec order.  All
-randomness is derived from the spec seed through named substreams, so a
-(spec, seed) pair fully determines every event and measurement.
+per the topology spec, and orchestrates bootstrap in spec order, a switch
+waiting until a neighbour is ICN-enabled.  All randomness is derived from
+the spec seed through named substreams, so a (spec, seed) pair fully
+determines every event and measurement.
 """
 
 from __future__ import annotations
@@ -11,18 +12,19 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
+from itertools import chain
 from random import Random
 from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from . import wire
 from .bootstrap import (Arm, Broadcast, NodeBootstrapFsm, NodeConfig,
                         BootstrapState, Send, Timers, TmEngine, apply_update,
-                        responder_on_discovery, NotBootstrapped, TmResult)
+                        responder_on_discovery, NotBootstrapped)
 from .fabric import (Controller, FlowTable, IcnPacket, LinkChange, PacketIn, SwitchAttached,
                      encode_packet, switch_forward)
-from .fid import FidError, FidParams
+from .fid import FidParams
 from .record import record
-from .simnet import SimReport, Simulator, Timer, ms
+from .simnet import SimReport, Simulator, ms
 from .topology import (TM_NID, DirectedLink, LinkEventKind, NodeKind, RuleInstallFrame,
                        TopologyError, TopologyGraph)
 from .topospec import TopologySpec
@@ -62,9 +64,6 @@ class PortLink(NamedTuple):
 class PacketOutCmd:
     port: int
     packet: IcnPacket
-
-
-_NEXT = Timer("next")  # the orchestrator's one event: start the next node
 
 
 class SwitchNode:
@@ -154,8 +153,8 @@ class HostNode(IcnEndpoint):
     def handle(self, event) -> None:
         if type(event) is tuple:
             self._on_packet(*event)
-        else:  # Timer
-            self._execute(self.fsm.on_timeout(event.token))
+        else:  # the token of a timer the FSM armed
+            self._execute(self.fsm.on_timeout(event))
 
     def _on_packet(self, packet: IcnPacket, in_port: int, hop_limit: int) -> None:
         fid = packet.fid
@@ -202,8 +201,7 @@ class HostNode(IcnEndpoint):
                 packet = self.net.control_packet(action.message, action.fid)
                 self.net.emit(self, action.port, packet, self.net.hop_limit)
             elif isinstance(action, Arm):
-                self.net.sim.schedule(action.delay_us, self.handler,
-                                      Timer("bootstrap", action.token))
+                self.net.sim.schedule(action.delay_us, self.handler, action.token)
         if not self._settled and self.fsm.state in (BootstrapState.DONE, BootstrapState.FAILED):
             self._settled = True
             self.net.host_settled(self)
@@ -218,6 +216,9 @@ class TmNode(IcnEndpoint):
     address the TM with its own (all-zero) TMFID, so their handshake frames
     arrive on the link-local channel and join the serial queue.  Controller
     frames arrive as bytes; a served message, as its list of actions.
+    Serving takes ``service_us`` plus ``alloc_us`` per LID allocated, which
+    is how much the graph's LID registry grew; a link event goes to the
+    engine's ``on_link_event``, any other message to its ``on_message``.
     """
 
     def __init__(self, name: str, net: "Deployment", graph: TopologyGraph,
@@ -276,27 +277,19 @@ class TmNode(IcnEndpoint):
     def _start_next(self) -> None:
         msg, in_port = self._queue.popleft()
         self._busy = True
+        before = len(self.graph.lid_registry)
         t0 = time.perf_counter()
-        result = TmResult()  # what a rejected message yields
         if isinstance(msg, wire.LinkEvent):
-            try:
-                result = self.engine.on_link_event(msg)
-            except (TopologyError, FidError) as exc:  # FidError: no LID left for an ADD
-                log.warning("tm: link event failed: %s", exc)
-        elif isinstance(msg, wire.LinkStatsReport):
-            try:
-                result = self.engine.on_link_stats(msg)
-            except TopologyError as exc:
-                log.warning("tm: stats report rejected: %s", exc)
+            actions = self.engine.on_link_event(msg)
         else:
-            result = self.engine.on_message(msg)
+            actions = self.engine.on_message(msg)
         self.wall_alloc_s += time.perf_counter() - t0
         if in_port is not None and isinstance(msg, ResourceRequest) and msg.attach_nid == TM_NID:
             nid = self.engine.nid_for_nonce(msg.nonce)
             if nid is not None:
                 self.nid_port[nid] = in_port
-        self.net.sim.schedule(self.service_us + result.lids_allocated * self.alloc_us,
-                              self.handler, result.actions)
+        allocated = len(self.graph.lid_registry) - before  # an Exhausted draw takes none
+        self.net.sim.schedule(self.service_us + allocated * self.alloc_us, self.handler, actions)
 
     def _service_done(self, actions: List) -> None:
         for action in actions:
@@ -391,6 +384,7 @@ class Deployment:
         self.consumed: Dict[int, List[str]] = {}
         self._trace_counter = 0
         self._order = iter([n.name for n in spec.nodes if n.kind != "tm"])
+        self._waiting: Dict[str, None] = {}  # switches with no attach point yet, in spec order
         self.failures: Dict[str, str] = {}
 
     # -- plumbing used by nodes and the controller -------------------------------
@@ -478,25 +472,31 @@ class Deployment:
     # -- orchestration ------------------------------------------------------------
 
     def run_bootstrap(self) -> SimReport:
-        """Bootstrap every node in spec order; returns the finished report."""
-        self.sim.schedule(0, self._orch_handler, _NEXT)
+        """Bootstrap every node, as :meth:`_orch_handle` orders; returns the finished report."""
+        self.sim.schedule(0, self._orch_handler, None)
         events = BOOT_EVENTS * self.hop_limit * (len(self.nodes) + len(self.spec.links))
         self.sim.run_until_idle(10_000_000 + 5_000_000 * (len(self.nodes) - 1), events)
         return self.report()
 
-    def _orch_handle(self, event: Timer) -> None:
-        """Start the next node in spec order that can start."""
-        for name in self._order:  # an iterator: each call resumes where the last stopped
+    def _orch_handle(self, event: None) -> None:
+        """Start the first waiting switch with an ICN-enabled attach point now,
+        else the next node in spec order: a switch with none waits.  Once no
+        node is left to start, the switches still waiting have failed."""
+        waiting = self._waiting
+        for name in chain(list(waiting), self._order):  # the order resumes where it stopped
             if name in self.switches:
                 attach = self._find_attach_point(name)
                 if attach is None:
-                    self.failures[name] = "no ICN-enabled attach point"
+                    waiting[name] = None
                     continue
+                waiting.pop(name, None)
                 self.sim.schedule(0, self._ctl_handler, SwitchAttached(name, attach))
             else:
                 self.hosts[name].start()
             self.sim.begin_span(f"bootstrap:{name}")
             return
+        self.failures.update(dict.fromkeys(waiting, "no ICN-enabled attach point"))
+        waiting.clear()
 
     def _find_attach_point(self, switch_name: str) -> Optional[str]:
         return next((link.dst for link in self.switches[switch_name].ports.values()
@@ -506,7 +506,7 @@ class Deployment:
         """A node got its NID: the controller reports a switch, a DONE host itself."""
         self.sim.end_span(f"bootstrap:{name}")
         self._finish_ports(name)
-        self.sim.schedule(0, self._orch_handler, _NEXT)
+        self.sim.schedule(0, self._orch_handler, None)
 
     def host_settled(self, host: HostNode) -> None:
         """A host's FSM ended DONE or FAILED."""
@@ -517,7 +517,7 @@ class Deployment:
             self.node_attached(host.name)
         else:
             self.failures[host.name] = "bootstrap retries exhausted"
-            self.sim.schedule(0, self._orch_handler, _NEXT)
+            self.sim.schedule(0, self._orch_handler, None)
 
     def _finish_ports(self, name: str) -> None:
         """Per port of a node that just got its NID, towards each neighbour with one.

@@ -18,10 +18,12 @@ one step of a list, not a heap push and pop through tuple comparisons.
 There is one way to file an event: ``schedule(delay, handler, event)``
 files it ``delay`` microseconds from now; a negative delay raises
 :class:`PastTime`.  The handler gets the object filed and dispatches on its
-type: a fabric hop is a tuple, a TM-controller frame its ``bytes``, and a
-message the TM served the ``list`` of its actions.  Handlers are registered
-under target names; a caller resolves one once with ``handler``, which
-raises :class:`UnknownTarget` for a name nothing registered.
+type: a fabric hop is a tuple, a TM-controller frame its ``bytes``, a
+message the TM served the ``list`` of its actions, a host's timer the
+``int`` token its FSM armed, and the orchestrator's tick ``None``.
+Handlers are registered under target names; a caller resolves one once
+with ``handler``, which raises :class:`UnknownTarget` for a name nothing
+registered.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from heapq import heappop, heappush
 from itertools import islice
 from operator import length_hint
 from typing import Any, Callable, Dict, List, Optional
-
-from .record import record
 
 US_PER_MS = 1000
 
@@ -60,12 +60,6 @@ class NeverCompleted(SimError):
 def ms(value: float) -> int:
     """Convert milliseconds to integer simulated microseconds."""
     return round(value * US_PER_MS)
-
-
-@record
-class Timer:
-    timer_id: str
-    token: int = 0
 
 
 @dataclass(frozen=True)

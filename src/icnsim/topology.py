@@ -481,7 +481,8 @@ class TopologyGraph:
         REMOVE keeps each direction's LID bound to its pair, so a later ADD
         revives identical flow rules; a new cable's ADD draws both LIDs or,
         out of LIDs, changes nothing.  Affected nodes are found from the TM
-        in-tree, never by Bloom membership.
+        in-tree, never by Bloom membership.  The outcome's rules are the
+        cable's :meth:`cable_rules`: installs for an ADD, removals for a REMOVE.
         """
         out = LinkEventOutcome()
         a, b = event.src, event.dst
@@ -517,10 +518,14 @@ class TopologyGraph:
                      DirectedLink(b, a, lids[1], event.delay_ms, loads[1]))
             self._put_cable(*links)
             out.repairs = self._add_and_repair(a, b)
-        install = event.kind == LinkEventKind.ADD
-        out.rules = [RuleInstallFrame.for_link(install, *link.key(), link.lid) for link in links
-                     if self.nodes[link.src].kind == NodeKind.SDN_SWITCH]
+        out.rules = self.cable_rules(event.kind == LinkEventKind.ADD, links)
         return out
+
+    def cable_rules(self, install: bool, links: Iterable[DirectedLink],
+                    nonce: int = 0) -> List[RuleInstallFrame]:
+        """The rule change of each of a cable's directions whose source is a switch."""
+        return [RuleInstallFrame.for_link(install, *link.key(), link.lid, nonce) for link in links
+                if self.nodes[link.src].kind == NodeKind.SDN_SWITCH]
 
     def _subtree(self, roots: List[int]) -> Set[int]:
         """The roots and every node whose in-tree path runs through one."""

@@ -10,8 +10,8 @@ from icnsim.bootstrap import (Arm, Broadcast, Notify,
                               TmEngine, WrongState, apply_update,
                               responder_on_discovery)
 from icnsim.fid import BitVector, FidParams
-from icnsim.topology import (LinkEvent, LinkEventKind, NodeKind, RuleInstallFrame, TM_NID,
-                             TopologyGraph)
+from icnsim.topology import (LinkEvent, LinkEventKind, LinkStatsReport, NodeKind,
+                             RuleInstallFrame, StatsEntry, TM_NID, TopologyGraph)
 from icnsim.wire import (DiscoveryOffer, DiscoveryRequest, OfferAccepted,
                          ResourceAccepted, ResourceOffer, ResourceRequest, Update,
                          encode)
@@ -235,44 +235,54 @@ class TestApplyUpdate:
         assert config.tmfid == lid(9)
 
 
+def grown(graph, serve, *args):
+    """What ``serve(*args)`` returns and how many LIDs it added to ``graph.lid_registry``."""
+    before = len(graph.lid_registry)
+    actions = serve(*args)
+    return actions, len(graph.lid_registry) - before
+
+
 class TestTmEngine:
     def make_engine(self):
         graph = TopologyGraph(P, Random(2))
         return TmEngine(graph), graph
 
     def test_fresh_request_offers_triple(self):
-        engine, _ = self.make_engine()
-        result = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
-        offer = next(a.message for a in result.actions if isinstance(a, Notify))
+        engine, graph = self.make_engine()
+        actions, lids = grown(graph, engine.on_message,
+                              ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
+        offer = next(a.message for a in actions if isinstance(a, Notify))
         assert isinstance(offer, ResourceOffer)
         assert offer.nonce == 11 and offer.lid is not None and offer.ilid is not None
-        assert result.lids_allocated == 3
+        assert lids == 3
 
     def test_switch_request_allocates_two_lids(self):
-        engine, _ = self.make_engine()
-        result = engine.on_message(ResourceRequest(11, NodeKind.SDN_SWITCH, TM_NID))
-        assert result.lids_allocated == 2
-        offer = next(a.message for a in result.actions if isinstance(a, Notify))
+        engine, graph = self.make_engine()
+        actions, lids = grown(graph, engine.on_message,
+                              ResourceRequest(11, NodeKind.SDN_SWITCH, TM_NID))
+        assert lids == 2
+        offer = next(a.message for a in actions if isinstance(a, Notify))
         assert offer.ilid is None
 
     def test_duplicate_request_byte_identical_offer(self):
-        engine, _ = self.make_engine()
+        engine, graph = self.make_engine()
         first = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
-        second = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
-        offer1 = next(a.message for a in first.actions if isinstance(a, Notify))
-        offer2 = next(a.message for a in second.actions if isinstance(a, Notify))
+        second, lids = grown(graph, engine.on_message,
+                             ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
+        offer1 = next(a.message for a in first if isinstance(a, Notify))
+        offer2 = next(a.message for a in second if isinstance(a, Notify))
         assert encode(offer1, P) == encode(offer2, P)
-        assert second.lids_allocated == 0
+        assert lids == 0
 
     def test_offer_accepted_commits_and_acks(self):
         engine, graph = self.make_engine()
-        result = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
-        offer = next(a.message for a in result.actions if isinstance(a, Notify))
+        actions = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
+        offer = next(a.message for a in actions if isinstance(a, Notify))
         final = engine.on_message(OfferAccepted(11, offer.nid))
-        ack = next(a.message for a in final.actions if isinstance(a, Notify))
+        ack = next(a.message for a in final if isinstance(a, Notify))
         assert isinstance(ack, ResourceAccepted) and ack.nid == offer.nid
         assert graph.nodes[offer.nid].committed
-        update = next(a for a in final.actions
+        update = next(a for a in final
                       if isinstance(a, Notify) and isinstance(a.message, Update))
         assert update.nid == offer.nid
         assert update.message.tmfid == graph.nodes[offer.nid].tmfid
@@ -280,45 +290,47 @@ class TestTmEngine:
     def test_offer_accepted_waits_while_attach_point_cut_off(self):
         engine, graph = self.make_engine()
         switch = engine.on_message(ResourceRequest(5, NodeKind.SDN_SWITCH, TM_NID))
-        s_nid = next(a.message for a in switch.actions if isinstance(a, Notify)).nid
+        s_nid = next(a.message for a in switch if isinstance(a, Notify)).nid
         engine.on_message(OfferAccepted(5, s_nid))
-        result = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, s_nid))
-        offer = next(a.message for a in result.actions if isinstance(a, Notify))
+        actions = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, s_nid))
+        offer = next(a.message for a in actions if isinstance(a, Notify))
         engine.on_link_event(LinkEvent(LinkEventKind.REMOVE, s_nid, TM_NID))
-        assert engine.on_message(OfferAccepted(11, offer.nid)).actions == []
+        assert engine.on_message(OfferAccepted(11, offer.nid)) == []
         assert graph.pending_grant(offer.nid) is not None
         engine.on_link_event(LinkEvent(LinkEventKind.ADD, s_nid, TM_NID))
         retry = engine.on_message(OfferAccepted(11, offer.nid))
-        ack = next(a.message for a in retry.actions if isinstance(a, Notify))
+        ack = next(a.message for a in retry if isinstance(a, Notify))
         assert isinstance(ack, ResourceAccepted) and ack.nid == offer.nid
         assert graph.nodes[offer.nid].committed
 
     def test_icn_node_link_add_announced_to_node(self):
         engine, graph = self.make_engine()
         switch = engine.on_message(ResourceRequest(5, NodeKind.SDN_SWITCH, TM_NID))
-        s_nid = next(a.message for a in switch.actions if isinstance(a, Notify)).nid
+        s_nid = next(a.message for a in switch if isinstance(a, Notify)).nid
         engine.on_message(OfferAccepted(5, s_nid))
         hosts = []
         for nonce in (6, 7):
             host = engine.on_message(ResourceRequest(nonce, NodeKind.ICN_NODE, TM_NID))
-            hosts.append(next(a.message for a in host.actions if isinstance(a, Notify)).nid)
+            hosts.append(next(a.message for a in host if isinstance(a, Notify)).nid)
             engine.on_message(OfferAccepted(nonce, hosts[-1]))
         # A new cable, named from either end, announces its fresh LID to its
         # ICN end only; its switch end gets a rule.
         for src, dst in ((hosts[0], s_nid), (s_nid, hosts[1])):
             h_nid = src if src != s_nid else dst
-            added = engine.on_link_event(LinkEvent(LinkEventKind.ADD, src, dst))
-            assert added.lids_allocated == 2
-            notes = [a for a in added.actions if isinstance(a, Notify)]
+            added, lids = grown(graph, engine.on_link_event,
+                                LinkEvent(LinkEventKind.ADD, src, dst))
+            assert lids == 2
+            notes = [a for a in added if isinstance(a, Notify)]
             assert [(n.nid, n.message) for n in notes] == [
                 (h_nid, Update(s_nid, graph.links[(h_nid, s_nid)].lid))]
-            assert [(r.switch_nid, r.dst_nid, r.install) for r in added.actions
+            assert [(r.switch_nid, r.dst_nid, r.install) for r in added
                     if isinstance(r, RuleInstallFrame)] == [(s_nid, h_nid, True)]
             # A revival keeps the LIDs the node already holds: nothing to announce.
             engine.on_link_event(LinkEvent(LinkEventKind.REMOVE, src, dst))
-            revived = engine.on_link_event(LinkEvent(LinkEventKind.ADD, dst, src))
-            assert revived.lids_allocated == 0
-            assert not any(isinstance(a, Notify) for a in revived.actions)
+            revived, lids = grown(graph, engine.on_link_event,
+                                  LinkEvent(LinkEventKind.ADD, dst, src))
+            assert lids == 0
+            assert not any(isinstance(a, Notify) for a in revived)
 
     def test_repair_updates_icn_node_with_new_first_hop(self):
         # tm <- sa <- h and tm <- sb, with h <-> sb off the tree (sa < sb).
@@ -326,8 +338,8 @@ class TestTmEngine:
         engine, graph = self.make_engine()
 
         def join(nonce, kind, attach_nid):
-            result = engine.on_message(ResourceRequest(nonce, kind, attach_nid))
-            nid = next(a.message for a in result.actions if isinstance(a, Notify)).nid
+            actions = engine.on_message(ResourceRequest(nonce, kind, attach_nid))
+            nid = next(a.message for a in actions if isinstance(a, Notify)).nid
             engine.on_message(OfferAccepted(nonce, nid))
             return nid
 
@@ -339,7 +351,7 @@ class TestTmEngine:
         sa_tmfid = graph.nodes[sa].tmfid
         removed = engine.on_link_event(LinkEvent(LinkEventKind.REMOVE, sa, TM_NID))
         assert graph.nodes[sa].tmfid != sa_tmfid  # repaired, but a switch: no Notify
-        notes = [a for a in removed.actions if isinstance(a, Notify)]
+        notes = [a for a in removed if isinstance(a, Notify)]
         uplink = graph.links[(h, sb)].lid
         assert [(n.nid, n.message) for n in notes] == [
             (h, Update(h, uplink, graph.nodes[h].tmfid))]
@@ -347,37 +359,37 @@ class TestTmEngine:
 
     def test_offer_accepted_unknown_ignored(self):
         engine, _ = self.make_engine()
-        assert engine.on_message(OfferAccepted(1, 42)).actions == []
+        assert engine.on_message(OfferAccepted(1, 42)) == []
 
     def test_duplicate_offer_accepted_repeats_ack(self):
         engine, _ = self.make_engine()
-        result = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
-        offer = next(a.message for a in result.actions if isinstance(a, Notify))
+        actions = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
+        offer = next(a.message for a in actions if isinstance(a, Notify))
         engine.on_message(OfferAccepted(11, offer.nid))
         dup = engine.on_message(OfferAccepted(11, offer.nid))
-        ack = next(a.message for a in dup.actions if isinstance(a, Notify))
+        ack = next(a.message for a in dup if isinstance(a, Notify))
         assert isinstance(ack, ResourceAccepted)
 
     def test_host_rule_directive_precedes_offer(self):
         engine, graph = self.make_engine()
         switch = engine.on_message(ResourceRequest(5, NodeKind.SDN_SWITCH, TM_NID))
-        s_nid = next(a.message for a in switch.actions if isinstance(a, Notify)).nid
+        s_nid = next(a.message for a in switch if isinstance(a, Notify)).nid
         engine.on_message(OfferAccepted(5, s_nid))
-        result = engine.on_message(ResourceRequest(6, NodeKind.ICN_NODE, s_nid))
-        kinds = [type(a).__name__ for a in result.actions]
+        actions = engine.on_message(ResourceRequest(6, NodeKind.ICN_NODE, s_nid))
+        kinds = [type(a).__name__ for a in actions]
         assert kinds.index("RuleInstallFrame") < kinds.index("Notify")
-        rule = next(a for a in result.actions if isinstance(a, RuleInstallFrame))
+        rule = next(a for a in actions if isinstance(a, RuleInstallFrame))
         assert rule.switch_nid == s_nid and rule.install
 
     def test_switch_commit_emits_both_rules(self):
         engine, _ = self.make_engine()
         r1 = engine.on_message(ResourceRequest(5, NodeKind.SDN_SWITCH, TM_NID))
-        s1 = next(a.message for a in r1.actions if isinstance(a, Notify)).nid
+        s1 = next(a.message for a in r1 if isinstance(a, Notify)).nid
         engine.on_message(OfferAccepted(5, s1))
         r2 = engine.on_message(ResourceRequest(6, NodeKind.SDN_SWITCH, s1))
-        s2 = next(a.message for a in r2.actions if isinstance(a, Notify)).nid
+        s2 = next(a.message for a in r2 if isinstance(a, Notify)).nid
         final = engine.on_message(OfferAccepted(6, s2))
-        rules = [a for a in final.actions if isinstance(a, RuleInstallFrame)]
+        rules = [a for a in final if isinstance(a, RuleInstallFrame)]
         assert {(r.switch_nid, r.dst_nid) for r in rules} == {(s1, s2), (s2, s1)}
 
     def test_expire_releases_grant(self):
@@ -387,8 +399,34 @@ class TestTmEngine:
         engine.expire(11)
         assert graph.lid_registry == before
         # a later retry with the same nonce gets a fresh allocation
-        result = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
-        assert result.lids_allocated == 3
+        _, lids = grown(graph, engine.on_message, ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
+        assert lids == 3
+
+    def test_expire_of_a_committed_handshake_keeps_it(self):
+        engine, graph = self.make_engine()
+        actions = engine.on_message(ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
+        offer = next(a.message for a in actions if isinstance(a, Notify))
+        engine.on_message(OfferAccepted(11, offer.nid))
+        dump, lids = graph.dump(), set(graph.lid_registry)
+        engine.expire(11)
+        assert graph.nodes[offer.nid].committed
+        assert (graph.dump(), graph.lid_registry) == (dump, lids)
+        # Both messages of the handshake still replay, allocating nothing.
+        replay, grew = grown(graph, engine.on_message,
+                             ResourceRequest(11, NodeKind.ICN_NODE, TM_NID))
+        assert (replay, grew) == ([Notify(offer.nid, offer)], 0)
+        assert engine.on_message(OfferAccepted(11, offer.nid)) == [
+            Notify(offer.nid, ResourceAccepted(11, offer.nid))]
+
+    def test_rejected_link_event_and_stats_logged_yield_nothing(self, caplog):
+        engine, graph = self.make_engine()
+        dump = graph.dump()
+        with caplog.at_level("WARNING", logger="icnsim.bootstrap"):
+            assert engine.on_link_event(LinkEvent(LinkEventKind.REMOVE, TM_NID, 9)) == []
+            assert engine.on_link_stats(LinkStatsReport((StatsEntry(lid(1), 0, 10),))) == []
+        assert [r.getMessage().split(":")[1].strip() for r in caplog.records] == [
+            "link event failed", "stats report rejected"]
+        assert graph.dump() == dump
 
     def test_exhausted_stays_silent(self):
         graph = TopologyGraph(FidParams(m=8, k=2), Random(2))
@@ -396,5 +434,7 @@ class TestTmEngine:
             for j in range(i + 1, 8):
                 graph.lid_registry.add(BitVector.from_bits(8, [i, j]).value)
         engine = TmEngine(graph)
-        result = engine.on_message(ResourceRequest(1, NodeKind.ICN_NODE, TM_NID))
-        assert result.actions == []
+        actions, lids = grown(graph, engine.on_message,
+                              ResourceRequest(1, NodeKind.ICN_NODE, TM_NID))
+        assert actions == []
+        assert lids == 0

@@ -11,7 +11,7 @@ from icnsim.bootstrap import BootstrapState
 from icnsim.deploy import CableError, Deployment, EndpointError, PacketOutCmd
 from icnsim.fabric import IcnPacket, LinkChange, PacketIn, SwitchAttached
 from icnsim.fid import BitVector, fid_or
-from icnsim.simnet import LimitExceeded, NeverCompleted, Simulator, Timer
+from icnsim.simnet import LimitExceeded, NeverCompleted, Simulator
 from icnsim.topology import TM_NID, LinkEvent, LinkEventKind, TopologyGraph
 from icnsim.topospec import (Defaults, SpecError, TopoLink, TopoNode, TopologySpec,
                              generate_random, parse_spec)
@@ -405,8 +405,8 @@ class TestRegisteredHandlers:
         assert to(PacketIn) == to(SwitchAttached) == to(LinkChange) == {"ctl"}
         assert to(list) == {"node:tm"}  # the actions of each message the TM served
         assert to(PacketOutCmd) and to(PacketOutCmd) <= {f"node:{s}" for s in net.switches}
-        hosts = {f"node:{h}" for h in net.hosts}
-        assert hosts | {"orch"} == to(Timer)
+        assert to(int) == {f"node:{h}" for h in net.hosts}  # a timer: the token its FSM armed
+        assert to(type(None)) == {"orch"}  # the orchestrator's tick
         plain = self.flapped()
         assert net.report().to_text() == plain.report().to_text()
         assert net.graph.dump() == plain.graph.dump()
@@ -730,6 +730,64 @@ class TestControlDelay:
         assert delayed.end_us > plain.end_us
 
 
+class TestTmCharge:
+    """Serving a message costs ``tm_alloc_per_lid_ms`` per LID it added to the registry."""
+
+    @staticmethod
+    def run(alloc_ms):
+        net = Deployment(chain_spec(3, hosts=2, delay_ms=0.1, defaults=Defaults(
+            tm_service_ms=0.0, tm_alloc_per_lid_ms=alloc_ms)))
+        report = net.run_bootstrap()
+        assert net.all_done()
+        start = net.sim.now
+        net.fail_link("s1", "s2")
+        net.run_until_idle()
+        net.restore_link("s1", "s2")
+        return report, net.run_until_idle() - start
+
+    def test_switch_pays_two_lids_host_three_revived_cable_none(self):
+        (charged, flap), (free, free_flap) = self.run(1.0), self.run(0.0)
+        for name, lids in [("s1", 2), ("s2", 2), ("s3", 2), ("h1", 3), ("h2", 3)]:
+            label = f"bootstrap:{name}"
+            extra = charged.span(label).duration_us - free.span(label).duration_us
+            assert extra == lids * 1000, name
+        assert flap == free_flap  # a REMOVE and a revival draw no LID
+
+
+class TestOrchestration:
+    """A switch with no ICN-enabled attach point at its turn waits for one."""
+
+    @staticmethod
+    def found_spec(tm_to):
+        """``generate_random(3, 3, 2, 1)`` less its s1 - s2 cable, the TM cabled to ``tm_to``."""
+        spec = generate_random(3, 3, 2, 1)
+        spec.links = [TopoLink("tm", tm_to, l.delay_ms) if l.a == "tm" else l
+                      for l in spec.links if {l.a, l.b} != {"s1", "s2"}]
+        return spec
+
+    @pytest.mark.parametrize("tm_to, order", [("s1", ["s1", "s3", "s2"]),
+                                              ("s3", ["s3", "s1", "s2"])])
+    def test_waiting_switch_starts_once_a_neighbour_is_enabled(self, tm_to, order):
+        net = Deployment(self.found_spec(tm_to))
+        report = net.run_bootstrap()
+        assert net.all_done() and net.failures == {}
+        spans = [report.span(f"bootstrap:{name}") for name in order + ["h1", "h2"]]
+        # Each node starts at the tick its predecessor ends with.
+        assert all(a.end_us == b.start_us for a, b in zip(spans, spans[1:]))
+
+    def test_switch_never_reachable_named_once_nothing_is_left(self):
+        spec = TopologySpec(
+            nodes=[TopoNode("tm", "tm"), TopoNode("s1", "switch"), TopoNode("s2", "switch"),
+                   TopoNode("h1", "host")],
+            links=[TopoLink("tm", "s1", 0.2), TopoLink("h1", "s2", 0.2)], seed=3)
+        net = Deployment(spec)
+        net.run_bootstrap()
+        assert net.failures == {"h1": "bootstrap retries exhausted",
+                                "s2": "no ICN-enabled attach point"}
+        assert net.report().final_states == {"tm": "TM", "s1": "ENABLED", "s2": "PENDING",
+                                             "h1": "FAILED"}
+
+
 class TestDenseBootstrap:
     """A dense fabric: 24 switches, 200 links, 32 hosts."""
 
@@ -943,6 +1001,23 @@ class TestTmErrors:
         net.run_until_idle()
         assert set(net.graph.down_links) == {(s3, TM_NID), (TM_NID, s3)}
         assert net.graph.lid_registry == before[0]
+
+    def test_link_stats_report_logged_as_unexpected(self, caplog):
+        # Nothing in the network sends the TM a LinkStatsReport; one that
+        # arrives is dropped like any other unexpected frame.
+        net = Deployment(chain_spec(1, hosts=1))
+        net.run_bootstrap()
+        before = net.graph.dump()
+        lid = net.graph.links[(net.nid_of("s1"), TM_NID)].lid
+        net.ctl_send(wire.LinkStatsReport((wire.StatsEntry(lid, 10, 500_000),)))
+        with caplog.at_level("INFO", logger="icnsim.bootstrap"):
+            net.run_until_idle()
+        assert [r.getMessage() for r in caplog.records] == [
+            "tm: unexpected LinkStatsReport dropped"]
+        assert net.graph.dump() == before
+        net.fail_link("h1", "s1")
+        net.run_until_idle()
+        assert (net.nid_of("h1"), net.nid_of("s1")) not in net.graph.links
 
     def test_programming_error_propagates(self, monkeypatch):
         net = Deployment(chain_spec(1, hosts=1))

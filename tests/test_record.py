@@ -17,7 +17,6 @@ from icnsim.deploy import PacketOutCmd
 from icnsim.fabric import IcnPacket, LinkChange, PacketIn, SwitchAttached
 from icnsim.fid import FidParams
 from icnsim.record import record
-from icnsim.simnet import Timer
 from icnsim.topology import (DirectedLink, LinkEvent, LinkEventKind, LinkStatsReport, NodeKind,
                              RepairAction, ResourceGrant, RuleInstallFrame, StatsEntry)
 from icnsim.wire import (DiscoveryOffer, DiscoveryRequest, OfferAccepted, ResourceAccepted,
@@ -55,7 +54,6 @@ SAMPLES = {
     Arm: (Arm(100, 1), Arm(200, 2)),
     Notify: (Notify(5, Update(5, 0b11)), Notify(6, ResourceAccepted(2, 6))),
     PacketOutCmd: (PacketOutCmd(1, IcnPacket(0, b"x", 1)), PacketOutCmd(2, IcnPacket(3, b"", 2))),
-    Timer: (Timer("bootstrap", 2), Timer("next")),
 }
 RECORDS = list(SAMPLES)
 
@@ -72,7 +70,7 @@ def values(obj):
 
 
 def test_samples_cover_every_frame_and_differ_in_every_field():
-    assert set(wire.LAYOUTS) <= set(SAMPLES) and len(SAMPLES) == 23
+    assert set(wire.LAYOUTS) <= set(SAMPLES) and len(SAMPLES) == 22
     for a, b in SAMPLES.values():
         assert all(x != y for x, y in zip(values(a), values(b)))
 

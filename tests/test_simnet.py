@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from icnsim.deploy import Deployment
 from icnsim.simnet import (LimitExceeded, MeasurementSpan, NeverCompleted, PastTime,
-                           SimReport, Simulator, Timer, UnknownTarget, ms)
+                           SimReport, Simulator, UnknownTarget, ms)
 from icnsim.topospec import generate_random
 
 
@@ -22,9 +22,9 @@ class TestScheduling:
     def test_now_executes_before_later(self):
         sim = Simulator()
         order = []
-        t = lambda e: order.append(e.timer_id)
-        sim.schedule(5, t, Timer("later"))
-        sim.schedule(0, t, Timer("now"))
+        t = order.append
+        sim.schedule(5, t, "later")
+        sim.schedule(0, t, "now")
         sim.run_until_idle()
         assert order == ["now", "later"]
 
@@ -32,25 +32,25 @@ class TestScheduling:
         sim = Simulator()
         order = []
         for name in ("a", "b", "c"):
-            sim.schedule(7, lambda e: order.append(e.timer_id), Timer(name))
+            sim.schedule(7, order.append, name)
         sim.run_until_idle()
         assert order == ["a", "b", "c"]
 
     def test_past_time_rejected(self):
         sim = Simulator()
         t = lambda e: None
-        sim.schedule(10, t, Timer("x"))
+        sim.schedule(10, t, "x")
         sim.run_until_idle()
-        sim.schedule(0, t, Timer("now"))  # the current time is not past
+        sim.schedule(0, t, "now")  # the current time is not past
         with pytest.raises(PastTime):
-            sim.schedule(-1, t, Timer("y"))
+            sim.schedule(-1, t, "y")
         assert sim.run_until_idle() == 10  # only the zero-delay timer was queued
 
     def test_clock_never_decreases(self):
         sim = Simulator()
         seen = []
         for at in (3, 1, 2, 1, 9):
-            sim.schedule(at, lambda e: seen.append(sim.now), Timer(str(at)))
+            sim.schedule(at, lambda e: seen.append(sim.now), str(at))
         sim.run_until_idle()
         assert seen == sorted(seen)
 
@@ -61,9 +61,9 @@ class TestScheduling:
         def handler(event):
             hits.append(sim.now)
             if len(hits) < 3:
-                sim.schedule(4, handler, Timer("again"))
+                sim.schedule(4, handler, "again")
 
-        sim.schedule(0, handler, Timer("start"))
+        sim.schedule(0, handler, "start")
         assert sim.run_until_idle() == 8
         assert hits == [0, 4, 8]
 
@@ -72,7 +72,7 @@ class TestScheduling:
         # fails there and queues nothing.
         sim = Simulator()
         with pytest.raises(UnknownTarget, match="'nope'"):
-            sim.schedule(3, sim.handler("nope"), Timer("x"))
+            sim.schedule(3, sim.handler("nope"), "x")
         assert sim.run_until_idle() == 0  # nothing was queued
 
     def test_handler_of_an_unregistered_target_rejected(self):
@@ -127,27 +127,27 @@ class TestRunUntilIdle:
         sim = Simulator()
 
         def forever(event):
-            sim.schedule(10, forever, Timer("tick"))
+            sim.schedule(10, forever, "tick")
 
-        sim.schedule(0, forever, Timer("tick"))
+        sim.schedule(0, forever, "tick")
         with pytest.raises(LimitExceeded):
             sim.run_until_idle(limit=1_000)
 
     def test_handler_receives_the_scheduled_object(self):
         sim = Simulator()
         got = []
-        timer, payload = Timer("x", token=3), object()
-        sim.schedule(0, got.append, timer)
+        token, payload = 3, object()
+        sim.schedule(0, got.append, token)
         sim.schedule(0, got.append, payload)
         sim.run_until_idle()
-        assert got[0] is timer and got[1] is payload
+        assert got[0] is token and got[1] is payload
 
 
 class TestSpans:
     def test_span_measures_interval(self):
         sim = Simulator()
         sim.begin_span("work")
-        sim.schedule(42, lambda e: sim.end_span("work"), Timer("done"))
+        sim.schedule(42, lambda e: sim.end_span("work"), "done")
         sim.run_until_idle()
         span = sim.report().span("work")
         assert (span.start_us, span.end_us, span.duration_us) == (0, 42, 42)
@@ -187,7 +187,7 @@ class TestReport:
             sim = Simulator()
             for i, label in enumerate(("x", "y")):
                 sim.begin_span(label)
-                sim.schedule(10 * (i + 1), lambda e: sim.end_span(e.timer_id), Timer(label))
+                sim.schedule(10 * (i + 1), lambda e: sim.end_span(e), label)
             sim.run_until_idle()
             return sim.report({"t": "ok"})
 
