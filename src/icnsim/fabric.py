@@ -2,11 +2,15 @@
 
 Switches hold arbitrary-bitmask flow tables keyed on the packet FID; a
 packet is emitted on every matching port, which yields native multicast
-for OR-ed FIDs.  A packet that matches nothing is silently dropped unless
-it carries the all-zero bootstrap FID, in which case it escalates to the
-controller as a PacketIn (that is how discovery broadcasts from
-unconfigured nodes reach the ICN application while stray Bloom
-false-positive copies die in the fabric).
+for OR-ed FIDs.  A table of more than ``SCAN_MAX_RULES`` rules finds them
+through an index by *anchor*, one bit of each rule's value (see
+:class:`FlowTable`): ``fid & mask == value`` holds only if the FID holds
+every bit of the value, the anchor too, so a lookup tests only the rules
+whose anchor the FID holds.  A packet that matches nothing is silently
+dropped unless it carries the all-zero bootstrap FID, in which case it
+escalates to the controller as a PacketIn (that is how discovery
+broadcasts from unconfigured nodes reach the ICN application while stray
+Bloom false-positive copies die in the fabric).
 
 The controller hosts the ICN application: it proxies switch bootstraps
 towards the TM over the ICN-SDN channel, answers host discovery via
@@ -66,39 +70,126 @@ class IcnPacket(NamedTuple):
     trace_id: int = 0
 
 
+# Tables of at most this many rules are scanned whole.  Where the index
+# starts to pay depends on how many bits the looked-up FIDs hold (5-bit
+# LIDs, 256-bit FIDs).  On lookups captured from the benchmark fabrics, it
+# broke even at about 5 rules with dataplane_unicast's FIDs and took 0.80
+# of the scan's time at 8 and 0.68 at 14.  link_churn's FIDs hold more
+# bits: there it took 1.2-1.4 times the scan on tables of 3-8 rules, and
+# 0.95 on its tables of 11.
+SCAN_MAX_RULES = 8
+
+
 class FlowTable:
     """Priority-ordered rule list with multi-match semantics, at FID width ``m``.
 
     ``rules`` holds each rule once as the tuple ``(-priority, mask, value,
     out_port)`` of ints, in ascending order: the canonical order, which
     keeps tables comparable across install sequences.
+
+    A table of more than ``SCAN_MAX_RULES`` rules also files each rule with
+    a nonzero value in ``index`` under one *anchor*: the position of a bit
+    of its value, where possible one that no other rule is filed under, so
+    that a FID holding it seldom brings other rules along.  ``anchors`` ORs
+    the anchor bits in use.  As the value lies within the mask, ``fid &
+    mask == value`` needs every bit of the value in the FID, the anchor
+    too.  A lookup on such a table therefore tests only the rules filed
+    under the bits of ``fid & anchors``, and the ``unanchored`` rules
+    (value 0), which any FID may match; smaller tables are scanned whole.
+    Both ways give the ports in canonical rule order, once each.  ``add``
+    and ``remove`` file and unfile only the rules they change; a table that
+    grows past ``SCAN_MAX_RULES`` files all its rules, and one that shrinks
+    back to it empties its index.  ``indexed`` says which way its lookups
+    go.
     """
 
     def __init__(self, m: int) -> None:
         self.m = m
         self.rules: List[Tuple[int, int, int, int]] = []
+        self.anchors = 0
+        self.index: Dict[int, List[Tuple[int, int, int, int]]] = {}
+        self.unanchored: List[Tuple[int, int, int, int]] = []
+        self.indexed = False
 
     def add(self, mask: int, value: int, out_port: int, priority: int = RULE_PRIORITY) -> None:
         if value & mask != value:
             raise ValueError("rule value must be covered by its mask")
         rule = (-priority, mask, value, out_port)
-        at = bisect_right(self.rules, rule)
-        if not at or self.rules[at - 1] != rule:
-            self.rules.insert(at, rule)
+        rules = self.rules
+        at = bisect_right(rules, rule)
+        if at and rules[at - 1] == rule:
+            return
+        rules.insert(at, rule)
+        if self.indexed:
+            self._file(rule)
+        elif len(rules) > SCAN_MAX_RULES:
+            self.indexed = True
+            for rule in rules:
+                self._file(rule)
+
+    def _file(self, rule: Tuple[int, int, int, int]) -> None:
+        """File ``rule`` under an anchor, or as unanchored if its value is 0."""
+        value = rule[2]
+        if not value:
+            self.unanchored.append(rule)
+            return
+        anchor = ((value & ~self.anchors) or value).bit_length() - 1
+        self.index.setdefault(anchor, []).append(rule)
+        self.anchors |= 1 << anchor
 
     def remove(self, mask: int, value: int) -> bool:
         """Remove every rule of this mask and value; whether there was one."""
-        hits = [i for i, rule in enumerate(self.rules) if rule[1] == mask and rule[2] == value]
-        for i in reversed(hits):
-            del self.rules[i]
-        return bool(hits)
+        kept = [rule for rule in self.rules if rule[1] != mask or rule[2] != value]
+        if len(kept) == len(self.rules):
+            return False
+        self.rules[:] = kept
+        if len(kept) <= SCAN_MAX_RULES:
+            if self.indexed:
+                self.indexed = False
+                self.anchors = 0
+                self.index.clear()
+                self.unanchored.clear()
+            return True
+        if not value:
+            self.unanchored[:] = [rule for rule in self.unanchored if rule[1] != mask]
+        filed = value & self.anchors  # the rule's anchor is one of these bits
+        while filed:
+            anchor = filed.bit_length() - 1
+            filed ^= 1 << anchor
+            bucket = [rule for rule in self.index[anchor] if rule[1] != mask or rule[2] != value]
+            if bucket:
+                self.index[anchor] = bucket
+            else:
+                del self.index[anchor]
+                self.anchors ^= 1 << anchor
+        return True
 
     def match_ports(self, fid: int) -> List[int]:
         """Out-ports of the rules with ``fid & mask == value``, once each, in rule order."""
         ports: List[int] = []
-        for _, mask, value, port in self.rules:
-            if fid & mask == value and port not in ports:
-                ports.append(port)
+        if not self.indexed:
+            for _, mask, value, port in self.rules:
+                if fid & mask == value and port not in ports:
+                    ports.append(port)
+            return ports
+        hits = []
+        for rule in self.unanchored:
+            if fid & rule[1] == rule[2]:
+                hits.append(rule)
+        held = fid & self.anchors
+        index = self.index
+        while held:
+            anchor = held.bit_length() - 1
+            held ^= 1 << anchor
+            for rule in index[anchor]:
+                if fid & rule[1] == rule[2]:
+                    hits.append(rule)
+        if len(hits) == 1:
+            return [hits[0][3]]
+        hits.sort()
+        for rule in hits:
+            if rule[3] not in ports:
+                ports.append(rule[3])
         return ports
 
     def snapshot(self) -> Tuple[FlowRule, ...]:

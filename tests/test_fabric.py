@@ -1,10 +1,13 @@
 """Flow tables, bitmask forwarding, and controller behaviors."""
 
+from itertools import cycle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icnsim.fabric import (AttachNotEnabled, FlowRule, FlowTable, IcnPacket, PacketIn,
-                           SwitchAttached, decode_packet, encode_packet, switch_forward)
+from icnsim.fabric import (SCAN_MAX_RULES, AttachNotEnabled, FlowRule, FlowTable, IcnPacket,
+                           PacketIn, SwitchAttached, decode_packet, encode_packet,
+                           switch_forward)
 from icnsim.fid import BitVector, FidParams, fid_or
 from icnsim.simnet import LimitExceeded
 from icnsim.deploy import Deployment
@@ -83,29 +86,63 @@ class TestFlowTable:
     @given(data=st.data())
     def test_match_agrees_with_the_rules_after_any_changes(self, width, data):
         # Each step removes a present rule (op 0) or adds one, then looks up
-        # a random FID and one that covers up to two rules.  Oracle: every
-        # rule of the canonical list whose masked FID equals its value, by
-        # port, first match first.
-        vec = st.integers(min_value=0, max_value=2 ** width - 1)
-        steps = data.draw(st.lists(st.tuples(st.integers(min_value=0, max_value=2), vec, vec,
-                                             st.integers(min_value=0, max_value=5),
-                                             st.integers(min_value=99, max_value=101)),
-                                   max_size=40))
+        # FIDs; at the end the rules are removed until none is left.  Two
+        # inputs.  Random vectors, looked up as a random FID and FIDs that
+        # cover up to two rules.  Or LID rules (mask == value, k bits set;
+        # op 3 adds a value-0 rule on a LID's mask), so tables grow past
+        # SCAN_MAX_RULES and shrink below it, looked up as ORs of 1-5 of the
+        # table's LIDs with and without foreign LIDs.  Oracle: every rule of
+        # the canonical list whose masked FID equals its value, by port,
+        # first match first.
+        port = st.integers(min_value=0, max_value=5)
+        priority = st.integers(min_value=99, max_value=101)
+        pick = st.integers(min_value=0, max_value=63)
+        if data.draw(st.booleans(), label="LID rules"):
+            k = data.draw(st.integers(min_value=1, max_value=min(5, width // 4)), label="k")
+            lid = st.sets(st.integers(min_value=0, max_value=width - 1), min_size=k,
+                          max_size=k).map(lambda bits: sum(1 << bit for bit in bits))
+            lids = data.draw(st.lists(lid, min_size=1, max_size=24, unique=True), label="LIDs")
+            steps = data.draw(st.lists(st.tuples(st.integers(min_value=0, max_value=3), pick,
+                                                 port, priority,
+                                                 st.lists(pick, min_size=1, max_size=5),
+                                                 st.lists(lid, max_size=2)),
+                                       min_size=16, max_size=48))
+            changes = [(op, at, lids[at % len(lids)], 0 if op == 3 else lids[at % len(lids)],
+                        out, prio) for op, at, out, prio, _, _ in steps]
+
+            def fids(rules, step):
+                covering = foreign = 0
+                for at in step[4] if rules else ():
+                    covering |= rules[at % len(rules)].mask.value
+                for other in step[5]:
+                    foreign |= other
+                return covering, covering | foreign, foreign
+        else:
+            vec = st.integers(min_value=0, max_value=2 ** width - 1)
+            steps = data.draw(st.lists(st.tuples(st.integers(min_value=0, max_value=2), vec, vec,
+                                                 port, priority),
+                                       max_size=40))
+            changes = [(op, a, a, a & b, out, prio) for op, a, b, out, prio in steps]
+
+            def fids(rules, step):
+                _, a, b, _, _ = step
+                covering = 0
+                for at in (a, b)[:len(rules)]:
+                    covering |= rules[at % len(rules)].value.value
+                return b, covering, covering | (a ^ b)
+
         table = FlowTable(width)
-        for op, a, b, port, priority in steps:
+
+        def remove(at):
             rules = table.snapshot()
-            if op == 0 and rules:
-                rule = rules[a % len(rules)]
-                kept = tuple(r for r in rules if (r.mask, r.value) != (rule.mask, rule.value))
-                table.remove(rule.mask.value, rule.value.value)
-                assert table.snapshot() == kept  # every rule of that mask and value, no other
-            else:
-                table.add(a, a & b, port, priority)
+            rule = rules[at % len(rules)]
+            kept = tuple(r for r in rules if (r.mask, r.value) != (rule.mask, rule.value))
+            table.remove(rule.mask.value, rule.value.value)
+            assert table.snapshot() == kept  # every rule of that mask and value, no other
+
+        def check(step):
             rules = table.snapshot()
-            covering = 0
-            for pick in (a, b)[:len(rules)]:
-                covering |= rules[pick % len(rules)].value.value
-            for bits in (b, covering, covering | (a ^ b)):
+            for bits in fids(rules, step):
                 expected = []
                 for r in rules:
                     if bits & r.mask.value == r.value.value and r.out_port not in expected:
@@ -114,6 +151,29 @@ class TestFlowTable:
             keys = [(-r.priority, r.mask.value, r.value.value, r.out_port) for r in rules]
             assert keys == sorted(set(keys))  # canonical order, no rule twice
             assert table.rules == keys  # the table is its snapshot, as int tuples
+            # A table of more than SCAN_MAX_RULES rules files each rule once: under a
+            # bit of its value, or unanchored if it is 0.  A smaller one files none.
+            assert table.indexed == (len(keys) > SCAN_MAX_RULES)
+            filed = table.unanchored + [rule for bucket in table.index.values() for rule in bucket]
+            assert sorted(filed) == (keys if table.indexed else [])
+            assert all(rule[2] >> anchor & 1
+                       for anchor, bucket in table.index.items() for rule in bucket)
+            assert not any(rule[2] for rule in table.unanchored)
+            assert table.anchors == sum(1 << anchor for anchor in table.index)
+
+        for (op, at, mask, value, out, prio), step in zip(changes, steps):
+            if op == 0 and table.rules:
+                remove(at)
+            else:
+                table.add(mask, value, out, prio)
+            check(step)
+        for (_, at, *_), step in zip(cycle(changes), cycle(steps)):
+            if not table.rules:
+                break
+            remove(at)
+            check(step)
+        assert not table.rules
+        assert (table.index, table.anchors, table.unanchored) == ({}, 0, [])  # no anchor leaks
 
 
 class TestIcnPacket:

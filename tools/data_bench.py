@@ -20,6 +20,11 @@ root::
 It prints one JSON line with, per shape and phase, the median and the
 fastest microseconds per packet over ``repeats`` samples of each of the
 fabric seeds 1 .. ``seeds``, and the origination's share of the median.
+Per shape it also gives what the flow-table lookups of a pass look like,
+counted in one untimed pass per seed: ``rules_per_lookup``, the mean size
+of the table each lookup searched, and ``indexed_share``, the share of
+lookups on tables of more than ``fabric.SCAN_MAX_RULES`` rules, which use
+the table's anchor-bit index instead of a scan.
 
 ``--against DIR`` compares with a second icnsim tree, for example a
 parent commit's checkout: DIR is its ``src`` directory (or the ``icnsim``
@@ -27,9 +32,12 @@ package in it).  That tree is imported under another package name, and
 each of its samples is taken right after or right before the same
 fabric's sample of this one, alternating which goes first.  The machine's
 speed state moves runs in separate processes by up to 1.4 times, and
-these pairs share it.  Per shape the line then also holds the other
-tree's medians and the median over the pairs of this tree's time over
-the other's, for origination, for delivery and for both.
+these pairs share it.  After each pair of passes both trees must have
+consumed the same packets at the same hosts, counted the same drops at
+each switch and hold the same switch tables (the text of
+``FlowTable.snapshot()``), or the tool stops.  Per shape the line then
+also holds the other tree's medians and the median over the pairs of this
+tree's time over the other's, for origination, for delivery and for both.
 """
 
 from __future__ import annotations
@@ -47,6 +55,8 @@ from types import ModuleType
 from typing import Dict, List, Optional, Tuple
 
 import icnsim
+from icnsim import deploy
+from icnsim.fabric import SCAN_MAX_RULES
 
 SHAPES = {"dataplane_unicast": (24, 200, 32), "link_churn": (80, 160, 32)}
 LINK_DELAY_MS = 0.1
@@ -68,16 +78,22 @@ def load_tree(path: str, name: str) -> ModuleType:
     return module
 
 
-def sample(tree: ModuleType, shape: Tuple[int, int, int], seed: int,
-           packets: int) -> Tuple[float, float]:
-    """Origination and delivery microseconds per packet of one pass on a fresh fabric."""
+def bootstrapped(tree: ModuleType, shape: Tuple[int, int, int], seed: int, packets: int):
+    """A fresh bootstrapped fabric and the seeded (source, destination) host pairs of a pass."""
     net = tree.Deployment(tree.generate_random(*shape, seed, delay_ms=LINK_DELAY_MS))
     net.run_bootstrap()
     if not net.all_done():
         raise SystemExit(f"fabric {shape} seed {seed} did not bootstrap")
     traffic = Random(seed)
     hosts = sorted(net.hosts)
-    pairs = [tuple(traffic.sample(hosts, 2)) for _ in range(packets)]
+    return net, [tuple(traffic.sample(hosts, 2)) for _ in range(packets)]
+
+
+def sample(tree: ModuleType, shape: Tuple[int, int, int], seed: int,
+           packets: int) -> Tuple[float, float, tuple]:
+    """Origination and delivery microseconds per packet of one pass on a fresh
+    fabric, and the pass's end state: packets consumed, drops and tables per switch."""
+    net, pairs = bootstrapped(tree, shape, seed, packets)
     inject = net.inject_data
     gc.collect()
     start = time.perf_counter()
@@ -87,7 +103,31 @@ def sample(tree: ModuleType, shape: Tuple[int, int, int], seed: int,
     done = time.perf_counter()
     if not all(dst in net.consumed.get(trace, ()) for trace, dst in traces):
         raise SystemExit(f"fabric {shape} seed {seed}: a packet was not delivered")
-    return (injected - start) / packets * 1e6, (done - injected) / packets * 1e6
+    end_state = (net.consumed, {name: sw.drops for name, sw in net.switches.items()},
+                 {name: repr(sw.table.snapshot()) for name, sw in net.switches.items()})
+    return (injected - start) / packets * 1e6, (done - injected) / packets * 1e6, end_state
+
+
+def lookup_sizes(shape: Tuple[int, int, int], seed: int, packets: int) -> List[int]:
+    """The size of the table searched by each flow-table lookup of one untimed pass."""
+    net, pairs = bootstrapped(icnsim, shape, seed, packets)
+    sizes: List[int] = []
+    forward = deploy.switch_forward
+
+    def counted(table, packet):
+        sizes.append(len(table))
+        return forward(table, packet)
+
+    # Switches call the deploy module's name; patching it leaves the
+    # FlowTable class and its instances as the timed passes find them.
+    deploy.switch_forward = counted
+    try:
+        for src, dst in pairs:
+            net.inject_data(src, dst)
+        net.run_until_idle()
+    finally:
+        deploy.switch_forward = forward
+    return sizes
 
 
 def summary(inject: List[float], deliver: List[float]) -> Dict[str, float]:
@@ -124,9 +164,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         order = list(range(len(trees)))
         for rep in range(args.repeats):
             for seed in range(1, args.seeds + 1):
+                end_states = []
                 for k in order if (rep + seed) % 2 else order[::-1]:
-                    times[k].append(sample(trees[k], shape, seed, args.packets))
+                    *took, end_state = sample(trees[k], shape, seed, args.packets)
+                    times[k].append(took)
+                    end_states.append(end_state)
+                if any(end_state != end_states[0] for end_state in end_states):
+                    raise SystemExit(f"fabric {shape} seed {seed}: the trees forwarded differently "
+                                     "(consumed packets, switch drops or tables differ)")
         row: Dict[str, object] = summary(*zip(*times[0]))
+        sizes = [size for seed in range(1, args.seeds + 1)
+                 for size in lookup_sizes(shape, seed, args.packets)]
+        row["rules_per_lookup"] = round(statistics.mean(sizes), 2)
+        row["indexed_share"] = round(sum(size > SCAN_MAX_RULES for size in sizes) / len(sizes), 3)
         if args.against:
             row["against"] = summary(*zip(*times[1]))
             pairs = list(zip(times[0], times[1]))
