@@ -39,9 +39,9 @@ class NotBootstrapped(ProtocolError):
 
 @dataclass(frozen=True)
 class Timers:
-    discovery_wait_us: int = 100_000
-    request_timeout_us: int = 2_000_000
-    max_retries: int = 3
+    discovery_wait_us: int
+    request_timeout_us: int
+    max_retries: int
 
     def __post_init__(self) -> None:
         if min(self.discovery_wait_us, self.request_timeout_us, self.max_retries) <= 0:
@@ -106,7 +106,7 @@ class NodeBootstrapFsm:
         self.timers = timers
         self.state = BootstrapState.INIT
         self.config = NodeConfig()
-        self.collected_offers: List[Tuple[DiscoveryOffer, int]] = []
+        self.discovery_offers: List[Tuple[DiscoveryOffer, int]] = []
         self.retries_left = timers.max_retries
         self.attach_nid: Optional[int] = None
         self.offered: Optional[ResourceOffer] = None
@@ -145,8 +145,8 @@ class NodeBootstrapFsm:
             if msg.nonce != self.nonce:
                 log.debug("%s: discovery offer with alien nonce ignored", self.name)
                 return []
-            if all(o.responder_nid != msg.responder_nid for o, _ in self.collected_offers):
-                self.collected_offers.append((msg, via_port))
+            if all(o.responder_nid != msg.responder_nid for o, _ in self.discovery_offers):
+                self.discovery_offers.append((msg, via_port))
             return []
         if isinstance(msg, ResourceOffer) and self.state == BootstrapState.REQUESTING:
             if msg.nonce != self.nonce:
@@ -173,9 +173,9 @@ class NodeBootstrapFsm:
         """The timer armed with ``token`` expired: pick an offer, or retry or fail."""
         if token != self._token or self.state not in _WAITING:
             return []  # stale timer
-        if self.state == BootstrapState.DISCOVERING and self.collected_offers:
+        if self.state == BootstrapState.DISCOVERING and self.discovery_offers:
             self._selected = min(
-                self.collected_offers,
+                self.discovery_offers,
                 key=lambda item: (item[0].tmfid.bit_count(), item[0].responder_nid))
             self.state = BootstrapState.REQUESTING
             return self._request()
@@ -232,8 +232,9 @@ class TmEngine:
     Each call returns the actions it decided, in order; a message it
     rejects, logged, yields none.  The LIDs a call allocates, which the
     hosting layer charges, are the growth of ``graph.lid_registry``.  A
-    handshake has one record, the offer under its nonce, replayed on a
-    repeat; whether it committed is the graph's record of the offered NID.
+    handshake has one record, its :class:`ResourceGrant` under its nonce:
+    the offer and every replay of it are built from the grant, and whether
+    it committed is the graph's record of the granted NID.
 
     Serialization (one message at a time, arrival order) is the caller's
     job; the engine is deterministic given the graph's RNG.
@@ -241,7 +242,7 @@ class TmEngine:
 
     def __init__(self, graph: TopologyGraph):
         self.graph = graph
-        self._offers: Dict[int, ResourceOffer] = {}
+        self._grants: Dict[int, ResourceGrant] = {}
 
     def on_message(self, msg: Message) -> List[Action]:
         if isinstance(msg, ResourceRequest):
@@ -258,38 +259,35 @@ class TmEngine:
                                              links[(grant.nid, grant.attach_nid)]), nonce)
 
     def _on_request(self, msg: ResourceRequest) -> List[Action]:
-        offer = self._offers.get(msg.nonce)
-        if offer is not None:
-            return [Notify(offer.nid, offer)]  # idempotent replay
-        try:
-            grant = self.graph.allocate_resources(msg.requester_kind, msg.attach_nid)
-        except Exhausted:
-            log.warning("tm: LID space exhausted; staying silent for nonce %d", msg.nonce)
-            return []
-        except UnknownAttachPoint as exc:
-            log.warning("tm: %s; request ignored", exc)
-            return []
-        offer = ResourceOffer(msg.nonce, grant.nid, grant.lid, grant.ilid)
-        self._offers[msg.nonce] = offer
+        grant = self._grants.get(msg.nonce)
         actions: List[Action] = []
-        if grant.kind != NodeKind.SDN_SWITCH:
-            # A switch attach point's rule, in place before the offer transits it.
-            actions = self._grant_rules(grant, msg.nonce)
-            if self.graph.nodes[msg.attach_nid].kind == NodeKind.ICN_NODE:
-                # Pure ICN attach point learns how to reach the new node so
-                # it can forward the offer onwards.
-                actions.append(Notify(msg.attach_nid, Update(grant.nid, grant.lid, None)))
-        actions.append(Notify(grant.nid, offer))
+        if grant is None:  # else an idempotent replay of the offer
+            try:
+                grant = self.graph.allocate_resources(msg.requester_kind, msg.attach_nid)
+            except Exhausted:
+                log.warning("tm: LID space exhausted; staying silent for nonce %d", msg.nonce)
+                return []
+            except UnknownAttachPoint as exc:
+                log.warning("tm: %s; request ignored", exc)
+                return []
+            self._grants[msg.nonce] = grant
+            if grant.kind != NodeKind.SDN_SWITCH:
+                # A switch attach point's rule, in place before the offer transits it.
+                actions = self._grant_rules(grant, msg.nonce)
+                if self.graph.nodes[msg.attach_nid].kind == NodeKind.ICN_NODE:
+                    # Pure ICN attach point learns how to reach the new node so
+                    # it can forward the offer onwards.
+                    actions.append(Notify(msg.attach_nid, Update(grant.nid, grant.lid, None)))
+        actions.append(Notify(grant.nid, ResourceOffer(msg.nonce, grant.nid, grant.lid, grant.ilid)))
         return actions
 
     def _on_offer_accepted(self, msg: OfferAccepted) -> List[Action]:
-        offer = self._offers.get(msg.nonce)
-        if offer is not None and self.graph.nodes[offer.nid].committed:
-            return [Notify(offer.nid, ResourceAccepted(msg.nonce, offer.nid))]  # replay
-        if offer is None or offer.nid != msg.nid or self.graph.pending_grant(msg.nid) is None:
+        grant = self._grants.get(msg.nonce)
+        if grant is not None and self.graph.nodes[grant.nid].committed:
+            return [Notify(grant.nid, ResourceAccepted(msg.nonce, grant.nid))]  # replay
+        if grant is None or grant.nid != msg.nid:
             log.info("tm: OfferAccepted without pending grant (nid %d) ignored", msg.nid)
             return []
-        grant = self.graph.pending_grant(msg.nid)
         try:
             record = self.graph.commit_grant(msg.nid)
         except Unreachable as exc:
@@ -306,16 +304,16 @@ class TmEngine:
         return actions
 
     def nid_for_nonce(self, nonce: int) -> Optional[int]:
-        offer = self._offers.get(nonce)
-        return None if offer is None else offer.nid
+        grant = self._grants.get(nonce)
+        return None if grant is None else grant.nid
 
     def expire(self, nonce: int) -> None:
-        """Abandoned handshake: drop the cached offer and free the grant; a committed one stays."""
-        offer = self._offers.get(nonce)
-        if offer is None or self.graph.nodes[offer.nid].committed:
+        """Abandoned handshake: drop its grant and free what it holds; a committed one stays."""
+        grant = self._grants.get(nonce)
+        if grant is None or self.graph.nodes[grant.nid].committed:
             return
-        del self._offers[nonce]
-        self.graph.expire_grant(offer.nid)
+        del self._grants[nonce]
+        self.graph.expire_grant(grant)
 
     def on_link_event(self, event: LinkEvent) -> List[Action]:
         before = len(self.graph.lid_registry)

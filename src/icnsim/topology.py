@@ -87,7 +87,8 @@ class ResourceGrant:
     """Tentative allocation for one attachment: fresh NID, LIDs, optional iLID.
 
     ``lid`` names the downstream link (attach point -> new node); the reverse
-    direction gets ``uplink_lid``.
+    direction gets ``uplink_lid``.  The TM engine keeps it under the joining
+    node's nonce, the handshake's one record.
     """
 
     nid: int
@@ -168,6 +169,8 @@ class TopologyGraph:
     """The TM's graph of directed links plus identifier registries.
 
     Single-writer: mutations must be applied sequentially in event order.
+    It keeps no handshake: a pending node is one without a TMFID, and its
+    :class:`ResourceGrant` is held by the TM engine.
     A link event names a cable: :meth:`_put_cable` / :meth:`_pop_cable` move
     both its directions together and keep ``_adj``, a symmetric index of the
     cables that are up, so ``links`` and ``down_links`` each hold both
@@ -222,7 +225,6 @@ class TopologyGraph:
         self.lid_registry: Set[int] = set()
         self.next_nid = 2
         self._free_nids: List[int] = []
-        self._pending: Dict[int, ResourceGrant] = {}
         self._adj: Dict[int, Set[int]] = {TM_NID: set()}  # the cables that are up
         # TM in-tree: hop counts and next hops.
         self._dist: Dict[int, int] = {TM_NID: 0}
@@ -297,9 +299,14 @@ class TopologyGraph:
         if attach_nid in self._dist:
             self._dist[nid] = self._dist[attach_nid] + 1
             self._next[nid] = attach_nid
-        grant = ResourceGrant(nid, down, up, ilid, attach_nid, kind)
-        self._pending[nid] = grant
-        return grant
+        return ResourceGrant(nid, down, up, ilid, attach_nid, kind)
+
+    def _tentative(self, nid: int) -> NodeRecord:
+        """The record of a node allocated but not committed; else :class:`NoPendingGrant`."""
+        record = self.nodes.get(nid)
+        if record is None or record.committed:
+            raise NoPendingGrant(f"no pending grant for NID {nid}")
+        return record
 
     def commit_grant(self, nid: int) -> NodeRecord:
         """Make a tentative grant permanent and cache the node's TMFID.
@@ -307,20 +314,16 @@ class TopologyGraph:
         Raises :class:`Unreachable`, with the grant still pending, if a
         REMOVE has cut the attach point off since the allocation.
         """
-        if nid not in self._pending:
-            raise NoPendingGrant(f"no pending grant for NID {nid}")
+        record = self._tentative(nid)
         if nid not in self._dist:
             raise Unreachable(f"no path {nid} -> {TM_NID}")
-        del self._pending[nid]
-        record = self.nodes[nid]
         record.tmfid = self._tmfid(nid)
         return record
 
-    def expire_grant(self, nid: int) -> None:
-        """Abandoned handshake: return all tentative identifiers to the pool."""
-        grant = self._pending.pop(nid, None)
-        if grant is None:
-            raise NoPendingGrant(f"no pending grant for NID {nid}")
+    def expire_grant(self, grant: ResourceGrant) -> None:
+        """Abandoned handshake: return all of ``grant``'s tentative identifiers to the pool."""
+        nid = grant.nid
+        self._tentative(nid)
         del self.nodes[nid]
         key = (grant.attach_nid, nid)
         if key in self.links:
@@ -333,9 +336,6 @@ class TopologyGraph:
         self._next.pop(nid, None)
         self.lid_registry.difference_update((grant.lid, grant.uplink_lid, grant.ilid))
         self._free_nids.append(nid)
-
-    def pending_grant(self, nid: int) -> Optional[ResourceGrant]:
-        return self._pending.get(nid)
 
     # -- paths --------------------------------------------------------------
 

@@ -161,15 +161,10 @@ def parse_spec(text: str) -> TopologySpec:
         path = ".".join(str(p) for p in exc.absolute_path) or "document"
         raise SpecError(f"{path}: {exc.message}") from None
     params = doc["params"]
-    defaults = Defaults(**params.get("defaults", {}))
-    spec = TopologySpec(
-        m=params.get("m", 256),
-        k=params.get("k", 5),
-        defaults=defaults,
-        nodes=[TopoNode(n["name"], n["kind"]) for n in doc["nodes"]],
-        links=[TopoLink(l["a"], l["b"], l.get("delay_ms", 1.0)) for l in doc["links"]],
-        seed=doc.get("seed", 0),
-    )
+    spec = TopologySpec(defaults=Defaults(**params.pop("defaults", {})),
+                        nodes=[TopoNode(**n) for n in doc["nodes"]],
+                        links=[TopoLink(**l) for l in doc["links"]],
+                        seed=doc["seed"], **params)
     spec.validate()
     return spec
 

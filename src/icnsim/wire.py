@@ -52,6 +52,10 @@ class LengthMismatch(CodecError):
     pass
 
 
+class BadField(CodecError):
+    """A kind or rule-op byte with no meaning."""
+
+
 @record
 class DiscoveryRequest:
     nonce: int
@@ -245,7 +249,7 @@ def decode(data: bytes, params: FidParams) -> Message:
                                          for record in layout.struct.iter_unpack(data[6:])))
         return layout.decode(*layout.struct.unpack(data))
     except ValueError as exc:
-        raise LengthMismatch(str(exc)) from None
+        raise BadField(str(exc)) from None
 
 
 def golden_messages(params: FidParams) -> Tuple[Tuple[str, Message], ...]:

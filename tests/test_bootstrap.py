@@ -91,7 +91,7 @@ class TestDiscoverySelection:
         fsm = make_fsm()
         fsm.start()
         fsm.on_message(DiscoveryOffer(fsm.nonce + 1, 2, lid(1)), 0)
-        assert fsm.collected_offers == []
+        assert fsm.discovery_offers == []
 
     def test_no_offers_rebroadcast_then_fail(self):
         fsm = make_fsm()
@@ -296,7 +296,7 @@ class TestTmEngine:
         offer = next(a.message for a in actions if isinstance(a, Notify))
         engine.on_link_event(LinkEvent(LinkEventKind.REMOVE, s_nid, TM_NID))
         assert engine.on_message(OfferAccepted(11, offer.nid)) == []
-        assert graph.pending_grant(offer.nid) is not None
+        assert not graph.nodes[offer.nid].committed  # still pending
         engine.on_link_event(LinkEvent(LinkEventKind.ADD, s_nid, TM_NID))
         retry = engine.on_message(OfferAccepted(11, offer.nid))
         ack = next(a.message for a in retry if isinstance(a, Notify))
@@ -358,8 +358,13 @@ class TestTmEngine:
         assert graph.nodes[h].tmfid == uplink | graph.links[(sb, TM_NID)].lid
 
     def test_offer_accepted_unknown_ignored(self):
-        engine, _ = self.make_engine()
+        engine, graph = self.make_engine()
         assert engine.on_message(OfferAccepted(1, 42)) == []
+        # A known nonce that names another handshake's NID commits neither.
+        mine, other = (engine.on_message(ResourceRequest(nonce, NodeKind.ICN_NODE, TM_NID))[-1].nid
+                       for nonce in (11, 12))
+        assert engine.on_message(OfferAccepted(11, other)) == []
+        assert not graph.nodes[mine].committed and not graph.nodes[other].committed
 
     def test_duplicate_offer_accepted_repeats_ack(self):
         engine, _ = self.make_engine()
@@ -420,13 +425,19 @@ class TestTmEngine:
 
     def test_rejected_link_event_and_stats_logged_yield_nothing(self, caplog):
         engine, graph = self.make_engine()
-        dump = graph.dump()
+        s = engine.on_message(ResourceRequest(5, NodeKind.SDN_SWITCH, TM_NID))[-1].nid
+        engine.on_message(OfferAccepted(5, s))
+        pending = engine.on_message(ResourceRequest(6, NodeKind.ICN_NODE, TM_NID))[-1].nid
+        dump, lids = graph.dump(), set(graph.lid_registry)
+        rejected = [LinkEvent(LinkEventKind.REMOVE, TM_NID, 9),  # no such cable
+                    LinkEvent(LinkEventKind.ADD, s, TM_NID),  # already up
+                    LinkEvent(LinkEventKind.ADD, s, pending)]  # an uncommitted end
         with caplog.at_level("WARNING", logger="icnsim.bootstrap"):
-            assert engine.on_link_event(LinkEvent(LinkEventKind.REMOVE, TM_NID, 9)) == []
+            assert [engine.on_link_event(event) for event in rejected] == [[], [], []]
             assert engine.on_link_stats(LinkStatsReport((StatsEntry(lid(1), 0, 10),))) == []
         assert [r.getMessage().split(":")[1].strip() for r in caplog.records] == [
-            "link event failed", "stats report rejected"]
-        assert graph.dump() == dump
+            "link event failed"] * 3 + ["stats report rejected"]
+        assert (graph.dump(), graph.lid_registry) == (dump, lids)
 
     def test_exhausted_stays_silent(self):
         graph = TopologyGraph(FidParams(m=8, k=2), Random(2))

@@ -1043,6 +1043,17 @@ def test_emit_on_unwired_port_logs_and_drops(caplog):
     assert packet.trace_id not in net.traces
 
 
+def test_copy_emitted_onto_a_cut_cable_is_dropped():
+    net = Deployment(generate_random(4, 4, 3, 1), trace_hops=TRACE_HOPS)
+    net.run_bootstrap()
+    assert net.traces  # the bootstrap's hops
+    [peer] = net.port_to["h1"]  # h1's only cable
+    net.fail_link("h1", peer)
+    trace = net.inject_data("h1", "h2")  # emitted before the TM hears of the cut
+    net.run_until_idle()
+    assert trace not in net.consumed and trace not in net.traces
+
+
 class TestLinkFaultNames:
     """``fail_link``/``restore_link`` name a cabled pair, or raise at the call."""
 

@@ -140,7 +140,7 @@ def attach(g, pick):
     kind = NodeKind.SDN_SWITCH if pick % 2 else NodeKind.ICN_NODE
     grant = g.allocate_resources(kind, reachable[pick % len(reachable)])
     if pick % 5 == 0:
-        g.expire_grant(grant.nid)
+        g.expire_grant(grant)
     else:
         g.commit_grant(grant.nid)
 

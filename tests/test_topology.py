@@ -7,8 +7,8 @@ import pytest
 from icnsim import topology
 from icnsim.fid import BitVector, Exhausted, FidParams, fid_or
 from icnsim.topology import (LinkEvent, LinkEventKind, LinkStatsReport, NodeKind,
-                             NoPendingGrant, StatsEntry, TM_NID, TopologyGraph,
-                             UnknownAttachPoint, UnknownLink, Unreachable)
+                             NoPendingGrant, ResourceGrant, StatsEntry, TM_NID, TopologyError,
+                             TopologyGraph, UnknownAttachPoint, UnknownLink, Unreachable)
 
 
 def make_graph(m=256, k=5, seed=1):
@@ -110,6 +110,8 @@ class TestCommitExpire:
         g.commit_grant(grant.nid)
         with pytest.raises(NoPendingGrant):
             g.commit_grant(grant.nid)
+        with pytest.raises(NoPendingGrant):  # nor can a committed grant expire
+            g.expire_grant(grant)
 
     def test_commit_never_allocated(self):
         with pytest.raises(NoPendingGrant):
@@ -120,7 +122,7 @@ class TestCommitExpire:
         before = set(g.lid_registry)
         grant = g.allocate_resources(NodeKind.ICN_NODE, TM_NID)
         g.data_fid(TM_NID, grant.nid)  # builds the pending node's in-tree
-        g.expire_grant(grant.nid)
+        g.expire_grant(grant)
         assert g.lid_registry == before
         assert grant.nid not in g.nodes
         assert (TM_NID, grant.nid) not in g.links
@@ -128,7 +130,8 @@ class TestCommitExpire:
 
     def test_expire_unknown(self):
         with pytest.raises(NoPendingGrant):
-            make_graph().expire_grant(5)
+            make_graph().expire_grant(ResourceGrant(5, 0b11, 0b1100, 0b110000, TM_NID,
+                                                    NodeKind.ICN_NODE))
 
     def test_commit_waits_while_attach_point_cut_off(self):
         g = make_graph()
@@ -139,8 +142,7 @@ class TestCommitExpire:
         g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s, TM_NID))
         with pytest.raises(Unreachable):
             g.commit_grant(grant.nid)
-        assert g.pending_grant(grant.nid) == grant
-        assert not g.nodes[grant.nid].committed
+        assert not g.nodes[grant.nid].committed  # still pending
         with pytest.raises(Unreachable):
             g.fid_from_tm(grant.nid)
         assert {(s, TM_NID), (TM_NID, s)} <= set(g.down_links)
@@ -159,7 +161,7 @@ class TestCommitExpire:
         s = attach(g, NodeKind.SDN_SWITCH, TM_NID)
         grant = g.allocate_resources(NodeKind.ICN_NODE, s)
         g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, grant.nid, s))
-        g.expire_grant(grant.nid)
+        g.expire_grant(grant)
         assert g.lid_registry == g.live_lids()
         assert not g.down_links
         assert g.allocate_resources(NodeKind.ICN_NODE, s).nid == grant.nid
@@ -167,7 +169,7 @@ class TestCommitExpire:
     def test_reallocation_after_expiry_stays_consistent(self):
         g = make_graph()
         first = g.allocate_resources(NodeKind.ICN_NODE, TM_NID)
-        g.expire_grant(first.nid)
+        g.expire_grant(first)
         second = g.allocate_resources(NodeKind.ICN_NODE, TM_NID)
         g.commit_grant(second.nid)
         live = g.live_lids()
@@ -324,6 +326,17 @@ class TestLinkEvents:
         with pytest.raises(UnknownLink):
             g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, 5, 6))
 
+    def test_add_of_a_live_cable_or_a_pending_end_changes_nothing(self):
+        g, s1, s2, s3, h = self.resilience_fixture()
+        pending = g.allocate_resources(NodeKind.ICN_NODE, s3).nid
+        dump, lids = g.dump(), set(g.lid_registry)
+        with pytest.raises(TopologyError, match="already up") as raised:  # named from its far end
+            g.handle_link_event(LinkEvent(LinkEventKind.ADD, s3, s1))
+        assert type(raised.value) is TopologyError
+        with pytest.raises(UnknownAttachPoint):
+            g.handle_link_event(LinkEvent(LinkEventKind.ADD, s2, pending))
+        assert (g.dump(), g.lid_registry) == (dump, lids)
+
     def test_rules_for_switch_side(self):
         g, s1, s2, s3, h = self.resilience_fixture()
         outcome = g.handle_link_event(LinkEvent(LinkEventKind.REMOVE, s2, TM_NID))
@@ -411,7 +424,7 @@ class TestInvariants:
                     g.commit_grant(grant.nid)
                     committed.append(grant.nid)
                 else:
-                    g.expire_grant(grant.nid)
+                    g.expire_grant(grant)
             elif len(committed) > 2:
                 a, b = rng.sample(committed, 2)
                 if (a, b) not in g.links:

@@ -124,6 +124,12 @@ class TestParsing:
     def test_defaults_applied(self):
         spec = parse_spec(json.dumps(minimal_doc()))
         assert spec.defaults == Defaults()
+        doc = minimal_doc()
+        doc["params"] = {}
+        del doc["links"][0]["delay_ms"]
+        spec = parse_spec(json.dumps(doc))
+        assert (spec.m, spec.k, spec.defaults, spec.links) == (256, 5, Defaults(),
+                                                               [TopoLink("tm", "s1", 1.0)])
 
 
 class TestGeneration:

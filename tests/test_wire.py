@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from icnsim.fid import BitVector, FidParams
 from icnsim.topology import LinkEvent, LinkEventKind, LinkStatsReport, NodeKind, StatsEntry
 from icnsim import wire
-from icnsim.wire import (BadVersion, DiscoveryOffer, DiscoveryRequest, LengthMismatch,
+from icnsim.wire import (BadField, BadVersion, DiscoveryOffer, DiscoveryRequest, LengthMismatch,
                          OfferAccepted, ResourceAccepted, ResourceOffer, ResourceRequest,
                          RuleInstallFrame, TruncatedPayload, UnknownType, Update,
                          decode, encode, golden_messages)
@@ -69,13 +69,19 @@ class TestDecodeErrors:
     def test_unknown_requester_kind(self):
         payload = bytes(8) + b"\x07" + bytes(8)
         frame = bytes.fromhex("01030011") + payload
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(BadField):
             decode(frame, P256)
 
     def test_unknown_link_event_kind(self):
         frame = bytearray(encode(LinkEvent(LinkEventKind.REMOVE, 3, 4), P256))
         frame[4] = 2  # the kind byte; 0 is ADD and 1 REMOVE
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(BadField):
+            decode(bytes(frame), P256)
+
+    def test_unknown_rule_op(self):
+        frame = bytearray(encode(RuleInstallFrame(True, 2, 3, 5, LID_A, LID_A, 100), P256))
+        frame[4] = 2  # the op byte; 0 installs and 1 removes
+        with pytest.raises(BadField, match="unknown rule op 0x02"):
             decode(bytes(frame), P256)
 
 

@@ -51,7 +51,7 @@ from types import ModuleType
 from typing import Dict, List, Optional, Tuple
 
 import icnsim
-from data_bench import load_tree
+from data_bench import load_tree, quartiles
 
 DEFAULT_LINKS = "240,960,1920,7680"
 
@@ -170,10 +170,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.against:
             row["against"] = summary(links, times[1], *passes[1][:3])
             ratios = [a / b for a, b in zip(times[0], times[1])]
-            q1, _, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
-                         if len(ratios) > 1 else ratios * 3)
-            row.update(ratio=round(statistics.median(ratios), 3),
-                       ratio_q1=round(q1, 3), ratio_q3=round(q3, 3))
+            q1, q2, q3 = quartiles(ratios)
+            row.update(ratio=round(q2, 3), ratio_q1=round(q1, 3), ratio_q3=round(q3, 3))
             difference = first_difference(passes[0][4], passes[1][4])
             row["report_times_differ"] = difference is not None
             if difference is not None:

@@ -36,8 +36,10 @@ these pairs share it.  After each pair of passes both trees must have
 consumed the same packets at the same hosts, counted the same drops at
 each switch and hold the same switch tables (the text of
 ``FlowTable.snapshot()``), or the tool stops.  Per shape the line then
-also holds the other tree's medians and the median over the pairs of this
-tree's time over the other's, for origination, for delivery and for both.
+also holds the other tree's medians and the median and quartiles over the
+pairs of this tree's time over the other's, for origination, for delivery
+and for both (``inject_ratio``, ``inject_ratio_q1``, ``inject_ratio_q3``,
+and so on for ``deliver`` and ``data``).
 """
 
 from __future__ import annotations
@@ -130,6 +132,13 @@ def lookup_sizes(shape: Tuple[int, int, int], seed: int, packets: int) -> List[i
     return sizes
 
 
+def quartiles(values: List[float]) -> Tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
 def summary(inject: List[float], deliver: List[float]) -> Dict[str, float]:
     med_i, med_d = statistics.median(inject), statistics.median(deliver)
     return {"inject_us_per_pkt": round(med_i, 2),
@@ -180,9 +189,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.against:
             row["against"] = summary(*zip(*times[1]))
             pairs = list(zip(times[0], times[1]))
-            row["inject_ratio"] = round(statistics.median(a[0] / b[0] for a, b in pairs), 3)
-            row["deliver_ratio"] = round(statistics.median(a[1] / b[1] for a, b in pairs), 3)
-            row["data_ratio"] = round(statistics.median(sum(a) / sum(b) for a, b in pairs), 3)
+            for key, ratios in (("inject", [a[0] / b[0] for a, b in pairs]),
+                                ("deliver", [a[1] / b[1] for a, b in pairs]),
+                                ("data", [sum(a) / sum(b) for a, b in pairs])):
+                q1, q2, q3 = quartiles(ratios)
+                row.update({f"{key}_ratio": round(q2, 3), f"{key}_ratio_q1": round(q1, 3),
+                            f"{key}_ratio_q3": round(q3, 3)})
         result[name] = row
     print(json.dumps(result))
     return 0

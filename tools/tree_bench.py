@@ -57,10 +57,8 @@ from types import ModuleType
 from typing import Dict, List, Optional, Tuple
 
 import icnsim
-from data_bench import load_tree
+from data_bench import LINK_DELAY_MS, SHAPES, load_tree, quartiles
 
-SHAPES = {"dataplane_unicast": (24, 200, 32), "link_churn": (80, 160, 32)}
-LINK_DELAY_MS = 0.1
 OPS = ("build", "remove", "add")
 
 
@@ -118,13 +116,6 @@ def transition(net, change, link: Tuple[str, str]) -> float:
     change(*link)
     net.run_until_idle()
     return (time.perf_counter() - start) * 1e6
-
-
-def quartiles(values: List[float]) -> Tuple[float, float, float]:
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
 
 
 def percentile(values: List[float], q: int) -> float:
